@@ -4,12 +4,11 @@
 
 namespace rattrap::core {
 
-std::string Dispatcher::binding_key(const workloads::OffloadRequest& request,
-                                    const std::string& app_id) const {
+std::string Dispatcher::binding_key(
+    const workloads::OffloadRequest& request) {
   // Environments are provisioned per device on every platform; with
   // affinity the Dispatcher may *reroute* a request to an app-hot
   // container, but new environments always bind to the requesting device.
-  (void)app_id;
   return "dev:" + std::to_string(request.device_id);
 }
 
@@ -58,7 +57,7 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
   char device_key[24];
   const int key_len = std::snprintf(device_key, sizeof device_key, "dev:%u",
                                     request.device_id);
-  EnvRecord* device_env = db_.find_by_key(
+  EnvRecord* device_env = envs_.find_by_key(
       std::string_view(device_key, static_cast<std::size_t>(key_len)));
   if (!affinity_) return finish(device_env, false);
   // A device's first request always provisions its own environment (all
@@ -67,15 +66,15 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
   // saving the code-loading time — unless that container is backlogged.
   if (device_env == nullptr) return finish(nullptr, false);
   if (const auto preferred = warehouse_.preferred_env("ref:" + app_id)) {
-    EnvRecord* record = db_.find(*preferred);
-    // Only reroute onto a container that is actually serving: a retired
+    EnvRecord* record = envs_.find(*preferred);
+    // Only reroute onto a container that is actually serving: a reclaimed
     // record is a dead environment (the warehouse learns of crashes
-    // asynchronously), and a provisioning one has no Dispatcher
-    // registration yet.  Routing to either strands the session.
+    // asynchronously), a booting one has no Dispatcher registration yet,
+    // and a draining one takes no new leases.  Routing to a dead or
+    // booting one strands the session.
     if (record != nullptr &&
-        (record->state == EnvState::kIdle ||
-         record->state == EnvState::kBusy) &&
-        record->ready_at > 0 &&
+        (record->state() == EnvState::kWarmIdle ||
+         record->state() == EnvState::kLeased) &&
         record->busy_until <= now + backlog_threshold) {
       return finish(record, true);
     }

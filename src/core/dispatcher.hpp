@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/container_db.hpp"
+#include "core/env_table.hpp"
 #include "core/qos/qos.hpp"
 #include "core/warehouse.hpp"
 #include "obs/metrics.hpp"
@@ -22,14 +22,13 @@ namespace rattrap::core {
 class Dispatcher {
  public:
   /// `affinity`: route by application (AID → CID) instead of by device.
-  Dispatcher(ContainerDb& db, AppWarehouse& warehouse, bool affinity)
-      : db_(db), warehouse_(warehouse), affinity_(affinity) {}
+  Dispatcher(EnvTable& envs, AppWarehouse& warehouse, bool affinity)
+      : envs_(envs), warehouse_(warehouse), affinity_(affinity) {}
 
   /// The environment-binding key for a request (per-device on every
   /// platform; affinity rerouting happens in assign()).
-  [[nodiscard]] std::string binding_key(
-      const workloads::OffloadRequest& request,
-      const std::string& app_id) const;
+  [[nodiscard]] static std::string binding_key(
+      const workloads::OffloadRequest& request);
 
   /// The existing environment this request should run in, or nullptr when
   /// a new one must be provisioned.  With affinity enabled, an environment
@@ -53,7 +52,7 @@ class Dispatcher {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  ContainerDb& db_;
+  EnvTable& envs_;
   AppWarehouse& warehouse_;
   bool affinity_;
   obs::Counter* assign_total_ = nullptr;

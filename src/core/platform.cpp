@@ -51,32 +51,30 @@ PlatformConfig make_config(PlatformKind kind, net::LinkConfig link,
 // ---------------------------------------------------------------------
 // Internal state
 
+/// One environment's resources; its state and bookkeeping are `rec`, its
+/// record in the environment table.
 struct Platform::Env {
-  std::uint32_t id = 0;
-  bool is_vm = false;
+  explicit Env(EnvRecord& record) : rec(record) {}
+
+  [[nodiscard]] EnvId id() const { return rec.id; }
+  [[nodiscard]] bool is_vm() const { return rec.backing == EnvBacking::kVm; }
+
+  /// Resumes every session waiting for the boot to end (or fail).
+  void run_waiters() {
+    auto pending = std::move(waiters);
+    waiters.clear();
+    for (auto& waiter : pending) waiter();
+  }
+
+  EnvRecord& rec;
   vm::VmId vm_id = 0;
   std::unique_ptr<CloudAndroidContainer> cac;
   android::ClassLoader vm_loader;  ///< for VM-backed environments
-  bool ready = false;
-  sim::SimTime provision_start = 0;
-  sim::SimTime ready_at = 0;
-  sim::SimTime busy_until = 0;
   std::vector<std::function<void()>> waiters;
   /// Apps whose code this specific environment has received (the per-VM
   /// duplicate-code bookkeeping of §III-D).
   std::set<std::string> pushed_apps;
   std::uint64_t disk_bytes = 0;
-  std::string binding_key;
-  bool retired = false;
-  std::uint32_t inflight = 0;       ///< sessions bound but not completed
-  std::uint64_t jobs_served = 0;    ///< reclaim-epoch counter
-  bool pool = false;                ///< pre-booted, waiting for a claimant
-  bool draining = false;            ///< no new leases; reclaim when idle
-  bool failed = false;              ///< provisioning failed (capacity)
-  bool crashed = false;             ///< died abruptly (fault injection)
-  std::uint64_t memory_bytes = 0;   ///< committed allocation
-  sim::SimTime commit_start = 0;
-  sim::SimTime commit_end = -1;     ///< -1 while still committed
 };
 
 struct Platform::SessionState {
@@ -133,10 +131,6 @@ struct Platform::SessionState {
 
 /// Track 0 carries platform-wide instants (faults outside any session).
 constexpr std::uint64_t kPlatformTrack = 0;
-
-/// Lifecycle-state spans live on one track per environment, far above
-/// any session's (session tracks are sequence + 1).
-constexpr std::uint64_t kLifecycleTrackBase = 1'000'000'000;
 
 namespace {
 /// Affinity-reroute backlog tolerance by class: interactive sessions give
@@ -240,10 +234,14 @@ Platform::Platform(PlatformConfig config)
   server_ = std::make_unique<CloudServer>(calibration, system_layer);
   link_ = std::make_unique<net::Link>(config_.link);
   base_link_ = config_.link;
-  dispatcher_ = std::make_unique<Dispatcher>(server_->env_db(),
+  dispatcher_ = std::make_unique<Dispatcher>(env_table_,
                                              server_->warehouse(),
                                              config_.dispatcher_affinity);
   server_->install_metrics(&metrics_);
+  // Lifecycle transitions feed the envdb.* / elastic.* metrics and, when
+  // tracing is on, one state span per environment (docs/ELASTIC.md).
+  env_table_.set_metrics(&metrics_);
+  env_table_.set_trace(&trace_);
   link_->set_metrics(&metrics_);
   dispatcher_->set_metrics(&metrics_);
   // The access controller becomes a stateful defense layer (docs/RAC.md):
@@ -270,37 +268,6 @@ Platform::Platform(PlatformConfig config)
     pool_controller_ =
         std::make_unique<elastic::PoolController>(config_.elastic);
   }
-  // Lifecycle transitions feed the elastic.* metrics schema and, when
-  // tracing is on, one state span per environment (docs/ELASTIC.md).
-  lifecycle_.set_transition_hook(
-      [this](std::uint32_t cid, elastic::CacState from, elastic::CacState to,
-             sim::SimTime now) {
-        metrics_
-            .counter(std::string("elastic.transitions.") +
-                     elastic::to_string(to))
-            .inc();
-        metrics_.gauge(std::string("elastic.state.") + elastic::to_string(to))
-            .set(static_cast<double>(lifecycle_.count(to)));
-        if (from != elastic::CacState::kCold) {
-          metrics_
-              .gauge(std::string("elastic.state.") + elastic::to_string(from))
-              .set(static_cast<double>(lifecycle_.count(from)));
-        }
-        if (!trace_.enabled()) return;
-        if (const auto it = lifecycle_spans_.find(cid);
-            it != lifecycle_spans_.end()) {
-          trace_.end(it->second, now);  // no-op if a drain already closed it
-          lifecycle_spans_.erase(it);
-        }
-        const std::uint64_t track = kLifecycleTrackBase + cid;
-        if (to == elastic::CacState::kReclaimed) {
-          trace_.instant(track, "reclaimed", "lifecycle", now);
-          return;
-        }
-        lifecycle_spans_.emplace(
-            cid,
-            trace_.begin(track, elastic::to_string(to), "lifecycle", now));
-      });
   if (config_.force_invariants && config_.check_invariants &&
       config_.fault_plan.empty()) {
     // The property battery wants the oracle active on fault-free runs
@@ -383,7 +350,7 @@ sim::SimDuration Platform::compute_io_time(Env& env, std::uint64_t bytes,
   const sim::SimDuration native =
       server_->disk().service_time(bytes, /*sequential=*/true) +
       static_cast<sim::SimDuration>(ops) * per_op;
-  if (env.is_vm) {
+  if (env.is_vm()) {
     return static_cast<sim::SimDuration>(static_cast<double>(native) /
                                          cal.vm_io_factor);
   }
@@ -395,59 +362,40 @@ sim::SimDuration Platform::compute_io_time(Env& env, std::uint64_t bytes,
 
 Platform::Env& Platform::provision_env(const std::string& binding_key,
                                        sim::SimTime now) {
-  const std::uint32_t id = next_env_id_++;
-  auto env = std::make_unique<Env>();
-  env->id = id;
-  env->is_vm = !config_.container_backing;
-  env->provision_start = now;
-  env->binding_key = binding_key;
-  Env& ref = *env;
-  envs_.emplace(id, std::move(env));
-  server_->env_db().add(id,
-                        ref.is_vm ? EnvBacking::kVm : EnvBacking::kContainer,
-                        binding_key, now);
-  if (ref.is_vm) {
-    provision_vm(ref);
-  } else {
-    provision_cac(ref);
+  EnvRecord& rec = env_table_.add(
+      config_.container_backing ? EnvBacking::kContainer : EnvBacking::kVm,
+      binding_key, now);
+  Env& env = *envs_.emplace_back(std::make_unique<Env>(rec));
+  const bool started = env.is_vm() ? provision_vm(env) : provision_cac(env);
+  if (!started) {
+    // Dead on arrival — the VM density wall of a 512 MB-per-VM resource
+    // model on a 16 GB server, a missing kernel feature, a cgroup memory
+    // limit or an injected device-namespace teardown.  Every waiting
+    // session is answered with a rejection.
+    metrics_.counter("env.provision_failed").inc();
+    rec.failed = true;
+    rec.memory_bytes = 0;
+    server_->simulator().schedule_in(0, [&env]() { env.run_waiters(); });
   }
-  lifecycle_.admit(id, now, ref.memory_bytes);
-  if (ref.failed) {
-    // Dead on arrival (capacity wall): straight to reclaimed.
-    lifecycle_.transition(id, elastic::CacState::kReclaimed, now);
-  }
-  return ref;
+  env_table_.transition(rec.id, EnvState::kBooting, now);
+  if (!started) env_table_.transition(rec.id, EnvState::kReclaimed, now);
+  return env;
 }
 
-void Platform::provision_vm(Env& env) {
+bool Platform::provision_vm(Env& env) {
   const Calibration& cal = server_->calibration();
   vm::VmConfig vc;
-  vc.name = "android-vm-" + std::to_string(env.id);
+  vc.name = "android-vm-" + std::to_string(env.id());
   vc.vcpus = 1;
   vc.memory = cal.vm_memory;
   vc.disk_image = android::stock_layer()->total_bytes();
   vc.cpu_factor = cal.vm_cpu_factor;
   vc.io_factor = cal.vm_io_factor;
   vm::VirtualMachine* machine = server_->hypervisor().create(vc);
-  if (machine == nullptr) {
-    // Host memory exhausted: the environment cannot be provisioned. Every
-    // waiting session is answered with a rejection — the density wall a
-    // 512 MB-per-VM resource model hits on a 16 GB server.
-    metrics_.counter("env.provision_failed").inc();
-    env.failed = true;
-    env.retired = true;
-    server_->env_db().retire(env.id);
-    server_->simulator().schedule_in(0, [this, &env]() {
-      auto waiters = std::move(env.waiters);
-      env.waiters.clear();
-      for (auto& waiter : waiters) waiter();
-    });
-    return;
-  }
+  if (machine == nullptr) return false;  // host memory exhausted
   env.vm_id = machine->id();
   env.disk_bytes = vc.disk_image;
-  env.memory_bytes = vc.memory;
-  env.commit_start = server_->simulator().now();
+  env.rec.memory_bytes = vc.memory;
 
   const sim::SimTime boot_start = server_->simulator().now();
   server_->hypervisor().boot(
@@ -459,11 +407,12 @@ void Platform::provision_vm(Env& env) {
             server_->calibration().env_register_cost,
             [this, &env]() { env_ready(env); });
       });
+  return true;
 }
 
-void Platform::provision_cac(Env& env) {
+bool Platform::provision_cac(Env& env) {
   CacConfig cc;
-  cc.name = "cac-" + std::to_string(env.id);
+  cc.name = "cac-" + std::to_string(env.id());
   cc.profile = config_.customized_os ? android::OsProfile::kCustomized
                                      : android::OsProfile::kStock;
   if (config_.shared_resource_layer) {
@@ -490,28 +439,10 @@ void Platform::provision_cac(Env& env) {
       .set(static_cast<double>(layer_store_.stored_bytes()));
   env.cac = std::make_unique<CloudAndroidContainer>(
       cc, server_->containers(), server_->driver());
-  env.memory_bytes = cc.memory_limit;
-  env.commit_start = server_->simulator().now();
+  env.rec.memory_bytes = cc.memory_limit;
 
   const auto start_cost = env.cac->start_container(server_->kernel());
-  if (!start_cost.has_value()) {
-    // Container start failed — missing kernel feature, cgroup memory
-    // limit, or an injected device-namespace teardown. Same answer as
-    // the VM capacity wall: the environment is dead on arrival and
-    // every waiting session gets a rejection.
-    metrics_.counter("env.provision_failed").inc();
-    env.failed = true;
-    env.retired = true;
-    env.memory_bytes = 0;
-    env.commit_end = env.commit_start;
-    server_->env_db().retire(env.id);
-    server_->simulator().schedule_in(0, [this, &env]() {
-      auto waiters = std::move(env.waiters);
-      env.waiters.clear();
-      for (auto& waiter : waiters) waiter();
-    });
-    return;
-  }
+  if (!start_cost.has_value()) return false;
   const android::UserspaceBoot boot = env.cac->userspace_boot();
 
   // Per-environment disk: a private image copy without the shared layer,
@@ -546,66 +477,62 @@ void Platform::provision_cac(Env& env) {
     server_->disk().submit(fs::IoKind::kRead, boot.disk_read_bytes,
                            /*sequential=*/true, after_io);
   });
+  return true;
 }
 
 void Platform::env_ready(Env& env) {
-  env.ready = true;
-  env.ready_at = server_->simulator().now();
-  env.busy_until = env.ready_at;
+  EnvRecord& rec = env.rec;
+  rec.ready_at = server_->simulator().now();
+  rec.busy_until = rec.ready_at;
   metrics_.counter("env.provisioned").inc();
   metrics_.histogram("env.provision_ms")
-      .observe(sim::to_millis(env.ready_at - env.provision_start));
-  server_->monitor().env_up(env.id);
+      .observe(sim::to_millis(rec.ready_at - rec.provisioned_at));
+  server_->monitor().env_up(env.id());
   if (pool_controller_ != nullptr) {
     pool_controller_->observe_boot(
-        sim::to_seconds(env.ready_at - env.provision_start));
+        sim::to_seconds(rec.ready_at - rec.provisioned_at));
   }
-  if (EnvRecord* record = server_->env_db().find(env.id)) {
-    record->state = env.draining ? EnvState::kDraining : EnvState::kIdle;
-    record->ready_at = env.ready_at;
+  // A drain begun mid-boot already moved the record to draining.
+  const bool draining = rec.state() == EnvState::kDraining;
+  if (!draining) {
+    env_table_.transition(
+        env.id(), rec.inflight > 0 ? EnvState::kLeased : EnvState::kWarmIdle,
+        rec.ready_at);
   }
-  if (!env.draining) {
-    // A drain begun mid-boot already moved the ledger to kDraining.
-    lifecycle_.transition(env.id,
-                          env.inflight > 0 ? elastic::CacState::kLeased
-                                           : elastic::CacState::kWarmIdle,
-                          env.ready_at);
-  }
-  auto waiters = std::move(env.waiters);
-  env.waiters.clear();
-  for (auto& waiter : waiters) waiter();
-  if (env.draining) {
-    if (env.inflight == 0) finish_drain(env);
+  env.run_waiters();
+  if (draining) {
+    if (rec.inflight == 0) finish_drain(env);
     return;
   }
   schedule_reclaim(env);
 }
 
+Platform::Env& Platform::env_of(EnvId id) { return *envs_[id - 1]; }
+
 void Platform::schedule_reclaim(Env& env) {
   if (config_.env_idle_timeout <= 0) return;
-  const std::uint64_t epoch = env.jobs_served;
+  const std::uint64_t epoch = env.rec.jobs_served;
   server_->simulator().schedule_in(
       config_.env_idle_timeout, [this, &env, epoch]() {
-        if (env.retired || !env.ready) return;
-        if (env.pool && env.jobs_served == 0) return;  // waiting warm
-        if (env.jobs_served != epoch) return;  // work arrived since
-        if (env.inflight > 0) return;          // sessions in progress
-        if (env.busy_until > server_->simulator().now()) return;
+        const EnvRecord& rec = env.rec;
+        if (!rec.ready()) return;
+        if (env_table_.pooled(rec.id)) return;  // waiting warm
+        if (rec.jobs_served != epoch) return;   // work arrived since
+        if (rec.inflight > 0) return;           // sessions in progress
+        if (rec.busy_until > server_->simulator().now()) return;
         begin_drain(env);
       });
 }
 
-void Platform::retire_env(Env& env) {
-  env.retired = true;
-  env.ready = false;
-  env.commit_end = server_->simulator().now();
-  server_->monitor().env_down(env.id);
-  lifecycle_.transition(env.id, elastic::CacState::kReclaimed,
+void Platform::teardown_env(Env& env, bool crashed) {
+  server_->monitor().env_down(env.id());
+  env_table_.transition(env.id(), EnvState::kReclaimed,
                         server_->simulator().now());
-  server_->env_db().retire(env.id);
-  server_->warehouse().forget_env(env.id);
-  if (env.is_vm) {
+  server_->warehouse().forget_env(env.id());
+  if (env.is_vm()) {
     server_->hypervisor().destroy(env.vm_id);
+  } else if (env.cac && crashed) {
+    env.cac->crash(server_->kernel());
   } else if (env.cac) {
     env.cac->shutdown(server_->kernel());
   }
@@ -619,27 +546,20 @@ std::uint64_t Platform::session_pool_heap_fallbacks() const {
 }
 
 void Platform::begin_drain(Env& env) {
-  if (env.draining || env.retired) return;
-  env.draining = true;
-  env.pool = false;  // never claimable again
+  if (!env.rec.leasable()) return;  // already draining or reclaimed
   metrics_.counter("elastic.drained").inc();
-  lifecycle_.transition(env.id, elastic::CacState::kDraining,
+  // Leaves the warm pool for good.
+  env_table_.transition(env.id(), EnvState::kDraining,
                         server_->simulator().now());
   // Unbind the affinity key so the dispatcher never routes new work
   // here; in-flight sessions keep their binding through s->env.
-  env.binding_key = "drain:" + std::to_string(env.id);
-  server_->env_db().rebind(env.id, env.binding_key);
-  if (EnvRecord* record = server_->env_db().find(env.id)) {
-    if (record->state != EnvState::kRetired) {
-      record->state = EnvState::kDraining;
-    }
-  }
-  if (env.ready && env.inflight == 0) finish_drain(env);
+  env_table_.rebind(env.id(), "drain:" + std::to_string(env.id()));
+  if (env.rec.ready() && env.rec.inflight == 0) finish_drain(env);
 }
 
 void Platform::finish_drain(Env& env) {
-  if (env.retired) return;
-  if (!env.is_vm && env.cac != nullptr) {
+  if (!env.rec.live()) return;
+  if (!env.is_vm() && env.cac != nullptr) {
     // Reclaim the private COW layer; shared lower layers stay for the
     // environments still referencing them.
     const std::uint64_t freed = env.cac->reclaim_private_layer();
@@ -647,22 +567,20 @@ void Platform::finish_drain(Env& env) {
       metrics_.counter("elastic.reclaimed.private_bytes").inc(freed);
     }
   }
-  retire_env(env);
+  teardown_env(env, /*crashed=*/false);
 }
 
 bool Platform::drain_env(std::uint32_t env_id) {
-  const auto it = envs_.find(env_id);
-  if (it == envs_.end()) return false;
-  Env& env = *it->second;
-  if (env.retired || env.draining) return false;
-  begin_drain(env);
+  const EnvRecord* rec = env_table_.find(env_id);
+  if (rec == nullptr || !rec->leasable()) return false;
+  begin_drain(env_of(env_id));
   return true;
 }
 
 Platform::Env& Platform::prewarm_env() {
   Env& env = provision_env("pool:" + std::to_string(pool_seq_++),
                            server_->simulator().now());
-  env.pool = true;
+  env_table_.add_to_pool(env.id());
   metrics_.counter("elastic.prewarmed").inc();
   return env;
 }
@@ -675,12 +593,8 @@ std::uint64_t Platform::default_env_memory() const {
 
 std::uint32_t Platform::warm_idle_count() const {
   std::uint32_t n = 0;
-  for (const auto& [id, env] : envs_) {
-    (void)id;
-    if (env->pool && !env->retired && !env->draining && env->ready &&
-        env->inflight == 0) {
-      ++n;
-    }
+  for (const EnvId id : env_table_.pool()) {
+    if (env_table_.find(id)->state() == EnvState::kWarmIdle) ++n;
   }
   return n;
 }
@@ -694,11 +608,9 @@ std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
   const std::uint64_t mem = default_env_memory();
   if (budget > 0 && mem > 0) {
     std::uint64_t committed = 0;
-    for (const auto& [id, env] : envs_) {
-      (void)id;
-      if (env->pool && !env->retired && !env->draining) {
-        committed += env->memory_bytes > 0 ? env->memory_bytes : mem;
-      }
+    for (const EnvId id : env_table_.pool()) {
+      const std::uint64_t bytes = env_table_.find(id)->memory_bytes;
+      committed += bytes > 0 ? bytes : mem;
     }
     const std::uint64_t room = budget > committed ? budget - committed : 0;
     count = static_cast<std::uint32_t>(
@@ -709,18 +621,19 @@ std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
 }
 
 std::uint32_t Platform::elastic_retire_warm(std::uint32_t count) {
-  std::uint32_t drained = 0;
   // Newest-first: the longest-warm environments (page caches hottest)
   // survive; deterministic because env ids are allocation-ordered.
-  for (auto it = envs_.rbegin(); it != envs_.rend() && drained < count;
+  // Collected first: begin_drain() takes each one out of the pool.
+  std::vector<EnvId> victims;
+  const std::set<EnvId>& pool = env_table_.pool();
+  for (auto it = pool.rbegin(); it != pool.rend() && victims.size() < count;
        ++it) {
-    Env& env = *it->second;
-    if (!env.pool || env.retired || env.draining) continue;
-    if (!env.ready || env.inflight > 0) continue;
-    begin_drain(env);
-    ++drained;
+    if (env_table_.find(*it)->state() == EnvState::kWarmIdle) {
+      victims.push_back(*it);
+    }
   }
-  return drained;
+  for (const EnvId id : victims) begin_drain(env_of(id));
+  return static_cast<std::uint32_t>(victims.size());
 }
 
 void Platform::arm_elastic_tick() {
@@ -736,14 +649,10 @@ void Platform::elastic_tick() {
   if (pool_controller_ == nullptr) return;
   elastic::PoolSnapshot snapshot;
   snapshot.memory_per_env = default_env_memory();
-  for (const auto& [id, env] : envs_) {
-    (void)id;
-    if (!env->pool || env->retired || env->draining) continue;
-    if (!env->ready) {
-      ++snapshot.booting;
-    } else if (env->inflight == 0) {
-      ++snapshot.warm;
-    }
+  for (const EnvId id : env_table_.pool()) {
+    const EnvState state = env_table_.find(id)->state();
+    if (state == EnvState::kBooting) ++snapshot.booting;
+    if (state == EnvState::kWarmIdle) ++snapshot.warm;
   }
   const elastic::PoolDecision decision =
       pool_controller_->tick(snapshot, pool_controller_->config().tick_s);
@@ -941,20 +850,20 @@ void Platform::reset_run() {
                                       sim::FaultKind::kContainerOom}) {
       for (const sim::SimTime when : faults_->scheduled_times(kind)) {
         simulator.schedule_at(when, [this, kind]() {
-          Env* victim = nullptr;
-          for (auto& [id, env] : envs_) {
-            (void)id;
-            if (env->retired || !env->ready) continue;
-            if (victim == nullptr) victim = env.get();
-            if (env->inflight > 0) {
-              victim = env.get();
+          std::optional<EnvId> victim;
+          for (const EnvId id : env_table_.live_ids()) {
+            const EnvRecord& rec = *env_table_.find(id);
+            if (!rec.ready()) continue;
+            if (!victim) victim = id;
+            if (rec.inflight > 0) {
+              victim = id;
               break;
             }
           }
-          if (victim == nullptr) return;  // nothing alive to kill
+          if (!victim) return;  // nothing alive to kill
           faults_->record_scheduled_fire(kind,
                                          server_->simulator().now());
-          crash_env(*victim);
+          crash_env(env_of(*victim));
         });
       }
     }
@@ -1011,23 +920,13 @@ void Platform::drain_run() {
     // can strand on a dead environment; the event queue drains with
     // their outcomes unrecorded. Mark them rejected so the caller sees
     // every request accounted for — and so the invariant report is the
-    // only place a stranding hides.  Sessions stranded *in a class
-    // queue* (every in-service session died first) give their slot back
-    // so the admission ledger stays balanced.
+    // only place a stranding hides.  Stranded sessions give back every
+    // slot they held — the tenant's RAC in-flight quota slot, and a
+    // class-queue or in-service slot — so later runs are not refused
+    // for work that is no longer in flight.
     for (const auto& s : live_sessions_) {
       if (s->done) continue;
-      if (admission_ != nullptr) {
-        if (s->queued) {
-          admission_->abandon_queued(s->klass, s->tenant,
-                                     s->request.sequence);
-          queued_sessions_.erase(s->request.sequence);
-          s->queued = false;
-        }
-        if (s->admitted) {
-          admission_->release();
-          s->admitted = false;
-        }
-      }
+      release_slots(*s);
       RequestOutcome outcome;
       outcome.request = s->request;
       outcome.phases = s->phases;
@@ -1304,12 +1203,7 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
   EnvRecord* record =
       dispatcher_->assign(s->request, s->app_id, simulator.now(),
                           class_backlog_threshold(s->klass), s->klass);
-  Env* env = nullptr;
-  if (record != nullptr) {
-    const auto it = envs_.find(record->id);
-    assert(it != envs_.end());
-    env = it->second.get();
-  }
+  Env* env = record != nullptr ? &env_of(record->id) : nullptr;
   const std::uint64_t epoch = s->epoch;
   simulator.schedule_in(lead_cost, [this, s, env, epoch]() {
     if (s->done || s->epoch != epoch) return;  // aborted meanwhile
@@ -1317,33 +1211,23 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
     Env* target = env;
     bool claimed_pool = false;
     bool fresh = false;
-    if (target == nullptr || target->retired || target->draining) {
-      const std::string key =
-          dispatcher_->binding_key(s->request, s->app_id);
+    if (target == nullptr || !target->rec.leasable()) {
+      const std::string key = Dispatcher::binding_key(s->request);
       // A warm-pool environment (pre-booted, unclaimed) is rebound to
-      // this device instead of paying a cold start.  Draining capacity
-      // stopped leasing the moment its drain began.
-      Env* claimed = nullptr;
-      for (auto& [id, candidate] : envs_) {
-        (void)id;
-        if (candidate->pool && !candidate->retired &&
-            !candidate->draining) {
-          claimed = candidate.get();
-          break;
-        }
-      }
-      if (claimed != nullptr) {
-        if (claimed->ready) {
+      // this device instead of paying a cold start; the lowest id wins.
+      // Draining capacity left the pool the moment its drain began.
+      if (const std::optional<EnvId> claimed = env_table_.claim_pool()) {
+        target = &env_of(*claimed);
+        if (target->rec.ready()) {
           // Prewarm lead time: how far ahead of demand the controller
           // had this environment standing warm.
-          metrics_.histogram("elastic.prewarm.lead_ms")
-              .observe(sim::to_millis(server_->simulator().now() -
-                                      claimed->ready_at));
+          if (prewarm_lead_ms_ == nullptr) {
+            prewarm_lead_ms_ = &metrics_.histogram("elastic.prewarm.lead_ms");
+          }
+          prewarm_lead_ms_->observe(sim::to_millis(
+              server_->simulator().now() - target->rec.ready_at));
         }
-        claimed->pool = false;
-        claimed->binding_key = key;
-        server_->env_db().rebind(claimed->id, key);
-        target = claimed;
+        env_table_.rebind(*claimed, key);
         claimed_pool = true;
       } else {
         // Switch the phase before provisioning so faults fired during
@@ -1354,25 +1238,26 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
         target = &provision_env(key, server_->simulator().now());
       }
     }
+    EnvRecord& rec = target->rec;
     if (!fresh) {
-      fresh = !target->ready;
+      fresh = !rec.ready();
       begin_phase(*s, fresh ? "provision" : "reuse");
     }
     s->fresh_env = fresh;
     if (s->span_phase != obs::kNoSpan) {
       trace_.annotate(s->span_phase, "env_id",
-                      static_cast<std::uint64_t>(target->id));
+                      static_cast<std::uint64_t>(rec.id));
       if (claimed_pool) {
         trace_.annotate(s->span_phase, "warm_pool", std::uint64_t{1});
       }
     }
     s->env = target;
-    ++target->inflight;  // pins the env against idle reclamation
-    if (target->ready && target->inflight == 1) {
-      lifecycle_.transition(target->id, elastic::CacState::kLeased,
+    ++rec.inflight;  // pins the env against idle reclamation
+    if (rec.ready() && rec.inflight == 1) {
+      env_table_.transition(rec.id, EnvState::kLeased,
                             server_->simulator().now());
     }
-    if (target->ready) {
+    if (rec.ready()) {
       on_env_ready(s);
     } else {
       target->waiters.push_back([this, s, epoch]() {
@@ -1386,7 +1271,7 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
 void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
-  if (s->env->failed) {
+  if (s->env->rec.failed) {
     // Provisioning failed (host capacity): reject the request.
     reject_session(s, RejectReason::kCapacity);
     return;
@@ -1412,16 +1297,16 @@ void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
       .histogram(s->fresh_env ? "session.prep.provision_ms"
                               : "session.prep.reuse_ms")
       .observe(sim::to_millis(s->phases.runtime_preparation));
-  metrics_
-      .counter(s->fresh_env ? "elastic.cold_boots" : "elastic.warm_hits")
-      .inc();
+  if (warm_hits_ == nullptr) {
+    warm_hits_ = &metrics_.counter("elastic.warm_hits");
+    cold_boots_ = &metrics_.counter("elastic.cold_boots");
+    warm_hit_ratio_ = &metrics_.gauge("elastic.warm_hit_ratio");
+  }
+  (s->fresh_env ? cold_boots_ : warm_hits_)->inc();
   {
-    const double hits = static_cast<double>(
-        metrics_.counter("elastic.warm_hits").value());
-    const double cold = static_cast<double>(
-        metrics_.counter("elastic.cold_boots").value());
-    metrics_.gauge("elastic.warm_hit_ratio")
-        .set(hits / std::max(1.0, hits + cold));
+    const double hits = static_cast<double>(warm_hits_->value());
+    const double cold = static_cast<double>(cold_boots_->value());
+    warm_hit_ratio_->set(hits / std::max(1.0, hits + cold));
   }
   begin_phase(*s, "transfer");
 
@@ -1492,7 +1377,7 @@ void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
     if (!config_.sharing_offload_io) {
       const sim::SimDuration native =
           server_->disk().service_time(ingest_bytes, true);
-      ingest = s->env->is_vm
+      ingest = s->env->is_vm()
                    ? static_cast<sim::SimDuration>(
                          static_cast<double>(native) /
                          server_->calibration().vm_io_factor)
@@ -1558,7 +1443,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
 
   // ClassLoader: first load per environment pays dex verification.
   android::ClassLoader& loader =
-      env.is_vm ? env.vm_loader : env.cac->classloader();
+      env.is_vm() ? env.vm_loader : env.cac->classloader();
   const sim::SimDuration classload = loader.load(s->app_id, s->apk_bytes);
 
   // Binder traffic of the task (exercises the Android Container Driver
@@ -1566,7 +1451,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   sim::SimDuration binder_cost = 0;
   const auto workload = workloads::make_workload(s->kind);
   const std::uint32_t binder_calls = workload->app().binder_calls_per_task;
-  if (!env.is_vm && env.cac->container() != nullptr) {
+  if (!env.is_vm() && env.cac->container() != nullptr) {
     const kernel::DevNsId ns = env.cac->container()->devns();
     for (std::uint32_t i = 0; i < binder_calls; ++i) {
       const auto result = server_->kernel().syscalls().invoke(
@@ -1631,13 +1516,9 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   const sim::SimDuration duration = static_cast<sim::SimDuration>(
       static_cast<double>(classload + binder_cost + cpu + io + interaction) *
       contention);
-  const sim::SimTime start = std::max(simulator.now(), env.busy_until);
+  const sim::SimTime start = std::max(simulator.now(), env.rec.busy_until);
   const sim::SimTime done = start + duration;
-  env.busy_until = done;
-  if (EnvRecord* record = server_->env_db().find(env.id)) {
-    if (!env.draining) record->state = EnvState::kBusy;
-    record->busy_until = done;
-  }
+  env.rec.busy_until = done;
   server_->monitor().record_cpu(start, done, 1.0);
   server_->monitor().job_started(s->klass);
   s->computing = true;
@@ -1651,12 +1532,8 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
     const bool oom_fire = faults_->should_fire(
         sim::FaultKind::kContainerOom, simulator.now());
     if (crash_fire || oom_fire) {
-      const std::uint32_t env_id = env.id;
-      simulator.schedule_at(start + duration / 2, [this, env_id]() {
-        const auto it = envs_.find(env_id);
-        if (it == envs_.end() || it->second->retired) return;
-        crash_env(*it->second);
-      });
+      simulator.schedule_at(start + duration / 2,
+                            [this, &env]() { crash_env(env); });
     }
   }
   const std::uint64_t epoch = s->epoch;
@@ -1677,16 +1554,9 @@ void Platform::on_computed(std::shared_ptr<SessionState> s) {
                           (s->connected_at + s->phases.runtime_preparation +
                            s->phases.data_transfer);
   begin_phase(*s, "teardown");  // result download + completion control
-  ++env.jobs_served;
-  if (EnvRecord* record = server_->env_db().find(env.id)) {
-    if (record->busy_until <= simulator.now() &&
-        record->state == EnvState::kBusy) {
-      record->state = EnvState::kIdle;
-    }
-    ++record->jobs_executed;
-  }
+  ++env.rec.jobs_served;
   if (config_.code_cache) {
-    server_->warehouse().record_execution("ref:" + s->app_id, env.id);
+    server_->warehouse().record_execution("ref:" + s->app_id, env.id());
   }
 
   // Result + completion control flow back.
@@ -1735,7 +1605,7 @@ void Platform::complete(std::shared_ptr<SessionState> s) {
       s->phases, s->upload_time, s->download_time, radio);
   outcome.local_energy_mj = dev.local_energy_mj(s->kind, s->executed, radio);
   outcome.traffic = s->conn->traffic();
-  outcome.env_id = s->env->id;
+  outcome.env_id = s->env->id();
   outcome.code_cache_hit = s->cache_hit;
   outcome.queue_wait = s->queue_wait;
   outcome.dispatch_attempts = s->dispatch_attempts;
@@ -1747,7 +1617,7 @@ void Platform::complete(std::shared_ptr<SessionState> s) {
   outcome.qos_class = s->klass;
   outcome.deadline_missed =
       s->deadline > 0 && outcome.response > s->deadline;
-  env_traffic_[s->env->id].merge(s->conn->traffic());
+  env_traffic_[s->env->id()].merge(s->conn->traffic());
 
   metrics_.counter("sessions.completed").inc();
   metrics_
@@ -1771,7 +1641,7 @@ void Platform::complete(std::shared_ptr<SessionState> s) {
   }
   if (s->span_session != obs::kNoSpan) {
     trace_.annotate(s->span_session, "env_id",
-                    static_cast<std::uint64_t>(s->env->id));
+                    static_cast<std::uint64_t>(s->env->id()));
     trace_.annotate(s->span_session, "cache_hit",
                     static_cast<std::uint64_t>(s->cache_hit ? 1 : 0));
     if (s->recovered) {
@@ -1861,22 +1731,9 @@ void Platform::note_resumption(SessionState& s) {
 }
 
 void Platform::crash_env(Env& env) {
-  if (env.retired) return;
+  if (!env.rec.live()) return;
   metrics_.counter("env.crashes").inc();
-  env.crashed = true;
-  env.retired = true;
-  env.ready = false;
-  env.commit_end = server_->simulator().now();
-  server_->monitor().env_down(env.id);
-  lifecycle_.transition(env.id, elastic::CacState::kReclaimed,
-                        server_->simulator().now());
-  server_->env_db().retire(env.id);
-  server_->warehouse().forget_env(env.id);
-  if (env.is_vm) {
-    server_->hypervisor().destroy(env.vm_id);
-  } else if (env.cac) {
-    env.cac->crash(server_->kernel());
-  }
+  teardown_env(env, /*crashed=*/true);
   // Sessions bound to the dead environment: neutralize every scheduled
   // continuation (epoch bump) and give back what they held — Monitor job
   // slots and staged one-shot files die with the container. The sessions
@@ -1898,7 +1755,7 @@ void Platform::crash_env(Env& env) {
       s->staged = false;
     }
   }
-  server_->monitor().notify_crash(env.id);
+  server_->monitor().notify_crash(env.id());
 }
 
 void Platform::recover_env(std::uint32_t env_id) {
@@ -1906,15 +1763,14 @@ void Platform::recover_env(std::uint32_t env_id) {
   // the platform does nothing — sessions stay bound to the dead CID and
   // the invariant harness is what notices.
   if (!config_.crash_recovery) return;
-  const auto it = envs_.find(env_id);
-  if (it == envs_.end()) return;
-  Env& dead = *it->second;
+  if (env_table_.find(env_id) == nullptr) return;
+  Env& dead = env_of(env_id);
   std::vector<std::shared_ptr<SessionState>> victims;
   for (const auto& s : live_sessions_) {
     if (!s->done && s->env == &dead) victims.push_back(s);
   }
   for (const auto& s : victims) {
-    if (dead.inflight > 0) --dead.inflight;
+    if (dead.rec.inflight > 0) --dead.rec.inflight;
     s->env = nullptr;
     ++s->epoch;
     if (s->dispatch_attempts >= config_.max_redispatch) {
@@ -2015,13 +1871,14 @@ void Platform::unbind_session(SessionState& s) {
     s.staged = false;
   }
   if (s.env != nullptr) {
-    if (s.env->inflight > 0) --s.env->inflight;
-    if (!s.env->retired && s.env->ready && s.env->inflight == 0) {
-      if (s.env->draining) {
+    EnvRecord& rec = s.env->rec;
+    if (rec.inflight > 0) --rec.inflight;
+    if (rec.ready() && rec.inflight == 0) {
+      if (rec.state() == EnvState::kDraining) {
         // Last in-flight session left a draining environment: reclaim.
         finish_drain(*s.env);
       } else {
-        lifecycle_.transition(s.env->id, elastic::CacState::kWarmIdle,
+        env_table_.transition(rec.id, EnvState::kWarmIdle,
                               server_->simulator().now());
         schedule_reclaim(*s.env);
       }
@@ -2033,30 +1890,33 @@ void Platform::unbind_session(SessionState& s) {
 void Platform::finish_session(SessionState& s) {
   s.done = true;
   ++completed_;
-  if (s.rac_slot) {
-    server_->access().release(s.tenant);
-    s.rac_slot = false;
-  }
   for (auto it = live_sessions_.begin(); it != live_sessions_.end(); ++it) {
     if (it->get() == &s) {
       live_sessions_.erase(it);
       break;
     }
   }
-  if (admission_ != nullptr) {
-    if (s.queued) {
-      // Rejected while still waiting in a class queue (e.g. the access
-      // controller blocked its app meanwhile); pull it out of the
-      // scheduler so no stale id is ever echoed by pop_queued().
-      admission_->abandon_queued(s.klass, s.tenant, s.request.sequence);
-      queued_sessions_.erase(s.request.sequence);
-      s.queued = false;
-    }
-    if (s.admitted) {
-      admission_->release();
-      s.admitted = false;
-    }
-    maybe_start_queued();
+  release_slots(s);
+  maybe_start_queued();
+}
+
+void Platform::release_slots(SessionState& s) {
+  if (s.rac_slot) {
+    server_->access().release(s.tenant);
+    s.rac_slot = false;
+  }
+  if (admission_ == nullptr) return;
+  if (s.queued) {
+    // Finished while still waiting in a class queue (rejected after the
+    // access controller blocked its app, or stranded); pull it out of
+    // the scheduler so no stale id is ever echoed by pop_queued().
+    admission_->abandon_queued(s.klass, s.tenant, s.request.sequence);
+    queued_sessions_.erase(s.request.sequence);
+    s.queued = false;
+  }
+  if (s.admitted) {
+    admission_->release();
+    s.admitted = false;
   }
 }
 
@@ -2069,11 +1929,11 @@ void Platform::register_invariants() {
       "session-env-liveness", [this]() -> std::optional<std::string> {
         for (const auto& s : live_sessions_) {
           if (s->done || s->env == nullptr) continue;
-          const Env& env = *s->env;
-          if (!env.retired || env.failed) continue;
-          if (server_->monitor().crash_pending(env.id)) continue;
+          const EnvRecord& rec = s->env->rec;
+          if (rec.live() || rec.failed) continue;
+          if (server_->monitor().crash_pending(rec.id)) continue;
           return "request " + std::to_string(s->request.sequence) +
-                 " bound to dead env " + std::to_string(env.id);
+                 " bound to dead env " + std::to_string(rec.id);
         }
         return std::nullopt;
       });
@@ -2084,9 +1944,8 @@ void Platform::register_invariants() {
         server_->warehouse().for_each_entry([&](const CacheEntry& entry) {
           if (violation.has_value()) return;
           for (const EnvId env_id : entry.containers) {
-            const EnvRecord* record = server_->env_db().find(env_id);
-            if (record == nullptr ||
-                record->state == EnvState::kRetired) {
+            const EnvRecord* record = env_table_.find(env_id);
+            if (record == nullptr || !record->live()) {
               violation = entry.reference + " maps to dead env " +
                           std::to_string(env_id);
               return;
@@ -2136,80 +1995,39 @@ void Platform::register_invariants() {
   // 6. Every environment's inflight pin count equals its bound sessions.
   invariants_.add_invariant(
       "inflight-consistency", [this]() -> std::optional<std::string> {
-        for (const auto& [id, env] : envs_) {
+        for (const auto& env : envs_) {
           std::uint32_t bound = 0;
           for (const auto& s : live_sessions_) {
             if (!s->done && s->env == env.get()) ++bound;
           }
-          if (bound != env->inflight) {
-            return "env " + std::to_string(id) + " pins " +
-                   std::to_string(env->inflight) + " sessions, " +
+          if (bound != env->rec.inflight) {
+            return "env " + std::to_string(env->id()) + " pins " +
+                   std::to_string(env->rec.inflight) + " sessions, " +
                    std::to_string(bound) + " bound";
           }
         }
         return std::nullopt;
       });
-  // 7. The Container DB mirrors engine state: records retire exactly
-  //    when their environment does, and a live, ready container-backed
-  //    environment has a booted CAC underneath.
+  // 7. A live, ready container-backed environment has a booted CAC
+  //    underneath.
   invariants_.add_invariant(
       "db-consistency", [this]() -> std::optional<std::string> {
-        for (const auto& [id, env] : envs_) {
-          const EnvRecord* record = server_->env_db().find(id);
-          if (record == nullptr) {
-            return "env " + std::to_string(id) + " missing from DB";
-          }
-          const bool record_retired =
-              record->state == EnvState::kRetired;
-          if (record_retired != env->retired) {
-            return "env " + std::to_string(id) + " retired=" +
-                   (env->retired ? "1" : "0") + " but DB says " +
-                   to_string(record->state);
-          }
-          if (!env->retired && env->ready && !env->is_vm &&
-              (env->cac == nullptr || !env->cac->booted())) {
+        for (const EnvId id : env_table_.live_ids()) {
+          const Env& env = env_of(id);
+          if (env.rec.ready() && !env.is_vm() &&
+              (env.cac == nullptr || !env.cac->booted())) {
             return "env " + std::to_string(id) +
                    " serving without a booted container";
           }
         }
         return std::nullopt;
       });
-  // 12. Lifecycle-state conservation: the ledger tracks every
-  //     environment the engine ever provisioned, no illegal transition
-  //     was ever attempted, and the ledger state matches what the
-  //     engine's flags imply for each environment (docs/ELASTIC.md).
+  // 12. Lifecycle-state conservation: no illegal transition was ever
+  //     attempted and the per-state counts equal a recount of the
+  //     environment table (docs/ELASTIC.md).
   invariants_.add_invariant(
-      "lifecycle-state", [this]() -> std::optional<std::string> {
-        if (const std::string& err = lifecycle_.first_error();
-            !err.empty()) {
-          return "lifecycle error: " + err;
-        }
-        if (lifecycle_.tracked_count() != envs_.size()) {
-          return "lifecycle tracks " +
-                 std::to_string(lifecycle_.tracked_count()) +
-                 " envs, engine has " + std::to_string(envs_.size());
-        }
-        for (const auto& [id, env] : envs_) {
-          elastic::CacState expected;
-          if (env->retired) {
-            expected = elastic::CacState::kReclaimed;
-          } else if (env->draining) {
-            expected = elastic::CacState::kDraining;
-          } else if (!env->ready) {
-            expected = elastic::CacState::kBooting;
-          } else if (env->inflight > 0) {
-            expected = elastic::CacState::kLeased;
-          } else {
-            expected = elastic::CacState::kWarmIdle;
-          }
-          if (lifecycle_.state(id) != expected) {
-            return "env " + std::to_string(id) + " is " +
-                   elastic::to_string(lifecycle_.state(id)) +
-                   ", engine state implies " + elastic::to_string(expected);
-          }
-        }
-        return std::nullopt;
-      });
+      "lifecycle-state",
+      [this]() -> std::optional<std::string> { return env_table_.check(); });
   // 13. The elastic memory budget is a hard ceiling on the warm pool:
   //     committed pool memory (booting + warm) never exceeds it.
   invariants_.add_invariant(
@@ -2219,11 +2037,8 @@ void Platform::register_invariants() {
             pool_controller_->config().memory_budget_bytes;
         if (budget == 0) return std::nullopt;
         std::uint64_t committed = 0;
-        for (const auto& [id, env] : envs_) {
-          (void)id;
-          if (env->pool && !env->retired && !env->draining) {
-            committed += env->memory_bytes;
-          }
+        for (const EnvId id : env_table_.pool()) {
+          committed += env_table_.find(id)->memory_bytes;
         }
         if (committed <= budget) return std::nullopt;
         return "warm pool commits " + std::to_string(committed) +
@@ -2317,16 +2132,7 @@ double Platform::memory_time_byte_seconds() const {
   const sim::SimTime now =
       server_ ? static_cast<const CloudServer&>(*server_).simulator().now()
               : 0;
-  double sum = 0;
-  for (const auto& [id, env] : envs_) {
-    (void)id;
-    if (env->memory_bytes == 0) continue;
-    const sim::SimTime end =
-        env->commit_end >= 0 ? env->commit_end : now;
-    sum += static_cast<double>(env->memory_bytes) *
-           sim::to_seconds(end - env->commit_start);
-  }
-  return sum;
+  return env_table_.memory_byte_seconds(now);
 }
 
 ProvisionStats Platform::measure_provision() {
@@ -2335,12 +2141,12 @@ ProvisionStats Platform::measure_provision() {
   sim::Simulator& simulator = server_->simulator();
   Env& env = provision_env("probe", simulator.now());
   simulator.run();
-  assert(env.ready);
+  assert(env.rec.ready());
 
   ProvisionStats stats;
-  stats.setup_time = env.ready_at - env.provision_start;
+  stats.setup_time = env.rec.ready_at - env.rec.provisioned_at;
   const Calibration& cal = server_->calibration();
-  if (env.is_vm) {
+  if (env.is_vm()) {
     stats.memory_configured = cal.vm_memory;
     stats.memory_usage =
         android::device_userspace_boot(android::OsProfile::kStock)

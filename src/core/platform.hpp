@@ -31,7 +31,7 @@
 #include "core/admission.hpp"
 #include "core/cac.hpp"
 #include "core/dispatcher.hpp"
-#include "core/elastic/lifecycle.hpp"
+#include "core/env_table.hpp"
 #include "core/elastic/pool_controller.hpp"
 #include "core/invariant.hpp"
 #include "core/offload.hpp"
@@ -351,7 +351,7 @@ class Platform {
   [[nodiscard]] device::RadioProfile radio_profile() const;
 
   /// The environments provisioned so far.
-  [[nodiscard]] std::size_t env_count() const { return envs_.size(); }
+  [[nodiscard]] std::size_t env_count() const { return env_table_.size(); }
 
   /// Integral of committed environment memory over simulated time so far
   /// (byte·seconds) — the resource cost a warm pool pays (§III-B).
@@ -397,17 +397,15 @@ class Platform {
 
   // -- Elastic capacity (docs/ELASTIC.md) ------------------------------
 
-  /// Lifecycle ledger: the authoritative cold → booting → warm-idle →
-  /// leased → draining → reclaimed state of every environment this
-  /// platform ever provisioned.
-  [[nodiscard]] const elastic::CacLifecycle& lifecycle() const {
-    return lifecycle_;
-  }
+  /// The environment table: the one record and lifecycle state
+  /// (cold → booting → warm_idle ⇄ leased → draining → reclaimed) of
+  /// every environment this platform ever provisioned.
+  [[nodiscard]] const EnvTable& env_table() const { return env_table_; }
 
   /// Integral of warm-idle memory over simulated time (byte·seconds) —
   /// the idle-capacity cost the §III-B frontier charts.
   [[nodiscard]] double idle_byte_seconds() const {
-    return lifecycle_.idle_byte_seconds(server_->simulator().now());
+    return env_table_.idle_byte_seconds(server_->simulator().now());
   }
 
   /// Warm-idle pool environments available for immediate lease.
@@ -437,6 +435,9 @@ class Platform {
 
  private:
   friend class Session;
+  /// Defined only by tests that force an illegal table transition, so
+  /// no caller can add a table record without a matching Env.
+  friend struct PlatformTestPeer;
 
   struct Env;
   struct SessionState;
@@ -450,11 +451,14 @@ class Platform {
   };
 
   Env& provision_env(const std::string& binding_key, sim::SimTime now);
-  void provision_vm(Env& env);
-  void provision_cac(Env& env);
+  /// Start the VM / container; false when provisioning failed.
+  bool provision_vm(Env& env);
+  bool provision_cac(Env& env);
   void env_ready(Env& env);
   void schedule_reclaim(Env& env);
-  void retire_env(Env& env);
+  /// Stops an environment for good — shutdown, or a crash when `crashed`.
+  void teardown_env(Env& env, bool crashed);
+  [[nodiscard]] Env& env_of(EnvId id);
 
   // Elastic capacity machinery (docs/ELASTIC.md).
   void begin_drain(Env& env);
@@ -504,6 +508,8 @@ class Platform {
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
   void reject_session(std::shared_ptr<SessionState> s, RejectReason reason);
   void finish_session(SessionState& s);
+  /// Returns the RAC, queue and in-service slots a finished session held.
+  void release_slots(SessionState& s);
   void unbind_session(SessionState& s);
   void register_invariants();
 
@@ -545,25 +551,30 @@ class Platform {
   InvariantChecker invariants_;
   std::vector<std::shared_ptr<SessionState>> live_sessions_;
   sim::Rng rng_;
-  std::map<std::uint32_t, std::unique_ptr<Env>> envs_;
+  /// Environment resources, envs_[id - 1]; their state lives in
+  /// env_table_.  Never pruned: continuations hold Env references.
+  EnvTable env_table_;
+  std::vector<std::unique_ptr<Env>> envs_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
   std::map<std::string, android::MobileApp> apps_;  ///< by app id
   std::vector<device::MobileDevice> devices_;
   std::vector<RequestOutcome> outcomes_;
   std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
-  elastic::CacLifecycle lifecycle_;
   std::unique_ptr<elastic::PoolController> pool_controller_;
   container::LayerStore layer_store_;
   std::uint32_t pool_seq_ = 0;       ///< names pool:<n> environments
   bool elastic_tick_armed_ = false;
-  /// Open lifecycle-state span per environment (trace enabled only).
-  std::map<std::uint32_t, obs::SpanId> lifecycle_spans_;
+  // elastic.* instruments touched on the session path, created on first
+  // use so a run that never touches them exports none.
+  obs::Counter* warm_hits_ = nullptr;
+  obs::Counter* cold_boots_ = nullptr;
+  obs::Gauge* warm_hit_ratio_ = nullptr;
+  obs::Histogram* prewarm_lead_ms_ = nullptr;
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;
   std::uint64_t default_stream_ = 0;  ///< legacy-wrapper session, 0 = none
   bool run_active_ = false;
   std::size_t completed_ = 0;
-  std::uint32_t next_env_id_ = 1;
   /// Radio the platform was constructed with; each run's mobility plan
   /// replays from this base configuration.
   net::LinkConfig base_link_;

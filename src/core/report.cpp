@@ -9,8 +9,8 @@ PlatformReport snapshot(Platform& platform) {
   CloudServer& server = platform.server();
   report.environments_total = platform.env_count();
   report.environments_retired =
-      server.env_db().count_in(EnvState::kRetired);
-  report.environments_active = server.env_db().active_count();
+      platform.env_table().count(EnvState::kReclaimed);
+  report.environments_active = platform.env_table().live_count();
   report.cached_apps = server.warehouse().entry_count();
   report.cached_bytes = server.warehouse().stored_bytes();
   report.cache_hits = server.warehouse().hit_count();

@@ -21,7 +21,6 @@ void CloudServer::install_metrics(obs::MetricsRegistry* metrics) {
   monitor_.set_metrics(metrics);
   shared_.set_metrics(metrics);
   warehouse_.set_metrics(metrics);
-  env_db_.set_metrics(metrics);
   access_.set_metrics(metrics);
 }
 

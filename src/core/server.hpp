@@ -13,7 +13,6 @@
 #include "container/runtime.hpp"
 #include "core/access_control.hpp"
 #include "core/calibration.hpp"
-#include "core/container_db.hpp"
 #include "core/monitor.hpp"
 #include "core/shared_layer.hpp"
 #include "core/warehouse.hpp"
@@ -46,7 +45,6 @@ class CloudServer {
   [[nodiscard]] SharedResourceLayer& shared_layer() { return shared_; }
   [[nodiscard]] AppWarehouse& warehouse() { return warehouse_; }
   [[nodiscard]] RequestAccessController& access() { return access_; }
-  [[nodiscard]] ContainerDb& env_db() { return env_db_; }
 
   /// Simulated compute duration of `units` work of `kind` on one core at
   /// native speed (platform overheads are applied by the caller).
@@ -59,7 +57,7 @@ class CloudServer {
   void install_fault_injector(sim::FaultInjector* faults);
 
   /// Threads one metrics registry through every instrumented server
-  /// component (monitor, shared layer, warehouse, container DB). Pass
+  /// component (monitor, shared layer, warehouse, access controller). Pass
   /// nullptr to detach.
   void install_metrics(obs::MetricsRegistry* metrics);
 
@@ -75,7 +73,6 @@ class CloudServer {
   SharedResourceLayer shared_;
   AppWarehouse warehouse_;
   RequestAccessController access_;
-  ContainerDb env_db_;
 };
 
 }  // namespace rattrap::core

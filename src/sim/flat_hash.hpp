@@ -1,7 +1,7 @@
 // Open-addressing hash map for simulator-core indexes.
 //
-// The AID→CID warehouse index and the ContainerDb id/key indexes sit on
-// the dispatch hot path; std::map's pointer chasing and std::unordered_map's
+// The AID→CID warehouse index and the environment table's binding-key
+// index sit on the dispatch hot path; std::map's pointer chasing and std::unordered_map's
 // per-node allocations dominated their lookup cost.  FlatHashMap keeps
 // keys and values in one flat array with linear probing:
 //
@@ -10,11 +10,11 @@
 //   * heterogeneous lookup for string keys (find(std::string_view) without
 //     materializing a std::string);
 //   * NO pointer/iterator stability across rehash — callers that hand out
-//     stable references keep records in a deque and index slots here
-//     (see core::ContainerDb).
+//     stable references keep records in a deque and index them here
+//     (see core::EnvTable).
 //
 // Iteration order is unspecified; deterministic consumers must not iterate
-// (the determinism contract in docs/PERF.md) — ContainerDb and Warehouse
+// (the determinism contract in docs/PERF.md) — EnvTable and Warehouse
 // keep their own ordered views for that.
 #pragma once
 

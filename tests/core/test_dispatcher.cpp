@@ -13,32 +13,44 @@ workloads::OffloadRequest request_from_device(std::uint32_t device) {
 
 class DispatcherTest : public ::testing::Test {
  protected:
-  ContainerDb db_;
+  /// Adds an environment bound to `key`, booted into `state` at t=10.
+  EnvRecord& add_env(std::string key,
+                     EnvState state = EnvState::kWarmIdle) {
+    EnvRecord& record =
+        envs_.add(EnvBacking::kContainer, std::move(key), 0);
+    envs_.transition(record.id, EnvState::kBooting, 0);
+    if (state != EnvState::kBooting) {
+      record.ready_at = 10;
+      envs_.transition(record.id, state, 10);
+    }
+    return record;
+  }
+
+  EnvTable envs_;
   AppWarehouse warehouse_;
 };
 
 TEST_F(DispatcherTest, BindingKeyIsPerDevice) {
-  Dispatcher with_affinity(db_, warehouse_, true);
-  Dispatcher without(db_, warehouse_, false);
+  Dispatcher with_affinity(envs_, warehouse_, true);
+  Dispatcher without(envs_, warehouse_, false);
   const auto request = request_from_device(2);
-  EXPECT_EQ(with_affinity.binding_key(request, "app"), "dev:2");
-  EXPECT_EQ(without.binding_key(request, "app"), "dev:2");
+  EXPECT_EQ(with_affinity.binding_key(request), "dev:2");
+  EXPECT_EQ(without.binding_key(request), "dev:2");
 }
 
 TEST_F(DispatcherTest, NoAffinityRoutesToDeviceEnv) {
-  Dispatcher dispatcher(db_, warehouse_, false);
+  Dispatcher dispatcher(envs_, warehouse_, false);
   EXPECT_EQ(dispatcher.assign(request_from_device(0), "app", 0), nullptr);
-  db_.add(1, EnvBacking::kVm, "dev:0", 0);
+  envs_.add(EnvBacking::kVm, "dev:0", 0);
   EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 0);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
 }
 
 TEST_F(DispatcherTest, FirstRequestOfDeviceProvisionsEvenWithAffinity) {
-  Dispatcher dispatcher(db_, warehouse_, true);
+  Dispatcher dispatcher(envs_, warehouse_, true);
   // Another device's container already ran this app...
-  EnvRecord& other = db_.add(1, EnvBacking::kContainer, "dev:1", 0);
-  other.ready_at = 10;
+  add_env("dev:1");
   warehouse_.store("ref:app", 100);
   warehouse_.record_execution("ref:app", 1);
   // ...but device 0 has no environment yet: it must boot its own.
@@ -46,13 +58,9 @@ TEST_F(DispatcherTest, FirstRequestOfDeviceProvisionsEvenWithAffinity) {
 }
 
 TEST_F(DispatcherTest, AffinityReroutesToAppHotContainer) {
-  Dispatcher dispatcher(db_, warehouse_, true);
-  EnvRecord& own = db_.add(1, EnvBacking::kContainer, "dev:0", 0);
-  own.ready_at = 10;
-  own.state = EnvState::kIdle;
-  EnvRecord& hot = db_.add(2, EnvBacking::kContainer, "dev:1", 0);
-  hot.ready_at = 10;
-  hot.state = EnvState::kIdle;
+  Dispatcher dispatcher(envs_, warehouse_, true);
+  add_env("dev:0");
+  add_env("dev:1");
   warehouse_.store("ref:app", 100);
   warehouse_.record_execution("ref:app", 2);
   EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);
@@ -61,13 +69,9 @@ TEST_F(DispatcherTest, AffinityReroutesToAppHotContainer) {
 }
 
 TEST_F(DispatcherTest, BackloggedHotContainerIsAvoided) {
-  Dispatcher dispatcher(db_, warehouse_, true);
-  EnvRecord& own = db_.add(1, EnvBacking::kContainer, "dev:0", 0);
-  own.ready_at = 10;
-  own.state = EnvState::kIdle;
-  EnvRecord& hot = db_.add(2, EnvBacking::kContainer, "dev:1", 0);
-  hot.ready_at = 10;
-  hot.state = EnvState::kBusy;
+  Dispatcher dispatcher(envs_, warehouse_, true);
+  add_env("dev:0");
+  EnvRecord& hot = add_env("dev:1", EnvState::kLeased);
   hot.busy_until = 100 * sim::kSecond;  // deep backlog
   warehouse_.store("ref:app", 100);
   warehouse_.record_execution("ref:app", 2);
@@ -78,23 +82,21 @@ TEST_F(DispatcherTest, BackloggedHotContainerIsAvoided) {
 }
 
 TEST_F(DispatcherTest, RetiredHotContainerIsSkipped) {
-  Dispatcher dispatcher(db_, warehouse_, true);
-  EnvRecord& own = db_.add(1, EnvBacking::kContainer, "dev:0", 0);
-  own.ready_at = 10;
-  db_.add(2, EnvBacking::kContainer, "dev:1", 0).ready_at = 10;
+  Dispatcher dispatcher(envs_, warehouse_, true);
+  add_env("dev:0");
+  add_env("dev:1");
   warehouse_.store("ref:app", 100);
   warehouse_.record_execution("ref:app", 2);
-  db_.retire(2);
+  envs_.transition(2, EnvState::kReclaimed, 20);
   EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
 }
 
 TEST_F(DispatcherTest, ProvisioningHotContainerNotRerouted) {
-  Dispatcher dispatcher(db_, warehouse_, true);
-  EnvRecord& own = db_.add(1, EnvBacking::kContainer, "dev:0", 0);
-  own.ready_at = 10;
-  db_.add(2, EnvBacking::kContainer, "dev:1", 0);  // ready_at == 0
+  Dispatcher dispatcher(envs_, warehouse_, true);
+  add_env("dev:0");
+  add_env("dev:1", EnvState::kBooting);  // not registered yet
   warehouse_.store("ref:app", 100);
   warehouse_.record_execution("ref:app", 2);
   EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);

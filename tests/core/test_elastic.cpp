@@ -1,10 +1,10 @@
-// Elastic capacity manager unit tests: the CAC lifecycle state machine,
-// the Holt forecaster and the pool controller (docs/ELASTIC.md).
-#include "core/elastic/lifecycle.hpp"
+// Elastic capacity manager unit tests: the Holt forecaster and the pool
+// controller (docs/ELASTIC.md).  The lifecycle state machine is covered
+// by test_env_table.cpp.
+#include "core/elastic/forecaster.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/elastic/forecaster.hpp"
 #include "core/elastic/pool_controller.hpp"
 #include "sim/time.hpp"
 
@@ -12,90 +12,6 @@ namespace rattrap::core::elastic {
 namespace {
 
 using sim::kSecond;
-
-// ---------------------------------------------------------------- lifecycle
-
-TEST(CacLifecycle, AdmitEntersBooting) {
-  CacLifecycle lc;
-  lc.admit(1, 0, 100);
-  EXPECT_TRUE(lc.tracked(1));
-  EXPECT_EQ(lc.state(1), CacState::kBooting);
-  EXPECT_EQ(lc.count(CacState::kBooting), 1u);
-  EXPECT_EQ(lc.transitions_into(CacState::kBooting), 1u);
-  EXPECT_TRUE(lc.first_error().empty());
-}
-
-TEST(CacLifecycle, FullHappyPathKeepsCountsConserved) {
-  CacLifecycle lc;
-  lc.admit(1, 0, 100);
-  lc.transition(1, CacState::kWarmIdle, 1 * kSecond);
-  lc.transition(1, CacState::kLeased, 2 * kSecond);
-  lc.transition(1, CacState::kWarmIdle, 3 * kSecond);
-  lc.transition(1, CacState::kDraining, 4 * kSecond);
-  lc.transition(1, CacState::kReclaimed, 5 * kSecond);
-  EXPECT_EQ(lc.state(1), CacState::kReclaimed);
-  EXPECT_EQ(lc.count(CacState::kReclaimed), 1u);
-  // Exactly one container: every other population is back to zero.
-  EXPECT_EQ(lc.count(CacState::kBooting), 0u);
-  EXPECT_EQ(lc.count(CacState::kWarmIdle), 0u);
-  EXPECT_EQ(lc.count(CacState::kLeased), 0u);
-  EXPECT_EQ(lc.count(CacState::kDraining), 0u);
-  EXPECT_EQ(lc.tracked_count(), 1u);
-  EXPECT_TRUE(lc.first_error().empty());
-}
-
-TEST(CacLifecycle, IllegalEdgeRecordsErrorAndKeepsState) {
-  CacLifecycle lc;
-  lc.admit(1, 0, 100);
-  lc.transition(1, CacState::kWarmIdle, 1 * kSecond);
-  lc.transition(1, CacState::kReclaimed, 2 * kSecond);
-  // reclaimed is terminal: nothing leaves it.
-  lc.transition(1, CacState::kWarmIdle, 3 * kSecond);
-  EXPECT_EQ(lc.state(1), CacState::kReclaimed);
-  EXPECT_FALSE(lc.first_error().empty());
-}
-
-TEST(CacLifecycle, UntrackedAndDoubleAdmitAreErrors) {
-  CacLifecycle lc;
-  lc.transition(7, CacState::kWarmIdle, 0);
-  EXPECT_FALSE(lc.first_error().empty());
-
-  CacLifecycle lc2;
-  lc2.admit(1, 0, 100);
-  lc2.admit(1, 1 * kSecond, 100);
-  EXPECT_FALSE(lc2.first_error().empty());
-  EXPECT_EQ(lc2.tracked_count(), 1u);
-}
-
-TEST(CacLifecycle, IdleByteSecondsIntegratesWarmIdleOnly) {
-  CacLifecycle lc;
-  lc.admit(1, 0, 1000);  // 1000 bytes committed
-  lc.transition(1, CacState::kWarmIdle, 1 * kSecond);
-  lc.transition(1, CacState::kLeased, 3 * kSecond);  // 2 s warm
-  EXPECT_NEAR(lc.idle_byte_seconds(10 * kSecond), 2000.0, 1e-6);
-  lc.transition(1, CacState::kWarmIdle, 5 * kSecond);
-  // The live warm interval is included by the accessor: 2 s closed +
-  // 4 s still open at t=9.
-  EXPECT_NEAR(lc.idle_byte_seconds(9 * kSecond), 6000.0, 1e-6);
-  lc.transition(1, CacState::kReclaimed, 9 * kSecond);
-  EXPECT_NEAR(lc.idle_byte_seconds(20 * kSecond), 6000.0, 1e-6);
-}
-
-TEST(CacLifecycle, HookSeesUpdatedCounts) {
-  CacLifecycle lc;
-  std::size_t fires = 0;
-  lc.set_transition_hook([&](std::uint32_t cid, CacState from, CacState to,
-                             sim::SimTime now) {
-    (void)from;
-    (void)now;
-    ++fires;
-    EXPECT_EQ(cid, 1u);
-    EXPECT_EQ(lc.count(to), 1u);  // already applied when the hook fires
-  });
-  lc.admit(1, 0, 100);
-  lc.transition(1, CacState::kWarmIdle, 1 * kSecond);
-  EXPECT_EQ(fires, 2u);
-}
 
 // ---------------------------------------------------------------- forecaster
 

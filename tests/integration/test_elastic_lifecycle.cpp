@@ -16,7 +16,6 @@
 namespace rattrap::core {
 namespace {
 
-using elastic::CacState;
 
 std::vector<workloads::OffloadRequest> small_stream(
     std::size_t count, std::uint32_t devices = 4, std::uint64_t seed = 31) {
@@ -55,8 +54,9 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
   for (int i = 0; i < 100; ++i) {
     platform.server().simulator().schedule_at(
         i * (sim::kSecond / 10), [&platform, &drained_while_booting]() {
-          if (!drained_while_booting &&
-              platform.lifecycle().state(1) == CacState::kBooting) {
+          const EnvRecord* env = platform.env_table().find(1);
+          if (!drained_while_booting && env != nullptr &&
+              env->state() == EnvState::kBooting) {
             drained_while_booting = platform.drain_env(1);
           }
         });
@@ -68,9 +68,9 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].stranded);
   EXPECT_GT(outcomes[0].response, 0);
-  EXPECT_EQ(platform.lifecycle().state(1), CacState::kReclaimed);
-  EXPECT_TRUE(platform.lifecycle().first_error().empty())
-      << platform.lifecycle().first_error();
+  EXPECT_EQ(platform.env_table().find(1)->state(), EnvState::kReclaimed);
+  EXPECT_TRUE(platform.env_table().first_error().empty())
+      << platform.env_table().first_error();
 }
 
 TEST(ElasticLifecycle, DrainWithSessionFaultingMidRun) {
@@ -90,13 +90,13 @@ TEST(ElasticLifecycle, DrainWithSessionFaultingMidRun) {
         << "request " << outcome.request.sequence;
     EXPECT_GT(outcome.response, 0);
   }
-  EXPECT_TRUE(platform.lifecycle().first_error().empty())
-      << platform.lifecycle().first_error();
+  EXPECT_TRUE(platform.env_table().first_error().empty())
+      << platform.env_table().first_error();
   const obs::Counter* crashes =
       platform.metrics().find_counter("faults.fired.container.crash");
   ASSERT_NE(crashes, nullptr);
   EXPECT_GE(crashes->value(), 1u);
-  EXPECT_EQ(platform.lifecycle().count(CacState::kDraining), 0u);
+  EXPECT_EQ(platform.env_table().count(EnvState::kDraining), 0u);
 }
 
 TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
@@ -115,16 +115,16 @@ TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
 
   EXPECT_TRUE(first);
   EXPECT_FALSE(second);
-  EXPECT_EQ(platform.lifecycle().state(1), CacState::kReclaimed);
-  EXPECT_TRUE(platform.lifecycle().first_error().empty())
-      << platform.lifecycle().first_error();
+  EXPECT_EQ(platform.env_table().find(1)->state(), EnvState::kReclaimed);
+  EXPECT_TRUE(platform.env_table().first_error().empty())
+      << platform.env_table().first_error();
   // The drain counter saw exactly one begin_drain for env 1; the only
   // other drains are the idle reclaims of the session envs.
   const obs::Counter* drained =
       platform.metrics().find_counter("elastic.drained");
   ASSERT_NE(drained, nullptr);
   EXPECT_GE(drained->value(), 1u);
-  EXPECT_EQ(platform.lifecycle().transitions_into(CacState::kDraining),
+  EXPECT_EQ(platform.env_table().transitions_into(EnvState::kDraining),
             drained->value());
 }
 
@@ -139,7 +139,7 @@ TEST(ElasticLifecycle, MonitorLoadSignalNotStaleAcrossReclaim) {
 
   const auto outcomes = platform.run(small_stream(4));
   ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_GT(platform.lifecycle().transitions_into(CacState::kReclaimed),
+  EXPECT_GT(platform.env_table().transitions_into(EnvState::kReclaimed),
             0u);
   // Every environment is torn down by the post-run idle reclaim; the
   // monitor's live count must have followed it to zero.
@@ -167,9 +167,9 @@ TEST(ElasticLifecycle, ClusterRebalancesWarmCapacityAcrossShards) {
   EXPECT_GT(moved, 0u);
   for (std::size_t s = 0; s < cluster.server_count(); ++s) {
     EXPECT_TRUE(
-        cluster.server(s).lifecycle().first_error().empty())
+        cluster.server(s).env_table().first_error().empty())
         << "shard " << s << ": "
-        << cluster.server(s).lifecycle().first_error();
+        << cluster.server(s).env_table().first_error();
   }
 }
 
@@ -192,8 +192,8 @@ TEST(ElasticLifecycle, PredictivePoolServesWarmHits) {
       platform.metrics().find_counter("elastic.prewarmed");
   ASSERT_NE(prewarmed, nullptr);
   EXPECT_GT(prewarmed->value(), 0u);
-  EXPECT_TRUE(platform.lifecycle().first_error().empty())
-      << platform.lifecycle().first_error();
+  EXPECT_TRUE(platform.env_table().first_error().empty())
+      << platform.env_table().first_error();
 }
 
 }  // namespace

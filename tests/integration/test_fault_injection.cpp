@@ -2,7 +2,7 @@
 // Rattrap platform, every session either completes or is cleanly
 // rejected, and the cross-component invariants hold after every event.
 // Also the regression suite for the recovery machinery itself: crashed
-// environments are retired from the Container DB immediately, recovery
+// environments are reclaimed in the environment table immediately, recovery
 // re-dispatches their sessions, and disabling recovery is *detected* by
 // the invariant harness rather than silently tolerated.
 #include <gtest/gtest.h>
@@ -135,6 +135,42 @@ TEST(FaultInjectionTest, DisablingRecoveryTripsTheLivenessInvariant) {
   EXPECT_GT(stranded, 0u);
 }
 
+TEST(FaultInjectionTest, StrandedSessionsReturnTheirTenantQuotaSlots) {
+  // Regression: a session stranded on a dead environment (recovery off)
+  // must give its RAC in-flight slot back when the run drains.  Leaking
+  // it left the quota full, so every request of the next runs was
+  // rejected quota_exceeded with nothing in flight.
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.access.tenant_quota = 2;
+  config.crash_recovery = false;
+  const auto plan = sim::FaultPlan::parse("container.crash:p=1");
+  ASSERT_TRUE(plan.has_value());
+  config.fault_plan = *plan;
+  Platform platform(std::move(config));
+  SessionConfig tenant;
+  tenant.tenant = "t";
+  for (int run = 0; run < 3; ++run) {
+    Result<Session> opened = platform.open_session(tenant);
+    ASSERT_TRUE(opened.ok());
+    Session session = std::move(*opened);
+    workloads::StreamConfig stream;
+    stream.kind = workloads::Kind::kLinpack;
+    stream.count = 2;
+    stream.devices = 2;
+    stream.seed = 7 + static_cast<std::uint64_t>(run);
+    for (const auto& request : workloads::make_stream(stream)) {
+      session.submit(request);
+    }
+    const std::vector<RequestOutcome> outcomes = session.close();
+    ASSERT_EQ(outcomes.size(), 2u) << "run " << run;
+    for (const auto& outcome : outcomes) {
+      EXPECT_TRUE(outcome.stranded)
+          << "run " << run << " request " << outcome.request.sequence
+          << " rejected " << to_string(outcome.reject_reason);
+    }
+  }
+}
+
 TEST(FaultInjectionTest, ScheduledCrashFiresExactlyOnce) {
   const RunHandle handle =
       run_with_faults({"container.crash:at=5", /*count=*/24});
@@ -186,29 +222,30 @@ TEST(FaultInjectionTest, ProvisionFailureLeavesOnlyRetiredDbRecords) {
   for (const auto& outcome : handle.outcomes) {
     EXPECT_TRUE(outcome.rejected);
   }
-  auto& db = handle.platform->server().env_db();
-  EXPECT_GT(db.count(), 0u);
-  EXPECT_EQ(db.active_count(), 0u);
-  EXPECT_EQ(db.count_in(EnvState::kProvisioning), 0u);
-  EXPECT_EQ(db.count_in(EnvState::kIdle), 0u);
-  EXPECT_EQ(db.count_in(EnvState::kBusy), 0u);
+  const EnvTable& envs = handle.platform->env_table();
+  EXPECT_GT(envs.size(), 0u);
+  EXPECT_EQ(envs.live_count(), 0u);
+  EXPECT_EQ(envs.count(EnvState::kCold), 0u);
+  EXPECT_EQ(envs.count(EnvState::kBooting), 0u);
+  EXPECT_EQ(envs.count(EnvState::kWarmIdle), 0u);
+  EXPECT_EQ(envs.count(EnvState::kLeased), 0u);
   EXPECT_TRUE(handle.platform->invariants().ok())
       << handle.platform->invariants().report();
 }
 
 TEST(FaultInjectionTest, CrashRetiresDbRecordAndAffinityMap) {
-  // A crash must retire the DB record immediately (before the Monitor
-  // even notices) and scrub the AID→CID affinity map, so no later
-  // request is routed at the corpse. The affinity-live and
-  // db-consistency invariants check this after every event.
+  // A crash must reclaim the environment's record immediately (before
+  // the Monitor even notices) and scrub the AID→CID affinity map, so no
+  // later request is routed at the corpse. The affinity-live invariant
+  // checks this after every event.
   const RunHandle handle =
       run_with_faults({"container.crash:p=0.2", /*count=*/40,
                        /*devices=*/4, /*seed=*/3});
   ASSERT_GT(handle.platform->server().monitor().crashes_reported(), 0u);
   EXPECT_TRUE(handle.platform->invariants().ok())
       << handle.platform->invariants().report();
-  auto& db = handle.platform->server().env_db();
-  std::size_t retired = db.count_in(EnvState::kRetired);
+  const std::size_t retired =
+      handle.platform->env_table().count(EnvState::kReclaimed);
   EXPECT_GT(retired, 0u);
 }
 

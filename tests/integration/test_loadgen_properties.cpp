@@ -390,8 +390,8 @@ TEST(LoadGenProperties, RampProfileElasticGoldenDeterminism) {
     driver.loadgen.seed = seed;
     driver.size_class = 1;
     (void)run_load(platform, driver);
-    EXPECT_TRUE(platform.lifecycle().first_error().empty())
-        << platform.lifecycle().first_error();
+    EXPECT_TRUE(platform.env_table().first_error().empty())
+        << platform.env_table().first_error();
     return std::make_pair(platform.metrics().to_json(),
                           platform.trace().to_chrome_json());
   };

@@ -118,8 +118,8 @@ TEST(Platform, EnvironmentsBootOnDemandPerDevice) {
   EXPECT_EQ(platform.env_count(), 5u);  // one VM per device
   // run() drains the event queue, which includes the idle-reclaim timers:
   // with no further work every environment has been reclaimed by the end.
-  EXPECT_EQ(platform.server().env_db().active_count(), 0u);
-  EXPECT_EQ(platform.server().env_db().count_in(EnvState::kRetired), 5u);
+  EXPECT_EQ(platform.env_table().live_count(), 0u);
+  EXPECT_EQ(platform.env_table().count(EnvState::kReclaimed), 5u);
   EXPECT_EQ(platform.server().hypervisor().memory_committed(), 0u);
 }
 
@@ -154,7 +154,7 @@ TEST(Platform, ZeroTimeoutDisablesReclamation) {
   config.env_idle_timeout = 0;
   Platform platform(config);
   platform.run(small_stream(workloads::Kind::kLinpack));
-  EXPECT_EQ(platform.server().env_db().count_in(EnvState::kRetired), 0u);
+  EXPECT_EQ(platform.env_table().count(EnvState::kReclaimed), 0u);
 }
 
 TEST(Platform, MonitorRecordsServerLoad) {

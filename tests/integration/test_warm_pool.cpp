@@ -90,7 +90,7 @@ TEST(WarmPool, UnusedPoolEnvsSurviveIdleReclaim) {
   platform.run(workloads::make_stream(sc));
   EXPECT_EQ(platform.env_count(), 3u);
   // The claimed env is eventually reclaimed, the standby ones are not.
-  EXPECT_LE(platform.server().env_db().count_in(EnvState::kRetired), 1u);
+  EXPECT_LE(platform.env_table().count(EnvState::kReclaimed), 1u);
 }
 
 }  // namespace
