@@ -5,16 +5,29 @@
 
 namespace rattrap::core::elastic {
 
-const char* to_string(PoolMode mode) {
-  switch (mode) {
-    case PoolMode::kDisabled:
-      return "disabled";
-    case PoolMode::kStatic:
-      return "static";
-    case PoolMode::kPredictive:
-      return "predictive";
+namespace {
+
+std::uint32_t clamp_target(const ElasticConfig& config, double raw,
+                           std::uint64_t memory_per_env) {
+  double target = std::max(raw, static_cast<double>(config.min_warm));
+  target = std::min(target, static_cast<double>(config.max_warm));
+  if (config.memory_budget_bytes > 0 && memory_per_env > 0) {
+    const double budget_cap = std::floor(
+        static_cast<double>(config.memory_budget_bytes) /
+        static_cast<double>(memory_per_env));
+    target = std::min(target, budget_cap);
   }
-  return "?";
+  return static_cast<std::uint32_t>(std::max(0.0, target));
+}
+
+}  // namespace
+
+std::uint32_t initial_target(const ElasticConfig& config,
+                             std::uint64_t memory_per_env) {
+  const double raw = config.mode == PoolMode::kPredictive
+                         ? static_cast<double>(config.min_warm)
+                         : static_cast<double>(config.static_target);
+  return clamp_target(config, raw, memory_per_env);
 }
 
 void PoolController::observe_boot(double seconds) {
@@ -22,27 +35,6 @@ void PoolController::observe_boot(double seconds) {
   boot_ewma_s_ =
       boot_seen_ ? 0.7 * boot_ewma_s_ + 0.3 * seconds : seconds;
   boot_seen_ = true;
-}
-
-std::uint32_t PoolController::clamp_target(
-    double raw, std::uint64_t memory_per_env) const {
-  double target = std::max(raw, static_cast<double>(config_.min_warm));
-  target = std::min(target, static_cast<double>(config_.max_warm));
-  if (config_.memory_budget_bytes > 0 && memory_per_env > 0) {
-    const double budget_cap = std::floor(
-        static_cast<double>(config_.memory_budget_bytes) /
-        static_cast<double>(memory_per_env));
-    target = std::min(target, budget_cap);
-  }
-  return static_cast<std::uint32_t>(std::max(0.0, target));
-}
-
-std::uint32_t PoolController::initial_target(
-    std::uint64_t memory_per_env) const {
-  const double raw = config_.mode == PoolMode::kStatic
-                         ? static_cast<double>(config_.static_target)
-                         : static_cast<double>(config_.min_warm);
-  return clamp_target(raw, memory_per_env);
 }
 
 PoolDecision PoolController::tick(const PoolSnapshot& snapshot,
@@ -63,7 +55,7 @@ PoolDecision PoolController::tick(const PoolSnapshot& snapshot,
   }
 
   PoolDecision decision;
-  decision.target = clamp_target(raw, snapshot.memory_per_env);
+  decision.target = clamp_target(config_, raw, snapshot.memory_per_env);
   const std::size_t pipeline = snapshot.warm + snapshot.booting;
   if (pipeline < decision.target) {
     decision.prewarm =

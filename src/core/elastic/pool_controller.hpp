@@ -4,8 +4,10 @@
 // Each elastic tick the engine hands the controller a snapshot of the
 // lifecycle populations; the controller answers with how many containers
 // to prewarm or drain toward its target.  Two policies share the code
-// path:
+// path, and a third mode runs no controller at all:
 //
+//   kDisabled    no ticks: static_target containers are booted at reset
+//                and never replenished — the §III-B fixed warm pool.
 //   kStatic      target = static_target, always.  This is the §III-B
 //                warm pool — but *replenishing*: a claimed container is
 //                replaced on the next tick, which is what a fixed-size
@@ -33,18 +35,17 @@
 namespace rattrap::core::elastic {
 
 enum class PoolMode : std::uint8_t {
-  kDisabled = 0,   ///< legacy: static warm_pool knob, no controller
+  kDisabled = 0,   ///< no controller: static_target booted once at reset
   kStatic = 1,     ///< fixed replenishing target (forecast off)
   kPredictive = 2, ///< Holt forecast drives the target
 };
-
-[[nodiscard]] const char* to_string(PoolMode mode);
 
 /// Elastic capacity knobs, carried on PlatformConfig (docs/ELASTIC.md).
 struct ElasticConfig {
   PoolMode mode = PoolMode::kDisabled;
 
-  /// Warm-idle target for kStatic (and the prewarm floor at reset).
+  /// Warm-idle target for kStatic and kDisabled (the pool booted at
+  /// reset; only kStatic replenishes it).
   std::uint32_t static_target = 0;
 
   /// Target clamp; min_warm also seeds the predictive pool at reset.
@@ -74,6 +75,13 @@ struct ElasticConfig {
   std::uint32_t hysteresis = 1;
 };
 
+/// The warm target to provision before any traffic has been seen
+/// (reset time): min_warm for kPredictive, static_target otherwise, both
+/// through the same [min_warm, max_warm] and memory-budget clamp as a
+/// controller tick.
+[[nodiscard]] std::uint32_t initial_target(const ElasticConfig& config,
+                                           std::uint64_t memory_per_env);
+
 /// Lifecycle populations the controller decides on (one shard).
 struct PoolSnapshot {
   std::size_t warm = 0;      ///< warm-idle, unleased pool containers
@@ -101,11 +109,6 @@ class PoolController {
   /// Feeds one measured boot duration into the prewarm-horizon EWMA.
   void observe_boot(double seconds);
 
-  /// The warm target to provision before any traffic has been seen
-  /// (reset time): static_target for kStatic, min_warm for kPredictive.
-  [[nodiscard]] std::uint32_t initial_target(
-      std::uint64_t memory_per_env) const;
-
   /// One controller step: folds the tick window into the forecaster and
   /// returns the prewarm/drain decision for this snapshot.
   PoolDecision tick(const PoolSnapshot& snapshot, double window_s);
@@ -117,9 +120,6 @@ class PoolController {
   [[nodiscard]] const ElasticConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] std::uint32_t clamp_target(
-      double raw, std::uint64_t memory_per_env) const;
-
   ElasticConfig config_;
   Forecaster forecaster_;
   double boot_ewma_s_ = 1.0;  ///< prior until the first boot lands

@@ -674,9 +674,11 @@ void Platform::elastic_tick() {
 
 std::vector<RequestOutcome> Platform::run(
     const std::vector<workloads::OffloadRequest>& stream) {
-  begin_run();
-  for (const auto& request : stream) submit(request);
-  return finish_run();
+  Result<Session> session = open_session();
+  assert(session.ok() && "the default session config is always valid");
+  for (const auto& request : stream) session->submit(request);
+  (void)session->close();
+  return outcomes_;
 }
 
 // -- Session handles (docs/QOS.md) ------------------------------------
@@ -791,35 +793,6 @@ std::vector<RequestOutcome> Platform::close_stream(
   return results;
 }
 
-// -- Legacy wrappers (one default session) ----------------------------
-
-void Platform::begin_run() {
-  reset_run();
-  default_stream_ = next_stream_id_++;
-  streams_.emplace(default_stream_, Stream{});
-}
-
-void Platform::submit(const workloads::OffloadRequest& request) {
-  if (!run_active_) reset_run();
-  const auto it = streams_.find(default_stream_);
-  if (it == streams_.end() || !it->second.open) {
-    default_stream_ = next_stream_id_++;
-    streams_.emplace(default_stream_, Stream{});
-  }
-  submit_to_stream(default_stream_, request);
-}
-
-std::vector<RequestOutcome> Platform::finish_run() {
-  drain_run();
-  for (auto& [id, stream] : streams_) {
-    (void)id;
-    stream.open = false;
-  }
-  run_active_ = false;
-  default_stream_ = 0;
-  return outcomes_;
-}
-
 // ---------------------------------------------------------------------
 
 void Platform::reset_run() {
@@ -830,14 +803,11 @@ void Platform::reset_run() {
   queued_sessions_.clear();
   if (admission_ != nullptr) admission_->scheduler().clear();
   streams_.clear();
-  default_stream_ = 0;
   run_active_ = true;
   sim::Simulator& simulator = server_->simulator();
   if (envs_.empty()) {
     const std::uint32_t initial =
-        pool_controller_
-            ? pool_controller_->initial_target(default_env_memory())
-            : config_.warm_pool;
+        elastic::initial_target(config_.elastic, default_env_memory());
     for (std::uint32_t i = 0; i < initial; ++i) prewarm_env();
   }
   if (pool_controller_ != nullptr) arm_elastic_tick();

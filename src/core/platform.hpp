@@ -13,8 +13,7 @@
 // Clients talk to the engine through Session handles (open_session →
 // submit → result/close): a session carries the QoS identity — tenant,
 // priority class, DRR weight, deadline — that the admission front door
-// schedules on (docs/QOS.md).  The legacy begin_run / submit /
-// finish_run trio survives as thin wrappers over one default session.
+// schedules on (docs/QOS.md).  run() is sugar over one default session.
 #pragma once
 
 #include <cstdint>
@@ -103,17 +102,14 @@ struct PlatformConfig {
   /// responses exceeds its EWMA of local execution times.
   bool adaptive_offloading = false;
 
-  /// Environments pre-booted at t=0 and handed to the first devices that
-  /// ask. Pre-loading hides the cold start but holds memory the whole
-  /// time — the §III-B tradeoff the warm-pool ablation quantifies.
-  /// Warm-pool environments are exempt from idle reclamation until first
-  /// use.  Legacy knob: ignored when `elastic.mode` is not kDisabled —
-  /// the PoolController owns the pool then (docs/ELASTIC.md).
-  std::uint32_t warm_pool = 0;
-
   /// Elastic capacity manager: lifecycle-managed warm pool with a
   /// static-replenishing or forecast-driven target, hysteretic
   /// drain-based scale-down and a memory budget (docs/ELASTIC.md).
+  /// With the controller disabled, `elastic.static_target` environments
+  /// are still pre-booted at reset and never replenished: the §III-B
+  /// warm pool, which hides the cold start but holds memory the whole
+  /// time.  Pool environments are exempt from idle reclamation until
+  /// first use.
   elastic::ElasticConfig elastic;
 
   // -- Fault injection (docs/FAULTS.md) --------------------------------
@@ -297,22 +293,6 @@ class Platform {
 
   /// The finished outcome for `sequence` (any session), or nullptr.
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
-
-  // -- Legacy incremental API ------------------------------------------
-  //
-  // Deprecated wrappers over one default (standard-class, per-app-tenant)
-  // session; prefer open_session().  Kept so pre-QoS callers compile
-  // unchanged.
-
-  /// Deprecated: open_session() resets per-run state on demand.
-  void begin_run();
-
-  /// Deprecated: Session::submit() on the default session.
-  void submit(const workloads::OffloadRequest& request);
-
-  /// Deprecated: drains the event queue and returns every outcome of the
-  /// run — *all* sessions', indexed by sequence — then ends the run.
-  std::vector<RequestOutcome> finish_run();
 
   /// Observer invoked with each finished outcome (completed, rejected or
   /// executed locally) — the closed-loop feedback path. Empty uninstalls.
@@ -572,7 +552,6 @@ class Platform {
   obs::Histogram* prewarm_lead_ms_ = nullptr;
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;
-  std::uint64_t default_stream_ = 0;  ///< legacy-wrapper session, 0 = none
   bool run_active_ = false;
   std::size_t completed_ = 0;
   /// Radio the platform was constructed with; each run's mobility plan

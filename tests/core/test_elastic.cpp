@@ -67,7 +67,7 @@ TEST(PoolController, StaticModeReplenishesToTarget) {
   config.mode = PoolMode::kStatic;
   config.static_target = 4;
   PoolController pc(config);
-  EXPECT_EQ(pc.initial_target(0), 4u);
+  EXPECT_EQ(initial_target(config, 0), 4u);
   const PoolDecision d = pc.tick({/*warm=*/1, /*booting=*/1, 0}, 0.5);
   EXPECT_EQ(d.target, 4u);
   EXPECT_EQ(d.prewarm, 2u);  // warm + booting count toward the pipeline
@@ -86,6 +86,21 @@ TEST(PoolController, PredictiveTargetFollowsLittlesLaw) {
   EXPECT_EQ(d.prewarm, 8u);
 }
 
+TEST(PoolController, InitialTargetUsesOneClampForEveryMode) {
+  ElasticConfig config;
+  config.static_target = 5;
+  config.min_warm = 2;
+  config.max_warm = 4;
+  // kDisabled boots static_target once, clamped like a controller tick.
+  config.mode = PoolMode::kDisabled;
+  EXPECT_EQ(initial_target(config, 0), 4u);
+  config.mode = PoolMode::kStatic;
+  EXPECT_EQ(initial_target(config, 0), 4u);
+  // kPredictive has seen no traffic yet: it seeds min_warm.
+  config.mode = PoolMode::kPredictive;
+  EXPECT_EQ(initial_target(config, 0), 2u);
+}
+
 TEST(PoolController, MemoryBudgetCapsTheTarget) {
   ElasticConfig config;
   config.mode = PoolMode::kStatic;
@@ -93,7 +108,7 @@ TEST(PoolController, MemoryBudgetCapsTheTarget) {
   config.memory_budget_bytes = 350;
   PoolController pc(config);
   // 100 bytes per env: budget admits ⌊350/100⌋ = 3 warm containers.
-  EXPECT_EQ(pc.initial_target(100), 3u);
+  EXPECT_EQ(initial_target(config, 100), 3u);
   const PoolDecision d = pc.tick({0, 0, /*memory_per_env=*/100}, 0.5);
   EXPECT_EQ(d.target, 3u);
 }

@@ -319,7 +319,8 @@ PlatformConfig static_pool_config(std::uint32_t target) {
 
 TEST(EnvTable, RetireWarmDrainsNewestFirst) {
   Platform platform(static_pool_config(3));
-  platform.begin_run();  // prewarms pool envs 1..3
+  Result<Session> session = platform.open_session();  // prewarms envs 1..3
+  ASSERT_TRUE(session.ok());
   std::uint32_t drained = 0;
   std::vector<EnvState> after;
   platform.server().simulator().schedule_at(
@@ -330,7 +331,7 @@ TEST(EnvTable, RetireWarmDrainsNewestFirst) {
           after.push_back(platform.env_table().find(id)->state());
         }
       });
-  platform.finish_run();
+  (void)session->close();
   EXPECT_EQ(drained, 1u);
   EXPECT_EQ(after, (std::vector<EnvState>{EnvState::kWarmIdle,
                                           EnvState::kWarmIdle,
@@ -339,12 +340,13 @@ TEST(EnvTable, RetireWarmDrainsNewestFirst) {
 
 TEST(EnvTable, PoolClaimServesLowestIdFirst) {
   Platform platform(static_pool_config(3));
-  platform.begin_run();
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session.ok());
   workloads::OffloadRequest request =
       linpack_stream(1, 1, kSecond).front();
   request.arrival = 30 * kSecond;  // the pool has finished booting
-  platform.submit(request);
-  const auto outcomes = platform.finish_run();
+  session->submit(request);
+  const auto outcomes = session->close();
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_FALSE(outcomes[0].rejected);
   EXPECT_EQ(outcomes[0].env_id, 1u);
@@ -377,8 +379,9 @@ TEST(EnvTable, CrashPumpPrefersEnvWithSessionsInFlight) {
   std::optional<sim::SimTime> crash_at;
   {
     Platform probe(make_config(PlatformKind::kRattrap));
-    probe.begin_run();
-    for (const auto& request : stream) probe.submit(request);
+    Result<Session> session = probe.open_session();
+    ASSERT_TRUE(session.ok());
+    for (const auto& request : stream) session->submit(request);
     for (int tick = 1; tick < 600; ++tick) {
       const sim::SimTime at = tick * (kSecond / 10);
       probe.server().simulator().schedule_at(at, [&probe, &crash_at, at]() {
@@ -388,7 +391,7 @@ TEST(EnvTable, CrashPumpPrefersEnvWithSessionsInFlight) {
         if (probe.env_table().find(1)->ready()) crash_at = at;
       });
     }
-    probe.finish_run();
+    (void)session->close();
   }
   ASSERT_TRUE(crash_at.has_value())
       << "no idle env below a busy one; retune the stream";
@@ -399,8 +402,9 @@ TEST(EnvTable, CrashPumpPrefersEnvWithSessionsInFlight) {
   ASSERT_TRUE(plan.has_value());
   config.fault_plan = *plan;
   Platform platform(std::move(config));
-  platform.begin_run();
-  for (const auto& request : stream) platform.submit(request);
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session.ok());
+  for (const auto& request : stream) session->submit(request);
   std::optional<EnvId> expected;
   std::vector<EnvState> after;
   sim::Simulator& simulator = platform.server().simulator();
@@ -412,7 +416,7 @@ TEST(EnvTable, CrashPumpPrefersEnvWithSessionsInFlight) {
       after.push_back(rec.state());
     }
   });
-  platform.finish_run();
+  (void)session->close();
   ASSERT_TRUE(expected.has_value());
   EXPECT_GT(*expected, 1u);
   ASSERT_GE(after.size(), *expected);
@@ -426,16 +430,17 @@ TEST(EnvTable, LifecycleInvariantReportsForcedIllegalTransition) {
   PlatformConfig config = make_config(PlatformKind::kRattrap);
   config.force_invariants = true;
   Platform platform(std::move(config));
-  platform.begin_run();
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session.ok());
   for (const auto& request : linpack_stream(1, 1, kSecond)) {
-    platform.submit(request);
+    session->submit(request);
   }
   platform.server().simulator().schedule_at(60 * kSecond, [&platform]() {
     // Env 1 booted long ago: booting again is not an edge.
     PlatformTestPeer::env_table(platform).transition(
         1, EnvState::kBooting, platform.server().simulator().now());
   });
-  platform.finish_run();
+  (void)session->close();
   ASSERT_FALSE(platform.invariants().ok());
   const InvariantViolation* first = platform.invariants().first_violation();
   ASSERT_NE(first, nullptr);

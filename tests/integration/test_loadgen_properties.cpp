@@ -600,11 +600,12 @@ TEST(LoadGenProperties, QueueDepthNeverExceedsBoundMidRun) {
   platform.set_completion_observer([&](const RequestOutcome&) {
     peak_depth = std::max(peak_depth, platform.accept_queue_depth());
   });
-  platform.begin_run();
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session.ok());
   for (const auto& request : make_load_stream(driver)) {
-    platform.submit(request);
+    session->submit(request);
   }
-  const auto outcomes = platform.finish_run();
+  const auto outcomes = session->close();
   platform.set_completion_observer({});
 
   EXPECT_EQ(outcomes.size(), 120u);

@@ -308,7 +308,6 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
         workloads::Kind::kLinpack, arrivals, 1, 1, seed);
   };
 
-  platform.begin_run();
   Result<Session> abuser = platform.open_session(abusive);
   ASSERT_TRUE(abuser.ok());
   for (const auto& request :
@@ -336,7 +335,6 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
     reformed->submit(request);
   }
   const auto reformed_outcomes = reformed->close();
-  (void)platform.finish_run();
   ASSERT_EQ(reformed_outcomes.size(), 1u);
   EXPECT_FALSE(reformed_outcomes[0].rejected)
       << "service was not restored after the penalty window expired";

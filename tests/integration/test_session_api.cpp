@@ -1,6 +1,6 @@
 // Session-handle API (docs/QOS.md): open_session / submit / result /
-// close, its QoS identity plumbing, and equivalence with the legacy
-// begin_run / submit / finish_run trio it wraps.
+// close, its QoS identity plumbing, and equivalence with run(), which is
+// sugar over one session.
 #include "core/platform.hpp"
 
 #include <gtest/gtest.h>
@@ -155,26 +155,24 @@ TEST(SessionApi, DestructorClosesWithoutLeakingTheRun) {
   EXPECT_EQ(session.close().size(), 3u);
 }
 
-TEST(SessionApi, LegacyTrioMatchesSessionApiByteForByte) {
+TEST(SessionApi, RunMatchesOneSessionByteForByte) {
   const auto stream = small_stream(12);
 
-  Platform legacy(make_config(PlatformKind::kRattrap));
-  legacy.begin_run();
-  for (const auto& request : stream) legacy.submit(request);
-  const auto old_way = legacy.finish_run();
+  Platform replayed(make_config(PlatformKind::kRattrap));
+  const auto by_run = replayed.run(stream);
 
   Platform modern(make_config(PlatformKind::kRattrap));
   Result<Session> opened = modern.open_session();
   ASSERT_TRUE(opened.ok());
   Session session = std::move(*opened);
   for (const auto& request : stream) session.submit(request);
-  const auto new_way = session.close();
+  const auto by_session = session.close();
 
-  ASSERT_EQ(old_way.size(), new_way.size());
-  for (std::size_t i = 0; i < old_way.size(); ++i) {
-    EXPECT_EQ(old_way[i].response, new_way[i].response) << i;
-    EXPECT_EQ(old_way[i].completed_at, new_way[i].completed_at) << i;
-    EXPECT_EQ(old_way[i].tenant, new_way[i].tenant) << i;
+  ASSERT_EQ(by_run.size(), by_session.size());
+  for (std::size_t i = 0; i < by_run.size(); ++i) {
+    EXPECT_EQ(by_run[i].response, by_session[i].response) << i;
+    EXPECT_EQ(by_run[i].completed_at, by_session[i].completed_at) << i;
+    EXPECT_EQ(by_run[i].tenant, by_session[i].tenant) << i;
   }
 }
 

@@ -1,4 +1,6 @@
-// Warm-pool provisioning policy (§III-B's pre-loading alternative).
+// Warm-pool provisioning policy (§III-B's pre-loading alternative): with
+// the elastic controller disabled, elastic.static_target environments are
+// booted once at reset and never replenished.
 #include <gtest/gtest.h>
 
 #include "core/platform.hpp"
@@ -22,7 +24,7 @@ TEST(WarmPool, RemovesColdStartFailuresOnVm) {
   const auto stream = ocr_stream();
   PlatformConfig cold = make_config(PlatformKind::kVmCloud);
   PlatformConfig warm = make_config(PlatformKind::kVmCloud);
-  warm.warm_pool = 5;
+  warm.elastic.static_target = 5;
 
   std::size_t cold_failures = 0, warm_failures = 0;
   {
@@ -44,18 +46,30 @@ TEST(WarmPool, RemovesColdStartFailuresOnVm) {
 TEST(WarmPool, PoolEnvironmentsAreClaimedNotDuplicated) {
   const auto stream = ocr_stream();
   PlatformConfig config = make_config(PlatformKind::kVmCloud);
-  config.warm_pool = 5;
+  config.elastic.static_target = 5;
   Platform platform(config);
   platform.run(stream);
   // 5 devices, 5 pooled environments: no additional boots needed.
   EXPECT_EQ(platform.env_count(), 5u);
 }
 
+TEST(WarmPool, FixedPoolRunsNoController) {
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.elastic.static_target = 3;
+  Platform platform(config);
+  platform.run(ocr_stream());
+  const obs::Counter* prewarmed =
+      platform.metrics().find_counter("elastic.prewarmed");
+  ASSERT_NE(prewarmed, nullptr);
+  EXPECT_EQ(prewarmed->value(), 3u);  // booted once, never replenished
+  EXPECT_EQ(platform.metrics().find_gauge("elastic.target"), nullptr);
+}
+
 TEST(WarmPool, OverflowBeyondPoolProvisionsOnDemand) {
   // 5 devices but only a pool of 2: the remaining 3 boot on demand.
   const auto stream = ocr_stream();
   PlatformConfig config = make_config(PlatformKind::kVmCloud);
-  config.warm_pool = 2;
+  config.elastic.static_target = 2;
   Platform platform(config);
   platform.run(stream);
   EXPECT_EQ(platform.env_count(), 5u);
@@ -65,7 +79,7 @@ TEST(WarmPool, PoolCostsMemoryTime) {
   const auto stream = ocr_stream();
   PlatformConfig cold = make_config(PlatformKind::kVmCloud);
   PlatformConfig warm = cold;
-  warm.warm_pool = 5;
+  warm.elastic.static_target = 5;
   Platform a(cold);
   a.run(stream);
   Platform b(warm);
@@ -77,7 +91,7 @@ TEST(WarmPool, PoolCostsMemoryTime) {
 
 TEST(WarmPool, UnusedPoolEnvsSurviveIdleReclaim) {
   PlatformConfig config = make_config(PlatformKind::kRattrap);
-  config.warm_pool = 3;
+  config.elastic.static_target = 3;
   config.env_idle_timeout = 10 * sim::kSecond;
   Platform platform(config);
   // One device, one request: two pool envs stay unclaimed and must not

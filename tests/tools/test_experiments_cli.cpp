@@ -160,6 +160,69 @@ TEST(ExperimentsCli, TrippedCriterionFailsTheSweep) {
   EXPECT_TRUE(result.contains("FAIL")) << result.output;
 }
 
+// The fault-injection teeth-check: with crash recovery off, sessions
+// strand on dead environments and the invariant oracle must trip.
+std::string crash_manifest(const std::string& recovery) {
+  return "[crash-teeth]\n"
+         "quick = true\n"
+         "arrival = poisson\n"
+         "rate = 0.5\n"
+         "devices = 6\n"
+         "requests = 40\n"
+         "faults = container.crash:p=0.1\n"
+         "crash_recovery = " + recovery + "\n"
+         "seed = 1\n"
+         "expect.accounting = identity\n"
+         "expect.max.invariant_violations = 0\n";
+}
+
+TEST(ExperimentsCli, CrashRecoveryOffTripsTheInvariantGate) {
+  const std::string path =
+      write_manifest("crash-off.ini", crash_manifest("off"));
+  const std::string out = ::testing::TempDir() + "crash-off-out";
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " + out);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  // run.json names the violated invariant, so a red gate is diagnosable
+  // without re-running anything.
+  const std::string run_json = read_file(out + "/crash-teeth/base/run.json");
+  EXPECT_TRUE(run_json.find("\"first_violation\": \"session-env-liveness") !=
+              std::string::npos)
+      << run_json;
+}
+
+TEST(ExperimentsCli, CrashRecoveryOnRecordsNoViolation) {
+  const std::string path = write_manifest("crash-on.ini", crash_manifest("on"));
+  const std::string out = ::testing::TempDir() + "crash-on-out";
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " + out);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  const std::string run_json = read_file(out + "/crash-teeth/base/run.json");
+  EXPECT_FALSE(run_json.empty());
+  EXPECT_EQ(run_json.find("first_violation"), std::string::npos) << run_json;
+}
+
+TEST(ExperimentsCli, CrashRecoveryValueIsStrict) {
+  const std::string path =
+      write_manifest("crash-maybe.ini", crash_manifest("maybe"));
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " +
+                  ::testing::TempDir() + "crash-maybe-out");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_TRUE(result.contains("crash_recovery")) << result.output;
+}
+
+TEST(ExperimentsCli, BuiltinFaultSweepCoversThreePlansTimesTenSeeds) {
+  const CommandResult result =
+      run_command(kBin + " --list --experiment fault-sweep");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_TRUE(result.contains("30 runs across 1 experiments"))
+      << result.output;
+  // quick = false: the CI quick subset and its fingerprint are untouched.
+  const CommandResult quick = run_command(kBin + " --list --quick");
+  EXPECT_FALSE(quick.contains("fault-sweep")) << quick.output;
+}
+
 TEST(ExperimentsCli, UnknownCriterionMetricFails) {
   const std::string path = write_manifest(
       "badcrit.ini",

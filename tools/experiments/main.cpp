@@ -204,6 +204,22 @@ shed = 8
 seed = 1|2
 expect.accounting = identity
 expect.max.invariant_violations = 0
+
+# Every fault class the injector knows (network misbehaviour, storage
+# failures, environment death) across ten seeds, with the invariant
+# oracle checking every event.
+[fault-sweep]
+scenario = fault-sweep
+quick = false
+arrival = poisson
+rate = 0.5
+devices = 6
+requests = 40
+faults = net.drop:p=0.08;net.corrupt:p=0.05;net.delay:p=0.1,delay_ms=400|tmpfs.write_fail:p=0.15;disk.write_fail:p=0.1;cache.evict:p=0.2|container.crash:p=0.06;container.oom:p=0.04;binder.fail:p=0.05;devns.teardown:p=0.1
+seed = 1|2|3|4|5|6|7|8|9|10
+expect.accounting = identity
+expect.min.faults_fired = 1
+expect.max.invariant_violations = 0
 )";
 
 void usage() {

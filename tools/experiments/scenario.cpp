@@ -40,7 +40,8 @@ const std::set<std::string_view>& known_keys() {
       "tenant_queue_quota",
       "elastic",     "elastic_target", "elastic_max",
       "faults",      "storm_crashes", "storm_at", "storm_spacing",
-      "handoff",     "invariants", "warm_pool", "adaptive",
+      "handoff",     "invariants", "adaptive",
+      "crash_recovery",
   };
   return keys;
 }
@@ -287,11 +288,9 @@ RunResult execute_run(const RunSpec& spec) {
   loadgen.devices = 100;
   loadgen.requests = 500;
   if (const std::string* v = get("arrival")) {
-    if (*v == "poisson") loadgen.arrival = sim::ArrivalProcess::kPoisson;
-    else if (*v == "mmpp") loadgen.arrival = sim::ArrivalProcess::kMmpp;
-    else if (*v == "closed") loadgen.arrival = sim::ArrivalProcess::kClosedLoop;
-    else if (*v == "trace") loadgen.arrival = sim::ArrivalProcess::kTraceReplay;
-    else return fail("unknown arrival '" + *v + "'");
+    if (!cli::parse_arrival(v->c_str(), loadgen.arrival)) {
+      return fail("unknown arrival '" + *v + "'");
+    }
   }
   std::uint64_t requests = loadgen.requests;
   if (!get_u32("devices", loadgen.devices) || !get_u64("requests", requests) ||
@@ -316,10 +315,9 @@ RunResult execute_run(const RunSpec& spec) {
   }
   if (loadgen.trace_time_scale <= 0) return fail("trace_scale must be > 0");
   if (const std::string* v = get("profile")) {
-    if (*v == "flat") loadgen.profile = sim::RateProfile::kFlat;
-    else if (*v == "ramp") loadgen.profile = sim::RateProfile::kRamp;
-    else if (*v == "diurnal") loadgen.profile = sim::RateProfile::kDiurnal;
-    else return fail("unknown profile '" + *v + "'");
+    if (!cli::parse_profile(v->c_str(), loadgen.profile)) {
+      return fail("unknown profile '" + *v + "'");
+    }
   }
   if (const std::string* v = get("mix")) {
     if (!parse_mix(*v, loadgen.mix)) return fail("bad mix spec '" + *v + "'");
@@ -355,11 +353,9 @@ RunResult execute_run(const RunSpec& spec) {
 
   // -- Workload ----------------------------------------------------------
   if (const std::string* v = get("kind")) {
-    if (*v == "linpack") driver.kind = workloads::Kind::kLinpack;
-    else if (*v == "ocr") driver.kind = workloads::Kind::kOcr;
-    else if (*v == "chess") driver.kind = workloads::Kind::kChess;
-    else if (*v == "virusscan") driver.kind = workloads::Kind::kVirusScan;
-    else return fail("unknown kind '" + *v + "'");
+    if (!cli::parse_kind(v->c_str(), driver.kind)) {
+      return fail("unknown kind '" + *v + "'");
+    }
   }
   if (!get_u32("task_variants", driver.task_variants)) {
     return fail(parse_error);
@@ -425,8 +421,7 @@ RunResult execute_run(const RunSpec& spec) {
     }
   }
   if (!get_u32("elastic_target", platform_config.elastic.static_target) ||
-      !get_u32("elastic_max", platform_config.elastic.max_warm) ||
-      !get_u32("warm_pool", platform_config.warm_pool)) {
+      !get_u32("elastic_max", platform_config.elastic.max_warm)) {
     return fail(parse_error);
   }
 
@@ -435,6 +430,11 @@ RunResult execute_run(const RunSpec& spec) {
     const auto plan = sim::FaultPlan::parse(*v);
     if (!plan) return fail("bad fault spec '" + *v + "'");
     platform_config.fault_plan = *plan;
+  }
+  if (const std::string* v = get("crash_recovery")) {
+    if (!parse_on_off(*v, platform_config.crash_recovery)) {
+      return fail("crash_recovery must be on|off");
+    }
   }
   std::uint32_t storm_crashes = 0;
   double storm_at = 0.0;
@@ -622,6 +622,14 @@ RunResult execute_run(const RunSpec& spec) {
   result.info.emplace_back("profile", to_string(loadgen.profile));
   if (!platform.config().fault_plan.empty()) {
     result.info.emplace_back("faults", platform.config().fault_plan.spec());
+  }
+  // The diagnosis a failing gate needs: which invariant broke, and when.
+  if (const core::InvariantViolation* first =
+          platform.invariants().first_violation()) {
+    result.info.emplace_back("first_violation",
+                             first->name + " at " +
+                                 std::to_string(first->when) + "us: " +
+                                 first->detail);
   }
   result.info.emplace_back(
       "metrics_fingerprint",

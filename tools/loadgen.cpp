@@ -114,50 +114,16 @@ bool parse_mix(const char* v, sim::TrafficClassMix& mix) {
   return true;
 }
 
-bool parse_kind(const char* v, workloads::Kind& kind) {
-  const std::string s = v;
-  if (s == "linpack") kind = workloads::Kind::kLinpack;
-  else if (s == "ocr") kind = workloads::Kind::kOcr;
-  else if (s == "chess") kind = workloads::Kind::kChess;
-  else if (s == "virusscan") kind = workloads::Kind::kVirusScan;
-  else return false;
-  return true;
-}
-
 bool parse(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    // Strict numeric flag values: a malformed number is a usage error,
-    // not a silent 0/default (cli_util.hpp).
-    const auto num_double = [&](const char* flag, double& out) {
-      const char* v = next();
-      if (v == nullptr || !cli::parse_double(v, out)) {
-        std::fprintf(stderr, "bad value for %s: %s\n", flag,
-                     v == nullptr ? "(missing)" : v);
-        return false;
-      }
-      return true;
-    };
-    const auto num_u32 = [&](const char* flag, std::uint32_t& out) {
-      const char* v = next();
-      if (v == nullptr || !cli::parse_u32(v, out)) {
-        std::fprintf(stderr, "bad value for %s: %s\n", flag,
-                     v == nullptr ? "(missing)" : v);
-        return false;
-      }
-      return true;
-    };
-    const auto num_u64 = [&](const char* flag, std::uint64_t& out) {
-      const char* v = next();
-      if (v == nullptr || !cli::parse_u64(v, out)) {
-        std::fprintf(stderr, "bad value for %s: %s\n", flag,
-                     v == nullptr ? "(missing)" : v);
-        return false;
-      }
-      return true;
+    // Strict flag values: a malformed value is a usage error, not a
+    // silent 0/default (cli_util.hpp).
+    const auto value = [&](auto& out) {
+      return cli::flag_value(arg.c_str(), next(), out);
     };
     if (arg == "--help") {
       usage();
@@ -167,111 +133,55 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--json") {
       options.json = true;
     } else if (arg == "--arrival") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const std::string s = v;
-      if (s == "poisson") {
-        options.driver.loadgen.arrival = sim::ArrivalProcess::kPoisson;
-      } else if (s == "mmpp") {
-        options.driver.loadgen.arrival = sim::ArrivalProcess::kMmpp;
-      } else if (s == "closed" || s == "closed-loop") {
-        options.driver.loadgen.arrival = sim::ArrivalProcess::kClosedLoop;
-      } else if (s == "trace" || s == "trace-replay") {
-        options.driver.loadgen.arrival = sim::ArrivalProcess::kTraceReplay;
-      } else {
-        std::fprintf(stderr, "unknown arrival process: %s\n", v);
-        return false;
-      }
+      if (!value(options.driver.loadgen.arrival)) return false;
     } else if (arg == "--devices") {
-      if (!num_u32("--devices", options.driver.loadgen.devices)) return false;
+      if (!value(options.driver.loadgen.devices)) return false;
     } else if (arg == "--requests") {
       std::uint64_t requests = 0;
-      if (!num_u64("--requests", requests)) return false;
+      if (!value(requests)) return false;
       options.driver.loadgen.requests = requests;
     } else if (arg == "--rate") {
-      if (!num_double("--rate", options.driver.loadgen.rate_per_s)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.rate_per_s)) return false;
     } else if (arg == "--burst-factor") {
-      if (!num_double("--burst-factor", options.driver.loadgen.burst_factor)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.burst_factor)) return false;
     } else if (arg == "--profile") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const std::string s = v;
-      if (s == "flat") {
-        options.driver.loadgen.profile = sim::RateProfile::kFlat;
-      } else if (s == "ramp") {
-        options.driver.loadgen.profile = sim::RateProfile::kRamp;
-      } else if (s == "diurnal") {
-        options.driver.loadgen.profile = sim::RateProfile::kDiurnal;
-      } else {
-        std::fprintf(stderr, "unknown rate profile: %s\n", v);
-        return false;
-      }
+      if (!value(options.driver.loadgen.profile)) return false;
     } else if (arg == "--profile-period") {
-      if (!num_double("--profile-period",
-                      options.driver.loadgen.profile_period_s)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.profile_period_s)) return false;
     } else if (arg == "--profile-peak") {
-      if (!num_double("--profile-peak",
-                      options.driver.loadgen.profile_peak_factor)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.profile_peak_factor)) return false;
     } else if (arg == "--flash-at") {
-      if (!num_double("--flash-at", options.driver.loadgen.flash_at_s)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.flash_at_s)) return false;
     } else if (arg == "--flash-duration") {
-      if (!num_double("--flash-duration",
-                      options.driver.loadgen.flash_duration_s)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.flash_duration_s)) return false;
     } else if (arg == "--flash-factor") {
-      if (!num_double("--flash-factor",
-                      options.driver.loadgen.flash_factor)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.flash_factor)) return false;
     } else if (arg == "--trace-file") {
       const char* v = next();
       if (v == nullptr) return false;
       options.trace_file = v;
     } else if (arg == "--trace-scale") {
-      if (!num_double("--trace-scale",
-                      options.driver.loadgen.trace_time_scale) ||
+      if (!value(options.driver.loadgen.trace_time_scale) ||
           options.driver.loadgen.trace_time_scale <= 0) {
         std::fprintf(stderr, "--trace-scale must be > 0\n");
         return false;
       }
     } else if (arg == "--trace-repeat") {
-      if (!num_u32("--trace-repeat", options.driver.loadgen.trace_repeat)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.trace_repeat)) return false;
     } else if (arg == "--think") {
-      if (!num_double("--think", options.driver.loadgen.think_time_s)) {
-        return false;
-      }
+      if (!value(options.driver.loadgen.think_time_s)) return false;
     } else if (arg == "--kind") {
-      const char* v = next();
-      if (v == nullptr || !parse_kind(v, options.driver.kind)) return false;
+      if (!value(options.driver.kind)) return false;
     } else if (arg == "--seed") {
-      if (!num_u64("--seed", options.driver.loadgen.seed)) return false;
+      if (!value(options.driver.loadgen.seed)) return false;
     } else if (arg == "--queue") {
-      if (!num_u32("--queue", options.admission.queue_capacity)) return false;
+      if (!value(options.admission.queue_capacity)) return false;
     } else if (arg == "--max-in-service") {
-      if (!num_u32("--max-in-service", options.admission.max_in_service)) {
-        return false;
-      }
+      if (!value(options.admission.max_in_service)) return false;
     } else if (arg == "--tenant-rate") {
-      if (!num_double("--tenant-rate", options.admission.tenant_rate_per_s)) {
-        return false;
-      }
+      if (!value(options.admission.tenant_rate_per_s)) return false;
     } else if (arg == "--shed") {
-      if (!num_double("--shed", options.admission.shed_utilization)) {
-        return false;
-      }
+      if (!value(options.admission.shed_utilization)) return false;
     } else if (arg == "--qos") {
       options.admission.enabled = true;
       options.admission.qos.enabled = true;
@@ -296,16 +206,11 @@ bool parse(int argc, char** argv, Options& options) {
         return false;
       }
     } else if (arg == "--quantum") {
-      if (!num_u32("--quantum", options.admission.qos.quantum)) return false;
+      if (!value(options.admission.qos.quantum)) return false;
     } else if (arg == "--starvation-burst") {
-      if (!num_u32("--starvation-burst",
-                   options.admission.qos.starvation_burst)) {
-        return false;
-      }
+      if (!value(options.admission.qos.starvation_burst)) return false;
     } else if (arg == "--promote-every") {
-      if (!num_u32("--promote-every", options.admission.qos.promote_every)) {
-        return false;
-      }
+      if (!value(options.admission.qos.promote_every)) return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;

@@ -8,9 +8,14 @@
 //   rattrap_sim --platform vm --workload chess --csv > chess_vm.csv
 //   rattrap_sim --workload virusscan --net 3G --adaptive
 //   rattrap_sim --workload chess --trace accesses.csv
+//
+// Flag values parse strictly (cli_util.hpp): a malformed number, an
+// unknown network or a warm pool above the elastic max_warm cap is a
+// usage error (exit 2), never a silent default.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/platform.hpp"
@@ -18,6 +23,8 @@
 #include "obs/json.hpp"
 #include "trace/livelab.hpp"
 #include "workloads/generator.hpp"
+
+#include "cli_util.hpp"
 
 using namespace rattrap;
 
@@ -33,7 +40,7 @@ void usage() {
       "  --gap SECONDS    mean inter-arrival (default 8)\n"
       "  --net LAN|WAN|4G|3G   network scenario (default LAN)\n"
       "  --seed S         stream seed (default 42)\n"
-      "  --warm-pool N    pre-booted environments (default 0)\n"
+      "  --warm-pool N    pre-booted environments, <= 64 (default 0)\n"
       "  --adaptive       client-side offloading decision\n"
       "  --trace FILE     replay arrivals from a CSV trace (user,ts_us)\n"
       "  --csv            machine-readable per-request output\n"
@@ -46,10 +53,10 @@ void usage() {
 struct Options {
   core::PlatformKind platform = core::PlatformKind::kRattrap;
   workloads::Kind workload = workloads::Kind::kLinpack;
-  std::size_t count = 20;
+  std::uint64_t count = 20;
   std::uint32_t devices = 5;
   double gap_s = 8.0;
-  std::string net = "LAN";
+  net::LinkConfig link = net::lan_wifi();
   std::uint64_t seed = 42;
   std::uint32_t warm_pool = 0;
   bool adaptive = false;
@@ -60,11 +67,23 @@ struct Options {
   std::string trace_out;
 };
 
+/// The network scenario named `name` (LAN, WAN, 4G, 3G).
+std::optional<net::LinkConfig> link_for(const char* name) {
+  if (name == nullptr) return std::nullopt;
+  for (const auto& link : net::all_scenarios()) {
+    if (link.name == name) return link;
+  }
+  return std::nullopt;
+}
+
 bool parse(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    const auto value = [&](auto& out) {
+      return cli::flag_value(arg.c_str(), next(), out);
     };
     if (arg == "--help") {
       usage();
@@ -86,45 +105,26 @@ bool parse(int argc, char** argv, Options& options) {
         return false;
       }
     } else if (arg == "--workload") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!std::strcmp(v, "ocr")) {
-        options.workload = workloads::Kind::kOcr;
-      } else if (!std::strcmp(v, "chess")) {
-        options.workload = workloads::Kind::kChess;
-      } else if (!std::strcmp(v, "virusscan")) {
-        options.workload = workloads::Kind::kVirusScan;
-      } else if (!std::strcmp(v, "linpack")) {
-        options.workload = workloads::Kind::kLinpack;
-      } else {
-        return false;
-      }
+      if (!value(options.workload)) return false;
     } else if (arg == "--count") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.count = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!value(options.count)) return false;
     } else if (arg == "--devices") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.devices =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!value(options.devices)) return false;
     } else if (arg == "--gap") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.gap_s = std::strtod(v, nullptr);
+      if (!value(options.gap_s)) return false;
     } else if (arg == "--net") {
       const char* v = next();
-      if (v == nullptr) return false;
-      options.net = v;
+      const std::optional<net::LinkConfig> link = link_for(v);
+      if (!link) {
+        std::fprintf(stderr, "unknown network: %s (LAN|WAN|4G|3G)\n",
+                     v == nullptr ? "(missing)" : v);
+        return false;
+      }
+      options.link = *link;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!value(options.seed)) return false;
     } else if (arg == "--warm-pool") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.warm_pool =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!value(options.warm_pool)) return false;
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -146,15 +146,15 @@ bool parse(int argc, char** argv, Options& options) {
       return false;
     }
   }
-  return options.count > 0 && options.devices > 0;
-}
-
-net::LinkConfig link_for(const std::string& name) {
-  for (const auto& link : net::all_scenarios()) {
-    if (link.name == name) return link;
+  if (options.count == 0 || options.devices == 0) {
+    std::fprintf(stderr, "--count and --devices must be > 0\n");
+    return false;
   }
-  std::fprintf(stderr, "unknown network '%s', using LAN\n", name.c_str());
-  return net::lan_wifi();
+  if (options.gap_s < 0) {
+    std::fprintf(stderr, "--gap must be >= 0\n");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -194,9 +194,15 @@ int main(int argc, char** argv) {
   }
 
   core::PlatformConfig config =
-      core::make_config(options.platform, link_for(options.net),
-                        options.seed);
-  config.warm_pool = options.warm_pool;
+      core::make_config(options.platform, options.link, options.seed);
+  // The pool is sized by the same clamp as the elastic controller's; a
+  // request above its cap is an error, not a silently smaller pool.
+  if (options.warm_pool > config.elastic.max_warm) {
+    std::fprintf(stderr, "--warm-pool must be <= %u (elastic max_warm)\n",
+                 config.elastic.max_warm);
+    return 2;
+  }
+  config.elastic.static_target = options.warm_pool;
   config.adaptive_offloading = options.adaptive;
   if (!options.fault_spec.empty()) {
     const auto plan = sim::FaultPlan::parse(options.fault_spec);
@@ -251,8 +257,8 @@ int main(int argc, char** argv) {
 
   std::printf("%s | %s | %s | %zu requests from %u devices\n",
               core::to_string(options.platform),
-              workloads::to_string(options.workload), options.net.c_str(),
-              outcomes.size(), options.devices);
+              workloads::to_string(options.workload),
+              options.link.name.c_str(), outcomes.size(), options.devices);
   std::printf("%4s %9s %9s %9s %9s %10s %8s\n", "req", "conn", "prep",
               "xfer", "comp", "response", "speedup");
   double speedup_sum = 0;
