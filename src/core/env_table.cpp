@@ -86,6 +86,7 @@ EnvRecord& EnvTable::add(EnvBacking backing, std::string key,
   index_key(record.key_, record.id);
   live_.insert(live_.end(), record.id);
   ++counts_[slot(EnvState::kCold)];
+  touch(record.id);
   if (added_ != nullptr) {
     added_->inc();
     active_->set(static_cast<double>(live_count()));
@@ -94,6 +95,7 @@ EnvRecord& EnvTable::add(EnvBacking backing, std::string key,
 }
 
 void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
+  touch(id);
   EnvRecord* record = find(id);
   if (record == nullptr) {
     if (first_error_.empty()) {
@@ -120,7 +122,7 @@ void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
   record->state_ = to;
   record->entered_at_ = now;
   if (to == EnvState::kDraining || to == EnvState::kReclaimed) {
-    pool_.erase(id);
+    leave_pool(id);
   }
   if (to == EnvState::kReclaimed) {
     live_.erase(id);
@@ -189,13 +191,21 @@ bool EnvTable::rebind(EnvId id, std::string key) {
 
 void EnvTable::add_to_pool(EnvId id) {
   const EnvRecord* record = find(id);
-  if (record != nullptr && record->leasable()) pool_.insert(id);
+  if (record == nullptr || !record->leasable()) return;
+  if (pool_.insert(id).second) pool_bytes_ += record->memory_bytes;
+  touch(id);
+}
+
+void EnvTable::leave_pool(EnvId id) {
+  if (pool_.erase(id) == 0) return;
+  pool_bytes_ -= records_[id - 1].memory_bytes;
+  touch(id);
 }
 
 std::optional<EnvId> EnvTable::claim_pool() {
   if (pool_.empty()) return std::nullopt;
   const EnvId id = *pool_.begin();
-  pool_.erase(pool_.begin());
+  leave_pool(id);
   return id;
 }
 
@@ -231,6 +241,12 @@ std::optional<std::string> EnvTable::check() const {
     return std::string("count of ") + to_string(static_cast<EnvState>(s)) +
            " is " + std::to_string(counts_[s]) + ", records hold " +
            std::to_string(recount[s]);
+  }
+  std::uint64_t pool_bytes = 0;
+  for (const EnvId id : pool_) pool_bytes += records_[id - 1].memory_bytes;
+  if (pool_bytes != pool_bytes_) {
+    return "pool ledger says " + std::to_string(pool_bytes_) +
+           " bytes, pooled records hold " + std::to_string(pool_bytes);
   }
   return std::nullopt;
 }

@@ -134,6 +134,8 @@ class EnvTable {
   [[nodiscard]] bool pooled(EnvId id) const { return pool_.contains(id); }
   /// Claimable ids, ascending.
   [[nodiscard]] const std::set<EnvId>& pool() const { return pool_; }
+  /// Committed memory of the claimable environments (O(1) ledger).
+  [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
 
   /// Ids not yet reclaimed, ascending.
   [[nodiscard]] const std::set<EnvId>& live_ids() const { return live_; }
@@ -163,8 +165,8 @@ class EnvTable {
   /// First illegal transition observed, or empty.
   [[nodiscard]] const std::string& first_error() const { return first_error_; }
 
-  /// Lifecycle-state conservation: no illegal transition was attempted
-  /// and the per-state counts equal a recount of the records.
+  /// Lifecycle-state conservation: no illegal transition was attempted,
+  /// and the per-state counts and pool bytes equal a recount.
   [[nodiscard]] std::optional<std::string> check() const;
 
   /// Attaches a metrics registry: add/reclaim count into envdb.added /
@@ -178,7 +180,15 @@ class EnvTable {
   /// gets one lifecycle span per state on track kLifecycleTrackBase + id.
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
+  /// Attaches the invariant oracle's touch list: every id whose state or
+  /// pool membership changes is appended to it.  nullptr detaches.
+  void set_touches(std::vector<EnvId>* touches) { touches_ = touches; }
+
  private:
+  void touch(EnvId id) {
+    if (touches_ != nullptr) touches_->push_back(id);
+  }
+  void leave_pool(EnvId id);
   void index_key(const std::string& key, EnvId id);
   void unindex_key(const std::string& key, EnvId id);
   void emit(EnvRecord& record, EnvState from, EnvState to, sim::SimTime now);
@@ -188,6 +198,7 @@ class EnvTable {
   sim::FlatHashMap<std::string, std::vector<EnvId>> by_key_;
   std::set<EnvId> live_;
   std::set<EnvId> pool_;
+  std::uint64_t pool_bytes_ = 0;
   std::array<std::size_t, kEnvStateCount> counts_{};
   std::array<std::uint64_t, kEnvStateCount> transitions_{};
   /// Closed warm-idle intervals; open ones are added by the accessor.
@@ -201,6 +212,7 @@ class EnvTable {
   std::array<obs::Counter*, kEnvStateCount> transition_metrics_{};
   std::array<obs::Gauge*, kEnvStateCount> state_metrics_{};
   obs::TraceRecorder* trace_ = nullptr;
+  std::vector<EnvId>* touches_ = nullptr;
 };
 
 }  // namespace rattrap::core

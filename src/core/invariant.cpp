@@ -4,24 +4,12 @@
 
 namespace rattrap::core {
 
-void InvariantChecker::add_invariant(std::string name, Check check) {
-  invariants_.push_back({std::move(name), std::move(check)});
-}
-
-bool InvariantChecker::run(sim::SimTime now) {
-  ++checks_run_;
-  bool all_held = true;
-  for (const auto& invariant : invariants_) {
-    auto detail = invariant.check();
-    if (!detail.has_value()) continue;
-    all_held = false;
-    ++total_violations_;
-    if (violations_.size() < max_recorded_) {
-      violations_.push_back(
-          {invariant.name, std::move(*detail), now, checks_run_ - 1});
-    }
-  }
-  return all_held;
+void InvariantChecker::record(const std::string& name, std::string detail,
+                              sim::SimTime when) {
+  ++total_violations_;
+  if (violations_.size() >= max_recorded_) return;
+  violations_.push_back({name, std::move(detail), when,
+                         checks_run_ > 0 ? checks_run_ - 1 : 0});
 }
 
 std::string InvariantChecker::report() const {

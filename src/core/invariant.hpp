@@ -1,17 +1,17 @@
-// Invariant checker: cross-component consistency validation.
+// Invariant checker: the record of cross-component consistency checks.
 //
 // Fault injection is only as good as the oracle judging the aftermath.
-// This harness holds a set of named predicates over platform state —
-// "no session is bound to a dead container", "the shared tmpfs holds
-// exactly the live offload files" — and evaluates all of them after every
-// simulator event (via Simulator::set_post_event_hook).  A violation is
-// recorded with the virtual time and a human-readable detail string so a
-// failing seed can be replayed and diagnosed.
+// The oracle (core/oracle.hpp) holds the named predicates over platform
+// state — "no session is bound to a dead container", "the shared tmpfs
+// holds exactly the live offload files" — and checks them after every
+// simulator event, re-evaluating only what the event touched.  This class
+// records the outcome: one check per event, and per check one violation
+// for each invariant that does not hold, with the virtual time and a
+// human-readable detail string so a failing seed can be replayed and
+// diagnosed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,16 +28,17 @@ struct InvariantViolation {
 
 class InvariantChecker {
  public:
-  /// A check returns std::nullopt when the invariant holds, or a detail
-  /// string describing the inconsistency when it is violated.
-  using Check = std::function<std::optional<std::string>()>;
+  /// Starts one check (one simulator event); the violations recorded
+  /// until the next call carry its index.
+  void begin_check() { ++checks_run_; }
 
-  void add_invariant(std::string name, Check check);
+  /// Records that invariant `name` does not hold in the current check.
+  /// The first `max_recorded()` violations are kept; the counter keeps
+  /// counting past the cap.
+  void record(const std::string& name, std::string detail, sim::SimTime when);
 
-  /// Evaluates every registered invariant at virtual time `now`.
-  /// Returns true when all hold.  Violations are recorded (up to
-  /// `max_recorded()` of them; the counter keeps counting past the cap).
-  bool run(sim::SimTime now);
+  /// How many invariants the oracle evaluates (0 = not armed).
+  void set_invariant_count(std::size_t count) { invariant_count_ = count; }
 
   [[nodiscard]] bool ok() const { return total_violations_ == 0; }
   [[nodiscard]] std::uint64_t total_violations() const {
@@ -48,7 +49,7 @@ class InvariantChecker {
     return violations_;
   }
   [[nodiscard]] std::size_t invariant_count() const {
-    return invariants_.size();
+    return invariant_count_;
   }
 
   /// First recorded violation, or nullptr when everything held.
@@ -63,16 +64,11 @@ class InvariantChecker {
   [[nodiscard]] std::size_t max_recorded() const { return max_recorded_; }
 
  private:
-  struct Invariant {
-    std::string name;
-    Check check;
-  };
-
-  std::vector<Invariant> invariants_;
   std::vector<InvariantViolation> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t checks_run_ = 0;
   std::size_t max_recorded_ = 64;
+  std::size_t invariant_count_ = 0;
 };
 
 }  // namespace rattrap::core

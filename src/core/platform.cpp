@@ -4,6 +4,8 @@
 #include <cassert>
 
 #include "android/image_profile.hpp"
+#include "core/oracle.hpp"
+#include "core/platform_state.hpp"
 
 namespace rattrap::core {
 
@@ -47,87 +49,6 @@ PlatformConfig make_config(PlatformKind kind, net::LinkConfig link,
   }
   return config;
 }
-
-// ---------------------------------------------------------------------
-// Internal state
-
-/// One environment's resources; its state and bookkeeping are `rec`, its
-/// record in the environment table.
-struct Platform::Env {
-  explicit Env(EnvRecord& record) : rec(record) {}
-
-  [[nodiscard]] EnvId id() const { return rec.id; }
-  [[nodiscard]] bool is_vm() const { return rec.backing == EnvBacking::kVm; }
-
-  /// Resumes every session waiting for the boot to end (or fail).
-  void run_waiters() {
-    auto pending = std::move(waiters);
-    waiters.clear();
-    for (auto& waiter : pending) waiter();
-  }
-
-  EnvRecord& rec;
-  vm::VmId vm_id = 0;
-  std::unique_ptr<CloudAndroidContainer> cac;
-  android::ClassLoader vm_loader;  ///< for VM-backed environments
-  std::vector<std::function<void()>> waiters;
-  /// Apps whose code this specific environment has received (the per-VM
-  /// duplicate-code bookkeeping of §III-D).
-  std::set<std::string> pushed_apps;
-  std::uint64_t disk_bytes = 0;
-};
-
-struct Platform::SessionState {
-  workloads::OffloadRequest request;
-  std::string app_id;
-  std::uint64_t apk_bytes = 0;
-  workloads::Kind kind = workloads::Kind::kLinpack;
-  workloads::TaskResult executed;  ///< real kernel execution
-  std::unique_ptr<net::Connection> conn;
-  PhaseBreakdown phases;
-  sim::SimTime connected_at = 0;
-  sim::SimDuration upload_time = 0;
-  sim::SimDuration download_time = 0;
-  bool cache_hit = false;
-  bool spilled_to_disk = false;  ///< tmpfs full: files staged on disk
-  Env* env = nullptr;
-
-  // Fault-injection state. Scheduled continuations capture `epoch` and
-  // bail when it moved on — a crash invalidates every event the session
-  // had in flight without having to cancel them individually.
-  std::uint64_t epoch = 0;
-  std::uint32_t dispatch_attempts = 0;
-  std::uint32_t connect_attempts = 0;
-  bool recovered = false;   ///< survived at least one environment crash
-  bool resumed = false;     ///< stalled through a handoff outage
-  bool staged = false;      ///< files currently staged in the shared tmpfs
-  bool computing = false;   ///< holds a Monitor job slot
-  bool done = false;        ///< outcome recorded (completed or rejected)
-
-  // Access-control state (docs/RAC.md).
-  bool rac_slot = false;    ///< holds a RAC in-flight quota slot
-
-  // Admission-control state (docs/LOADGEN.md).
-  bool admitted = false;    ///< holds an in-service slot
-  bool queued = false;      ///< waiting in the bounded accept queue
-  sim::SimTime enqueued_at = 0;
-  sim::SimDuration queue_wait = 0;
-  sim::SimDuration pending_lead = 0;  ///< dispatch lead cost when popped
-
-  // QoS identity, inherited from the owning Session (docs/QOS.md).
-  std::uint64_t stream_id = 0;
-  std::string tenant;       ///< resolved: stream tenant, or app id
-  qos::PriorityClass klass = qos::PriorityClass::kStandard;
-  sim::SimDuration deadline = 0;
-  std::uint64_t drr_deficit = 0;  ///< tenant deficit after the queue pop
-
-  // Observability state (docs/OBSERVABILITY.md). Spans live on track
-  // `request.sequence + 1`; track 0 is the platform itself.
-  obs::SpanId span_session = obs::kNoSpan;  ///< root "session" span
-  obs::SpanId span_phase = obs::kNoSpan;    ///< current phase span
-  bool fresh_env = false;  ///< bound to an env that still had to boot
-  std::map<sim::FaultKind, std::uint64_t> fault_hits;
-};
 
 /// Track 0 carries platform-wide instants (faults outside any session).
 constexpr std::uint64_t kPlatformTrack = 0;
@@ -254,6 +175,7 @@ Platform::Platform(PlatformConfig config)
       });
   server_->access().on_unblock(
       [this](const std::string& tenant, sim::SimTime now) {
+        if (oracle_ != nullptr) oracle_->touch_tenant(tenant);
         if (!trace_.enabled()) return;
         const obs::SpanId mark =
             trace_.instant(kPlatformTrack, "rac_unblock", "rac", now);
@@ -267,14 +189,6 @@ Platform::Platform(PlatformConfig config)
   if (config_.elastic.mode != elastic::PoolMode::kDisabled) {
     pool_controller_ =
         std::make_unique<elastic::PoolController>(config_.elastic);
-  }
-  if (config_.force_invariants && config_.check_invariants &&
-      config_.fault_plan.empty()) {
-    // The property battery wants the oracle active on fault-free runs
-    // too; with a fault plan installed the block below wires it instead.
-    register_invariants();
-    server_->simulator().set_post_event_hook(
-        [this]() { invariants_.run(server_->simulator().now()); });
   }
   if (!config_.fault_plan.empty()) {
     faults_ = std::make_unique<sim::FaultInjector>(config_.fault_plan,
@@ -291,11 +205,14 @@ Platform::Platform(PlatformConfig config)
         config_.crash_detection_latency);
     server_->monitor().set_crash_handler(
         [this](std::uint32_t env_id) { recover_env(env_id); });
-    if (config_.check_invariants) {
-      register_invariants();
-      server_->simulator().set_post_event_hook(
-          [this]() { invariants_.run(server_->simulator().now()); });
-    }
+  }
+  // The invariant oracle runs with any fault plan, and on fault-free runs
+  // when forced (the property batteries, experiments).
+  if (config_.check_invariants &&
+      (faults_ != nullptr || config_.force_invariants)) {
+    oracle_ = std::make_unique<InvariantOracle>(*this);
+    server_->simulator().set_post_event_hook(
+        [this]() { oracle_->after_event(); });
   }
 }
 
@@ -484,6 +401,8 @@ void Platform::env_ready(Env& env) {
   EnvRecord& rec = env.rec;
   rec.ready_at = server_->simulator().now();
   rec.busy_until = rec.ready_at;
+  // A draining env turns ready with no transition.
+  if (oracle_ != nullptr) oracle_->touch_env(env.id());
   metrics_.counter("env.provisioned").inc();
   metrics_.histogram("env.provision_ms")
       .observe(sim::to_millis(rec.ready_at - rec.provisioned_at));
@@ -607,11 +526,7 @@ std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
       pool_controller_ ? pool_controller_->config().memory_budget_bytes : 0;
   const std::uint64_t mem = default_env_memory();
   if (budget > 0 && mem > 0) {
-    std::uint64_t committed = 0;
-    for (const EnvId id : env_table_.pool()) {
-      const std::uint64_t bytes = env_table_.find(id)->memory_bytes;
-      committed += bytes > 0 ? bytes : mem;
-    }
+    const std::uint64_t committed = env_table_.pool_bytes();
     const std::uint64_t room = budget > committed ? budget - committed : 0;
     count = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(count, room / mem));
@@ -913,6 +828,7 @@ void Platform::drain_run() {
       outcome.connect_attempts = s->connect_attempts;
       record_outcome(s->request.sequence, std::move(outcome));
       s->done = true;
+      touched(*s);
       ++completed_;
       metrics_.counter("sessions.stranded").inc();
       metrics_
@@ -925,6 +841,7 @@ void Platform::drain_run() {
     live_sessions_.clear();
     queued_sessions_.clear();
   }
+  if (oracle_ != nullptr) oracle_->quiescent_sweep();
   trace_.close_open_spans(simulator.now());
   assert(completed_ == outcomes_.size());
 }
@@ -1021,6 +938,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
     arm_elastic_tick();
   }
   live_sessions_.push_back(s);
+  touched(*s);
   attempt_connect(s);
 }
 
@@ -1127,12 +1045,14 @@ void Platform::on_connected(std::shared_ptr<SessionState> s) {
       s->enqueued_at = simulator.now();
       s->pending_lead = platform_cost;
       queued_sessions_.emplace(s->request.sequence, s);
+      touched(*s);
       if (s->span_phase != obs::kNoSpan) {
         trace_.annotate(s->span_phase, "queued", std::uint64_t{1});
       }
       return;  // dispatched by maybe_start_queued() when a slot frees
     }
     s->admitted = true;
+    touched(*s);
   }
 
   dispatch(s, platform_cost);
@@ -1156,6 +1076,7 @@ void Platform::maybe_start_queued() {
     s->admitted = true;
     s->queue_wait = popped->waited;
     s->drr_deficit = popped->deficit_after;
+    touched(*s);
     SessionScope scope(*this, *s);
     if (s->span_phase != obs::kNoSpan) {
       trace_.annotate(s->span_phase, "queue_wait_us",
@@ -1223,6 +1144,7 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
     }
     s->env = target;
     ++rec.inflight;  // pins the env against idle reclamation
+    touched(*s);
     if (rec.ready() && rec.inflight == 1) {
       env_table_.transition(rec.id, EnvState::kLeased,
                             server_->simulator().now());
@@ -1492,6 +1414,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   server_->monitor().record_cpu(start, done, 1.0);
   server_->monitor().job_started(s->klass);
   s->computing = true;
+  touched(*s);
   if (faults_) {
     // Container crash / OOM-kill: the environment dies halfway through
     // this job. One consult per job and per kind keeps both substreams
@@ -1518,6 +1441,7 @@ void Platform::on_computed(std::shared_ptr<SessionState> s) {
   SessionScope scope(*this, *s);
   server_->monitor().job_finished(s->klass);
   s->computing = false;
+  touched(*s);
   Env& env = *s->env;
   // Computation phase spans upload-end → compute-end (queueing included).
   s->phases.computation = simulator.now() -
@@ -1724,14 +1648,17 @@ void Platform::crash_env(Env& env) {
       server_->shared_layer().release_request_files(s->request.sequence);
       s->staged = false;
     }
+    touched(*s);
   }
   server_->monitor().notify_crash(env.id());
 }
 
 void Platform::recover_env(std::uint32_t env_id) {
-  // The Monitor's health sweep found the corpse. Without crash recovery
-  // the platform does nothing — sessions stay bound to the dead CID and
-  // the invariant harness is what notices.
+  // The Monitor's health sweep found the corpse (the crash is no longer
+  // pending). Without crash recovery the platform does nothing —
+  // sessions stay bound to the dead CID and the invariant harness is
+  // what notices.
+  if (oracle_ != nullptr) oracle_->touch_env(env_id);
   if (!config_.crash_recovery) return;
   if (env_table_.find(env_id) == nullptr) return;
   Env& dead = env_of(env_id);
@@ -1743,6 +1670,7 @@ void Platform::recover_env(std::uint32_t env_id) {
     if (dead.rec.inflight > 0) --dead.rec.inflight;
     s->env = nullptr;
     ++s->epoch;
+    touched(*s);
     if (s->dispatch_attempts >= config_.max_redispatch) {
       reject_session(s, RejectReason::kRedispatchExhausted);
       continue;
@@ -1764,6 +1692,7 @@ void Platform::on_tenant_blocked(const std::string& tenant,
   // The violation ledger crossed the threshold: evict every live session
   // of the offender *now*, so a blocked tenant consumes zero container
   // time past block onset (the rac-blocked-isolation invariant).
+  if (oracle_ != nullptr) oracle_->touch_tenant(tenant);
   if (trace_.enabled()) {
     const obs::SpanId mark =
         trace_.instant(kPlatformTrack, "rac_block", "rac", now);
@@ -1867,7 +1796,12 @@ void Platform::finish_session(SessionState& s) {
     }
   }
   release_slots(s);
+  touched(s);
   maybe_start_queued();
+}
+
+void Platform::touched(const SessionState& s) {
+  if (oracle_ != nullptr) oracle_->touch(s);
 }
 
 void Platform::release_slots(SessionState& s) {
@@ -1888,212 +1822,6 @@ void Platform::release_slots(SessionState& s) {
     admission_->release();
     s.admitted = false;
   }
-}
-
-void Platform::register_invariants() {
-  // 1. No session is bound to a dead environment — except during the
-  //    Monitor's detection window (crash reported, sweep not yet run)
-  //    and for provision-failure envs, whose rejection is a scheduled
-  //    zero-delay event.
-  invariants_.add_invariant(
-      "session-env-liveness", [this]() -> std::optional<std::string> {
-        for (const auto& s : live_sessions_) {
-          if (s->done || s->env == nullptr) continue;
-          const EnvRecord& rec = s->env->rec;
-          if (rec.live() || rec.failed) continue;
-          if (server_->monitor().crash_pending(rec.id)) continue;
-          return "request " + std::to_string(s->request.sequence) +
-                 " bound to dead env " + std::to_string(rec.id);
-        }
-        return std::nullopt;
-      });
-  // 2. The AID→CID affinity map only references live containers.
-  invariants_.add_invariant(
-      "affinity-live", [this]() -> std::optional<std::string> {
-        std::optional<std::string> violation;
-        server_->warehouse().for_each_entry([&](const CacheEntry& entry) {
-          if (violation.has_value()) return;
-          for (const EnvId env_id : entry.containers) {
-            const EnvRecord* record = env_table_.find(env_id);
-            if (record == nullptr || !record->live()) {
-              violation = entry.reference + " maps to dead env " +
-                          std::to_string(env_id);
-              return;
-            }
-          }
-        });
-        return violation;
-      });
-  // 3. The shared tmpfs holds exactly the live offload files.
-  invariants_.add_invariant(
-      "tmpfs-accounting", [this]() -> std::optional<std::string> {
-        const auto& shared = server_->shared_layer();
-        if (shared.offload_io().used_bytes() == shared.staged_bytes()) {
-          return std::nullopt;
-        }
-        return "tmpfs holds " +
-               std::to_string(shared.offload_io().used_bytes()) +
-               " bytes, ledger says " +
-               std::to_string(shared.staged_bytes());
-      });
-  // 4. "Burn after reading" actually frees: one file per staged request.
-  invariants_.add_invariant(
-      "burn-after-reading", [this]() -> std::optional<std::string> {
-        const auto& shared = server_->shared_layer();
-        if (shared.offload_io().file_count() == shared.staged_count()) {
-          return std::nullopt;
-        }
-        return std::to_string(shared.offload_io().file_count()) +
-               " files for " + std::to_string(shared.staged_count()) +
-               " staged requests";
-      });
-  // 5. Monitor job slots match the sessions actually computing.
-  invariants_.add_invariant(
-      "monitor-jobs", [this]() -> std::optional<std::string> {
-        std::uint32_t computing = 0;
-        for (const auto& s : live_sessions_) {
-          if (!s->done && s->computing) ++computing;
-        }
-        if (computing == server_->monitor().running_jobs()) {
-          return std::nullopt;
-        }
-        return "monitor reports " +
-               std::to_string(server_->monitor().running_jobs()) +
-               " jobs, " + std::to_string(computing) +
-               " sessions computing";
-      });
-  // 6. Every environment's inflight pin count equals its bound sessions.
-  invariants_.add_invariant(
-      "inflight-consistency", [this]() -> std::optional<std::string> {
-        for (const auto& env : envs_) {
-          std::uint32_t bound = 0;
-          for (const auto& s : live_sessions_) {
-            if (!s->done && s->env == env.get()) ++bound;
-          }
-          if (bound != env->rec.inflight) {
-            return "env " + std::to_string(env->id()) + " pins " +
-                   std::to_string(env->rec.inflight) + " sessions, " +
-                   std::to_string(bound) + " bound";
-          }
-        }
-        return std::nullopt;
-      });
-  // 7. A live, ready container-backed environment has a booted CAC
-  //    underneath.
-  invariants_.add_invariant(
-      "db-consistency", [this]() -> std::optional<std::string> {
-        for (const EnvId id : env_table_.live_ids()) {
-          const Env& env = env_of(id);
-          if (env.rec.ready() && !env.is_vm() &&
-              (env.cac == nullptr || !env.cac->booted())) {
-            return "env " + std::to_string(id) +
-                   " serving without a booted container";
-          }
-        }
-        return std::nullopt;
-      });
-  // 12. Lifecycle-state conservation: no illegal transition was ever
-  //     attempted and the per-state counts equal a recount of the
-  //     environment table (docs/ELASTIC.md).
-  invariants_.add_invariant(
-      "lifecycle-state",
-      [this]() -> std::optional<std::string> { return env_table_.check(); });
-  // 13. The elastic memory budget is a hard ceiling on the warm pool:
-  //     committed pool memory (booting + warm) never exceeds it.
-  invariants_.add_invariant(
-      "elastic-memory-budget", [this]() -> std::optional<std::string> {
-        if (pool_controller_ == nullptr) return std::nullopt;
-        const std::uint64_t budget =
-            pool_controller_->config().memory_budget_bytes;
-        if (budget == 0) return std::nullopt;
-        std::uint64_t committed = 0;
-        for (const EnvId id : env_table_.pool()) {
-          committed += env_table_.find(id)->memory_bytes;
-        }
-        if (committed <= budget) return std::nullopt;
-        return "warm pool commits " + std::to_string(committed) +
-               " bytes, budget is " + std::to_string(budget);
-      });
-  // 14. A blocked tenant consumes zero container time after block onset:
-  //     the on_block sweep leaves no live session of a tenant inside its
-  //     block window (docs/RAC.md).
-  invariants_.add_invariant(
-      "rac-blocked-isolation", [this]() -> std::optional<std::string> {
-        const sim::SimTime now = server_->simulator().now();
-        for (const auto& s : live_sessions_) {
-          if (s->done) continue;
-          if (server_->access().blocked_at(s->tenant, now)) {
-            return "request " + std::to_string(s->request.sequence) +
-                   " of blocked tenant " + s->tenant + " still live";
-          }
-        }
-        return std::nullopt;
-      });
-  if (admission_ == nullptr) return;
-  // 8. The class queues never exceed their capacity, and the scheduler's
-  //    depth matches the sessions the platform is tracking as queued.
-  invariants_.add_invariant(
-      "admission-queue-bound", [this]() -> std::optional<std::string> {
-        std::uint32_t queued = 0;
-        for (const auto& [sequence, s] : queued_sessions_) {
-          (void)sequence;
-          if (!s->done && s->queued) ++queued;
-        }
-        if (queued != admission_->queue_depth()) {
-          return "scheduler holds " +
-                 std::to_string(admission_->queue_depth()) +
-                 " queued, platform tracks " + std::to_string(queued);
-        }
-        const qos::QosScheduler& scheduler = admission_->scheduler();
-        for (const qos::PriorityClass klass : qos::kAllClasses) {
-          if (scheduler.depth(klass) > scheduler.capacity(klass)) {
-            return std::string(qos::to_string(klass)) + " lane holds " +
-                   std::to_string(scheduler.depth(klass)) +
-                   " sessions, capacity " +
-                   std::to_string(scheduler.capacity(klass));
-          }
-        }
-        return std::nullopt;
-      });
-  // 9. In-service accounting: the controller's slots equal the admitted
-  //    live sessions, and never exceed the configured ceiling.
-  invariants_.add_invariant(
-      "admission-in-service", [this]() -> std::optional<std::string> {
-        std::uint32_t admitted = 0;
-        for (const auto& s : live_sessions_) {
-          if (!s->done && s->admitted) ++admitted;
-        }
-        if (admitted != admission_->in_service()) {
-          return "controller ledger says " +
-                 std::to_string(admission_->in_service()) +
-                 " in service, " + std::to_string(admitted) +
-                 " sessions hold slots";
-        }
-        if (admitted > admission_->max_in_service()) {
-          return std::to_string(admitted) +
-                 " in-service sessions exceed the limit of " +
-                 std::to_string(admission_->max_in_service());
-        }
-        return std::nullopt;
-      });
-  // 10. DRR bookkeeping conserves quanta: per tenant per lane,
-  //     granted == served + live deficit + forfeited (docs/QOS.md).
-  invariants_.add_invariant(
-      "qos-drr-conservation", [this]() -> std::optional<std::string> {
-        return admission_->scheduler().check_conservation();
-      });
-  // 11. Anti-starvation promotion is bounded: a run of lower-class pops
-  //     while a higher lane waits never exceeds the configured burst.
-  invariants_.add_invariant(
-      "qos-priority-burst", [this]() -> std::optional<std::string> {
-        const qos::QosScheduler& scheduler = admission_->scheduler();
-        const std::uint32_t burst =
-            std::max(1u, scheduler.config().starvation_burst);
-        if (scheduler.max_lower_run() <= burst) return std::nullopt;
-        return "lower-class run of " +
-               std::to_string(scheduler.max_lower_run()) +
-               " exceeds the starvation burst of " + std::to_string(burst);
-      });
 }
 
 // ---------------------------------------------------------------------

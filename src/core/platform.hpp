@@ -118,8 +118,10 @@ struct PlatformConfig {
   /// programmatically or with sim::FaultPlan::parse("net.drop:p=0.05;…").
   sim::FaultPlan fault_plan;
 
-  /// Evaluate the cross-component invariants after every simulator event
-  /// (active only while a fault plan is installed).
+  /// Arms the invariant oracle: the cross-component invariants are
+  /// checked after every simulator event when a fault plan is installed
+  /// or force_invariants is set (docs/FAULTS.md).  false disarms it in
+  /// both cases.
   bool check_invariants = true;
 
   /// Crash recovery: the Monitor's health sweep detects a dead
@@ -170,10 +172,9 @@ struct PlatformConfig {
   /// annotated on session spans as "placement").  -1 = standalone.
   std::int32_t shard_index = -1;
 
-  /// Run the invariant harness even without a fault plan (the load-gen
-  /// property battery).  Expensive: the checks are O(live sessions ×
-  /// environments) after every event, so keep this off at 10^4+ session
-  /// scale.
+  /// Run the invariant oracle even without a fault plan (the property
+  /// batteries, experiments).  Each check costs what its event touched,
+  /// so this is affordable at any scale (docs/FAULTS.md).
   bool force_invariants = false;
 };
 
@@ -218,6 +219,7 @@ struct SessionConfig {
 };
 
 class Platform;
+class InvariantOracle;
 
 /// Move-only handle for one client's request stream on a Platform.
 /// Obtained from Platform::open_session(); submit() schedules requests
@@ -345,8 +347,8 @@ class Platform {
     return faults_.get();
   }
 
-  /// The cross-component invariant harness (populated when a fault plan
-  /// is installed; checks run after every simulator event).
+  /// The record of the invariant oracle's checks (one per simulator event
+  /// while the oracle is armed: a fault plan, or force_invariants).
   [[nodiscard]] const InvariantChecker& invariants() const {
     return invariants_;
   }
@@ -415,8 +417,10 @@ class Platform {
 
  private:
   friend class Session;
-  /// Defined only by tests that force an illegal table transition, so
-  /// no caller can add a table record without a matching Env.
+  friend class InvariantOracle;
+  /// Defined only by tests (forced illegal transitions, planted invariant
+  /// violations, the oracle's per-event full sweep), so no caller can add
+  /// a table record without a matching Env.
   friend struct PlatformTestPeer;
 
   struct Env;
@@ -491,7 +495,9 @@ class Platform {
   /// Returns the RAC, queue and in-service slots a finished session held.
   void release_slots(SessionState& s);
   void unbind_session(SessionState& s);
-  void register_invariants();
+  /// Touch point: tells the invariant oracle, when armed, that a
+  /// handler changed `s` (docs/FAULTS.md).
+  void touched(const SessionState& s);
 
   // Admission control.
   void maybe_start_queued();
@@ -535,6 +541,9 @@ class Platform {
   /// env_table_.  Never pruned: continuations hold Env references.
   EnvTable env_table_;
   std::vector<std::unique_ptr<Env>> envs_;
+  /// Armed with a fault plan or force_invariants; destroyed before the
+  /// table and warehouse it attaches its touch list to.
+  std::unique_ptr<InvariantOracle> oracle_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
   std::map<std::string, android::MobileApp> apps_;  ///< by app id
   std::vector<device::MobileDevice> devices_;

@@ -99,6 +99,7 @@ void AppWarehouse::record_execution(std::string_view reference, EnvId env) {
   CacheEntry* entry = lookup_slot(reference);
   if (entry == nullptr) return;
   entry->containers.insert(env);
+  if (touches_ != nullptr) touches_->push_back(env);
   entry->last_use_seq = ++seq_;
 }
 
@@ -116,6 +117,7 @@ void AppWarehouse::forget_env(EnvId env) {
   for (Slot& slot : slots_) {
     if (slot.live) slot.entry.containers.erase(env);
   }
+  if (touches_ != nullptr) touches_->push_back(env);
 }
 
 const CacheEntry* AppWarehouse::find(std::string_view reference) const {

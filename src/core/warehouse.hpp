@@ -93,6 +93,10 @@ class AppWarehouse {
   /// warehouse.stored_bytes tracks the cache footprint. nullptr detaches.
   void set_metrics(obs::MetricsRegistry* metrics);
 
+  /// Attaches the invariant oracle's touch list: environments gaining or
+  /// losing affinity mappings are appended to it.  nullptr detaches.
+  void set_touches(std::vector<EnvId>* touches) { touches_ = touches; }
+
   /// Visits every live cache entry (deterministic slot order), for
   /// cross-component invariant checks — AID→CID mappings must only
   /// reference live containers.  Entries carry their own `reference`.
@@ -129,6 +133,7 @@ class AppWarehouse {
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;
   obs::Gauge* metric_stored_bytes_ = nullptr;
+  std::vector<EnvId>* touches_ = nullptr;
 };
 
 }  // namespace rattrap::core

@@ -11,18 +11,10 @@
 #include <vector>
 
 #include "core/platform.hpp"
+#include "platform_test_peer.hpp"
 #include "workloads/generator.hpp"
 
 namespace rattrap::core {
-
-/// Reaches the platform's table to force a transition the engine never
-/// makes.
-struct PlatformTestPeer {
-  static EnvTable& env_table(Platform& platform) {
-    return platform.env_table_;
-  }
-};
-
 namespace {
 
 using sim::kSecond;
@@ -230,11 +222,15 @@ TEST(EnvTable, PoolClaimTakesTheLowestId) {
   table.add_to_pool(3);
   table.add_to_pool(1);
   table.add_to_pool(2);
+  EXPECT_EQ(table.pool_bytes(), 300u);
   EXPECT_EQ(table.claim_pool(), std::optional<EnvId>(1));
   EXPECT_FALSE(table.pooled(1));
+  EXPECT_EQ(table.pool_bytes(), 200u);
   EXPECT_EQ(table.claim_pool(), std::optional<EnvId>(2));
   EXPECT_EQ(table.claim_pool(), std::optional<EnvId>(3));
   EXPECT_EQ(table.claim_pool(), std::nullopt);
+  EXPECT_EQ(table.pool_bytes(), 0u);
+  EXPECT_EQ(table.check(), std::nullopt);
 }
 
 TEST(EnvTable, DrainAndReclaimLeaveThePool) {
@@ -247,6 +243,8 @@ TEST(EnvTable, DrainAndReclaimLeaveThePool) {
   table.add_to_pool(2);  // draining capacity is never claimable again
   table.add_to_pool(3);
   EXPECT_EQ(table.pool(), (std::set<EnvId>{1}));
+  EXPECT_EQ(table.pool_bytes(), 100u);
+  EXPECT_EQ(table.check(), std::nullopt);
 }
 
 TEST(EnvTable, MetricsTrackAddsRetirementsAndFirstTouch) {

@@ -220,6 +220,24 @@ seed = 1|2|3|4|5|6|7|8|9|10
 expect.accounting = identity
 expect.min.faults_fired = 1
 expect.max.invariant_violations = 0
+
+# 10^5 sessions through network drops and container crashes, recovered
+# by re-dispatch onto a predictive warm pool, with the invariant oracle
+# checking every event.  Wall time stays linear only while the checks
+# cost what each event touched, not the size of the platform.
+[fault-storm-scale]
+scenario = fault-storm
+quick = false
+arrival = poisson
+rate = 20
+devices = 1000
+requests = 100000
+faults = net.drop:p=0.02;container.crash:p=0.01
+crash_recovery = on
+elastic = predictive
+seed = 1
+expect.accounting = identity
+expect.max.invariant_violations = 0
 )";
 
 void usage() {

@@ -465,16 +465,14 @@ RunResult execute_run(const RunSpec& spec) {
   }
 
   // -- Invariants --------------------------------------------------------
-  // auto: force the post-event harness at CI scale, skip it for big runs
-  // (the checks are O(live sessions × envs) per event).
-  platform_config.force_invariants = loadgen.requests <= 2000;
+  // auto (= on): the incremental oracle checks every event at any scale;
+  // off disarms it, fault plans included.
+  platform_config.force_invariants = true;
   if (const std::string* v = get("invariants")) {
-    if (*v == "force" || *v == "on") {
-      platform_config.force_invariants = true;
-    } else if (*v == "off") {
+    if (*v == "off") {
       platform_config.force_invariants = false;
       platform_config.check_invariants = false;
-    } else if (*v != "auto") {
+    } else if (*v != "auto" && *v != "on" && *v != "force") {
       return fail("invariants must be auto|on|off");
     }
   }
