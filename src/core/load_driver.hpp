@@ -206,6 +206,11 @@ LoadSummary run_load(Platform& platform, const LoadDriverConfig& config);
 LoadSummary run_load_transport(SessionTransport& transport,
                                const LoadDriverConfig& config);
 
+/// The request-accounting identity: every offered request completed or
+/// was rejected, in total, per priority class and per tenant, and the
+/// class and tenant slices each add up to the total.
+[[nodiscard]] bool accounting_identity(const LoadSummary& summary);
+
 /// Reduces an outcome vector to a LoadSummary (exposed for tests).
 [[nodiscard]] LoadSummary summarize_load(
     const std::vector<RequestOutcome>& outcomes);

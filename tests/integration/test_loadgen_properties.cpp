@@ -285,6 +285,32 @@ TEST(LoadGenProperties, RejectedPlusCompletedEqualsOfferedUnderPressure) {
       << platform.invariants().report();
 }
 
+TEST(LoadGenProperties, AccountingIdentityChecksEveryTenant) {
+  // Balanced in total and per class, so only the per-tenant check can
+  // see the gap: tenant "b" lost one rejected request to tenant "a".
+  LoadSummary summary;
+  summary.offered = 4;
+  summary.completed = 2;
+  summary.rejected = 2;
+  ClassLoadStats& standard = summary.by_class[qos::class_index(
+      qos::PriorityClass::kStandard)];
+  standard.offered = 4;
+  standard.completed = 2;
+  standard.rejected = 2;
+  summary.by_tenant["a"] = TenantLoadStats{2, 1, 1};
+  summary.by_tenant["b"] = TenantLoadStats{2, 1, 1};
+  EXPECT_TRUE(accounting_identity(summary));
+
+  summary.by_tenant["a"].rejected = 2;
+  summary.by_tenant["b"].rejected = 0;
+  EXPECT_FALSE(accounting_identity(summary));
+
+  // Balanced slices that do not add up to the total are a gap too.
+  summary.by_tenant["a"] = TenantLoadStats{1, 0, 1};
+  summary.by_tenant["b"] = TenantLoadStats{2, 1, 1};
+  EXPECT_FALSE(accounting_identity(summary));
+}
+
 TEST(LoadGenProperties, GoldenDeterminismMetricsAndTrace) {
   const auto run_once = [](std::uint64_t seed) {
     PlatformConfig config = make_config(PlatformKind::kRattrap);

@@ -8,6 +8,8 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace rattrap::clitest {
@@ -35,6 +37,14 @@ inline CommandResult run_command(const std::string& command) {
   const int status = pclose(pipe);
   if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+/// The whole file at `path` ("" when unreadable).
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 /// The value after `key=` on the first matching line, or "".

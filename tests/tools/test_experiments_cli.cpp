@@ -23,13 +23,6 @@ std::string write_manifest(const std::string& name,
   return path;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 // Two tiny experiments (3 runs total) so the sweep finishes in well
 // under a second while still exercising a grid axis and a handoff.
 const char* kMiniManifest =
@@ -235,6 +228,57 @@ TEST(ExperimentsCli, UnknownCriterionMetricFails) {
       run_command(kBin + " --manifest " + path + " --quick --out " +
                   ::testing::TempDir() + "badcrit-out");
   EXPECT_NE(result.exit_code, 0);
+}
+
+TEST(ExperimentsCli, TraceKeysAreParsedAndCheckedEvenWhenUnused) {
+  // Every present key is parsed, and the trace-source keys obey two
+  // cross-key rules: they need arrival = trace, and trace_file excludes
+  // the synthetic trace_* keys.  Each of these sections used to pass.
+  const std::string trace = ::testing::TempDir() + "tiny-trace.csv";
+  std::ofstream(trace) << "user,timestamp_us\n1,0\n2,500000\n1,900000\n";
+  const std::string common =
+      "quick = true\ndevices = 4\nrequests = 20\nseed = 1\n"
+      "expect.accounting = identity\n";
+  const struct {
+    const char* name;
+    std::string body;
+    const char* key;
+  } cases[] = {
+      {"unused-trace",
+       "arrival = poisson\ntrace_file = /nonexistent/trace.csv\n"
+       "trace_users = abc\n",
+       "trace_users"},
+      {"poisson-trace-file",
+       "arrival = poisson\ntrace_file = /nonexistent/trace.csv\n",
+       "trace_file"},
+      {"file-with-bad-synthetic",
+       "arrival = trace\ntrace_file = " + trace + "\ntrace_days = abc\n",
+       "trace_days"},
+      {"file-with-synthetic",
+       "arrival = trace\ntrace_file = " + trace + "\ntrace_seed = 9\n",
+       "trace_seed"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = write_manifest(
+        std::string(c.name) + ".ini",
+        std::string("[") + c.name + "]\n" + common + c.body);
+    const CommandResult result =
+        run_command(kBin + " --manifest " + path + " --quick --out " +
+                    ::testing::TempDir() + c.name + "-out");
+    EXPECT_NE(result.exit_code, 0) << c.name << "\n" << result.output;
+    EXPECT_TRUE(result.contains(c.key)) << c.name << "\n" << result.output;
+  }
+}
+
+TEST(ExperimentsCli, BuiltinTraceSectionsPassTheTraceRules) {
+  // The two built-in trace sections are the ones the trace rules touch.
+  // Run from the source root: trace-replay-file names a repo-relative
+  // sample trace.
+  const CommandResult result = run_command(
+      std::string("cd ") + RATTRAP_SOURCE_DIR + " && " + kBin +
+      " --experiment trace-replay-day --experiment trace-replay-file"
+      " --quick --out " + ::testing::TempDir() + "builtin-trace-out");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
 }
 
 }  // namespace

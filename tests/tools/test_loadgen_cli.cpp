@@ -4,6 +4,9 @@
 // across invocations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "cli_test_util.hpp"
@@ -12,6 +15,22 @@ namespace rattrap::clitest {
 namespace {
 
 const std::string kBin = RATTRAP_LOADGEN_BIN;
+
+/// The literal after `"key": ` in a run.json, or "".
+std::string json_value(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return "";
+  const std::size_t start = at + needle.size();
+  return json.substr(start, json.find_first_of(",\n", start) - start);
+}
+
+/// The value of `key=` inside the first output line holding it, cut at
+/// the next space.
+std::string field(const std::string& output, const std::string& key) {
+  const std::string value = extract_value(output, key);
+  return value.substr(0, value.find(' '));
+}
 
 TEST(LoadgenCli, UnknownFlagExitsWithUsage) {
   const CommandResult result = run_command(kBin + " --bogus-flag");
@@ -114,6 +133,89 @@ TEST(LoadgenCli, SmallRunSucceedsAndIsDeterministic) {
   ASSERT_EQ(second.exit_code, 0);
   EXPECT_EQ(extract_value(second.output, "metrics_fingerprint"),
             fingerprint);
+}
+
+TEST(LoadgenCli, CrashRecoveryOffTripsTheInvariantOracle) {
+  // The oracle is armed by default: sessions stranded on crashed
+  // environments must turn into a violation count and exit 1.
+  const std::string common =
+      " --faults container.crash:p=0.2 --devices 6 --requests 40"
+      " --rate 0.5 --seed 1";
+  const CommandResult off =
+      run_command(kBin + common + " --crash-recovery off");
+  EXPECT_EQ(off.exit_code, 1) << off.output;
+  EXPECT_NE(extract_value(off.output, "invariant_violations"), "0")
+      << off.output;
+  EXPECT_TRUE(off.contains("first_violation=session-env-liveness"))
+      << off.output;
+
+  const CommandResult on = run_command(kBin + common);
+  EXPECT_EQ(on.exit_code, 0) << on.output;
+  EXPECT_EQ(extract_value(on.output, "invariant_violations"), "0")
+      << on.output;
+  EXPECT_FALSE(on.contains("first_violation")) << on.output;
+}
+
+TEST(LoadgenCli, FlagsAndManifestSectionRunTheSameConfig) {
+  // One key set through both front ends of the run-config table.
+  const std::string flags =
+      " --faults net.drop:p=0.02 --faults container.crash:p=0.01"
+      " --elastic predictive --qos"
+      " --mix victim:interactive:2:0.6 --mix prober:standard:1:0.4:probe"
+      " --devices 20 --requests 200 --rate 20 --seed 3";
+  const CommandResult loadgen = run_command(kBin + flags);
+  ASSERT_EQ(loadgen.exit_code, 0) << loadgen.output;
+
+  const std::string manifest = ::testing::TempDir() + "twin.ini";
+  std::ofstream(manifest)
+      << "[twin]\n"
+         "faults = net.drop:p=0.02;container.crash:p=0.01\n"
+         "elastic = predictive\n"
+         "qos = on\n"
+         "mix = victim:interactive:2:0.6;prober:standard:1:0.4:probe\n"
+         "devices = 20\n"
+         "requests = 200\n"
+         "rate = 20\n"
+         "seed = 3\n";
+  const std::string out = ::testing::TempDir() + "twin-out";
+  const CommandResult experiments =
+      run_command(std::string(RATTRAP_EXPERIMENTS_BIN) + " --manifest " +
+                  manifest + " --out " + out);
+  ASSERT_EQ(experiments.exit_code, 0) << experiments.output;
+  const std::string run = read_file(out + "/twin/base/run.json");
+  ASSERT_FALSE(json_value(run, "offered").empty()) << run;
+
+  EXPECT_EQ(field(loadgen.output, "requests"), json_value(run, "offered"));
+  EXPECT_EQ(field(loadgen.output, "completed"),
+            json_value(run, "completed"));
+  EXPECT_EQ(field(loadgen.output, "rejected"), json_value(run, "rejected"));
+  EXPECT_EQ(field(loadgen.output, "invariant_violations"),
+            json_value(run, "invariant_violations"));
+  char p99[32];
+  std::snprintf(p99, sizeof(p99), "%.1f",
+                std::stod(json_value(run, "p99_ms")));
+  EXPECT_EQ(field(loadgen.output, "p99"), p99);
+  EXPECT_NE(json_value(run, "faults_fired"), "0") << run;
+}
+
+TEST(LoadgenCli, EveryHelpKeyIsInTheExperimentsKeyReference) {
+  const CommandResult help = run_command(kBin + " --help");
+  ASSERT_EQ(help.exit_code, 0);
+  const std::string reference =
+      read_file(std::string(RATTRAP_SOURCE_DIR) + "/EXPERIMENTS.md");
+  ASSERT_FALSE(reference.empty());
+  std::istringstream lines(help.output);
+  std::size_t keys = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    std::string key = line.substr(4, line.find(' ', 4) - 4);
+    if (key == "transport" || key == "json" || key == "help") continue;
+    for (char& c : key) c = c == '-' ? '_' : c;
+    ++keys;
+    EXPECT_NE(reference.find("`" + key + "`"), std::string::npos)
+        << key << " is missing from EXPERIMENTS.md";
+  }
+  EXPECT_EQ(keys, 49u) << help.output;
 }
 
 }  // namespace

@@ -819,7 +819,7 @@ int main(int argc, char** argv) {
   summary_json += all_pass ? "true" : "false";
   summary_json += "\n}\n";
 
-  const std::uint64_t print = fingerprint64(summary_json);
+  const std::uint64_t print = cli::fingerprint64(summary_json);
   summary_md += all_pass ? "\nAll experiments passed.\n"
                          : "\nSome experiments FAILED.\n";
   if (!obs::write_text_file(options.out + "/summary.json", summary_json) ||

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "../cli_util.hpp"
+
 namespace rattrap::experiments {
 
 namespace {
@@ -22,21 +24,11 @@ bool is_meta_key(std::string_view key) {
   return key.rfind("expect.", 0) == 0 || key.rfind("full.", 0) == 0;
 }
 
-/// Splits a value on '|' into trimmed grid elements; empty elements are
-/// a parse error (reported by the caller via the empty-string sentinel).
-std::vector<std::string> split_grid(std::string_view value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= value.size(); ++i) {
-    if (i == value.size() || value[i] == '|') {
-      out.emplace_back(trim(value.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 }  // namespace
+
+bool is_sweep_key(std::string_view key) {
+  return key == "scenario" || key == "quick";
+}
 
 const std::vector<std::string>* Experiment::find(std::string_view key) const {
   for (const auto& [k, values] : keys) {
@@ -99,9 +91,13 @@ std::optional<Manifest> parse_manifest(std::string_view text,
     if (current->find(key) != nullptr) {
       return fail("duplicate key '" + key + "' in [" + current->name + "]");
     }
-    std::vector<std::string> values = split_grid(value);
-    for (const std::string& v : values) {
-      if (v.empty()) return fail("empty grid element in '" + key + "'");
+    // '|' separates grid-axis values; an empty element is an error.
+    std::vector<std::string> values;
+    for (const std::string& v : cli::split(value, '|')) {
+      values.emplace_back(trim(v));
+      if (values.back().empty()) {
+        return fail("empty grid element in '" + key + "'");
+      }
     }
     if (is_meta_key(key) && values.size() > 1) {
       return fail("'" + key + "' cannot be a grid axis");

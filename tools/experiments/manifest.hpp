@@ -45,6 +45,10 @@ struct Experiment {
   [[nodiscard]] bool flag(std::string_view key, bool fallback) const;
 };
 
+/// `scenario` and `quick` shape the sweep, not the run; every other
+/// non-expect key is a run-config key (run_config.hpp).
+[[nodiscard]] bool is_sweep_key(std::string_view key);
+
 struct Manifest {
   std::vector<Experiment> experiments;
 

@@ -1,5 +1,6 @@
 // Scenario executor: maps one resolved RunSpec onto a PlatformConfig +
-// LoadDriverConfig, runs the load to completion, and reduces the result
+// LoadDriverConfig through the run-config key table (run_config.hpp),
+// runs the load to completion, and reduces the result
 // to a flat, deterministic metric map the sweep driver evaluates
 // criteria against (EXPERIMENTS.md lists every manifest key and every
 // emitted metric).
@@ -36,8 +37,5 @@ struct RunResult {
 /// keys, bad values, missing trace files) come back as !ok with a
 /// diagnostic naming the key.
 [[nodiscard]] RunResult execute_run(const RunSpec& spec);
-
-/// FNV-1a (the determinism fingerprint used across the repo's tools).
-[[nodiscard]] std::uint64_t fingerprint64(std::string_view text);
 
 }  // namespace rattrap::experiments
