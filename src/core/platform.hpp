@@ -438,6 +438,9 @@ class Platform {
   /// Start the VM / container; false when provisioning failed.
   bool provision_vm(Env& env);
   bool provision_cac(Env& env);
+  /// The CAC template of this platform's OS profile, built (and its
+  /// lower layers pinned) on first use.
+  const CacTemplate& cac_template();
   void env_ready(Env& env);
   void schedule_reclaim(Env& env);
   /// Stops an environment for good — shutdown, or a crash when `crashed`.
@@ -551,6 +554,9 @@ class Platform {
   std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
   std::unique_ptr<elastic::PoolController> pool_controller_;
   container::LayerStore layer_store_;
+  /// Every CAC's environment-independent inputs.  The profile is fixed by
+  /// config_, so one template serves the platform's whole lifetime.
+  std::optional<CacTemplate> cac_template_;
   std::uint32_t pool_seq_ = 0;       ///< names pool:<n> environments
   bool elastic_tick_armed_ = false;
   // elastic.* instruments touched on the session path, created on first

@@ -19,6 +19,10 @@ struct PlatformTestPeer {
   static Platform::Env& env(Platform& platform, EnvId id) {
     return platform.env_of(id);
   }
+  /// The platform's CAC template, built on first use.
+  static const CacTemplate& cac_template(Platform& platform) {
+    return platform.cac_template();
+  }
   /// Boots one warm-pool environment, ignoring the memory budget.
   static void prewarm(Platform& platform) { platform.prewarm_env(); }
 
