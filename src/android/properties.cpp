@@ -2,12 +2,18 @@
 
 namespace rattrap::android {
 
-bool PropertyStore::set(std::string_view name, std::string value) {
+const std::string* PropertyStore::find(std::string_view name) const {
   const auto it = values_.find(name);
-  if (it != values_.end() && name.rfind("ro.", 0) == 0 &&
-      it->second != value) {
+  if (it != values_.end()) return &it->second;
+  return base_ != nullptr ? base_->find(name) : nullptr;
+}
+
+bool PropertyStore::set(std::string_view name, std::string value) {
+  const std::string* current = find(name);
+  if (current != nullptr && name.rfind("ro.", 0) == 0 && *current != value) {
     return false;  // read-only property already holds a different value
   }
+  const auto it = values_.find(name);
   std::string key(name);
   if (it != values_.end()) {
     it->second = value;
@@ -27,9 +33,19 @@ bool PropertyStore::set(std::string_view name, std::string value) {
 }
 
 std::optional<std::string> PropertyStore::get(std::string_view name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
+  const std::string* value = find(name);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+std::size_t PropertyStore::size() const {
+  if (base_ == nullptr) return values_.size();
+  std::size_t n = base_->size();
+  for (const auto& [name, value] : values_) {
+    (void)value;
+    if (base_->find(name) == nullptr) ++n;
+  }
+  return n;
 }
 
 std::string PropertyStore::get_or(std::string_view name,
@@ -46,22 +62,31 @@ void PropertyStore::watch(
 
 std::vector<std::pair<std::string, std::string>> PropertyStore::by_prefix(
     std::string_view prefix) const {
-  std::vector<std::pair<std::string, std::string>> out;
+  std::map<std::string, std::string, std::less<>> merged;
+  if (base_ != nullptr) {
+    for (auto& [name, value] : base_->by_prefix(prefix)) {
+      merged.emplace(std::move(name), std::move(value));
+    }
+  }
   for (auto it = values_.lower_bound(prefix); it != values_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.emplace_back(it->first, it->second);
+    merged.insert_or_assign(it->first, it->second);
   }
-  return out;
+  return {merged.begin(), merged.end()};
 }
 
 void populate_cac_properties(PropertyStore& store,
                              const std::string& container_name,
                              bool customized_os) {
+  populate_build_properties(store, customized_os);
+  store.set("ro.serialno", container_name);
+}
+
+void populate_build_properties(PropertyStore& store, bool customized_os) {
   store.set("ro.build.version.release", "4.4.2");
   store.set("ro.build.version.sdk", "19");
   store.set("ro.product.device", "cac");
   store.set("ro.hardware", "cloud-container");
-  store.set("ro.serialno", container_name);
   store.set("ro.rattrap.customized", customized_os ? "1" : "0");
   if (customized_os) {
     // Markers the stub services publish so framework code that probes for

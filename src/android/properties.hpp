@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -20,6 +21,14 @@ namespace rattrap::android {
 
 class PropertyStore {
  public:
+  PropertyStore() = default;
+  /// An empty store over a shared read-only `base` — the build
+  /// properties every container of one OS image boots with.  Reads fall
+  /// through to the base; sets land here and shadow it (`ro.` entries of
+  /// the base stay write-once).
+  explicit PropertyStore(std::shared_ptr<const PropertyStore> base)
+      : base_(std::move(base)) {}
+
   /// Sets a property. Returns false when rewriting a read-only (`ro.`)
   /// property with a different value, as the real property service does.
   bool set(std::string_view name, std::string value);
@@ -37,13 +46,17 @@ class PropertyStore {
                                 const std::string& value)>
                  callback);
 
-  [[nodiscard]] std::size_t size() const { return values_.size(); }
+  [[nodiscard]] std::size_t size() const;
 
   /// Properties under a prefix (e.g. "ro.product."), sorted by name.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> by_prefix(
       std::string_view prefix) const;
 
  private:
+  /// The value of `name`, here or in the base; nullptr when unset.
+  [[nodiscard]] const std::string* find(std::string_view name) const;
+
+  std::shared_ptr<const PropertyStore> base_;
   std::map<std::string, std::string, std::less<>> values_;
   std::multimap<std::string,
                 std::function<void(const std::string&, const std::string&)>>
@@ -55,5 +68,9 @@ class PropertyStore {
 void populate_cac_properties(PropertyStore& store,
                              const std::string& container_name,
                              bool customized_os);
+
+/// Everything populate_cac_properties() sets except the per-container
+/// ro.serialno: the part every container of one OS image shares.
+void populate_build_properties(PropertyStore& store, bool customized_os);
 
 }  // namespace rattrap::android

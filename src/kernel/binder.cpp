@@ -1,8 +1,15 @@
 #include "kernel/binder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rattrap::kernel {
+
+SharedServiceTable make_service_table(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return std::make_shared<const std::vector<std::string>>(std::move(names));
+}
 
 BinderDriver::Context& BinderDriver::context(DevNsId ns) {
   auto [it, inserted] = contexts_.try_emplace(ns);
@@ -74,13 +81,28 @@ bool BinderDriver::register_service(DevNsId ns,
   return true;
 }
 
+bool BinderDriver::register_services(DevNsId ns, SharedServiceTable table,
+                                     BinderHandle provider) {
+  Context& ctx = context(ns);
+  const auto it = ctx.endpoints.find(provider);
+  if (it == ctx.endpoints.end() || !it->second) return false;
+  ctx.shared_services = std::move(table);
+  ctx.shared_provider = provider;
+  return true;
+}
+
 std::optional<BinderHandle> BinderDriver::lookup_service(
     DevNsId ns, const std::string& service_name) const {
   const Context* ctx = find_context(ns);
   if (ctx == nullptr) return std::nullopt;
   const auto it = ctx->services.find(service_name);
-  if (it == ctx->services.end()) return std::nullopt;
-  return it->second;
+  if (it != ctx->services.end()) return it->second;
+  if (ctx->shared_services != nullptr &&
+      std::binary_search(ctx->shared_services->begin(),
+                         ctx->shared_services->end(), service_name)) {
+    return ctx->shared_provider;
+  }
+  return std::nullopt;
 }
 
 sim::SimDuration BinderDriver::transaction_cost(std::uint64_t payload_bytes) {
@@ -184,6 +206,13 @@ std::vector<std::string> BinderDriver::service_names(DevNsId ns) const {
   for (const auto& [name, provider] : ctx->services) {
     (void)provider;
     names.push_back(name);
+  }
+  if (ctx->shared_services != nullptr) {
+    const std::size_t own = names.size();
+    names.insert(names.end(), ctx->shared_services->begin(),
+                 ctx->shared_services->end());
+    std::inplace_merge(names.begin(), names.begin() + own, names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
   }
   return names;
 }

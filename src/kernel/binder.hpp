@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,14 @@ namespace rattrap::kernel {
 /// Handle to a binder endpoint within one namespace (0 = service manager).
 using BinderHandle = std::uint32_t;
 inline constexpr BinderHandle kServiceManagerHandle = 0;
+
+/// Service names (sorted, unique) that many namespaces register alike —
+/// an OS image's boot service set — held once and shared read-only.
+using SharedServiceTable = std::shared_ptr<const std::vector<std::string>>;
+
+/// Builds a shared table from `names` (sorted and deduplicated here).
+[[nodiscard]] SharedServiceTable make_service_table(
+    std::vector<std::string> names);
 
 struct BinderStats {
   std::uint64_t transactions = 0;
@@ -57,6 +66,13 @@ class BinderDriver final : public Device {
   /// service manager. Returns false when the provider is dead.
   bool register_service(DevNsId ns, const std::string& service_name,
                         BinderHandle provider);
+
+  /// Registers every name in `table` under `provider` by sharing the
+  /// table, not copying it; register_service() entries shadow it.
+  /// Replaces an earlier shared table.  Returns false when the provider
+  /// is dead.
+  bool register_services(DevNsId ns, SharedServiceTable table,
+                         BinderHandle provider);
 
   /// Service-manager lookup: resolves a name to the provider endpoint.
   [[nodiscard]] std::optional<BinderHandle> lookup_service(
@@ -118,6 +134,8 @@ class BinderDriver final : public Device {
     BinderHandle next_handle = 1;  // 0 reserved for the service manager
     std::map<BinderHandle, bool> endpoints;  // handle -> alive
     std::map<std::string, BinderHandle> services;
+    SharedServiceTable shared_services;  ///< all under shared_provider
+    BinderHandle shared_provider = 0;
     std::map<BinderHandle, std::vector<std::function<void()>>> death_links;
     std::map<BinderHandle, std::uint64_t> async_queued;  ///< bytes
     BinderStats stats;
