@@ -222,6 +222,55 @@ TEST(RacBattery, BlockingIsMonotoneInViolationThreshold) {
   EXPECT_GT(previous_blocks, 0u) << "the strictest threshold never blocked";
 }
 
+TEST(RacBattery, QuotaRejectBeforeConnectSendsNoReply) {
+  // The in-flight quota turns a session away before it connects, so the
+  // typed reject reply has nowhere to go: the reject must not put a
+  // message on the downlink (an assert-enabled build would abort on the
+  // unestablished connection).
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.seed = 47;
+  config.force_invariants = true;
+  config.access.tenant_quota = 1;
+  Platform platform(std::move(config));
+  const auto messages_down = [&platform]() -> std::uint64_t {
+    const obs::Counter* down =
+        platform.metrics().find_counter("net.messages.down");
+    return down == nullptr ? 0 : down->value();
+  };
+
+  // The first request holds the tenant's only slot through its cold
+  // boot; the second arrives a second later, off any round instant.
+  const sim::SimTime second_at = sim::from_seconds(1.0) + 123;
+  std::uint64_t down_before = 0;
+  std::uint64_t down_after = 0;
+  std::size_t quota_rejects = 0;
+  platform.server().simulator().schedule_at(
+      second_at - 1, [&]() { down_before = messages_down(); });
+  platform.set_completion_observer([&](const RequestOutcome& outcome) {
+    if (outcome.reject_reason != RejectReason::kQuotaExceeded) return;
+    ++quota_rejects;
+    down_after = messages_down();
+  });
+
+  SessionConfig flooder;
+  flooder.tenant = "flooder";
+  Result<Session> session = platform.open_session(flooder);
+  ASSERT_TRUE(session.ok());
+  for (const auto& request : workloads::make_stream_from_arrivals(
+           workloads::Kind::kLinpack, {0, second_at}, 1, 1, 47)) {
+    session->submit(request);
+  }
+  const auto outcomes = session->close();
+
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].rejected);
+  ASSERT_EQ(quota_rejects, 1u);
+  EXPECT_TRUE(outcomes[1].rejected);
+  EXPECT_EQ(outcomes[1].traffic.total_down(), 0u);
+  EXPECT_EQ(down_after, down_before);
+  EXPECT_TRUE(platform.invariants().ok()) << platform.invariants().report();
+}
+
 TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
   // A tenant probes its way into a 2 s block, is denied while blocked,
   // then — after the window expires — completes honest work again.
