@@ -1,5 +1,6 @@
 #include "fs/union_fs.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "fs/path.hpp"
@@ -9,9 +10,9 @@ namespace rattrap::fs {
 UnionFs::UnionFs(std::string name,
                  std::vector<std::shared_ptr<const Layer>> lower)
     : top_(std::move(name)), lower_(std::move(lower)) {
-  for (const auto& layer : lower_) {
-    assert(layer && "null lower layer");
-  }
+  assert(std::none_of(lower_.begin(), lower_.end(),
+                      [](const auto& layer) { return layer == nullptr; }) &&
+         "null lower layer");
 }
 
 UnionHit UnionFs::lookup(std::string_view path) const {

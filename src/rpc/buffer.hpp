@@ -22,22 +22,9 @@ class ByteWriter {
 
   void u8(std::uint8_t v) { out_.push_back(v); }
 
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      out_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      out_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -56,6 +43,17 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 
  private:
+  /// Grows the vector once per field, not once per byte: result
+  /// chunks are written a few hundred fields per outcome.
+  template <typename T>
+  void put(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof v);
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 

@@ -12,7 +12,12 @@ namespace rattrap::rpc {
 
 Channel::Channel(EventLoop& loop, int fd, ChannelConfig config,
                  std::uint64_t id)
-    : loop_(loop), fd_(fd), config_(config), id_(id) {
+    : loop_(loop),
+      fd_(fd),
+      config_(config),
+      id_(id),
+      read_chunk_(
+          std::make_unique_for_overwrite<std::uint8_t[]>(config.read_chunk)) {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
 }
@@ -41,12 +46,11 @@ void Channel::on_events(std::uint32_t events) {
 }
 
 void Channel::handle_readable() {
-  std::vector<std::uint8_t> chunk(config_.read_chunk);
   while (!closing_) {
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
+    const ssize_t n = ::recv(fd_, read_chunk_.get(), config_.read_chunk, 0);
     if (n > 0) {
       bytes_in_ += static_cast<std::uint64_t>(n);
-      splitter_.feed(chunk.data(), static_cast<std::size_t>(n));
+      splitter_.feed(read_chunk_.get(), static_cast<std::size_t>(n));
       dispatch_frames();
       if (paused_) return;  // backpressure engaged mid-read
       // Keep reading even after a short recv: if the peer closed right

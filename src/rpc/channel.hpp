@@ -105,6 +105,8 @@ class Channel : public std::enable_shared_from_this<Channel> {
   std::shared_ptr<ChannelHandler> handler_;
 
   FrameSplitter splitter_;
+  /// config_.read_chunk bytes, reused by every read, never zero-filled.
+  std::unique_ptr<std::uint8_t[]> read_chunk_;
   std::vector<std::uint8_t> out_;
   std::size_t out_pos_ = 0;  ///< flushed prefix of out_
   bool want_write_ = false;  ///< EPOLLOUT armed

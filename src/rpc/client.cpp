@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <utility>
 
@@ -31,14 +30,14 @@ std::unique_ptr<ClientTransport> ClientTransport::connect(
 }
 
 ClientTransport::~ClientTransport() {
+  flush();  // buffered one-way submits still reach the server
   if (fd_ >= 0) ::close(fd_);
 }
 
 core::Result<std::uint64_t> ClientTransport::open_session(
     const core::SessionConfig& config) {
-  std::vector<std::uint8_t> bytes;
-  encode_open_session(config, bytes);
-  if (!write_all(bytes)) return core::RejectReason::kConnectFailed;
+  encode_open_session(config, pending_);
+  if (!flush()) return core::RejectReason::kConnectFailed;
   Frame frame;
   if (!read_frame(frame) || frame.opcode != Opcode::kOpenSessionReply) {
     return core::RejectReason::kConnectFailed;
@@ -57,28 +56,26 @@ core::Result<std::uint64_t> ClientTransport::open_session(
 
 void ClientTransport::submit(std::uint64_t id,
                              const workloads::OffloadRequest& request) {
-  std::vector<std::uint8_t> bytes;
-  encode_submit(id, request, bytes);
-  write_all(bytes);  // one-way; TCP ordering is the ack
+  ++submitted_[id];
+  encode_submit(id, request, pending_);  // one-way; TCP order is the ack
+  if (pending_.size() >= kSubmitFlushBytes) flush();
 }
 
 std::vector<core::RequestOutcome> ClientTransport::close(std::uint64_t id) {
   std::vector<core::RequestOutcome> outcomes;
-  std::vector<std::uint8_t> bytes;
-  encode_close(id, bytes);
-  if (!write_all(bytes)) return outcomes;
+  outcomes.reserve(submitted_[id]);
+  submitted_.erase(id);
+  encode_close(id, pending_);
+  if (!flush()) return outcomes;
   while (true) {
     Frame frame;
     if (!read_frame(frame)) return outcomes;
     if (frame.opcode == Opcode::kResultChunk) {
-      Decoded<std::vector<core::RequestOutcome>> chunk =
-          decode_result_chunk(frame.payload.data(), frame.payload.size());
-      if (!chunk.ok()) {
-        fail(chunk.error);
+      const DecodeError error = decode_result_chunk(
+          frame.payload.data(), frame.payload.size(), outcomes);
+      if (error != DecodeError::kNone) {
+        fail(error);
         return outcomes;
-      }
-      for (core::RequestOutcome& outcome : chunk.value) {
-        outcomes.push_back(std::move(outcome));
       }
       continue;
     }
@@ -97,9 +94,8 @@ std::vector<core::RequestOutcome> ClientTransport::close(std::uint64_t id) {
 
 std::optional<core::RequestOutcome> ClientTransport::result(
     std::uint64_t sequence) {
-  std::vector<std::uint8_t> bytes;
-  encode_result_request(sequence, bytes);
-  if (!write_all(bytes)) return std::nullopt;
+  encode_result_request(sequence, pending_);
+  if (!flush()) return std::nullopt;
   Frame frame;
   if (!read_frame(frame) || frame.opcode != Opcode::kResultReply) {
     return std::nullopt;
@@ -114,9 +110,8 @@ std::optional<core::RequestOutcome> ClientTransport::result(
 }
 
 std::string ClientTransport::fetch_metrics() {
-  std::vector<std::uint8_t> bytes;
-  encode_metrics_request(bytes);
-  if (!write_all(bytes)) return {};
+  encode_metrics_request(pending_);
+  if (!flush()) return {};
   Frame frame;
   if (!read_frame(frame) || frame.opcode != Opcode::kMetricsReply) return {};
   Decoded<std::string> reply =
@@ -128,26 +123,23 @@ std::string ClientTransport::fetch_metrics() {
   return std::move(reply.value);
 }
 
-bool ClientTransport::write_all(const std::vector<std::uint8_t>& bytes) {
-  if (fd_ < 0) return false;
+bool ClientTransport::flush() {
   std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+  while (fd_ >= 0 && sent < pending_.size()) {
+    const ssize_t n = ::send(fd_, pending_.data() + sent,
+                             pending_.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
-      continue;
+    } else if (errno != EINTR) {
+      fail(DecodeError::kNone);
     }
-    if (errno == EINTR) continue;
-    fail(DecodeError::kNone);
-    return false;
   }
-  return true;
+  pending_.clear();  // keeps its capacity for the next batch
+  return fd_ >= 0;
 }
 
 bool ClientTransport::read_frame(Frame& frame) {
   if (fd_ < 0) return false;
-  std::array<std::uint8_t, 64 * 1024> chunk{};
   while (true) {
     FrameSplitter::Item item = splitter_.next();
     if (item.error != DecodeError::kNone) {
@@ -165,9 +157,9 @@ bool ClientTransport::read_frame(Frame& frame) {
       frame = std::move(item.frame);
       return true;
     }
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
+    const ssize_t n = ::recv(fd_, read_chunk_.get(), kReadChunkBytes, 0);
     if (n > 0) {
-      splitter_.feed(chunk.data(), static_cast<std::size_t>(n));
+      splitter_.feed(read_chunk_.get(), static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

@@ -4,16 +4,23 @@
 // written in call order, replies read synchronously off the same
 // connection.  That simplicity is load-bearing for the sim-twin
 // guarantee (docs/RPC.md): because every submit rides one ordered byte
-// stream and the server's platform worker executes commands FIFO, a
+// stream and the server executes one connection's frames in order, a
 // loopback run makes the identical open/submit/close call sequence a
 // LocalSessionTransport run makes — so the server platform's metrics
 // fingerprint can match the sim transport byte for byte.
+//
+// One-way submit frames are coalesced: submit() appends to a pending
+// buffer that goes out in one send() once it reaches kSubmitFlushBytes,
+// ahead of every call that waits for a reply (open_session, close,
+// result, fetch_metrics), and on destruction.  Order is unchanged; only
+// the syscall count drops.
 //
 // All the async machinery (event loops, watermarks, bounded acquire)
 // lives server-side, where the concurrency actually is.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,15 +67,26 @@ class ClientTransport final : public core::SessionTransport {
   [[nodiscard]] DecodeError last_error() const { return last_error_; }
 
  private:
+  /// Pending submit bytes that trigger a send on their own.
+  static constexpr std::size_t kSubmitFlushBytes = 64 * 1024;
+  static constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
   explicit ClientTransport(int fd) : fd_(fd) {}
 
-  /// Writes the whole buffer (blocking); fails the connection on error.
-  bool write_all(const std::vector<std::uint8_t>& bytes);
+  /// Sends the pending buffer (blocking) and empties it; fails the
+  /// connection on error.
+  bool flush();
   /// Blocks for the next complete frame; false on EOF/error/violation.
   bool read_frame(Frame& frame);
   void fail(DecodeError error);
 
   int fd_ = -1;
+  std::vector<std::uint8_t> pending_;  ///< encoded, not yet sent
+  /// Submits per open stream: close() reserves its outcome vector.
+  std::map<std::uint64_t, std::size_t> submitted_;
+  /// Reused by every read_frame, never zero-filled.
+  std::unique_ptr<std::uint8_t[]> read_chunk_ =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunkBytes);
   FrameSplitter splitter_;
   DecodeError last_error_ = DecodeError::kNone;
 };

@@ -21,9 +21,11 @@ namespace {
 constexpr std::uint64_t kConnTrackBase = 1u << 20;
 }  // namespace
 
-/// Per-connection pipeline stage: decodes client frames into typed
-/// commands for the platform worker.  Lives on the channel's loop
-/// thread; the only cross-thread edge is the command queue.
+/// Per-connection pipeline stage: decodes client frames and executes
+/// them against the Platform on the channel's loop thread.  Platform
+/// calls hold the server's platform mutex; sends happen after it is
+/// released, because a failed send closes the channel and on_close
+/// takes the mutex again.
 class ServerConnection : public ChannelHandler {
  public:
   ServerConnection(Server& server, std::uint64_t conn_id)
@@ -32,49 +34,47 @@ class ServerConnection : public ChannelHandler {
   void on_frame(Channel& channel, Frame frame) override {
     const std::uint8_t* data = frame.payload.data();
     const std::size_t size = frame.payload.size();
-    Server::Command command;
-    command.conn_id = conn_id_;
-    command.channel = channel.weak_from_this();
+    std::vector<std::uint8_t> reply;
     switch (frame.opcode) {
       case Opcode::kOpenSession: {
         Decoded<core::SessionConfig> decoded = decode_open_session(data, size);
         if (!decoded.ok()) return protocol_error(channel, decoded.error);
-        command.kind = Server::Command::Kind::kOpen;
-        command.open_config = std::move(decoded.value);
+        encode_open_session_reply(open(std::move(decoded.value)), reply);
         break;
       }
       case Opcode::kSubmit: {
-        Decoded<SubmitRequest> decoded = decode_submit(data, size);
+        const Decoded<SubmitRequest> decoded = decode_submit(data, size);
         if (!decoded.ok()) return protocol_error(channel, decoded.error);
-        command.kind = Server::Command::Kind::kSubmit;
-        command.stream_id = decoded.value.stream_id;
-        command.request = decoded.value.request;
-        break;
+        return submit(decoded.value);  // one-way: no reply
       }
       case Opcode::kResult: {
-        Decoded<std::uint64_t> decoded = decode_result_request(data, size);
+        const Decoded<std::uint64_t> decoded =
+            decode_result_request(data, size);
         if (!decoded.ok()) return protocol_error(channel, decoded.error);
-        command.kind = Server::Command::Kind::kResult;
-        command.sequence = decoded.value;
+        const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+        encode_result_reply(server_.platform_.result(decoded.value), reply);
         break;
       }
       case Opcode::kClose: {
-        Decoded<std::uint64_t> decoded = decode_close(data, size);
+        const Decoded<std::uint64_t> decoded = decode_close(data, size);
         if (!decoded.ok()) return protocol_error(channel, decoded.error);
-        command.kind = Server::Command::Kind::kClose;
-        command.stream_id = decoded.value;
-        break;
+        return close_stream(channel, decoded.value);
       }
       case Opcode::kMetrics: {
         if (size != 0) return protocol_error(channel, DecodeError::kTrailingBytes);
-        command.kind = Server::Command::Kind::kMetrics;
+        std::string json;
+        {
+          const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+          json = server_.platform_.metrics().to_json();
+        }
+        encode_metrics_reply(json, reply);
         break;
       }
       default:
         // Reply opcodes arriving at the server are a protocol violation.
         return protocol_error(channel, DecodeError::kBadPayload);
     }
-    server_.enqueue(std::move(command));
+    channel.send(std::move(reply));
   }
 
   void on_decode_error(Channel& channel, DecodeError error) override {
@@ -86,14 +86,86 @@ class ServerConnection : public ChannelHandler {
   }
 
   void on_close(Channel& channel) override {
+    {
+      const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+      const auto span = server_.conn_spans_.find(conn_id_);
+      if (span != server_.conn_spans_.end()) {
+        server_.platform_.trace().end(
+            span->second, server_.platform_.server().simulator().now());
+        server_.conn_spans_.erase(span);
+      }
+      // Dropping the Session handles closes the abandoned streams.
+      std::erase_if(server_.streams_, [this](const auto& entry) {
+        return entry.second.conn_id == conn_id_;
+      });
+    }
+    // Last, so rpc.conn.closed ticking means the sweep is done.
     server_.manager_->release(channel);
-    Server::Command command;
-    command.kind = Server::Command::Kind::kConnClose;
-    command.conn_id = conn_id_;
-    server_.enqueue(std::move(command));
   }
 
  private:
+  OpenSessionReply open(core::SessionConfig config) {
+    OpenSessionReply body;
+    {
+      const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+      core::Result<core::Session> opened =
+          server_.platform_.open_session(std::move(config));
+      if (!opened.ok()) {
+        body.reject = opened.error();
+      } else {
+        body.stream_id = server_.next_stream_id_++;
+        server_.streams_.emplace(
+            body.stream_id, Server::StreamState{std::move(*opened), conn_id_});
+      }
+    }
+    const std::lock_guard<std::mutex> lock(server_.metrics_mutex_);
+    (body.reject == core::RejectReason::kNone ? server_.sessions_opened_
+                                              : server_.sessions_rejected_)
+        .inc();
+    return body;
+  }
+
+  void submit(const SubmitRequest& body) {
+    {
+      const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+      const auto it = server_.streams_.find(body.stream_id);
+      if (it == server_.streams_.end()) return;  // closed or never opened
+      it->second.session.submit(body.request);
+    }
+    const std::lock_guard<std::mutex> lock(server_.metrics_mutex_);
+    server_.submits_.inc();
+  }
+
+  /// Drains the run (blocking this loop thread), then streams the
+  /// stream's outcomes as kResultChunk frames and a kCloseDone.
+  void close_stream(Channel& channel, std::uint64_t stream_id) {
+    std::vector<core::RequestOutcome> outcomes;
+    {
+      const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
+      const auto it = server_.streams_.find(stream_id);
+      if (it != server_.streams_.end()) {
+        outcomes = it->second.session.close();
+        server_.streams_.erase(it);
+      }
+    }
+    {
+      const std::lock_guard<std::mutex> lock(server_.metrics_mutex_);
+      server_.closes_.inc();
+      server_.outcomes_streamed_.inc(outcomes.size());
+    }
+    for (std::size_t first = 0; first < outcomes.size();
+         first += kResultChunkCap) {
+      const std::size_t count =
+          std::min(kResultChunkCap, outcomes.size() - first);
+      std::vector<std::uint8_t> bytes;
+      encode_result_chunk(outcomes, first, count, bytes);
+      channel.send(std::move(bytes));
+    }
+    std::vector<std::uint8_t> bytes;
+    encode_close_done(outcomes.size(), bytes);
+    channel.send(std::move(bytes));
+  }
+
   void protocol_error(Channel& channel, DecodeError error) {
     server_.manager_->record_decode_error(error);
     std::vector<std::uint8_t> bytes;
@@ -149,7 +221,6 @@ bool Server::start() {
                          [this](std::uint32_t) { accept_ready(); });
   });
   accept_thread_ = std::thread([this] { accept_loop_->run(); });
-  worker_ = std::thread([this] { worker_main(); });
   started_ = true;
   return true;
 }
@@ -164,12 +235,6 @@ void Server::stop() {
     listen_fd_ = -1;
   }
   loops_->stop_and_join();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    worker_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
 }
 
 std::string Server::rpc_metrics_json() const {
@@ -183,146 +248,17 @@ void Server::accept_ready() {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN / shutdown
     manager_->acquire(fd, [this](const std::shared_ptr<Channel>& channel) {
-      auto handler =
-          std::make_shared<ServerConnection>(*this, channel->id());
-      Command command;
-      command.kind = Command::Kind::kConnOpen;
-      command.conn_id = channel->id();
-      enqueue(std::move(command));
-      channel->start(handler);
-    });
-  }
-}
-
-void Server::enqueue(Command command) {
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push_back(std::move(command));
-  }
-  queue_cv_.notify_one();
-}
-
-void Server::worker_main() {
-  while (true) {
-    Command command;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock,
-                     [this] { return worker_stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (worker_stop_) return;
-        continue;
-      }
-      command = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    execute(command);
-  }
-}
-
-void Server::reply(const std::weak_ptr<Channel>& channel,
-                   std::vector<std::uint8_t> bytes) {
-  const std::shared_ptr<Channel> locked = channel.lock();
-  if (!locked) return;  // connection died before the reply
-  locked->loop().post([locked, bytes = std::move(bytes)]() mutable {
-    locked->send(std::move(bytes));
-  });
-}
-
-void Server::execute(Command& command) {
-  const sim::SimTime now = platform_.server().simulator().now();
-  obs::TraceRecorder& trace = platform_.trace();
-  switch (command.kind) {
-    case Command::Kind::kConnOpen: {
-      const obs::SpanId span = trace.begin(
-          kConnTrackBase + command.conn_id, "rpc.connection", "rpc", now);
-      trace.annotate(span, "conn", command.conn_id);
-      conn_spans_[command.conn_id] = span;
-      break;
-    }
-    case Command::Kind::kConnClose: {
-      auto span = conn_spans_.find(command.conn_id);
-      if (span != conn_spans_.end()) {
-        trace.end(span->second,
-                  platform_.server().simulator().now());
-        conn_spans_.erase(span);
-      }
-      // Dropping the Session handles closes the abandoned streams.
-      for (auto it = streams_.begin(); it != streams_.end();) {
-        if (it->second.conn_id == command.conn_id) {
-          it = streams_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;
-    }
-    case Command::Kind::kOpen: {
-      core::Result<core::Session> opened =
-          platform_.open_session(std::move(command.open_config));
-      OpenSessionReply body;
-      if (opened.ok()) {
-        body.stream_id = next_stream_id_++;
-        streams_.emplace(
-            body.stream_id,
-            StreamState{std::move(*opened), command.conn_id});
-        const std::lock_guard<std::mutex> lock(metrics_mutex_);
-        sessions_opened_.inc();
-      } else {
-        body.reject = opened.error();
-        const std::lock_guard<std::mutex> lock(metrics_mutex_);
-        sessions_rejected_.inc();
-      }
-      std::vector<std::uint8_t> bytes;
-      encode_open_session_reply(body, bytes);
-      reply(command.channel, std::move(bytes));
-      break;
-    }
-    case Command::Kind::kSubmit: {
-      auto it = streams_.find(command.stream_id);
-      if (it == streams_.end()) break;  // stream closed or never opened
-      it->second.session.submit(command.request);
-      const std::lock_guard<std::mutex> lock(metrics_mutex_);
-      submits_.inc();
-      break;
-    }
-    case Command::Kind::kResult: {
-      std::vector<std::uint8_t> bytes;
-      encode_result_reply(platform_.result(command.sequence), bytes);
-      reply(command.channel, std::move(bytes));
-      break;
-    }
-    case Command::Kind::kClose: {
-      std::vector<core::RequestOutcome> outcomes;
-      auto it = streams_.find(command.stream_id);
-      if (it != streams_.end()) {
-        outcomes = it->second.session.close();
-        streams_.erase(it);
-      }
       {
-        const std::lock_guard<std::mutex> lock(metrics_mutex_);
-        closes_.inc();
-        outcomes_streamed_.inc(outcomes.size());
+        const std::lock_guard<std::mutex> lock(platform_mutex_);
+        obs::TraceRecorder& trace = platform_.trace();
+        const obs::SpanId span =
+            trace.begin(kConnTrackBase + channel->id(), "rpc.connection",
+                        "rpc", platform_.server().simulator().now());
+        trace.annotate(span, "conn", channel->id());
+        conn_spans_[channel->id()] = span;
       }
-      for (std::size_t first = 0; first < outcomes.size();
-           first += kResultChunkCap) {
-        const std::size_t count =
-            std::min(kResultChunkCap, outcomes.size() - first);
-        std::vector<std::uint8_t> bytes;
-        encode_result_chunk(outcomes, first, count, bytes);
-        reply(command.channel, std::move(bytes));
-      }
-      std::vector<std::uint8_t> bytes;
-      encode_close_done(outcomes.size(), bytes);
-      reply(command.channel, std::move(bytes));
-      break;
-    }
-    case Command::Kind::kMetrics: {
-      std::vector<std::uint8_t> bytes;
-      encode_metrics_reply(platform_.metrics().to_json(), bytes);
-      reply(command.channel, std::move(bytes));
-      break;
-    }
+      channel->start(std::make_shared<ServerConnection>(*this, channel->id()));
+    });
   }
 }
 

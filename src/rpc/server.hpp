@@ -6,29 +6,30 @@
 //   accept loop ──► ConnectionManager (bounded pending-acquire)
 //        │                 │ grants a slot
 //        ▼                 ▼
-//   EventLoopGroup: channels decode frames on their loop threads and
-//   enqueue typed commands on a FIFO command queue
-//        │
-//        ▼
-//   one platform worker thread owns the Platform (which is not
-//   thread-safe) and executes commands in arrival order; replies are
-//   posted back to the originating channel's loop.
+//   EventLoopGroup: each channel decodes frames on its loop thread and
+//   calls the Platform right there, under one platform mutex (the
+//   Platform is not thread-safe); replies go straight back out on the
+//   same channel.
+//
+// A loop thread busy inside the Platform stops reading its sockets, so
+// TCP is the backpressure and nothing queues in user space.  The
+// platform mutex is never held across Channel::send/close — a failed
+// flush closes the channel, whose on_close re-enters the server.
 //
 // Because one client connection delivers its frames in TCP order and
-// the worker executes them FIFO, a loopback run submits the identical
-// call sequence a sim-clock driver would — the sim path stays the
-// byte-identical golden twin of the socket path (the parity test in
-// tests/tools/test_loadgen_cli.cpp holds the two fingerprints equal).
+// its loop thread executes them in that order, a loopback run submits
+// the identical call sequence a sim-clock driver would — the sim path
+// stays the byte-identical golden twin of the socket path (the parity
+// test in tests/tools/test_loadgen_cli.cpp holds the two fingerprints
+// equal).
 //
 // rpc.* metrics live in the server's own registry (schema v5), never
 // the Platform's.  Connection lifecycle spans land in the Platform's
-// TraceRecorder from the worker thread (its single writer), stamped
-// with the platform's virtual clock.
+// TraceRecorder under the platform mutex, stamped with the platform's
+// virtual clock.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,15 +53,15 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// The platform must outlive the server; the server's worker thread
-  /// becomes its sole driver while the server runs.
+  /// The platform must outlive the server; the server's loop threads
+  /// become its sole drivers (one at a time) while the server runs.
   Server(core::Platform& platform, ServerConfig config);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the I/O loops + platform worker.
+  /// Binds, listens and spawns the accept and I/O loops.
   [[nodiscard]] bool start();
 
   /// Drains and joins everything; idempotent.
@@ -78,30 +79,6 @@ class Server {
  private:
   friend class ServerConnection;
 
-  struct Command {
-    enum class Kind {
-      kConnOpen,   ///< connection granted a slot (trace span begins)
-      kConnClose,  ///< connection gone: drop its sessions, end its span
-      kOpen,       ///< open_session → OpenSessionReply
-      kSubmit,     ///< one-way submit on a stream
-      kResult,     ///< poll one sequence → ResultReply
-      kClose,      ///< close a stream → kResultChunk* + kCloseDone
-      kMetrics,    ///< platform metrics JSON → kMetricsReply
-    };
-    Kind kind;
-    std::uint64_t conn_id = 0;
-    std::weak_ptr<Channel> channel;
-    core::SessionConfig open_config;
-    std::uint64_t stream_id = 0;
-    std::uint64_t sequence = 0;
-    workloads::OffloadRequest request;
-  };
-
-  void enqueue(Command command);
-  void worker_main();
-  void execute(Command& command);
-  void reply(const std::weak_ptr<Channel>& channel,
-             std::vector<std::uint8_t> bytes);
   void accept_ready();
 
   core::Platform& platform_;
@@ -117,13 +94,9 @@ class Server {
   std::unique_ptr<EventLoop> accept_loop_;
   std::thread accept_thread_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Command> queue_;
-  bool worker_stop_ = false;
-  std::thread worker_;
-
-  // Worker-thread-only state.
+  // Guards the Platform and the state below.  Held only around
+  // platform calls, never across Channel::send/close.
+  std::mutex platform_mutex_;
   struct StreamState {
     core::Session session;
     std::uint64_t conn_id = 0;
@@ -132,7 +105,7 @@ class Server {
   std::map<std::uint64_t, obs::SpanId> conn_spans_;
   std::uint64_t next_stream_id_ = 1;
 
-  // Serializes worker-thread instrument updates against
+  // Serializes loop-thread instrument updates against
   // rpc_metrics_json() snapshots (instruments pre-created in the ctor
   // so the registry maps never mutate cross-thread).
   mutable std::mutex metrics_mutex_;

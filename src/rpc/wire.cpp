@@ -186,15 +186,17 @@ bool read_outcome(ByteReader& r, core::RequestOutcome& outcome) {
   return true;
 }
 
-/// Seals a Decoded<T> from reader state: exhaustion → kTruncated,
+/// Reader state after a complete decode: exhaustion → kTruncated,
 /// leftover bytes → kTrailingBytes.
+DecodeError end_state(const ByteReader& r) {
+  if (!r.ok()) return DecodeError::kTruncated;
+  return r.done() ? DecodeError::kNone : DecodeError::kTrailingBytes;
+}
+
+/// Seals a Decoded<T> from reader state (see end_state).
 template <typename T>
 Decoded<T> seal(ByteReader& r, Decoded<T> decoded) {
-  if (!r.ok()) {
-    decoded.error = DecodeError::kTruncated;
-  } else if (!r.done()) {
-    decoded.error = DecodeError::kTrailingBytes;
-  }
+  decoded.error = end_state(r);
   return decoded;
 }
 
@@ -410,20 +412,23 @@ Decoded<std::uint64_t> decode_close(const std::uint8_t* data,
 
 Decoded<std::vector<core::RequestOutcome>> decode_result_chunk(
     const std::uint8_t* data, std::size_t size) {
-  ByteReader r(data, size);
   Decoded<std::vector<core::RequestOutcome>> decoded;
+  decoded.error = decode_result_chunk(data, size, decoded.value);
+  return decoded;
+}
+
+DecodeError decode_result_chunk(const std::uint8_t* data, std::size_t size,
+                                std::vector<core::RequestOutcome>& out) {
+  const std::size_t before = out.size();
+  ByteReader r(data, size);
   const std::uint32_t count = r.u32();
-  if (r.ok() && count > kResultChunkCap) {
-    return bad_payload<std::vector<core::RequestOutcome>>();
+  bool bad = r.ok() && count > kResultChunkCap;
+  for (std::uint32_t i = 0; !bad && r.ok() && i < count; ++i) {
+    bad = !read_outcome(r, out.emplace_back());
   }
-  for (std::uint32_t i = 0; r.ok() && i < count; ++i) {
-    core::RequestOutcome outcome;
-    if (!read_outcome(r, outcome)) {
-      return bad_payload<std::vector<core::RequestOutcome>>();
-    }
-    decoded.value.push_back(std::move(outcome));
-  }
-  return seal(r, std::move(decoded));
+  const DecodeError error = bad ? DecodeError::kBadPayload : end_state(r);
+  if (error != DecodeError::kNone) out.resize(before);
+  return error;
 }
 
 Decoded<CloseDone> decode_close_done(const std::uint8_t* data,

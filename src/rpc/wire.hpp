@@ -155,6 +155,11 @@ void encode_error(DecodeError error, std::string_view message,
                                                   std::size_t size);
 [[nodiscard]] Decoded<std::vector<core::RequestOutcome>> decode_result_chunk(
     const std::uint8_t* data, std::size_t size);
+/// Appends the chunk's outcomes to `out` (the client's close loop);
+/// on any error `out` is left as it was.
+[[nodiscard]] DecodeError decode_result_chunk(
+    const std::uint8_t* data, std::size_t size,
+    std::vector<core::RequestOutcome>& out);
 [[nodiscard]] Decoded<CloseDone> decode_close_done(const std::uint8_t* data,
                                                    std::size_t size);
 [[nodiscard]] Decoded<std::string> decode_metrics_reply(

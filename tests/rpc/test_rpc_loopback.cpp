@@ -4,15 +4,21 @@
 // outcome and fingerprint for fingerprint (the sim-twin guarantee of
 // docs/RPC.md), typed rejects must cross the wire, hostile clients must
 // get typed error frames, and connection spans must land in the
-// platform trace.
+// platform trace.  Coalesced client submits must arrive in order, and
+// concurrent clients on several loop threads must share the platform
+// safely.
 #include <gtest/gtest.h>
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/load_driver.hpp"
@@ -33,6 +39,34 @@ core::PlatformConfig platform_config(std::uint64_t seed) {
   core::PlatformConfig config =
       core::make_config(core::PlatformKind::kRattrap, net::lan_wifi(), seed);
   return config;
+}
+
+/// One counter from the server's rpc.* registry (0 while absent).
+std::uint64_t rpc_counter(const Server& server, const std::string& name) {
+  const std::string json = server.rpc_metrics_json();
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key);
+  return at == std::string::npos ? 0
+                                 : std::stoull(json.substr(at + key.size()));
+}
+
+/// Polls until `name` reaches `target` (or 10 s pass); returns its value.
+std::uint64_t wait_for_counter(const Server& server, const std::string& name,
+                               std::uint64_t target) {
+  for (int i = 0; i < 10000 && rpc_counter(server, name) < target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return rpc_counter(server, name);
+}
+
+workloads::OffloadRequest linpack_request(std::uint64_t sequence) {
+  workloads::OffloadRequest request;
+  request.sequence = sequence;
+  request.device_id = sequence % 16;
+  request.arrival = static_cast<sim::SimTime>(sequence * 1000);
+  request.task.kind = workloads::Kind::kLinpack;
+  request.task.seed = 7;
+  return request;
 }
 
 LoadDriverConfig small_load() {
@@ -234,6 +268,158 @@ TEST(RpcLoopback, AbandonedConnectionSweepsItsStreams) {
   client->submit(*stream, request);
   const auto outcomes = client->close(*stream);
   EXPECT_EQ(outcomes.size(), 1u);
+  client.reset();
+  server.stop();
+}
+
+TEST(RpcLoopback, BufferedSubmitsReachTheServerBeforeAReplyBearingCall) {
+  Platform platform(platform_config(6));
+  Server server(platform, ServerConfig{});
+  ASSERT_TRUE(server.start());
+  auto client = ClientTransport::connect("127.0.0.1", server.port());
+  ASSERT_NE(client, nullptr);
+  const auto stream = client->open_session(core::SessionConfig{});
+  ASSERT_TRUE(stream.ok());
+  for (std::uint64_t sequence = 0; sequence < 3; ++sequence) {
+    client->submit(*stream, linpack_request(sequence));
+  }
+  // The metrics request flushes the three buffered submits ahead of
+  // itself, and the server answers frames in order.
+  EXPECT_FALSE(client->fetch_metrics().empty());
+  EXPECT_EQ(rpc_counter(server, "rpc.submits"), 3u);
+  client.reset();
+  server.stop();
+}
+
+TEST(RpcLoopback, BufferedSubmitsAreFlushedWhenTheClientIsDestroyed) {
+  Platform platform(platform_config(7));
+  Server server(platform, ServerConfig{});
+  ASSERT_TRUE(server.start());
+  auto client = ClientTransport::connect("127.0.0.1", server.port());
+  ASSERT_NE(client, nullptr);
+  const auto stream = client->open_session(core::SessionConfig{});
+  ASSERT_TRUE(stream.ok());
+  for (std::uint64_t sequence = 0; sequence < 3; ++sequence) {
+    client->submit(*stream, linpack_request(sequence));
+  }
+  client.reset();  // no reply-bearing call: only the destructor flushes
+  ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 1), 1u);
+  EXPECT_EQ(rpc_counter(server, "rpc.submits"), 3u);
+  server.stop();
+}
+
+TEST(RpcLoopback, ConcurrentClientsOnTwoLoopThreadsGetTheirOwnOutcomes) {
+  // Two connections land on different loop threads, so both drive the
+  // one Platform at once; the platform mutex must keep them apart.
+  Platform platform(platform_config(8));
+  ServerConfig config;
+  config.io_threads = 2;
+  Server server(platform, config);
+  ASSERT_TRUE(server.start());
+  constexpr std::uint64_t kPerClient = 400;
+  std::vector<std::unique_ptr<ClientTransport>> clients;
+  std::vector<std::uint64_t> streams;
+  for (int i = 0; i < 2; ++i) {
+    clients.push_back(ClientTransport::connect("127.0.0.1", server.port()));
+    ASSERT_NE(clients.back(), nullptr);
+    // Both streams open before either closes, so they share one run.
+    const auto stream = clients.back()->open_session(core::SessionConfig{});
+    ASSERT_TRUE(stream.ok());
+    streams.push_back(*stream);
+  }
+  std::vector<std::vector<core::RequestOutcome>> outcomes(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      // Disjoint sequence ranges keep sequences unique across the run.
+      for (std::uint64_t k = 0; k < kPerClient; ++k) {
+        clients[i]->submit(streams[i], linpack_request(i * kPerClient + k));
+      }
+      outcomes[i] = clients[i]->close(streams[i]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(clients[i]->ok());
+    ASSERT_EQ(outcomes[i].size(), kPerClient);
+    for (std::uint64_t k = 0; k < kPerClient; ++k) {
+      EXPECT_EQ(outcomes[i][k].request.sequence, i * kPerClient + k);
+    }
+    const LoadSummary summary = core::summarize_load(outcomes[i]);
+    EXPECT_EQ(summary.offered, kPerClient);
+    EXPECT_TRUE(core::accounting_identity(summary));
+  }
+  EXPECT_EQ(rpc_counter(server, "rpc.submits"), 2 * kPerClient);
+  clients.clear();
+  server.stop();
+}
+
+TEST(RpcLoopback, CloseThenResetDoesNotWedgeTheServer) {
+  // The client asks for a close and resets the socket while the server
+  // still works through its submits, so the server's reply sends fail
+  // and close the channel from inside the kClose handler.  on_close then re-enters the server: the
+  // platform mutex must already be released there.
+  Platform platform(platform_config(9));
+  Server server(platform, ServerConfig{});
+  ASSERT_TRUE(server.start());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  std::vector<std::uint8_t> bytes;
+  encode_open_session(core::SessionConfig{}, bytes);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  FrameSplitter splitter;
+  FrameSplitter::Item reply;
+  std::uint8_t buffer[1024];
+  while (!reply.has) {
+    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    ASSERT_GT(n, 0);
+    splitter.feed(buffer, static_cast<std::size_t>(n));
+    reply = splitter.next();
+  }
+  const Decoded<OpenSessionReply> opened =
+      decode_open_session_reply(reply.frame.payload.data(),
+                                reply.frame.payload.size());
+  ASSERT_TRUE(opened.ok());
+  bytes.clear();
+  for (std::uint64_t sequence = 0; sequence < 2000; ++sequence) {
+    encode_submit(opened.value.stream_id, linpack_request(sequence), bytes);
+  }
+  encode_close(opened.value.stream_id, bytes);
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  // Reset only once the kernel has delivered every byte: a reset drops
+  // the sender's unsent data, but not the receiver's queued data.
+  int unsent = 1;
+  for (int i = 0; i < 10000 && unsent > 0; ++i) {
+    ASSERT_EQ(::ioctl(fd, SIOCOUTQ, &unsent), 0);
+    if (unsent > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(unsent, 0);
+  const linger reset{1, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset), 0);
+  ::close(fd);  // RST, not FIN
+
+  ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 1), 1u);
+  auto client = ClientTransport::connect("127.0.0.1", server.port());
+  ASSERT_NE(client, nullptr);
+  const LoadSummary summary = core::run_load_transport(*client, small_load());
+  EXPECT_EQ(summary.offered, small_load().loadgen.requests);
+  EXPECT_TRUE(core::accounting_identity(summary));
+  EXPECT_TRUE(client->ok());
   client.reset();
   server.stop();
 }
