@@ -14,9 +14,11 @@ sim::SimDuration ClassLoader::relink_cost() { return sim::from_millis(14); }
 
 sim::SimDuration ClassLoader::load(std::string_view app_id,
                                    std::uint64_t apk_bytes) {
-  const auto [it, inserted] = loaded_.emplace(app_id);
-  (void)it;
-  return inserted ? first_load_cost(apk_bytes) : relink_cost();
+  // Look before inserting: emplace would build (and free) a node on
+  // every repeat load.
+  if (loaded_.contains(app_id)) return relink_cost();
+  loaded_.emplace(app_id);
+  return first_load_cost(apk_bytes);
 }
 
 }  // namespace rattrap::android

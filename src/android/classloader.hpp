@@ -23,7 +23,7 @@ class ClassLoader {
   sim::SimDuration load(std::string_view app_id, std::uint64_t apk_bytes);
 
   [[nodiscard]] bool loaded(std::string_view app_id) const {
-    return loaded_.contains(std::string(app_id));
+    return loaded_.contains(app_id);
   }
   [[nodiscard]] std::size_t loaded_count() const { return loaded_.size(); }
 

@@ -32,7 +32,7 @@ void Dispatcher::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
-                              const std::string& app_id, sim::SimTime now,
+                              std::string_view code_ref, sim::SimTime now,
                               sim::SimDuration backlog_threshold,
                               qos::PriorityClass klass) {
   const auto finish = [this, klass](EnvRecord* record, bool affinity_hit) {
@@ -65,7 +65,7 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
   // subsequent requests to a container that already executed this app —
   // saving the code-loading time — unless that container is backlogged.
   if (device_env == nullptr) return finish(nullptr, false);
-  if (const auto preferred = warehouse_.preferred_env("ref:" + app_id)) {
+  if (const auto preferred = warehouse_.preferred_env(code_ref)) {
     EnvRecord* record = envs_.find(*preferred);
     // Only reroute onto a container that is actually serving: a reclaimed
     // record is a dead environment (the warehouse learns of crashes

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/env_table.hpp"
 #include "core/qos/qos.hpp"
@@ -31,13 +32,15 @@ class Dispatcher {
       const workloads::OffloadRequest& request);
 
   /// The existing environment this request should run in, or nullptr when
-  /// a new one must be provisioned.  With affinity enabled, an environment
-  /// that already executed this app's code wins — but only while its
+  /// a new one must be provisioned.  `code_ref` is the warehouse reference
+  /// of the request's app (code_reference(app id)).  With affinity
+  /// enabled, an environment that already executed this app's code wins
+  /// — but only while its
   /// compute backlog stays below `backlog_threshold`; the Monitor &
   /// Scheduler otherwise spreads load across per-device environments
   /// (process-level scheduling, §IV-A).
   [[nodiscard]] EnvRecord* assign(const workloads::OffloadRequest& request,
-                                  const std::string& app_id,
+                                  std::string_view code_ref,
                                   sim::SimTime now,
                                   sim::SimDuration backlog_threshold =
                                       sim::from_millis(600),

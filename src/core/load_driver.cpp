@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 
 #include "workloads/workload.hpp"
 
@@ -80,6 +82,19 @@ sim::AdversaryProfile slot_adversary(const sim::LoadGenConfig& loadgen,
   return slot < loadgen.mix.size() ? loadgen.mix[slot].adversary
                                    : sim::AdversaryProfile::kNone;
 }
+
+/// One tenant's entries in a LoadSummary, resolved on its first outcome.
+struct TenantSlots {
+  TenantLoadStats* stats = nullptr;
+  std::size_t* completed = nullptr;  ///< its completed_by_tenant entry
+};
+
+/// A completed outcome's response, tagged with its class and tenant.
+struct CompletedResponse {
+  double ms = 0;
+  std::uint32_t tenant = 0;  ///< index into the summary's tenant slots
+  std::uint8_t klass = 0;    ///< qos::class_index
+};
 
 /// Merges per-session outcome vectors back into sequence order.
 void absorb_outcomes(std::vector<RequestOutcome>& merged,
@@ -270,18 +285,28 @@ LoadSummary run_load_transport(SessionTransport& transport,
 LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
   LoadSummary summary;
   summary.offered = outcomes.size();
-  std::vector<double> responses_ms;
-  responses_ms.reserve(outcomes.size());
-  std::array<std::vector<double>, qos::kClassCount> class_responses_ms;
-  std::map<std::string, std::vector<double>> tenant_responses_ms;
+  // Each distinct tenant and radio is looked up in the summary's ordered
+  // maps once; later outcomes reach those entries through a hash of the
+  // name (the views point into `outcomes`).
+  std::vector<TenantSlots> tenants;
+  std::unordered_map<std::string_view, std::uint32_t> tenant_index;
+  std::unordered_map<std::string_view, RadioLoadStats*> radios;
+  std::vector<CompletedResponse> responses;
+  responses.reserve(outcomes.size());
   double queue_wait_ms = 0;
   sim::SimTime span_end = 0;
   for (const RequestOutcome& outcome : outcomes) {
     span_end = std::max(span_end, outcome.completed_at);
-    ClassLoadStats& klass =
-        summary.by_class[qos::class_index(outcome.qos_class)];
+    const std::size_t class_index = qos::class_index(outcome.qos_class);
+    ClassLoadStats& klass = summary.by_class[class_index];
     ++klass.offered;
-    TenantLoadStats& tenant = summary.by_tenant[outcome.tenant];
+    const auto [found, fresh] = tenant_index.try_emplace(
+        outcome.tenant, static_cast<std::uint32_t>(tenants.size()));
+    if (fresh) {
+      tenants.push_back(TenantSlots{&summary.by_tenant[outcome.tenant]});
+    }
+    TenantSlots& slots = tenants[found->second];
+    TenantLoadStats& tenant = *slots.stats;
     ++tenant.offered;
     if (outcome.resumed) ++summary.resumed;
     if (outcome.rejected) {
@@ -296,19 +321,22 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     ++klass.completed;
     ++tenant.completed;
     if (outcome.deadline_missed) ++klass.deadline_missed;
-    ++summary.completed_by_tenant[outcome.tenant];
+    if (slots.completed == nullptr) {
+      slots.completed = &summary.completed_by_tenant[outcome.tenant];
+    }
+    ++*slots.completed;
     if (!outcome.radio.empty()) {
-      RadioLoadStats& radio = summary.by_radio[outcome.radio];
+      RadioLoadStats*& entry = radios[outcome.radio];
+      if (entry == nullptr) entry = &summary.by_radio[outcome.radio];
+      RadioLoadStats& radio = *entry;
       ++radio.completed;
       radio.mean_transfer_ms += sim::to_millis(outcome.phases.data_transfer);
       radio.mean_response_ms += sim::to_millis(outcome.response);
       radio.mean_energy_mj += outcome.offload_energy_mj;
     }
-    const double response_ms = sim::to_millis(outcome.response);
-    responses_ms.push_back(response_ms);
-    class_responses_ms[qos::class_index(outcome.qos_class)].push_back(
-        response_ms);
-    tenant_responses_ms[outcome.tenant].push_back(response_ms);
+    responses.push_back(
+        CompletedResponse{sim::to_millis(outcome.response), found->second,
+                          static_cast<std::uint8_t>(class_index)});
     queue_wait_ms += sim::to_millis(outcome.queue_wait);
   }
   summary.duration_s = sim::to_seconds(span_end);
@@ -318,8 +346,24 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     summary.goodput_per_s =
         static_cast<double>(summary.completed) / summary.duration_s;
   }
+  // One sort orders every distribution: split in response order, each
+  // class's and tenant's responses come out already ascending — the
+  // same sequences (equal responses are equal doubles) that sorting
+  // each of them would give, so every mean and percentile is unchanged.
+  std::sort(responses.begin(), responses.end(),
+            [](const CompletedResponse& a, const CompletedResponse& b) {
+              return a.ms < b.ms;
+            });
+  std::vector<double> responses_ms;
+  responses_ms.reserve(responses.size());
+  std::array<std::vector<double>, qos::kClassCount> class_responses_ms;
+  std::vector<std::vector<double>> tenant_responses_ms(tenants.size());
+  for (const CompletedResponse& response : responses) {
+    responses_ms.push_back(response.ms);
+    class_responses_ms[response.klass].push_back(response.ms);
+    tenant_responses_ms[response.tenant].push_back(response.ms);
+  }
   if (!responses_ms.empty()) {
-    std::sort(responses_ms.begin(), responses_ms.end());
     double sum = 0;
     for (const double r : responses_ms) sum += r;
     summary.mean_ms = sum / static_cast<double>(responses_ms.size());
@@ -337,10 +381,9 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     radio.mean_energy_mj /= n;
   }
   for (const qos::PriorityClass klass : qos::kAllClasses) {
-    std::vector<double>& sorted =
+    const std::vector<double>& sorted =
         class_responses_ms[qos::class_index(klass)];
     if (sorted.empty()) continue;
-    std::sort(sorted.begin(), sorted.end());
     ClassLoadStats& stats = summary.by_class[qos::class_index(klass)];
     double sum = 0;
     for (const double r : sorted) sum += r;
@@ -349,9 +392,10 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     stats.p95_ms = percentile(sorted, 0.95);
     stats.p99_ms = percentile(sorted, 0.99);
   }
-  for (auto& [name, sorted] : tenant_responses_ms) {
-    std::sort(sorted.begin(), sorted.end());
-    TenantLoadStats& stats = summary.by_tenant[name];
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    const std::vector<double>& sorted = tenant_responses_ms[i];
+    if (sorted.empty()) continue;
+    TenantLoadStats& stats = *tenants[i].stats;
     double sum = 0;
     for (const double r : sorted) sum += r;
     stats.mean_ms = sum / static_cast<double>(sorted.size());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <string_view>
 
 #include "android/image_profile.hpp"
 #include "core/oracle.hpp"
@@ -54,6 +56,28 @@ PlatformConfig make_config(PlatformKind kind, net::LinkConfig link,
 constexpr std::uint64_t kPlatformTrack = 0;
 
 namespace {
+/// The instrument in `slot`, looked up as prefix + suffix on first use.
+obs::Counter& resolve(obs::Counter*& slot, obs::MetricsRegistry& metrics,
+                      std::string_view prefix, std::string_view suffix = {}) {
+  if (slot == nullptr) {
+    std::string name(prefix);
+    name += suffix;
+    slot = &metrics.counter(name);
+  }
+  return *slot;
+}
+
+obs::Histogram& resolve(obs::Histogram*& slot, obs::MetricsRegistry& metrics,
+                        std::string_view prefix,
+                        std::string_view suffix = {}) {
+  if (slot == nullptr) {
+    std::string name(prefix);
+    name += suffix;
+    slot = &metrics.histogram(name);
+  }
+  return *slot;
+}
+
 /// Affinity-reroute backlog tolerance by class: interactive sessions give
 /// up the code-cache reroute sooner than batch, which will happily wait
 /// behind a longer queue to save the code push (docs/QOS.md).  Standard
@@ -224,14 +248,17 @@ device::RadioProfile Platform::radio_profile() const {
   return device::wifi_radio();
 }
 
-const android::MobileApp& Platform::app_for(workloads::Kind kind) {
-  const auto workload = workloads::make_workload(kind);
-  const std::string app_id = workload->app().app_id;
-  auto it = apps_.find(app_id);
-  if (it == apps_.end()) {
-    it = apps_.emplace(app_id, android::MobileApp::for_workload(kind)).first;
+const Platform::KindData& Platform::kind_data(workloads::Kind kind) {
+  std::optional<KindData>& slot = kinds_[static_cast<std::size_t>(kind)];
+  if (!slot) {
+    android::MobileApp app = android::MobileApp::for_workload(kind);
+    std::string code_ref = code_reference(app.app_id());
+    slot.emplace(KindData{
+        std::move(app),
+        workloads::make_workload(kind)->app().binder_calls_per_task,
+        std::move(code_ref)});
   }
-  return it->second;
+  return *slot;
 }
 
 const device::MobileDevice& Platform::device_for(std::uint32_t device_id) {
@@ -779,32 +806,31 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
     outcomes_.resize(request.sequence + 1);
     outcome_done_.resize(request.sequence + 1, 0);
   }
-  metrics_.counter("sessions.offered").inc();
+  SessionMetrics& sm = session_metrics_;
+  resolve(sm.offered, metrics_, "sessions.offered").inc();
   auto session = std::allocate_shared<SessionState>(
       sim::StlSlabAllocator<SessionState>(session_pool_.get()));
   session->request = request;
   session->kind = request.task.kind;
-  const android::MobileApp& app = app_for(session->kind);
-  session->app_id = app.app_id();
-  session->apk_bytes = app.apk_bytes();
+  session->app = &kind_data(session->kind);
   // The QoS identity rides on the session the request was submitted
   // through; an empty tenant falls back to per-app tenancy (the legacy
   // token-bucket key).
   session->stream_id = stream_id;
   session->klass = stream.config.priority;
   session->deadline = stream.config.deadline;
-  session->tenant = stream.config.tenant.empty() ? session->app_id
+  session->tenant = stream.config.tenant.empty() ? session->app_id()
                                                  : stream.config.tenant;
-  metrics_
-      .counter(std::string("qos.offered.") + qos::to_string(session->klass))
+  resolve(sm.qos_offered[qos::class_index(session->klass)], metrics_,
+          "qos.offered.", qos::to_string(session->klass))
       .inc();
   // Execute the real kernel now; work units drive the simulated times.
   // Identical tasks replayed across platforms (§VI-D record/replay)
   // share one execution through a process-wide memo.
   session->executed = execute_task_cached(request.task);
-  session->conn = std::make_unique<net::Connection>(
-      *link_, rng_.fork(request.sequence + 1));
-  session->conn->set_metrics(&metrics_);
+  session->conn.emplace(*link_, rng_.fork(request.sequence + 1));
+  if (!sm.net) sm.net = net::Connection::resolve_metrics(metrics_);
+  session->conn->set_metrics(*sm.net);
   simulator.schedule_at(std::max(request.arrival, simulator.now()),
                         [this, session]() { on_arrival(session); });
 }
@@ -865,11 +891,11 @@ void Platform::record_outcome(std::uint64_t sequence,
   outcome_done_[sequence] = 1;
 }
 
-void Platform::on_arrival(std::shared_ptr<SessionState> s) {
+void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
   if (trace_.enabled()) {
     s->span_session = trace_.begin(s->request.sequence + 1, "session",
                                    "session", server_->simulator().now());
-    trace_.annotate(s->span_session, "app", s->app_id);
+    trace_.annotate(s->span_session, "app", s->app_id());
     trace_.annotate(s->span_session, "device",
                     static_cast<std::uint64_t>(s->request.device_id));
     trace_.annotate(s->span_session, "class", qos::to_string(s->klass));
@@ -885,7 +911,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
     }
   }
   if (config_.adaptive_offloading) {
-    DecisionState& history = decisions_[s->app_id];
+    DecisionState& history = decisions_[s->app_id()];
     constexpr std::uint32_t kExplore = 3;  // first offloads gather data
     if (history.samples >= kExplore &&
         history.ewma_remote_s >= history.ewma_local_s) {
@@ -920,7 +946,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
           trace_.end(s->span_session, server_->simulator().now());
         }
         // Local runs refresh the local estimate.
-        DecisionState& h = decisions_[s->app_id];
+        DecisionState& h = decisions_[s->app_id()];
         const double local_s = sim::to_seconds(local);
         h.ewma_local_s = h.ewma_local_s == 0
                              ? local_s
@@ -954,7 +980,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
   attempt_connect(s);
 }
 
-void Platform::attempt_connect(std::shared_ptr<SessionState> s) {
+void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
   // The retry/backoff continuations carry no epoch guard; a session the
   // RAC block sweep rejected mid-connect must not rise again.
   if (s->done) return;
@@ -1005,7 +1031,7 @@ void Platform::attempt_connect(std::shared_ptr<SessionState> s) {
   simulator.schedule_in(connect, [this, s]() { on_connected(s); });
 }
 
-void Platform::on_connected(std::shared_ptr<SessionState> s) {
+void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
   if (s->done) return;  // swept by a RAC block while the handshake flew
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
@@ -1017,14 +1043,14 @@ void Platform::on_connected(std::shared_ptr<SessionState> s) {
   sim::SimDuration platform_cost = cal.dispatcher_cost;
   if (config_.code_cache) {
     platform_cost += cal.warehouse_lookup_cost;
-    s->cache_hit = server_->warehouse().lookup("ref:" + s->app_id);
+    s->cache_hit = server_->warehouse().lookup(s->app->code_ref);
     if (s->span_phase != obs::kNoSpan) {
       trace_.annotate(s->span_phase, "cache_hit",
                       static_cast<std::uint64_t>(s->cache_hit ? 1 : 0));
     }
   }
   // Request-based Access Controller: per-app analysis, once.
-  if (server_->access().ensure_analyzed(s->app_id)) {
+  if (server_->access().ensure_analyzed(s->app_id())) {
     platform_cost += cal.access_analysis_cost;
   } else {
     platform_cost += cal.access_check_cost;
@@ -1099,12 +1125,12 @@ void Platform::maybe_start_queued() {
   }
 }
 
-void Platform::dispatch(std::shared_ptr<SessionState> s,
+void Platform::dispatch(const std::shared_ptr<SessionState>& s,
                         sim::SimDuration lead_cost) {
   sim::Simulator& simulator = server_->simulator();
   ++s->dispatch_attempts;
   EnvRecord* record =
-      dispatcher_->assign(s->request, s->app_id, simulator.now(),
+      dispatcher_->assign(s->request, s->app->code_ref, simulator.now(),
                           class_backlog_threshold(s->klass), s->klass);
   Env* env = record != nullptr ? &env_of(record->id) : nullptr;
   const std::uint64_t epoch = s->epoch;
@@ -1172,7 +1198,7 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
   });
 }
 
-void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
+void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   if (s->env->rec.failed) {
@@ -1197,9 +1223,10 @@ void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
   s->phases.runtime_preparation = simulator.now() - s->connected_at;
   // The paper's headline latency split: what a session waits when its
   // environment must boot vs when a warm one is rebound.
-  metrics_
-      .histogram(s->fresh_env ? "session.prep.provision_ms"
-                              : "session.prep.reuse_ms")
+  SessionMetrics& sm = session_metrics_;
+  (s->fresh_env
+       ? resolve(sm.prep_provision_ms, metrics_, "session.prep.provision_ms")
+       : resolve(sm.prep_reuse_ms, metrics_, "session.prep.reuse_ms"))
       .observe(sim::to_millis(s->phases.runtime_preparation));
   if (warm_hits_ == nullptr) {
     warm_hits_ = &metrics_.counter("elastic.warm_hits");
@@ -1221,35 +1248,33 @@ void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
   if (config_.code_cache) {
     have_code = s->cache_hit;
   } else {
-    have_code = s->env->pushed_apps.contains(s->app_id);
+    have_code = s->env->pushed_apps.contains(s->app_id());
     s->cache_hit = have_code;
   }
 
   const device::MobileDevice& dev = device_for(s->request.device_id);
   device::OffloadClient client(dev);
   const device::UploadPlan plan =
-      client.plan_upload(s->request, s->apk_bytes, have_code);
+      client.plan_upload(s->request, s->app->app.apk_bytes(), have_code);
 
   // Upload: control handshake, optional code, files + parameters.
   sim::SimDuration upload = dev.config().serialize_cost;
   upload += s->conn->upload(net::Message{net::MessageType::kControl,
-                                         client.protocol().request_control,
-                                         s->app_id});
+                                         client.protocol().request_control});
   upload += s->conn->download(net::Message{
-      net::MessageType::kControl, client.protocol().response_control,
-      s->app_id});
+      net::MessageType::kControl, client.protocol().response_control});
   if (plan.push_code) {
-    upload += s->conn->upload(net::Message{net::MessageType::kMobileCode,
-                                           plan.code_bytes, s->app_id});
-    s->env->pushed_apps.insert(s->app_id);
+    upload += s->conn->upload(
+        net::Message{net::MessageType::kMobileCode, plan.code_bytes});
+    s->env->pushed_apps.insert(s->app_id());
     if (config_.code_cache) {
-      server_->warehouse().store("ref:" + s->app_id, plan.code_bytes);
+      server_->warehouse().store(s->app->code_ref, plan.code_bytes);
     }
   }
   const std::uint64_t payload = plan.file_bytes + plan.param_bytes;
   if (payload > 0) {
-    upload += s->conn->upload(net::Message{net::MessageType::kFileParams,
-                                           payload, s->app_id});
+    upload += s->conn->upload(
+        net::Message{net::MessageType::kFileParams, payload});
   }
 
 
@@ -1311,7 +1336,7 @@ void Platform::on_env_ready(std::shared_ptr<SessionState> s) {
   });
 }
 
-void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
+void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   begin_phase(*s, "execute");  // transfer ends now; queueing included
@@ -1325,21 +1350,21 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   // including this very session, swept by the on_block hook mid-handler.
   auto& access = server_->access();
   if (s->executed.units.io_bytes > 0) {
-    access.check(s->app_id, s->tenant, Operation::kReadOffloadFile,
+    access.check(s->app_id(), s->tenant, Operation::kReadOffloadFile,
                  simulator.now());
-    access.check(s->app_id, s->tenant, Operation::kWriteOffloadFile,
+    access.check(s->app_id(), s->tenant, Operation::kWriteOffloadFile,
                  simulator.now());
   }
-  access.check(s->app_id, s->tenant, Operation::kBinderCall,
+  access.check(s->app_id(), s->tenant, Operation::kBinderCall,
                simulator.now());
   if (config_.code_cache) {
-    access.check(s->app_id, s->tenant, Operation::kReadWarehouse,
+    access.check(s->app_id(), s->tenant, Operation::kReadWarehouse,
                  simulator.now());
   }
   if (const auto stream_it = streams_.find(s->stream_id);
       stream_it != streams_.end()) {
     for (const Operation op : stream_it->second.config.probe_ops) {
-      access.check(s->app_id, s->tenant, op, simulator.now());
+      access.check(s->app_id(), s->tenant, op, simulator.now());
       if (s->done) break;  // probe crossed the threshold; we were swept
     }
   }
@@ -1348,13 +1373,13 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   // ClassLoader: first load per environment pays dex verification.
   android::ClassLoader& loader =
       env.is_vm() ? env.vm_loader : env.cac->classloader();
-  const sim::SimDuration classload = loader.load(s->app_id, s->apk_bytes);
+  const sim::SimDuration classload =
+      loader.load(s->app_id(), s->app->app.apk_bytes());
 
   // Binder traffic of the task (exercises the Android Container Driver
   // for container-backed environments).
   sim::SimDuration binder_cost = 0;
-  const auto workload = workloads::make_workload(s->kind);
-  const std::uint32_t binder_calls = workload->app().binder_calls_per_task;
+  const std::uint32_t binder_calls = s->app->binder_calls_per_task;
   if (!env.is_vm() && env.cac->container() != nullptr) {
     const kernel::DevNsId ns = env.cac->container()->devns();
     for (std::uint32_t i = 0; i < binder_calls; ++i) {
@@ -1403,9 +1428,8 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   sim::SimDuration interaction = 0;
   for (std::uint32_t round = 0; round < s->request.task.control_rounds;
        ++round) {
-    s->conn->upload(net::Message{net::MessageType::kControl, 48, s->app_id});
-    s->conn->download(
-        net::Message{net::MessageType::kControl, 48, s->app_id});
+    s->conn->upload(net::Message{net::MessageType::kControl, 48});
+    s->conn->download(net::Message{net::MessageType::kControl, 48});
     interaction += config_.link.rtt + sim::from_millis(60);
   }
 
@@ -1448,7 +1472,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   });
 }
 
-void Platform::on_computed(std::shared_ptr<SessionState> s) {
+void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   server_->monitor().job_finished(s->klass);
@@ -1462,16 +1486,15 @@ void Platform::on_computed(std::shared_ptr<SessionState> s) {
   begin_phase(*s, "teardown");  // result download + completion control
   ++env.rec.jobs_served;
   if (config_.code_cache) {
-    server_->warehouse().record_execution("ref:" + s->app_id, env.id());
+    server_->warehouse().record_execution(s->app->code_ref, env.id());
   }
 
   // Result + completion control flow back.
   device::OffloadClient client(device_for(s->request.device_id));
-  sim::SimDuration download = s->conn->download(net::Message{
-      net::MessageType::kResult, s->request.task.result_bytes, s->app_id});
+  sim::SimDuration download = s->conn->download(
+      net::Message{net::MessageType::kResult, s->request.task.result_bytes});
   download += s->conn->upload(net::Message{
-      net::MessageType::kControl, client.protocol().completion_control,
-      s->app_id});
+      net::MessageType::kControl, client.protocol().completion_control});
   s->download_time = download;
   s->phases.data_transfer += download;
   // Handoff outage at result-delivery time: the download waits for the
@@ -1489,7 +1512,7 @@ void Platform::on_computed(std::shared_ptr<SessionState> s) {
   });
 }
 
-void Platform::complete(std::shared_ptr<SessionState> s) {
+void Platform::complete(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   end_phase(*s);  // teardown
@@ -1525,25 +1548,32 @@ void Platform::complete(std::shared_ptr<SessionState> s) {
       s->deadline > 0 && outcome.response > s->deadline;
   env_traffic_[s->env->id()].merge(s->conn->traffic());
 
-  metrics_.counter("sessions.completed").inc();
-  metrics_
-      .counter(std::string("qos.completed.") + qos::to_string(s->klass))
+  SessionMetrics& sm = session_metrics_;
+  const std::size_t klass = qos::class_index(s->klass);
+  const double response_ms = sim::to_millis(outcome.response);
+  resolve(sm.completed, metrics_, "sessions.completed").inc();
+  resolve(sm.qos_completed[klass], metrics_, "qos.completed.",
+          qos::to_string(s->klass))
       .inc();
   if (outcome.deadline_missed) {
-    metrics_.counter("qos.deadline.missed").inc();
+    resolve(sm.deadline_missed, metrics_, "qos.deadline.missed").inc();
   }
-  if (s->cache_hit) metrics_.counter("sessions.cache_hits").inc();
-  if (s->recovered) metrics_.counter("sessions.recovered").inc();
-  metrics_.histogram("session.response_ms")
-      .observe(sim::to_millis(outcome.response));
-  metrics_
-      .histogram(std::string("qos.response_ms.") + qos::to_string(s->klass))
-      .observe(sim::to_millis(outcome.response));
+  if (s->cache_hit) {
+    resolve(sm.cache_hits, metrics_, "sessions.cache_hits").inc();
+  }
+  if (s->recovered) {
+    resolve(sm.recovered, metrics_, "sessions.recovered").inc();
+  }
+  resolve(sm.response_ms, metrics_, "session.response_ms")
+      .observe(response_ms);
+  resolve(sm.qos_response_ms[klass], metrics_, "qos.response_ms.",
+          qos::to_string(s->klass))
+      .observe(response_ms);
   if (admission_ != nullptr) {
     // Goodput latency: responses of sessions that made it through
     // admission (the saturation bench's p99-of-accepted curve).
-    metrics_.histogram("session.accepted.response_ms")
-        .observe(sim::to_millis(outcome.response));
+    resolve(sm.accepted_response_ms, metrics_, "session.accepted.response_ms")
+        .observe(response_ms);
   }
   if (s->span_session != obs::kNoSpan) {
     trace_.annotate(s->span_session, "env_id",
@@ -1569,7 +1599,7 @@ void Platform::complete(std::shared_ptr<SessionState> s) {
   }
 
   if (config_.adaptive_offloading) {
-    DecisionState& history = decisions_[s->app_id];
+    DecisionState& history = decisions_[s->app_id()];
     const double remote_s =
         sim::to_seconds(outcomes_[s->request.sequence].response);
     const double local_s =
@@ -1724,27 +1754,28 @@ void Platform::on_tenant_blocked(const std::string& tenant,
   }
 }
 
-void Platform::reject_session(std::shared_ptr<SessionState> s,
+void Platform::reject_session(const std::shared_ptr<SessionState>& s,
                               RejectReason reason) {
   if (s->done) return;
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
-  metrics_.counter("sessions.rejected").inc();
-  metrics_
-      .counter(std::string("sessions.rejected.") + to_string(reason))
+  SessionMetrics& sm = session_metrics_;
+  resolve(sm.rejected, metrics_, "sessions.rejected").inc();
+  resolve(sm.rejected_by_reason[static_cast<std::size_t>(reason)], metrics_,
+          "sessions.rejected.", to_string(reason))
       .inc();
-  metrics_
-      .counter(std::string("qos.rejected.") + qos::to_string(s->klass))
+  resolve(sm.qos_rejected[qos::class_index(s->klass)], metrics_,
+          "qos.rejected.", qos::to_string(s->klass))
       .inc();
   // Typed reject reply: the device learns *why* it was turned away
   // (back-off hint) at the cost of one small downlink frame.  Sessions
   // whose connection never established — a connect that failed, or one
   // still queued when the RAC turned the session away — have nowhere to
   // send it.
-  if (reason != RejectReason::kConnectFailed && s->conn != nullptr &&
+  if (reason != RejectReason::kConnectFailed && s->conn.has_value() &&
       s->conn->established()) {
-    s->conn->download(net::Message{net::MessageType::kReject,
-                                   net::kRejectReplyBytes, s->app_id});
+    s->conn->download(
+        net::Message{net::MessageType::kReject, net::kRejectReplyBytes});
   }
   end_phase(*s);
   if (s->span_session != obs::kNoSpan) {

@@ -16,11 +16,12 @@
 // schedules on (docs/QOS.md).  run() is sugar over one default session.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -427,6 +428,37 @@ class Platform {
   struct SessionState;
   struct SessionScope;  ///< RAII: marks the session a handler acts for
 
+  /// What every session of one workload kind shares, resolved once per
+  /// platform instead of per submit.
+  struct KindData {
+    android::MobileApp app;
+    std::uint32_t binder_calls_per_task = 0;
+    std::string code_ref;  ///< the app's warehouse code reference
+  };
+
+  /// Session-path instruments, resolved on first use (the warm_hits_
+  /// idiom below), so a run exports exactly the instruments it touched
+  /// and no update pays a name lookup.
+  struct SessionMetrics {
+    obs::Counter* offered = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* rejected = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* recovered = nullptr;
+    obs::Counter* deadline_missed = nullptr;
+    obs::Histogram* response_ms = nullptr;
+    obs::Histogram* accepted_response_ms = nullptr;
+    obs::Histogram* prep_provision_ms = nullptr;
+    obs::Histogram* prep_reuse_ms = nullptr;
+    std::array<obs::Counter*, qos::kClassCount> qos_offered{};
+    std::array<obs::Counter*, qos::kClassCount> qos_completed{};
+    std::array<obs::Counter*, qos::kClassCount> qos_rejected{};
+    std::array<obs::Histogram*, qos::kClassCount> qos_response_ms{};
+    std::array<obs::Counter*, kRejectReasonCount> rejected_by_reason{};
+    /// net.* handles every session's connection counts into.
+    std::optional<net::Connection::Metrics> net;
+  };
+
   /// One open Session handle's server-side record.
   struct Stream {
     SessionConfig config;
@@ -465,14 +497,15 @@ class Platform {
       std::uint64_t stream_id) const;
   void record_outcome(std::uint64_t sequence, RequestOutcome outcome);
 
-  void on_arrival(std::shared_ptr<SessionState> s);
-  void attempt_connect(std::shared_ptr<SessionState> s);
-  void on_connected(std::shared_ptr<SessionState> s);
-  void dispatch(std::shared_ptr<SessionState> s, sim::SimDuration lead_cost);
-  void on_env_ready(std::shared_ptr<SessionState> s);
-  void on_uploaded(std::shared_ptr<SessionState> s);
-  void on_computed(std::shared_ptr<SessionState> s);
-  void complete(std::shared_ptr<SessionState> s);
+  void on_arrival(const std::shared_ptr<SessionState>& s);
+  void attempt_connect(const std::shared_ptr<SessionState>& s);
+  void on_connected(const std::shared_ptr<SessionState>& s);
+  void dispatch(const std::shared_ptr<SessionState>& s,
+                sim::SimDuration lead_cost);
+  void on_env_ready(const std::shared_ptr<SessionState>& s);
+  void on_uploaded(const std::shared_ptr<SessionState>& s);
+  void on_computed(const std::shared_ptr<SessionState>& s);
+  void complete(const std::shared_ptr<SessionState>& s);
 
   // Mobility machinery (docs/LOADGEN.md).
   void arm_mobility_pump();
@@ -493,7 +526,8 @@ class Platform {
   /// just-blocked tenant so it consumes zero container time past this
   /// instant (invariant #14).
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
-  void reject_session(std::shared_ptr<SessionState> s, RejectReason reason);
+  void reject_session(const std::shared_ptr<SessionState>& s,
+                      RejectReason reason);
   void finish_session(SessionState& s);
   /// Returns the RAC, queue and in-service slots a finished session held.
   void release_slots(SessionState& s);
@@ -548,7 +582,8 @@ class Platform {
   /// table and warehouse it attaches its touch list to.
   std::unique_ptr<InvariantOracle> oracle_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
-  std::map<std::string, android::MobileApp> apps_;  ///< by app id
+  /// Per-kind app data, resolved on a kind's first submit.
+  std::array<std::optional<KindData>, workloads::kKindCount> kinds_;
   std::vector<device::MobileDevice> devices_;
   std::vector<RequestOutcome> outcomes_;
   std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
@@ -565,6 +600,7 @@ class Platform {
   obs::Counter* cold_boots_ = nullptr;
   obs::Gauge* warm_hit_ratio_ = nullptr;
   obs::Histogram* prewarm_lead_ms_ = nullptr;
+  SessionMetrics session_metrics_;
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;
   bool run_active_ = false;
@@ -575,7 +611,7 @@ class Platform {
   /// Connectivity returns at this virtual time (0 = link attached).
   sim::SimTime link_down_until_ = 0;
 
-  const android::MobileApp& app_for(workloads::Kind kind);
+  const KindData& kind_data(workloads::Kind kind);
   const device::MobileDevice& device_for(std::uint32_t device_id);
 
   /// Per-app offloading-decision history (adaptive mode).

@@ -3,14 +3,15 @@
 // offload session's state.  Not part of the public API.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/platform.hpp"
+#include "sim/inline_callback.hpp"
 
 namespace rattrap::core {
 
@@ -33,7 +34,7 @@ struct Platform::Env {
   vm::VmId vm_id = 0;
   std::unique_ptr<CloudAndroidContainer> cac;
   android::ClassLoader vm_loader;  ///< for VM-backed environments
-  std::vector<std::function<void()>> waiters;
+  std::vector<sim::InlineCallback> waiters;
   /// Apps whose code this specific environment has received (the per-VM
   /// duplicate-code bookkeeping of §III-D).
   std::set<std::string> pushed_apps;
@@ -42,11 +43,10 @@ struct Platform::Env {
 
 struct Platform::SessionState {
   workloads::OffloadRequest request;
-  std::string app_id;
-  std::uint64_t apk_bytes = 0;
+  const KindData* app = nullptr;  ///< the platform's data for `kind`
   workloads::Kind kind = workloads::Kind::kLinpack;
   workloads::TaskResult executed;  ///< real kernel execution
-  std::unique_ptr<net::Connection> conn;
+  std::optional<net::Connection> conn;  ///< in the pooled session block
   PhaseBreakdown phases;
   sim::SimTime connected_at = 0;
   sim::SimDuration upload_time = 0;
@@ -90,6 +90,10 @@ struct Platform::SessionState {
   obs::SpanId span_phase = obs::kNoSpan;    ///< current phase span
   bool fresh_env = false;  ///< bound to an env that still had to boot
   std::map<sim::FaultKind, std::uint64_t> fault_hits;
+
+  [[nodiscard]] const std::string& app_id() const {
+    return app->app.app_id();
+  }
 };
 
 }  // namespace rattrap::core

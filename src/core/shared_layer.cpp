@@ -1,6 +1,8 @@
 #include "core/shared_layer.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 
 namespace rattrap::core {
 
@@ -12,8 +14,14 @@ SharedResourceLayer::SharedResourceLayer(
   assert(system_layer_ && "shared layer requires a system image");
 }
 
-std::string SharedResourceLayer::request_path(std::uint64_t request_seq) {
-  return "/offload/req-" + std::to_string(request_seq) + "/input";
+std::string_view SharedResourceLayer::request_path(std::uint64_t request_seq,
+                                                  PathBuffer& buffer) {
+  constexpr std::string_view kPrefix = "/offload/req-";
+  constexpr std::string_view kLeaf = "/input";
+  char* out = std::copy(kPrefix.begin(), kPrefix.end(), buffer.data());
+  out = std::to_chars(out, buffer.data() + buffer.size(), request_seq).ptr;
+  out = std::copy(kLeaf.begin(), kLeaf.end(), out);
+  return {buffer.data(), static_cast<std::size_t>(out - buffer.data())};
 }
 
 void SharedResourceLayer::set_metrics(obs::MetricsRegistry* metrics) {
@@ -44,18 +52,18 @@ bool SharedResourceLayer::stage_request_files(std::uint64_t request_seq,
                                               sim::SimTime now) {
   if (bytes == 0) return true;
   // "Burn after reading": migrated data is a one-time deal (§IV-C).
-  if (!offload_io_.write(request_path(request_seq), bytes, now,
+  PathBuffer path;
+  if (!offload_io_.write(request_path(request_seq, path), bytes, now,
                          /*burn_after_reading=*/true)) {
     if (metric_stage_rejected_ != nullptr) metric_stage_rejected_->inc();
     return false;
   }
   // Restaging (a re-dispatched session uploading again) replaces the
   // previous copy in place, so account the delta.
-  auto [it, inserted] = staged_.try_emplace(request_seq, bytes);
-  if (!inserted) {
-    staged_bytes_ -= it->second;
-    it->second = bytes;
+  if (const std::uint64_t* previous = staged_.find(request_seq)) {
+    staged_bytes_ -= *previous;
   }
+  staged_.insert_or_assign(request_seq, bytes);
   staged_bytes_ += bytes;
   if (metric_staged_requests_ != nullptr) {
     metric_staged_requests_->inc();
@@ -67,12 +75,13 @@ bool SharedResourceLayer::stage_request_files(std::uint64_t request_seq,
 
 std::uint64_t SharedResourceLayer::consume_request_files(
     std::uint64_t request_seq, sim::SimTime now) {
-  const std::int64_t read = offload_io_.read(request_path(request_seq), now);
+  PathBuffer path;
+  const std::int64_t read =
+      offload_io_.read(request_path(request_seq, path), now);
   if (read < 0) return 0;
-  const auto it = staged_.find(request_seq);
-  if (it != staged_.end()) {
-    staged_bytes_ -= it->second;
-    staged_.erase(it);
+  if (const std::uint64_t* bytes = staged_.find(request_seq)) {
+    staged_bytes_ -= *bytes;
+    staged_.erase(request_seq);
   }
   if (metric_consumed_bytes_ != nullptr) {
     metric_consumed_bytes_->inc(static_cast<std::uint64_t>(read));
@@ -83,12 +92,13 @@ std::uint64_t SharedResourceLayer::consume_request_files(
 
 std::uint64_t SharedResourceLayer::release_request_files(
     std::uint64_t request_seq) {
-  const auto it = staged_.find(request_seq);
-  if (it == staged_.end()) return 0;
-  const std::uint64_t bytes = it->second;
-  offload_io_.remove(request_path(request_seq));
+  const std::uint64_t* staged = staged_.find(request_seq);
+  if (staged == nullptr) return 0;
+  const std::uint64_t bytes = *staged;
+  PathBuffer path;
+  offload_io_.remove(request_path(request_seq, path));
   staged_bytes_ -= bytes;
-  staged_.erase(it);
+  staged_.erase(request_seq);
   if (metric_released_bytes_ != nullptr) {
     metric_released_bytes_->inc(bytes);
     update_usage_metrics();

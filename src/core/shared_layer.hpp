@@ -10,14 +10,15 @@
 //     "burn after reading" keeps the footprint bounded.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "fs/layer.hpp"
 #include "fs/tmpfs.hpp"
 #include "obs/metrics.hpp"
+#include "sim/flat_hash.hpp"
 
 namespace rattrap::core {
 
@@ -73,12 +74,17 @@ class SharedResourceLayer {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  [[nodiscard]] static std::string request_path(std::uint64_t request_seq);
+  /// Room for "/offload/req-<20 digits>/input".
+  using PathBuffer = std::array<char, 48>;
+  /// Formats a request's staging path into `buffer` — no heap string per
+  /// stage, consume or release.
+  [[nodiscard]] static std::string_view request_path(
+      std::uint64_t request_seq, PathBuffer& buffer);
   void update_usage_metrics();
 
   std::shared_ptr<const fs::Layer> system_layer_;
   fs::TmpFs offload_io_;
-  std::map<std::uint64_t, std::uint64_t> staged_;  ///< request seq → bytes
+  sim::FlatHashMap<std::uint64_t, std::uint64_t> staged_;  ///< seq → bytes
   std::uint64_t staged_bytes_ = 0;
   obs::Counter* metric_staged_requests_ = nullptr;
   obs::Counter* metric_bytes_shared_ = nullptr;

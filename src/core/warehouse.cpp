@@ -5,6 +5,12 @@
 
 namespace rattrap::core {
 
+std::string code_reference(std::string_view app_id) {
+  std::string reference = "ref:";
+  reference.append(app_id);
+  return reference;
+}
+
 void AppWarehouse::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     metric_hits_ = metric_misses_ = metric_evictions_ = nullptr;

@@ -31,6 +31,9 @@ namespace rattrap::core {
 using Aid = std::uint32_t;          ///< application id in the cache table
 using EnvId = std::uint32_t;        ///< runtime-environment id (CID/VM id)
 
+/// The reference a client's code is stored under: "ref:<app id>".
+[[nodiscard]] std::string code_reference(std::string_view app_id);
+
 struct CacheEntry {
   Aid aid = 0;
   std::string reference;            ///< client-visible code reference

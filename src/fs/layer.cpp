@@ -18,66 +18,52 @@ void Layer::account_remove(const FileNode& node) {
   }
 }
 
-void Layer::put_file(std::string_view path, std::uint64_t size,
-                     sim::SimTime mtime) {
-  const std::string key = normalize(path);
+FileNode& Layer::put(std::string_view path, const FileNode& node) {
+  std::string scratch;
+  const std::string_view key = canonical(path, scratch);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    account_remove(it->second);
+    it->second = node;
+  } else {
+    it = entries_.emplace(std::string(key), node).first;
+  }
+  account_add(node);
+  return it->second;
+}
+
+FileNode& Layer::put_file(std::string_view path, std::uint64_t size,
+                          sim::SimTime mtime) {
   FileNode node;
   node.kind = FileKind::kRegular;
   node.size = size;
   node.mtime = mtime;
-  auto old = entries_.find(key);
-  if (old != entries_.end()) {
-    account_remove(old->second);
-    old->second = node;
-  } else {
-    entries_.emplace(key, node);
-  }
-  account_add(node);
+  return put(path, node);
 }
 
 void Layer::put_dir(std::string_view path, sim::SimTime mtime) {
-  const std::string key = normalize(path);
   FileNode node;
   node.kind = FileKind::kDirectory;
   node.mtime = mtime;
-  auto old = entries_.find(key);
-  if (old != entries_.end()) {
-    account_remove(old->second);
-    old->second = node;
-  } else {
-    entries_.emplace(key, node);
-  }
+  put(path, node);
 }
 
 void Layer::put_device(std::string_view path, sim::SimTime mtime) {
-  const std::string key = normalize(path);
   FileNode node;
   node.kind = FileKind::kDevice;
   node.mtime = mtime;
-  auto old = entries_.find(key);
-  if (old != entries_.end()) {
-    account_remove(old->second);
-    old->second = node;
-  } else {
-    entries_.emplace(key, node);
-  }
+  put(path, node);
 }
 
 void Layer::put_whiteout(std::string_view path) {
-  const std::string key = normalize(path);
   FileNode node;
   node.whiteout = true;
-  auto old = entries_.find(key);
-  if (old != entries_.end()) {
-    account_remove(old->second);
-    old->second = node;
-  } else {
-    entries_.emplace(key, node);
-  }
+  put(path, node);
 }
 
 bool Layer::erase(std::string_view path) {
-  const auto it = entries_.find(normalize(path));
+  std::string scratch;
+  const auto it = entries_.find(canonical(path, scratch));
   if (it == entries_.end()) return false;
   account_remove(it->second);
   entries_.erase(it);
@@ -85,12 +71,14 @@ bool Layer::erase(std::string_view path) {
 }
 
 const FileNode* Layer::find(std::string_view path) const {
-  const auto it = entries_.find(normalize(path));
+  std::string scratch;
+  const auto it = entries_.find(canonical(path, scratch));
   return it == entries_.end() ? nullptr : &it->second;
 }
 
 FileNode* Layer::find(std::string_view path) {
-  const auto it = entries_.find(normalize(path));
+  std::string scratch;
+  const auto it = entries_.find(canonical(path, scratch));
   return it == entries_.end() ? nullptr : &it->second;
 }
 

@@ -32,6 +32,7 @@ struct FileNode {
   sim::SimTime atime = 0;            ///< last access (drives Obs. 4)
   bool whiteout = false;             ///< union-fs deletion marker
   bool accessed = false;             ///< ever read since creation
+  bool burn_after_reading = false;   ///< tmpfs: unlinked by its first read
 };
 
 class Layer {
@@ -40,11 +41,11 @@ class Layer {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Inserts or replaces a regular file. Parent directories are created
-  /// implicitly on lookup-by-prefix semantics (flat map), so no mkdir -p
-  /// bookkeeping is required.
-  void put_file(std::string_view path, std::uint64_t size,
-                sim::SimTime mtime = 0);
+  /// Inserts or replaces a regular file and returns its entry. Parent
+  /// directories are created implicitly on lookup-by-prefix semantics
+  /// (flat map), so no mkdir -p bookkeeping is required.
+  FileNode& put_file(std::string_view path, std::uint64_t size,
+                     sim::SimTime mtime = 0);
 
   /// Inserts a directory entry (size 0).
   void put_dir(std::string_view path, sim::SimTime mtime = 0);
@@ -93,6 +94,8 @@ class Layer {
  private:
   void account_add(const FileNode& node);
   void account_remove(const FileNode& node);
+  /// Inserts or replaces the entry at `path`.
+  FileNode& put(std::string_view path, const FileNode& node);
 
   std::string name_;
   std::map<std::string, FileNode, std::less<>> entries_;

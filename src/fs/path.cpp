@@ -2,7 +2,24 @@
 
 namespace rattrap::fs {
 
+bool is_normalized(std::string_view path) {
+  if (path.empty() || path.front() != '/') return false;
+  if (path.size() == 1) return true;
+  if (path.back() == '/') return false;
+  // Every component sits between a '/' and the next '/' (or the end).
+  std::size_t start = 1;
+  while (start <= path.size()) {
+    std::size_t end = path.find('/', start);
+    if (end == std::string_view::npos) end = path.size();
+    const std::string_view part = path.substr(start, end - start);
+    if (part.empty() || part == "." || part == "..") return false;
+    start = end + 1;
+  }
+  return true;
+}
+
 std::string normalize(std::string_view path) {
+  if (is_normalized(path)) return std::string(path);
   std::vector<std::string_view> parts;
   std::size_t i = 0;
   while (i < path.size()) {
@@ -65,8 +82,10 @@ std::vector<std::string> components(std::string_view path) {
 }
 
 bool is_under(std::string_view path, std::string_view prefix) {
-  const std::string p = normalize(path);
-  const std::string pre = normalize(prefix);
+  std::string path_scratch;
+  std::string prefix_scratch;
+  const std::string_view p = canonical(path, path_scratch);
+  const std::string_view pre = canonical(prefix, prefix_scratch);
   if (pre == "/") return true;
   if (p == pre) return true;
   return p.size() > pre.size() && p.compare(0, pre.size(), pre) == 0 &&

@@ -15,6 +15,19 @@ namespace rattrap::fs {
 /// trailing slash.  A relative input is treated as rooted at "/".
 [[nodiscard]] std::string normalize(std::string_view path);
 
+/// True when `path` is already canonical, i.e. normalize(path) == path:
+/// absolute, no empty, "." or ".." component, no trailing slash.
+[[nodiscard]] bool is_normalized(std::string_view path);
+
+/// The canonical form of `path` as a view: `path` itself when it is
+/// already canonical (no copy), else normalize(path) stored in `scratch`.
+[[nodiscard]] inline std::string_view canonical(std::string_view path,
+                                                std::string& scratch) {
+  if (is_normalized(path)) return path;
+  scratch = normalize(path);
+  return scratch;
+}
+
 /// Joins `base` and `leaf` and normalizes the result.
 [[nodiscard]] std::string join(std::string_view base, std::string_view leaf);
 

@@ -23,41 +23,33 @@ bool TmpFs::write(std::string_view path, std::uint64_t size, sim::SimTime now,
     ++injected_write_failures_;
     return false;
   }
-  const std::string key = normalize(path);
+  std::string scratch;
+  const std::string_view key = canonical(path, scratch);
   std::uint64_t existing = 0;
   if (const FileNode* node = store_.find(key)) existing = node->size;
   // Replacing a file frees its old bytes first.
   if (used_bytes() - existing + size > capacity_) return false;
-  store_.put_file(key, size, now);
-  if (burn_after_reading) {
-    burn_list_.insert(key);
-  } else {
-    burn_list_.erase(key);
-  }
+  // A replacement takes this write's flag, whatever the old file had.
+  store_.put_file(key, size, now).burn_after_reading = burn_after_reading;
   written_ += size;
   peak_ = std::max(peak_, used_bytes());
   return true;
 }
 
 std::int64_t TmpFs::read(std::string_view path, sim::SimTime now) {
-  const std::string key = normalize(path);
+  std::string scratch;
+  const std::string_view key = canonical(path, scratch);
   FileNode* node = store_.find(key);
   if (node == nullptr) return -1;
   node->atime = now;
   node->accessed = true;
   const auto size = static_cast<std::int64_t>(node->size);
   read_ += node->size;
-  if (burn_list_.erase(key) > 0) {
-    store_.erase(key);  // burn after reading
-  }
+  if (node->burn_after_reading) store_.erase(key);  // burn after reading
   return size;
 }
 
-bool TmpFs::remove(std::string_view path) {
-  const std::string key = normalize(path);
-  burn_list_.erase(key);
-  return store_.erase(key);
-}
+bool TmpFs::remove(std::string_view path) { return store_.erase(path); }
 
 sim::SimDuration TmpFs::transfer_time(std::uint64_t bytes) const {
   const double seconds =

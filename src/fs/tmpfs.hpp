@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -67,7 +66,6 @@ class TmpFs {
 
  private:
   Layer store_;
-  std::set<std::string, std::less<>> burn_list_;
   std::uint64_t capacity_;
   double bandwidth_mb_s_;
   std::uint64_t peak_ = 0;

@@ -4,34 +4,31 @@
 
 namespace rattrap::net {
 
-void Connection::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    connects_ = messages_up_ = messages_down_ = nullptr;
-    return;
-  }
-  connects_ = &metrics->counter("net.connects");
-  messages_up_ = &metrics->counter("net.messages.up");
-  messages_down_ = &metrics->counter("net.messages.down");
+Connection::Metrics Connection::resolve_metrics(
+    obs::MetricsRegistry& metrics) {
+  return Metrics{&metrics.counter("net.connects"),
+                 &metrics.counter("net.messages.up"),
+                 &metrics.counter("net.messages.down")};
 }
 
 sim::SimDuration Connection::establish() {
   const sim::SimDuration t = link_.connect_time(rng_);
   established_ = true;
-  if (connects_ != nullptr) connects_->inc();
+  if (metrics_.connects != nullptr) metrics_.connects->inc();
   return t;
 }
 
 sim::SimDuration Connection::upload(const Message& message) {
   assert(established_ && "upload on unestablished connection");
   traffic_.record_up(message.type, message.bytes);
-  if (messages_up_ != nullptr) messages_up_->inc();
+  if (metrics_.messages_up != nullptr) metrics_.messages_up->inc();
   return link_.upload_time(message.bytes, rng_);
 }
 
 sim::SimDuration Connection::download(const Message& message) {
   assert(established_ && "download on unestablished connection");
   traffic_.record_down(message.type, message.bytes);
-  if (messages_down_ != nullptr) messages_down_->inc();
+  if (metrics_.messages_down != nullptr) metrics_.messages_down->inc();
   return link_.download_time(message.bytes, rng_);
 }
 

@@ -37,18 +37,27 @@ class Connection {
   [[nodiscard]] const TrafficAccount& traffic() const { return traffic_; }
   [[nodiscard]] const Link& link() const { return link_; }
 
-  /// Attaches a metrics registry: handshakes count into net.connects and
-  /// per-message traffic into net.messages.* . nullptr detaches.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// The instruments a connection counts into: handshakes into
+  /// net.connects, per-message traffic into net.messages.* .
+  struct Metrics {
+    obs::Counter* connects = nullptr;
+    obs::Counter* messages_up = nullptr;
+    obs::Counter* messages_down = nullptr;
+  };
+
+  /// Looks the three instruments up in `metrics` (creating them) — once
+  /// per registry, however many connections count into it.
+  [[nodiscard]] static Metrics resolve_metrics(obs::MetricsRegistry& metrics);
+
+  /// Attaches resolved instruments; a default Metrics{} detaches.
+  void set_metrics(const Metrics& metrics) { metrics_ = metrics; }
 
  private:
   const Link& link_;
   sim::Rng rng_;
   TrafficAccount traffic_;
   bool established_ = false;
-  obs::Counter* connects_ = nullptr;
-  obs::Counter* messages_up_ = nullptr;
-  obs::Counter* messages_down_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace rattrap::net

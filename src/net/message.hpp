@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace rattrap::net {
 
@@ -32,7 +31,6 @@ inline constexpr std::uint64_t kRejectReplyBytes = 32;
 struct Message {
   MessageType type = MessageType::kControl;
   std::uint64_t bytes = 0;
-  std::string app_id;  ///< owning application (for cache bookkeeping)
 };
 
 /// Byte counters per message class and direction.

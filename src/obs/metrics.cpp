@@ -100,12 +100,11 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
+                                      const std::vector<double>& bounds) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
+             .emplace(std::string(name), std::make_unique<Histogram>(bounds))
              .first;
   }
   return *it->second;

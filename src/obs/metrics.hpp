@@ -116,8 +116,9 @@ class MetricsRegistry {
   /// Finds or creates; references stay valid for the registry lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `bounds` applies on first creation only.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+  /// `bounds` applies on first creation only (and is copied only then).
+  Histogram& histogram(std::string_view name,
+                       const std::vector<double>& bounds);
   Histogram& histogram(std::string_view name) {
     return histogram(name, latency_ms_buckets());
   }

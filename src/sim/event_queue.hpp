@@ -6,8 +6,9 @@
 // were cancelled before firing.  At 10^6-device scale the queue is the
 // simulator's hot path, so this is a Brown calendar queue instead:
 //
-//   * callbacks live in arena slots (sim/arena.hpp) — no malloc/free
-//     per event, freed slots are ASan-poisoned — while the hot metadata
+//   * callbacks live in arena slots (sim/arena.hpp) as InlineCallback
+//     cells — no malloc/free per event for captures of up to 48 bytes,
+//     freed slots are ASan-poisoned — while the hot metadata
 //     (time/seq keys, intrusive links, bucket index, liveness
 //     generation) is packed into a dense parallel array indexed by the
 //     same slot, so the sorted inserts and min-scans stream packed keys
@@ -39,11 +40,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/arena.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/time.hpp"
 
 namespace rattrap::sim {
@@ -59,7 +60,10 @@ inline constexpr EventId kNoEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// Move-only, with 48 bytes of inline capture storage: a continuation
+  /// capturing a shared_ptr and a few words schedules and fires without
+  /// touching the allocator (sim/inline_callback.hpp).
+  using Callback = InlineCallback;
 
   /// Which scheduler backs the queue.  kCalendar is the production
   /// engine; kReferenceHeap routes every operation to the preserved seed
@@ -134,8 +138,9 @@ class EventQueue {
 
  private:
   // Hot/cold split event storage.  A scheduled event is an arena slot
-  // holding only its callback (32 bytes, touched twice per event: once
-  // to store, once to fire); everything link() / find_min() / cancel()
+  // holding only its callback (56 bytes: 48 of inline capture storage
+  // plus the dispatch pointer; touched twice per event: once to store,
+  // once to fire); everything link() / find_min() / cancel()
   // chase — the (time, seq) ordering key, the intrusive bucket links,
   // the owning bucket and the liveness generation — is packed into one
   // 32-byte Meta record per slot in a dense parallel array, two per

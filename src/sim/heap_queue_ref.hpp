@@ -23,19 +23,19 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/inline_callback.hpp"
 #include "sim/time.hpp"
 
 namespace rattrap::sim {
 
 class ReferenceHeapQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   std::uint64_t schedule(SimTime when, Callback cb) {
     const std::uint64_t id = next_id_++;

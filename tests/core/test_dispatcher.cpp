@@ -28,6 +28,7 @@ class DispatcherTest : public ::testing::Test {
 
   EnvTable envs_;
   AppWarehouse warehouse_;
+  const std::string app_ref_ = code_reference("app");
 };
 
 TEST_F(DispatcherTest, BindingKeyIsPerDevice) {
@@ -40,9 +41,9 @@ TEST_F(DispatcherTest, BindingKeyIsPerDevice) {
 
 TEST_F(DispatcherTest, NoAffinityRoutesToDeviceEnv) {
   Dispatcher dispatcher(envs_, warehouse_, false);
-  EXPECT_EQ(dispatcher.assign(request_from_device(0), "app", 0), nullptr);
+  EXPECT_EQ(dispatcher.assign(request_from_device(0), app_ref_, 0), nullptr);
   envs_.add(EnvBacking::kVm, "dev:0", 0);
-  EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 0);
+  EnvRecord* assigned = dispatcher.assign(request_from_device(0), app_ref_, 0);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
 }
@@ -51,19 +52,20 @@ TEST_F(DispatcherTest, FirstRequestOfDeviceProvisionsEvenWithAffinity) {
   Dispatcher dispatcher(envs_, warehouse_, true);
   // Another device's container already ran this app...
   add_env("dev:1");
-  warehouse_.store("ref:app", 100);
-  warehouse_.record_execution("ref:app", 1);
+  warehouse_.store(app_ref_, 100);
+  warehouse_.record_execution(app_ref_, 1);
   // ...but device 0 has no environment yet: it must boot its own.
-  EXPECT_EQ(dispatcher.assign(request_from_device(0), "app", 100), nullptr);
+  EXPECT_EQ(dispatcher.assign(request_from_device(0), app_ref_, 100), nullptr);
 }
 
 TEST_F(DispatcherTest, AffinityReroutesToAppHotContainer) {
   Dispatcher dispatcher(envs_, warehouse_, true);
   add_env("dev:0");
   add_env("dev:1");
-  warehouse_.store("ref:app", 100);
-  warehouse_.record_execution("ref:app", 2);
-  EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);
+  warehouse_.store(app_ref_, 100);
+  warehouse_.record_execution(app_ref_, 2);
+  EnvRecord* assigned =
+      dispatcher.assign(request_from_device(0), app_ref_, 100);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 2u);  // rerouted to the code-hot container
 }
@@ -73,9 +75,9 @@ TEST_F(DispatcherTest, BackloggedHotContainerIsAvoided) {
   add_env("dev:0");
   EnvRecord& hot = add_env("dev:1", EnvState::kLeased);
   hot.busy_until = 100 * sim::kSecond;  // deep backlog
-  warehouse_.store("ref:app", 100);
-  warehouse_.record_execution("ref:app", 2);
-  EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app",
+  warehouse_.store(app_ref_, 100);
+  warehouse_.record_execution(app_ref_, 2);
+  EnvRecord* assigned = dispatcher.assign(request_from_device(0), app_ref_,
                                           sim::kSecond);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);  // scheduler spreads the load
@@ -85,10 +87,11 @@ TEST_F(DispatcherTest, RetiredHotContainerIsSkipped) {
   Dispatcher dispatcher(envs_, warehouse_, true);
   add_env("dev:0");
   add_env("dev:1");
-  warehouse_.store("ref:app", 100);
-  warehouse_.record_execution("ref:app", 2);
+  warehouse_.store(app_ref_, 100);
+  warehouse_.record_execution(app_ref_, 2);
   envs_.transition(2, EnvState::kReclaimed, 20);
-  EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);
+  EnvRecord* assigned =
+      dispatcher.assign(request_from_device(0), app_ref_, 100);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
 }
@@ -97,9 +100,10 @@ TEST_F(DispatcherTest, ProvisioningHotContainerNotRerouted) {
   Dispatcher dispatcher(envs_, warehouse_, true);
   add_env("dev:0");
   add_env("dev:1", EnvState::kBooting);  // not registered yet
-  warehouse_.store("ref:app", 100);
-  warehouse_.record_execution("ref:app", 2);
-  EnvRecord* assigned = dispatcher.assign(request_from_device(0), "app", 100);
+  warehouse_.store(app_ref_, 100);
+  warehouse_.record_execution(app_ref_, 2);
+  EnvRecord* assigned =
+      dispatcher.assign(request_from_device(0), app_ref_, 100);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
 }

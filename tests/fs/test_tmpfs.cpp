@@ -53,6 +53,33 @@ TEST(TmpFs, RewriteClearsBurnFlag) {
   EXPECT_TRUE(fs.exists("/f"));
 }
 
+TEST(TmpFs, RewriteThroughAnotherSpellingClearsBurnFlag) {
+  TmpFs fs("t", 1024, 1000.0);
+  fs.write("/req/input", 10, 0, true);
+  fs.write("//req/./input/", 12, 1, false);  // same file, other spelling
+  EXPECT_EQ(fs.file_count(), 1u);
+  EXPECT_EQ(fs.read("/req/input", 2), 12);
+  EXPECT_TRUE(fs.exists("/req/input"));
+}
+
+TEST(TmpFs, BurnFlagFollowsTheLatestWrite) {
+  TmpFs fs("t", 1024, 1000.0);
+  fs.write("/f", 10, 0, false);
+  fs.write("/f", 10, 1, true);  // re-staged as one-shot
+  EXPECT_EQ(fs.read("req/../f", 2), 10);
+  EXPECT_FALSE(fs.exists("/f"));  // burned through a relative spelling
+  EXPECT_EQ(fs.used_bytes(), 0u);
+}
+
+TEST(TmpFs, RemovedBurnFileRewrittenPlainSurvives) {
+  TmpFs fs("t", 1024, 1000.0);
+  fs.write("/f", 10, 0, true);
+  EXPECT_TRUE(fs.remove("/f"));
+  fs.write("/f", 10, 1, false);
+  fs.read("/f", 2);
+  EXPECT_TRUE(fs.exists("/f"));
+}
+
 TEST(TmpFs, PeakTracksHighWater) {
   TmpFs fs("t", 1024, 1000.0);
   fs.write("/a", 200, 0);

@@ -18,7 +18,7 @@ TEST(Connection, UploadRecordsTraffic) {
   Connection conn(link, sim::Rng(2));
   conn.establish();
   const auto t =
-      conn.upload(Message{MessageType::kMobileCode, 1 << 20, "app"});
+      conn.upload(Message{MessageType::kMobileCode, 1 << 20});
   EXPECT_GT(t, 0);
   EXPECT_EQ(conn.traffic().up_bytes(MessageType::kMobileCode), 1u << 20);
   EXPECT_EQ(conn.traffic().total_down(), 0u);
@@ -28,7 +28,7 @@ TEST(Connection, DownloadRecordsTraffic) {
   Link link(lan_wifi());
   Connection conn(link, sim::Rng(3));
   conn.establish();
-  conn.download(Message{MessageType::kResult, 4096, "app"});
+  conn.download(Message{MessageType::kResult, 4096});
   EXPECT_EQ(conn.traffic().down_bytes(MessageType::kResult), 4096u);
 }
 
@@ -49,9 +49,9 @@ TEST(Connection, BiggerPayloadsTakeLonger) {
   double small = 0, large = 0;
   for (int i = 0; i < 20; ++i) {
     small += static_cast<double>(
-        conn.upload(Message{MessageType::kFileParams, 10 * 1024, "a"}));
+        conn.upload(Message{MessageType::kFileParams, 10 * 1024}));
     large += static_cast<double>(
-        conn.upload(Message{MessageType::kFileParams, 1000 * 1024, "a"}));
+        conn.upload(Message{MessageType::kFileParams, 1000 * 1024}));
   }
   EXPECT_GT(large, small);
 }
