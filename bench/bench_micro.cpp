@@ -95,7 +95,8 @@ void BM_LinpackSolve(benchmark::State& state) {
       flops * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LinpackSolve)->Arg(64)->Arg(160);
+// 480 is the size class every e2ebench workload runs (N = 160·3).
+BENCHMARK(BM_LinpackSolve)->Arg(64)->Arg(160)->Arg(480);
 
 void BM_OcrRecognize(benchmark::State& state) {
   const auto page = workloads::render_page(24, 32, 0.04, 11);
