@@ -5,11 +5,14 @@
 // resource argument: 512 MB Android VMs cap a 16 GB server at ~31
 // concurrent environments, while 96 MB optimized containers (whose ~1 GB
 // system image is shared besides) fit 5x more.  Requests beyond the VM
-// memory wall are rejected outright.
+// memory wall are rejected outright.  The third column buys the same
+// headroom by scale-out instead: three independent VM servers, each
+// serving the devices with device_id % 3 == i.
+//
+// Exit 1 when the printed check fails (bench-smoke enforces it).
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
 
 using namespace rattrap;
 
@@ -25,6 +28,7 @@ int main() {
               "envs", "resp[s]", "rej", "envs");
   bench::print_rule();
 
+  bool ok = true;
   for (const std::uint32_t devices : {5u, 15u, 25u, 31u, 40u, 60u}) {
     workloads::StreamConfig config;
     config.kind = workloads::Kind::kLinpack;
@@ -64,11 +68,31 @@ int main() {
     }
     {
       // Scale-out alternative: shard the same fleet over 3 VM servers.
-      core::Cluster cluster(
-          core::make_config(core::PlatformKind::kVmCloud), 3);
-      tally(cells[2], cluster.run(stream));
-      cells[2].envs = cluster.stats().environments;
+      // Platform::run indexes outcomes by sequence, so each server's
+      // stream is renumbered densely.
+      constexpr std::size_t kServers = 3;
+      const core::PlatformConfig base =
+          core::make_config(core::PlatformKind::kVmCloud);
+      std::vector<workloads::OffloadRequest> shards[kServers];
+      for (const auto& request : stream) {
+        auto& shard = shards[request.device_id % kServers];
+        shard.push_back(request);
+        shard.back().sequence = shard.size() - 1;
+      }
+      std::vector<core::RequestOutcome> outcomes;
+      for (std::size_t i = 0; i < kServers; ++i) {
+        core::PlatformConfig config = base;
+        config.seed = base.seed + 7919 * (i + 1);
+        core::Platform server(std::move(config));
+        const auto out = server.run(shards[i]);
+        outcomes.insert(outcomes.end(), out.begin(), out.end());
+        cells[2].envs += server.env_count();
+      }
+      tally(cells[2], outcomes);
     }
+    const bool vm_should_reject = devices > 31;
+    ok = ok && (cells[0].rejected > 0) == vm_should_reject &&
+         cells[1].rejected == 0 && cells[2].rejected == 0;
     std::printf(
         "%8u | %8.2f %6zu %6zu | %8.2f %6zu %6zu | %8.2f %6zu %6zu\n",
         devices, cells[0].resp, cells[0].rejected, cells[0].envs,
@@ -81,5 +105,11 @@ int main() {
       "exceeds 16GB (~31 devices); Rattrap keeps serving (96MB each +\n"
       "one shared system image); tripling the VM fleet buys the same\n"
       "headroom at 3x the hardware.\n");
+  if (!ok) {
+    std::printf(
+        "check FAILED: expected VM rejects only above 31 devices and none\n"
+        "from Rattrap or the 3-server VM fleet\n");
+    return 1;
+  }
   return 0;
 }

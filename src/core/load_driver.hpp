@@ -1,4 +1,4 @@
-// Cluster-scale load driver: adapts the sim-layer arrival engine
+// Fleet-scale load driver: adapts the sim-layer arrival engine
 // (sim/loadgen.hpp) into offloading requests against a core::Platform.
 //
 // Every run drives the platform through the Session API: one session per

@@ -95,11 +95,10 @@ class MonitorScheduler {
 
   // -- Live-environment tracking (docs/ELASTIC.md) ----------------------
   //
-  // The p2c placement probe folds the shard's live environment count
-  // into its load score.  The count is invalidated on *every* teardown
-  // path — idle reclaim, drain completion and crash alike — otherwise
-  // the signal goes stale across reclaim and a shard whose warm capacity
-  // just drained keeps winning placements it can only serve cold.
+  // The live environment count feeds the monitor.active_envs gauge.  It
+  // is decremented on *every* teardown path — idle reclaim, drain
+  // completion and crash alike — otherwise the gauge goes stale across
+  // reclaim and reports warm capacity that has already drained.
 
   void env_up(std::uint32_t env_id);
   void env_down(std::uint32_t env_id);

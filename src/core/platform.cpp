@@ -560,7 +560,7 @@ std::uint32_t Platform::warm_idle_count() const {
 std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
   if (count == 0) return 0;
   // Honor the memory budget against the whole pool pipeline (booting
-  // included) so a rebalance burst cannot overshoot it either.
+  // included) so a prewarm burst cannot overshoot it either.
   const std::uint64_t budget =
       pool_controller_ ? pool_controller_->config().memory_budget_bytes : 0;
   const std::uint64_t mem = default_env_memory();
@@ -904,10 +904,6 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
       trace_.annotate(
           s->span_session, "tenant_weight",
           static_cast<std::uint64_t>(it->second.config.tenant_weight));
-    }
-    if (config_.shard_index >= 0) {
-      trace_.annotate(s->span_session, "placement",
-                      static_cast<std::uint64_t>(config_.shard_index));
     }
   }
   if (config_.adaptive_offloading) {

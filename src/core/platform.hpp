@@ -169,10 +169,6 @@ struct PlatformConfig {
   /// quota).
   AccessConfig access;
 
-  /// The cluster shard this platform instance serves as (set by Cluster;
-  /// annotated on session spans as "placement").  -1 = standalone.
-  std::int32_t shard_index = -1;
-
   /// Run the invariant oracle even without a fault plan (the property
   /// batteries, experiments).  Each check costs what its event touched,
   /// so this is affordable at any scale (docs/FAULTS.md).
@@ -394,11 +390,6 @@ class Platform {
   /// Warm-idle pool environments available for immediate lease.
   [[nodiscard]] std::uint32_t warm_idle_count() const;
 
-  /// Boots up to `count` fresh pool environments (respects the elastic
-  /// memory budget); returns how many were actually started.  Used by
-  /// the controller tick and by cross-shard rebalancing.
-  std::uint32_t elastic_prewarm(std::uint32_t count);
-
   /// Drains up to `count` warm-idle pool environments; returns how many
   /// drains began.  Draining capacity stops leasing and is reclaimed
   /// once in-flight work finishes.
@@ -483,6 +474,9 @@ class Platform {
   void begin_drain(Env& env);
   void finish_drain(Env& env);
   Env& prewarm_env();
+  /// Boots up to `count` fresh pool environments (respects the elastic
+  /// memory budget); returns how many were actually started.
+  std::uint32_t elastic_prewarm(std::uint32_t count);
   void elastic_tick();
   void arm_elastic_tick();
   [[nodiscard]] std::uint64_t default_env_memory() const;

@@ -1,4 +1,4 @@
-// Cluster-scale load generation: seeded arrival processes for driving a
+// Fleet-scale load generation: seeded arrival processes for driving a
 // platform with the traffic of very large device fleets.
 //
 // The paper evaluates with 5 devices; the density argument (§V–VI: ~1 s

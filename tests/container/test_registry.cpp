@@ -73,7 +73,9 @@ TEST(Registry, RepeatedPullIsFullyDeduplicated) {
   const Digest d = registry.push_layer(small_layer("base", 1000));
   registry.push_image("app:1", {d});
   LayerStore host;
-  registry.pull("app:1", host);
+  const PullResult first = registry.pull("app:1", host);
+  EXPECT_EQ(first.bytes_transferred, 1000u);
+  EXPECT_EQ(first.bytes_deduplicated, 0u);
   const PullResult again = registry.pull("app:1", host);
   EXPECT_EQ(again.bytes_transferred, 0u);
   EXPECT_EQ(again.bytes_deduplicated, 1000u);

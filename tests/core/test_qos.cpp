@@ -1,6 +1,6 @@
 // QoS subsystem unit tests: weighted DRR fairness, priority classes with
-// bounded anti-starvation promotion, power-of-two placement, and the
-// FIFO-degradation contract (docs/QOS.md).
+// bounded anti-starvation promotion, and the FIFO-degradation contract
+// (docs/QOS.md).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/qos/drr.hpp"
-#include "core/qos/placement.hpp"
 #include "core/qos/qos.hpp"
 #include "core/qos/scheduler.hpp"
 
@@ -195,54 +194,6 @@ TEST(QosScheduler, ConservationHoldsAcrossMixedOperations) {
     ASSERT_TRUE(scheduler.pop(0).has_value());
     EXPECT_FALSE(scheduler.check_conservation().has_value());
   }
-}
-
-// -- Power-of-two placement ---------------------------------------------
-
-TEST(PowerOfTwoPlacer, BalancesFirstSightings) {
-  PowerOfTwoPlacer placer(/*shards=*/4, /*seed=*/7);
-  const auto no_signal = [](std::size_t) { return 0.0; };
-  for (std::uint32_t device = 0; device < 400; ++device) {
-    placer.place(device, no_signal);
-  }
-  // With no live signal the in-pass routed counts alone keep the spread
-  // tight: classic power-of-two bounds the gap to O(log log n).
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    EXPECT_GE(placer.assigned(shard), 85u) << "shard " << shard;
-    EXPECT_LE(placer.assigned(shard), 115u) << "shard " << shard;
-  }
-  EXPECT_EQ(placer.placed_devices(), 400u);
-}
-
-TEST(PowerOfTwoPlacer, FollowsTheLiveProbe) {
-  PowerOfTwoPlacer placer(/*shards=*/2, /*seed=*/3);
-  // Shard 0 reports heavy load; every new device must land on shard 1
-  // (two distinct candidates out of two shards always sample both).
-  const auto loaded = [](std::size_t shard) {
-    return shard == 0 ? 1000.0 : 0.0;
-  };
-  for (std::uint32_t device = 0; device < 16; ++device) {
-    EXPECT_EQ(placer.place(device, loaded), 1u);
-  }
-}
-
-TEST(PowerOfTwoPlacer, StickyAndDeterministic) {
-  PowerOfTwoPlacer a(/*shards=*/3, /*seed=*/11);
-  PowerOfTwoPlacer b(/*shards=*/3, /*seed=*/11);
-  const auto no_signal = [](std::size_t) { return 0.0; };
-  std::vector<std::size_t> first;
-  for (std::uint32_t device = 0; device < 64; ++device) {
-    first.push_back(a.place(device, no_signal));
-    EXPECT_EQ(first.back(), b.place(device, no_signal)) << device;
-  }
-  // Re-placing an already-seen device returns the remembered shard even
-  // if the probe now says otherwise.
-  const auto inverted = [&](std::size_t shard) {
-    return shard == first[0] ? 1000.0 : 0.0;
-  };
-  EXPECT_EQ(a.place(0, inverted), first[0]);
-  EXPECT_EQ(a.shard_of(0), first[0]);
-  EXPECT_FALSE(a.shard_of(9999).has_value());
 }
 
 }  // namespace

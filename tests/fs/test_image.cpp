@@ -42,7 +42,9 @@ TEST(ImageBuilder, DeterministicAcrossBuilds) {
     if (node.kind != FileKind::kRegular) return true;
     const FileNode* other = b->find(path);
     EXPECT_NE(other, nullptr) << path;
-    if (other != nullptr) EXPECT_EQ(node.size, other->size) << path;
+    if (other != nullptr) {
+      EXPECT_EQ(node.size, other->size) << path;
+    }
     return true;
   });
 }

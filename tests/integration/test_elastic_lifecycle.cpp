@@ -2,14 +2,12 @@
 // scale-down against the full platform, including the edge cases the
 // state machine exists for — a drain racing an in-flight boot, a drain
 // overlapping a crashing session, double-drain idempotence — plus the
-// Monitor live-load staleness regression and cross-shard warm-capacity
-// rebalancing.
+// Monitor live-load staleness regression.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "core/cluster.hpp"
 #include "core/platform.hpp"
 #include "workloads/generator.hpp"
 
@@ -130,9 +128,9 @@ TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
 
 TEST(ElasticLifecycle, MonitorLoadSignalNotStaleAcrossReclaim) {
   // Regression: the Monitor's live-environment count must drop on every
-  // teardown path.  Before the fix it only ever grew, so a shard whose
-  // warm capacity had been reclaimed kept advertising it to the
-  // cluster's placement probe.
+  // teardown path.  Before the fix it only ever grew, so a platform whose
+  // warm capacity had been reclaimed kept advertising it on the
+  // monitor.active_envs gauge.
   PlatformConfig config = elastic_config(elastic::PoolMode::kDisabled, 0);
   config.env_idle_timeout = 2 * sim::kSecond;
   Platform platform(std::move(config));
@@ -148,29 +146,6 @@ TEST(ElasticLifecycle, MonitorLoadSignalNotStaleAcrossReclaim) {
       platform.metrics().find_gauge("monitor.active_envs");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->value(), 0.0);
-}
-
-TEST(ElasticLifecycle, ClusterRebalancesWarmCapacityAcrossShards) {
-  // Wave 1 leaves warm pool containers on every shard; the rebalancing
-  // pre-pass of wave 2 re-apportions them toward the loaded shards.
-  // Static placement with 5 devices over 3 shards (2/2/1) makes the
-  // load scores unequal, so the apportionment must move capacity.
-  PlatformConfig config = elastic_config(elastic::PoolMode::kStatic, 3);
-  Cluster cluster(std::move(config), 3, qos::PlacementPolicy::kStatic);
-  cluster.run(small_stream(10, /*devices=*/5));
-  const std::uint64_t moved_before = cluster.stats().rebalance_prewarmed +
-                                     cluster.stats().rebalance_retired;
-  EXPECT_EQ(moved_before, 0u);  // first wave: no warm capacity yet
-  cluster.run(small_stream(10, /*devices=*/5, /*seed=*/53));
-  const std::uint64_t moved = cluster.stats().rebalance_prewarmed +
-                              cluster.stats().rebalance_retired;
-  EXPECT_GT(moved, 0u);
-  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
-    EXPECT_TRUE(
-        cluster.server(s).env_table().first_error().empty())
-        << "shard " << s << ": "
-        << cluster.server(s).env_table().first_error();
-  }
 }
 
 TEST(ElasticLifecycle, PredictivePoolServesWarmHits) {

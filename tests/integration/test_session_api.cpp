@@ -99,7 +99,9 @@ TEST(SessionApi, CarriesClassTenantAndDeadlineOntoOutcomes) {
   for (const auto& outcome : outcomes) {
     EXPECT_EQ(outcome.tenant, "gold");
     EXPECT_EQ(outcome.qos_class, qos::PriorityClass::kInteractive);
-    if (!outcome.rejected) EXPECT_TRUE(outcome.deadline_missed);
+    if (!outcome.rejected) {
+      EXPECT_TRUE(outcome.deadline_missed);
+    }
   }
 }
 

@@ -18,18 +18,18 @@ TEST(FlatHashMap, InsertFindErase) {
   EXPECT_TRUE(map.empty());
   map.insert_or_assign(7, "seven");
   map.insert_or_assign(11, "eleven");
-  ASSERT_NE(map.find(7), nullptr);
-  EXPECT_EQ(*map.find(7), "seven");
-  EXPECT_EQ(map.find(8), nullptr);
+  ASSERT_NE(map.find(std::uint64_t{7}), nullptr);
+  EXPECT_EQ(*map.find(std::uint64_t{7}), "seven");
+  EXPECT_EQ(map.find(std::uint64_t{8}), nullptr);
   EXPECT_EQ(map.size(), 2u);
 
   map.insert_or_assign(7, "SEVEN");  // assign, not duplicate
   EXPECT_EQ(map.size(), 2u);
-  EXPECT_EQ(*map.find(7), "SEVEN");
+  EXPECT_EQ(*map.find(std::uint64_t{7}), "SEVEN");
 
-  EXPECT_TRUE(map.erase(7));
-  EXPECT_FALSE(map.erase(7));
-  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_TRUE(map.erase(std::uint64_t{7}));
+  EXPECT_FALSE(map.erase(std::uint64_t{7}));
+  EXPECT_EQ(map.find(std::uint64_t{7}), nullptr);
   EXPECT_EQ(map.size(), 1u);
 }
 

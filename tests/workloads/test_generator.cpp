@@ -63,7 +63,9 @@ TEST(Generator, MixedStreamInterleavesAllKinds) {
   // Sequences are re-numbered after the merge sort.
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(stream[i].sequence, i);
-    if (i > 0) EXPECT_GE(stream[i].arrival, stream[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(stream[i].arrival, stream[i - 1].arrival);
+    }
   }
 }
 

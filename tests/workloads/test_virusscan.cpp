@@ -32,7 +32,7 @@ TEST(AhoCorasick, TransitionCountEqualsBytesScanned) {
   const AhoCorasick automaton({"abc"});
   std::vector<std::uint8_t> data(1000, 'x');
   std::uint64_t transitions = 0;
-  automaton.scan(data, &transitions);
+  EXPECT_EQ(automaton.scan(data, &transitions), 0u);
   EXPECT_EQ(transitions, 1000u);
 }
 
