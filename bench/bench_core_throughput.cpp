@@ -6,8 +6,8 @@
 // timer (its next offload request); each fired timer schedules the
 // device's next request at a diurnally modulated gap, re-arms the
 // device's two far timers — idle watchdog and CAC lease renewal — by
-// cancelling the previous ones (the arm/cancel cycle every real session
-// performs), and a slice of devices churn — their pending timer is
+// cancelling the previous ones (a synthetic arm/cancel cycle: the
+// platform schedules neither timer), and a slice of devices churn — their pending timer is
 // cancelled and rescheduled.  Cancels are the
 // seed heap's pathology: each one leaves a tombstone that must later be
 // popped and sifted past, which is exactly the cost this bench makes it
@@ -174,8 +174,8 @@ DayResult run_day(Queue& queue, std::size_t devices,
     // Session-watchdog cycle: every completed request cancels and
     // re-arms the device's two far timers — the 24-hour idle watchdog
     // and the 12-hour CAC lease renewal — two cancels + two schedules
-    // per fired event, the platform's real per-session pattern.  The
-    // watchdogs virtually never fire, which is exactly the seed heap's
+    // per fired event, a synthetic pattern (the platform arms neither
+    // timer) that loads the cancel path.  The watchdogs virtually never fire, which is exactly the seed heap's
     // pathology: every cancel leaves a tombstone that the heap carries
     // (and percolates past) for the rest of the day, while the calendar
     // queue frees the far-parked node by touching one cache line.

@@ -63,7 +63,9 @@ void MonitorScheduler::notify_crash(std::uint32_t env_id) {
   if (!pending_crashes_.insert(env_id).second) return;  // already reported
   ++reported_;
   if (metric_crashes_reported_ != nullptr) metric_crashes_reported_->inc();
-  sim_.schedule_in(detection_latency_, [this, env_id]() {
+  // The health sweep's interval: how long a crash stays undetected.
+  constexpr sim::SimDuration kDetectionLatency = 100 * sim::kMillisecond;
+  sim_.schedule_in(kDetectionLatency, [this, env_id]() {
     if (pending_crashes_.erase(env_id) == 0) return;
     ++detected_;
     if (metric_crashes_detected_ != nullptr) metric_crashes_detected_->inc();

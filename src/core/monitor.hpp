@@ -111,23 +111,15 @@ class MonitorScheduler {
   // The Monitor's health sweep notices a CAC whose processes vanished and
   // tells the platform, which re-dispatches the sessions that were bound
   // to it. Detection is not instantaneous: the sweep runs on an interval,
-  // so a crashed environment stays undetected for up to
-  // detection_latency() of virtual time.
+  // so a crashed environment stays undetected for 100 ms of virtual time.
 
   /// Platform recovery hook, invoked once per detected crash.
   void set_crash_handler(std::function<void(std::uint32_t env_id)> handler) {
     crash_handler_ = std::move(handler);
   }
 
-  void set_detection_latency(sim::SimDuration latency) {
-    detection_latency_ = latency;
-  }
-  [[nodiscard]] sim::SimDuration detection_latency() const {
-    return detection_latency_;
-  }
-
   /// Reports that environment `env_id` just died; the next health sweep
-  /// (after detection_latency()) detects it and fires the crash handler.
+  /// (100 ms later) detects it and fires the crash handler.
   void notify_crash(std::uint32_t env_id);
 
   /// A crash of `env_id` has been reported but not yet detected.
@@ -145,7 +137,6 @@ class MonitorScheduler {
   std::uint32_t running_jobs_ = 0;
   std::array<std::uint32_t, qos::kClassCount> running_by_class_{};
   std::function<void(std::uint32_t)> crash_handler_;
-  sim::SimDuration detection_latency_ = 100 * sim::kMillisecond;
   std::set<std::uint32_t> pending_crashes_;
   std::set<std::uint32_t> live_envs_;
   std::uint64_t reported_ = 0;

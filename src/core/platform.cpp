@@ -225,8 +225,6 @@ Platform::Platform(PlatformConfig config)
         [this](sim::FaultKind kind, sim::SimTime when) {
           on_fault_fired(kind, when);
         });
-    server_->monitor().set_detection_latency(
-        config_.crash_detection_latency);
     server_->monitor().set_crash_handler(
         [this](std::uint32_t env_id) { recover_env(env_id); });
   }
@@ -847,27 +845,9 @@ void Platform::drain_run() {
     // slot they held — the tenant's RAC in-flight quota slot, and a
     // class-queue or in-service slot — so later runs are not refused
     // for work that is no longer in flight.
-    for (const auto& s : live_sessions_) {
-      if (s->done) continue;
-      release_slots(*s);
-      RequestOutcome outcome;
-      outcome.request = s->request;
-      outcome.phases = s->phases;
-      outcome.completed_at = simulator.now();
-      outcome.response = simulator.now() - s->request.arrival;
-      outcome.rejected = true;
-      outcome.reject_reason = RejectReason::kStranded;
-      outcome.stranded = true;
-      outcome.tenant = s->tenant;
-      outcome.qos_class = s->klass;
-      outcome.radio = config_.link.name;
-      outcome.resumed = s->resumed;
-      outcome.dispatch_attempts = s->dispatch_attempts;
-      outcome.connect_attempts = s->connect_attempts;
-      record_outcome(s->request.sequence, std::move(outcome));
-      s->done = true;
-      touched(*s);
-      ++completed_;
+    std::vector<std::shared_ptr<SessionState>> stranded;
+    stranded.swap(live_sessions_);
+    for (const auto& s : stranded) {
       metrics_.counter("sessions.stranded").inc();
       metrics_
           .counter(std::string("qos.stranded.") + qos::to_string(s->klass))
@@ -875,9 +855,12 @@ void Platform::drain_run() {
       if (s->span_session != obs::kNoSpan) {
         trace_.annotate(s->span_session, "stranded", std::uint64_t{1});
       }
+      RequestOutcome outcome = outcome_of(*s);
+      outcome.rejected = true;
+      outcome.reject_reason = RejectReason::kStranded;
+      outcome.stranded = true;
+      finish_session(s, std::move(outcome));
     }
-    live_sessions_.clear();
-    queued_sessions_.clear();
   }
   if (oracle_ != nullptr) oracle_->quiescent_sweep();
   trace_.close_open_spans(simulator.now());
@@ -889,6 +872,18 @@ void Platform::record_outcome(std::uint64_t sequence,
   assert(sequence < outcomes_.size());
   outcomes_[sequence] = std::move(outcome);
   outcome_done_[sequence] = 1;
+}
+
+template <auto Step, typename... Args>
+auto Platform::guarded(const std::shared_ptr<SessionState>& s, Args... args) {
+  auto step = [this, s, epoch = s->epoch, args...]() {
+    if (s->done || s->epoch != epoch) return;
+    (this->*Step)(s, args...);
+  };
+  // Step is a template argument rather than a capture, which keeps the
+  // event callback in InlineCallback's inline storage (no heap block).
+  static_assert(sizeof(step) <= sim::InlineCallback::kInlineBytes);
+  return step;
 }
 
 void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
@@ -916,37 +911,22 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
       const sim::SimDuration local =
           dev.local_execution_time(s->kind, s->executed);
       server_->simulator().schedule_in(local, [this, s, local]() {
-        RequestOutcome outcome;
-        outcome.request = s->request;
-        outcome.completed_at = server_->simulator().now();
+        RequestOutcome outcome = outcome_of(*s);
         outcome.response = local;
         outcome.local_time = local;
         outcome.speedup = 1.0;  // executed locally by choice
-        const device::RadioProfile radio = radio_profile();
-        const device::MobileDevice& dev2 =
-            device_for(s->request.device_id);
-        outcome.local_energy_mj =
-            dev2.local_energy_mj(s->kind, s->executed, radio);
+        outcome.local_energy_mj = device_for(s->request.device_id)
+                                      .local_energy_mj(s->kind, s->executed,
+                                                       radio_profile());
         outcome.offload_energy_mj = outcome.local_energy_mj;
-        outcome.tenant = s->tenant;
-        outcome.qos_class = s->klass;
-        outcome.radio = config_.link.name;
-        record_outcome(s->request.sequence, std::move(outcome));
-        ++completed_;
         metrics_.counter("sessions.local").inc();
         metrics_
             .counter(std::string("qos.local.") + qos::to_string(s->klass))
             .inc();
         if (s->span_session != obs::kNoSpan) {
           trace_.annotate(s->span_session, "local", std::uint64_t{1});
-          trace_.end(s->span_session, server_->simulator().now());
         }
-        // Local runs refresh the local estimate.
-        DecisionState& h = decisions_[s->app_id()];
-        const double local_s = sim::to_seconds(local);
-        h.ewma_local_s = h.ewma_local_s == 0
-                             ? local_s
-                             : 0.7 * h.ewma_local_s + 0.3 * local_s;
+        finish_session(s, std::move(outcome));
       });
       return;
     }
@@ -977,9 +957,6 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
 }
 
 void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
-  // The retry/backoff continuations carry no epoch guard; a session the
-  // RAC block sweep rejected mid-connect must not rise again.
-  if (s->done) return;
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   // Retries reuse the one "connect" span; it ends when a handshake lands.
@@ -992,11 +969,7 @@ void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
     // resumed; a request merely *arriving* during the gap just waits.
     if (s->connect_attempts > 0) note_resumption(*s);
     s->phases.network_connection += stall;
-    const std::uint64_t epoch = s->epoch;
-    simulator.schedule_in(stall, [this, s, epoch]() {
-      if (s->done || s->epoch != epoch) return;
-      attempt_connect(s);
-    });
+    simulator.schedule_in(stall, guarded<&Platform::attempt_connect>(s));
     return;
   }
   ++s->connect_attempts;
@@ -1011,24 +984,23 @@ void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
     // The handshake never completes; the client times out and retries
     // with exponential backoff until its attempt budget runs dry.
     if (s->connect_attempts >= config_.max_connect_attempts) {
-      simulator.schedule_in(connect, [this, s]() {
-        reject_session(s, RejectReason::kConnectFailed);
-      });
+      simulator.schedule_in(connect, guarded<&Platform::reject_session>(
+                                         s, RejectReason::kConnectFailed));
       return;
     }
+    constexpr sim::SimDuration kConnectBackoff = 200 * sim::kMillisecond;
     const sim::SimDuration backoff =
-        config_.connect_backoff *
+        kConnectBackoff *
         static_cast<sim::SimDuration>(1u << (s->connect_attempts - 1));
     s->phases.network_connection += backoff;
     simulator.schedule_in(connect + backoff,
-                          [this, s]() { attempt_connect(s); });
+                          guarded<&Platform::attempt_connect>(s));
     return;
   }
-  simulator.schedule_in(connect, [this, s]() { on_connected(s); });
+  simulator.schedule_in(connect, guarded<&Platform::on_connected>(s));
 }
 
 void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
-  if (s->done) return;  // swept by a RAC block while the handshake flew
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   s->connected_at = simulator.now();
@@ -1129,69 +1101,67 @@ void Platform::dispatch(const std::shared_ptr<SessionState>& s,
       dispatcher_->assign(s->request, s->app->code_ref, simulator.now(),
                           class_backlog_threshold(s->klass), s->klass);
   Env* env = record != nullptr ? &env_of(record->id) : nullptr;
-  const std::uint64_t epoch = s->epoch;
-  simulator.schedule_in(lead_cost, [this, s, env, epoch]() {
-    if (s->done || s->epoch != epoch) return;  // aborted meanwhile
-    SessionScope scope(*this, *s);
-    Env* target = env;
-    bool claimed_pool = false;
-    bool fresh = false;
-    if (target == nullptr || !target->rec.leasable()) {
-      const std::string key = Dispatcher::binding_key(s->request);
-      // A warm-pool environment (pre-booted, unclaimed) is rebound to
-      // this device instead of paying a cold start; the lowest id wins.
-      // Draining capacity left the pool the moment its drain began.
-      if (const std::optional<EnvId> claimed = env_table_.claim_pool()) {
-        target = &env_of(*claimed);
-        if (target->rec.ready()) {
-          // Prewarm lead time: how far ahead of demand the controller
-          // had this environment standing warm.
-          if (prewarm_lead_ms_ == nullptr) {
-            prewarm_lead_ms_ = &metrics_.histogram("elastic.prewarm.lead_ms");
-          }
-          prewarm_lead_ms_->observe(sim::to_millis(
-              server_->simulator().now() - target->rec.ready_at));
+  simulator.schedule_in(lead_cost, guarded<&Platform::on_dispatched>(s, env));
+}
+
+void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
+                             Env* env) {
+  SessionScope scope(*this, *s);
+  Env* target = env;
+  bool claimed_pool = false;
+  bool fresh = false;
+  if (target == nullptr || !target->rec.leasable()) {
+    const std::string key = Dispatcher::binding_key(s->request);
+    // A warm-pool environment (pre-booted, unclaimed) is rebound to
+    // this device instead of paying a cold start; the lowest id wins.
+    // Draining capacity left the pool the moment its drain began.
+    if (const std::optional<EnvId> claimed = env_table_.claim_pool()) {
+      target = &env_of(*claimed);
+      if (target->rec.ready()) {
+        // Prewarm lead time: how far ahead of demand the controller
+        // had this environment standing warm.
+        if (prewarm_lead_ms_ == nullptr) {
+          prewarm_lead_ms_ = &metrics_.histogram("elastic.prewarm.lead_ms");
         }
-        env_table_.rebind(*claimed, key);
-        claimed_pool = true;
-      } else {
-        // Switch the phase before provisioning so faults fired during
-        // the (synchronous) container start annotate the boot, not the
-        // dispatch decision.
-        begin_phase(*s, "provision");
-        fresh = true;
-        target = &provision_env(key, server_->simulator().now());
+        prewarm_lead_ms_->observe(sim::to_millis(
+            server_->simulator().now() - target->rec.ready_at));
       }
-    }
-    EnvRecord& rec = target->rec;
-    if (!fresh) {
-      fresh = !rec.ready();
-      begin_phase(*s, fresh ? "provision" : "reuse");
-    }
-    s->fresh_env = fresh;
-    if (s->span_phase != obs::kNoSpan) {
-      trace_.annotate(s->span_phase, "env_id",
-                      static_cast<std::uint64_t>(rec.id));
-      if (claimed_pool) {
-        trace_.annotate(s->span_phase, "warm_pool", std::uint64_t{1});
-      }
-    }
-    s->env = target;
-    ++rec.inflight;  // pins the env against idle reclamation
-    touched(*s);
-    if (rec.ready() && rec.inflight == 1) {
-      env_table_.transition(rec.id, EnvState::kLeased,
-                            server_->simulator().now());
-    }
-    if (rec.ready()) {
-      on_env_ready(s);
+      env_table_.rebind(*claimed, key);
+      claimed_pool = true;
     } else {
-      target->waiters.push_back([this, s, epoch]() {
-        if (s->done || s->epoch != epoch) return;
-        on_env_ready(s);
-      });
+      // Switch the phase before provisioning so faults fired during
+      // the (synchronous) container start annotate the boot, not the
+      // dispatch decision.
+      begin_phase(*s, "provision");
+      fresh = true;
+      target = &provision_env(key, server_->simulator().now());
     }
-  });
+  }
+  EnvRecord& rec = target->rec;
+  if (!fresh) {
+    fresh = !rec.ready();
+    begin_phase(*s, fresh ? "provision" : "reuse");
+  }
+  s->fresh_env = fresh;
+  if (s->span_phase != obs::kNoSpan) {
+    trace_.annotate(s->span_phase, "env_id",
+                    static_cast<std::uint64_t>(rec.id));
+    if (claimed_pool) {
+      trace_.annotate(s->span_phase, "warm_pool", std::uint64_t{1});
+    }
+  }
+  s->env = target;
+  ++rec.inflight;  // pins the env against idle reclamation
+  touched(*s);
+  if (rec.ready() && rec.inflight == 1) {
+    env_table_.transition(rec.id, EnvState::kLeased,
+                          server_->simulator().now());
+  }
+  if (rec.ready()) {
+    on_env_ready(s);
+  } else {
+    target->waiters.push_back(guarded<&Platform::on_env_ready>(s));
+  }
 }
 
 void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
@@ -1209,11 +1179,7 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
     // attaches (the wait lands in runtime_preparation, which is wall
     // time from the device's perspective).
     note_resumption(*s);
-    const std::uint64_t epoch = s->epoch;
-    simulator.schedule_in(stall, [this, s, epoch]() {
-      if (s->done || s->epoch != epoch) return;
-      on_env_ready(s);
-    });
+    simulator.schedule_in(stall, guarded<&Platform::on_env_ready>(s));
     return;
   }
   s->phases.runtime_preparation = simulator.now() - s->connected_at;
@@ -1325,11 +1291,7 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
       trace_.annotate(s->span_phase, "spilled", std::uint64_t{1});
     }
   }
-  const std::uint64_t epoch = s->epoch;
-  simulator.schedule_in(transfer, [this, s, epoch]() {
-    if (s->done || s->epoch != epoch) return;  // env died mid-transfer
-    on_uploaded(s);
-  });
+  simulator.schedule_in(transfer, guarded<&Platform::on_uploaded>(s));
 }
 
 void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
@@ -1461,11 +1423,7 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
                             [this, &env]() { crash_env(env); });
     }
   }
-  const std::uint64_t epoch = s->epoch;
-  simulator.schedule_at(done, [this, s, epoch]() {
-    if (s->done || s->epoch != epoch) return;  // env died mid-compute
-    on_computed(s);
-  });
+  simulator.schedule_at(done, guarded<&Platform::on_computed>(s));
 }
 
 void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
@@ -1501,22 +1459,12 @@ void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
     note_resumption(*s);
     s->phases.data_transfer += stall;
   }
-  const std::uint64_t epoch = s->epoch;
-  simulator.schedule_in(stall + download, [this, s, epoch]() {
-    if (s->done || s->epoch != epoch) return;  // env died mid-download
-    complete(s);
-  });
+  simulator.schedule_in(stall + download, guarded<&Platform::complete>(s));
 }
 
 void Platform::complete(const std::shared_ptr<SessionState>& s) {
-  sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
-  end_phase(*s);  // teardown
-  RequestOutcome outcome;
-  outcome.request = s->request;
-  outcome.phases = s->phases;
-  outcome.completed_at = simulator.now();
-  outcome.response = simulator.now() - s->request.arrival;
+  RequestOutcome outcome = outcome_of(*s);
   const device::MobileDevice& dev = device_for(s->request.device_id);
   outcome.local_time = dev.local_execution_time(s->kind, s->executed);
   outcome.speedup = outcome.response > 0
@@ -1533,13 +1481,7 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
   outcome.env_id = s->env->id();
   outcome.code_cache_hit = s->cache_hit;
   outcome.queue_wait = s->queue_wait;
-  outcome.dispatch_attempts = s->dispatch_attempts;
-  outcome.connect_attempts = s->connect_attempts;
   outcome.recovered = s->recovered;
-  outcome.radio = config_.link.name;
-  outcome.resumed = s->resumed;
-  outcome.tenant = s->tenant;
-  outcome.qos_class = s->klass;
   outcome.deadline_missed =
       s->deadline > 0 && outcome.response > s->deadline;
   env_traffic_[s->env->id()].merge(s->conn->traffic());
@@ -1583,32 +1525,8 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
     if (outcome.deadline_missed) {
       trace_.annotate(s->span_session, "deadline_missed", std::uint64_t{1});
     }
-    trace_.end(s->span_session, simulator.now());
   }
-
-  record_outcome(s->request.sequence, std::move(outcome));
-
-  unbind_session(*s);
-  finish_session(*s);
-  if (completion_observer_) {
-    completion_observer_(outcomes_[s->request.sequence]);
-  }
-
-  if (config_.adaptive_offloading) {
-    DecisionState& history = decisions_[s->app_id()];
-    const double remote_s =
-        sim::to_seconds(outcomes_[s->request.sequence].response);
-    const double local_s =
-        sim::to_seconds(outcomes_[s->request.sequence].local_time);
-    history.ewma_remote_s = history.samples == 0
-                                ? remote_s
-                                : 0.7 * history.ewma_remote_s +
-                                      0.3 * remote_s;
-    history.ewma_local_s = history.ewma_local_s == 0
-                               ? local_s
-                               : 0.7 * history.ewma_local_s + 0.3 * local_s;
-    ++history.samples;
-  }
+  finish_session(s, std::move(outcome));
 }
 
 // ---------------------------------------------------------------------
@@ -1753,7 +1671,6 @@ void Platform::on_tenant_blocked(const std::string& tenant,
 void Platform::reject_session(const std::shared_ptr<SessionState>& s,
                               RejectReason reason) {
   if (s->done) return;
-  sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   SessionMetrics& sm = session_metrics_;
   resolve(sm.rejected, metrics_, "sessions.rejected").inc();
@@ -1773,97 +1690,115 @@ void Platform::reject_session(const std::shared_ptr<SessionState>& s,
     s->conn->download(
         net::Message{net::MessageType::kReject, net::kRejectReplyBytes});
   }
-  end_phase(*s);
   if (s->span_session != obs::kNoSpan) {
     trace_.annotate(s->span_session, "rejected", std::uint64_t{1});
     trace_.annotate(s->span_session, "reject_reason", to_string(reason));
-    trace_.end(s->span_session, simulator.now());
   }
-  RequestOutcome outcome;
-  outcome.request = s->request;
-  outcome.phases = s->phases;
-  outcome.completed_at = simulator.now();
-  outcome.response = simulator.now() - s->request.arrival;
+  RequestOutcome outcome = outcome_of(*s);
   outcome.rejected = true;
   outcome.reject_reason = reason;
   outcome.queue_wait = s->queue_wait;
-  outcome.tenant = s->tenant;
-  outcome.qos_class = s->klass;
-  outcome.radio = config_.link.name;
-  outcome.resumed = s->resumed;
   outcome.traffic = s->conn ? s->conn->traffic() : net::TrafficAccount{};
-  outcome.dispatch_attempts = s->dispatch_attempts;
-  outcome.connect_attempts = s->connect_attempts;
-  record_outcome(s->request.sequence, std::move(outcome));
-  unbind_session(*s);
-  finish_session(*s);
-  if (completion_observer_) {
-    completion_observer_(outcomes_[s->request.sequence]);
-  }
+  finish_session(s, std::move(outcome));
 }
 
-void Platform::unbind_session(SessionState& s) {
-  if (s.computing) {
-    server_->monitor().job_finished(s.klass);
-    s.computing = false;
+RequestOutcome Platform::outcome_of(const SessionState& s) const {
+  const sim::SimTime now = server_->simulator().now();
+  RequestOutcome outcome;
+  outcome.request = s.request;
+  outcome.phases = s.phases;
+  outcome.completed_at = now;
+  outcome.response = now - s.request.arrival;
+  outcome.tenant = s.tenant;
+  outcome.qos_class = s.klass;
+  outcome.radio = config_.link.name;
+  outcome.resumed = s.resumed;
+  outcome.dispatch_attempts = s.dispatch_attempts;
+  outcome.connect_attempts = s.connect_attempts;
+  return outcome;
+}
+
+void Platform::finish_session(const std::shared_ptr<SessionState>& s,
+                              RequestOutcome outcome) {
+  const sim::SimTime now = server_->simulator().now();
+  end_phase(*s);
+  if (s->span_session != obs::kNoSpan) trace_.end(s->span_session, now);
+  if (config_.adaptive_offloading && !outcome.rejected) {
+    // Every run refreshes the local estimate; an offload (one that had an
+    // environment) also the remote one, and only offloads are samples.
+    DecisionState& history = decisions_[s->app_id()];
+    const auto fold = [](double& ewma, double x, bool first) {
+      ewma = first ? x : 0.7 * ewma + 0.3 * x;
+    };
+    fold(history.ewma_local_s, sim::to_seconds(outcome.local_time),
+         history.ewma_local_s == 0);
+    if (s->env != nullptr) {
+      fold(history.ewma_remote_s, sim::to_seconds(outcome.response),
+           history.samples == 0);
+      ++history.samples;
+    }
   }
-  if (s.staged) {
-    server_->shared_layer().release_request_files(s.request.sequence);
-    s.staged = false;
+  const std::uint64_t sequence = s->request.sequence;
+  const bool stranded = outcome.stranded;
+  record_outcome(sequence, std::move(outcome));
+
+  if (s->computing) {
+    server_->monitor().job_finished(s->klass);
+    s->computing = false;
   }
-  if (s.env != nullptr) {
-    EnvRecord& rec = s.env->rec;
+  if (s->staged) {
+    server_->shared_layer().release_request_files(sequence);
+    s->staged = false;
+  }
+  if (s->env != nullptr) {
+    EnvRecord& rec = s->env->rec;
     if (rec.inflight > 0) --rec.inflight;
     if (rec.ready() && rec.inflight == 0) {
       if (rec.state() == EnvState::kDraining) {
         // Last in-flight session left a draining environment: reclaim.
-        finish_drain(*s.env);
+        finish_drain(*s->env);
       } else {
-        env_table_.transition(rec.id, EnvState::kWarmIdle,
-                              server_->simulator().now());
-        schedule_reclaim(*s.env);
+        env_table_.transition(rec.id, EnvState::kWarmIdle, now);
+        schedule_reclaim(*s->env);
       }
     }
-    s.env = nullptr;
+    s->env = nullptr;
   }
-}
-
-void Platform::finish_session(SessionState& s) {
-  s.done = true;
+  s->done = true;
   ++completed_;
   for (auto it = live_sessions_.begin(); it != live_sessions_.end(); ++it) {
-    if (it->get() == &s) {
+    if (*it == s) {
       live_sessions_.erase(it);
       break;
     }
   }
-  release_slots(s);
-  touched(s);
+  // Return the RAC, queue and in-service slots the session held.
+  if (s->rac_slot) {
+    server_->access().release(s->tenant);
+    s->rac_slot = false;
+  }
+  if (admission_ != nullptr && s->queued) {
+    // Ended while still waiting in a class queue (rejected after the
+    // access controller blocked its app, or stranded); pull it out of
+    // the scheduler so no stale id is ever echoed by pop_queued().
+    admission_->abandon_queued(s->klass, s->tenant, sequence);
+    queued_sessions_.erase(sequence);
+    s->queued = false;
+  }
+  if (admission_ != nullptr && s->admitted) {
+    admission_->release();
+    s->admitted = false;
+  }
+  touched(*s);
+  // A stranded session ends after the event queue drained: work started
+  // or submitted for it now could never run.
+  if (stranded) return;
   maybe_start_queued();
+  if (completion_observer_) completion_observer_(outcomes_[sequence]);
 }
 
 void Platform::touched(const SessionState& s) {
   if (oracle_ != nullptr) oracle_->touch(s);
-}
-
-void Platform::release_slots(SessionState& s) {
-  if (s.rac_slot) {
-    server_->access().release(s.tenant);
-    s.rac_slot = false;
-  }
-  if (admission_ == nullptr) return;
-  if (s.queued) {
-    // Finished while still waiting in a class queue (rejected after the
-    // access controller blocked its app, or stranded); pull it out of
-    // the scheduler so no stale id is ever echoed by pop_queued().
-    admission_->abandon_queued(s.klass, s.tenant, s.request.sequence);
-    queued_sessions_.erase(s.request.sequence);
-    s.queued = false;
-  }
-  if (s.admitted) {
-    admission_->release();
-    s.admitted = false;
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -136,13 +136,8 @@ struct PlatformConfig {
   std::uint32_t max_redispatch = 3;
 
   /// Connection-attempt budget under injected drops; each retry backs
-  /// off exponentially from connect_backoff.
+  /// off exponentially from 200 ms.
   std::uint32_t max_connect_attempts = 4;
-  sim::SimDuration connect_backoff = 200 * sim::kMillisecond;
-
-  /// How long a crashed environment stays undetected (the Monitor's
-  /// health-sweep interval).
-  sim::SimDuration crash_detection_latency = 100 * sim::kMillisecond;
 
   // -- Device mobility (docs/LOADGEN.md) -------------------------------
 
@@ -295,6 +290,9 @@ class Platform {
 
   /// Observer invoked with each finished outcome (completed, rejected or
   /// executed locally) — the closed-loop feedback path. Empty uninstalls.
+  /// Stranded outcomes never reach it: they are recorded after the event
+  /// queue has drained, where a follow-up submitted for them could never
+  /// run.
   void set_completion_observer(
       std::function<void(const RequestOutcome&)> observer) {
     completion_observer_ = std::move(observer);
@@ -491,11 +489,19 @@ class Platform {
       std::uint64_t stream_id) const;
   void record_outcome(std::uint64_t sequence, RequestOutcome outcome);
 
+  /// A continuation that runs `Step(s, args...)` unless the session ended
+  /// or its epoch moved on (a crash or a RAC sweep) since it was made.
+  template <auto Step, typename... Args>
+  auto guarded(const std::shared_ptr<SessionState>& s, Args... args);
+
   void on_arrival(const std::shared_ptr<SessionState>& s);
   void attempt_connect(const std::shared_ptr<SessionState>& s);
   void on_connected(const std::shared_ptr<SessionState>& s);
   void dispatch(const std::shared_ptr<SessionState>& s,
                 sim::SimDuration lead_cost);
+  /// Binds the session to the dispatcher's pick `env` (nullptr: a pool
+  /// claim or a fresh environment) once the dispatch lead cost elapsed.
+  void on_dispatched(const std::shared_ptr<SessionState>& s, Env* env);
   void on_env_ready(const std::shared_ptr<SessionState>& s);
   void on_uploaded(const std::shared_ptr<SessionState>& s);
   void on_computed(const std::shared_ptr<SessionState>& s);
@@ -522,10 +528,16 @@ class Platform {
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
   void reject_session(const std::shared_ptr<SessionState>& s,
                       RejectReason reason);
-  void finish_session(SessionState& s);
-  /// Returns the RAC, queue and in-service slots a finished session held.
-  void release_slots(SessionState& s);
-  void unbind_session(SessionState& s);
+  /// The outcome fields every ending fills the same way; each path sets
+  /// the rest.
+  [[nodiscard]] RequestOutcome outcome_of(const SessionState& s) const;
+  /// The one ending of every session — completed, rejected, stranded or
+  /// run locally: records `outcome`, marks the session done, unbinds its
+  /// environment, returns its slots, ends its spans and feeds the
+  /// adaptive decision history; then, unless it was stranded, starts
+  /// queued work and notifies the completion observer.
+  void finish_session(const std::shared_ptr<SessionState>& s,
+                      RequestOutcome outcome);
   /// Touch point: tells the invariant oracle, when armed, that a
   /// handler changed `s` (docs/FAULTS.md).
   void touched(const SessionState& s);

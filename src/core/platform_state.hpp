@@ -55,9 +55,10 @@ struct Platform::SessionState {
   bool spilled_to_disk = false;  ///< tmpfs full: files staged on disk
   Env* env = nullptr;
 
-  // Fault-injection state. Scheduled continuations capture `epoch` and
-  // bail when it moved on — a crash invalidates every event the session
-  // had in flight without having to cancel them individually.
+  // Fault-injection state. Scheduled continuations (Platform::guarded)
+  // capture `epoch` and bail when it moved on — a crash invalidates every
+  // event the session had in flight without having to cancel them
+  // individually.
   std::uint64_t epoch = 0;
   std::uint32_t dispatch_attempts = 0;
   std::uint32_t connect_attempts = 0;
@@ -65,7 +66,7 @@ struct Platform::SessionState {
   bool resumed = false;     ///< stalled through a handoff outage
   bool staged = false;      ///< files currently staged in the shared tmpfs
   bool computing = false;   ///< holds a Monitor job slot
-  bool done = false;        ///< outcome recorded (completed or rejected)
+  bool done = false;        ///< ended: finish_session recorded its outcome
 
   // Access-control state (docs/RAC.md).
   bool rac_slot = false;    ///< holds a RAC in-flight quota slot

@@ -46,11 +46,10 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Point-in-time value (set wins, add accumulates).
+/// Point-in-time value: the last set() wins.
 class Gauge {
  public:
   void set(double v) { value_ = v; }
-  void add(double v) { value_ += v; }
   [[nodiscard]] double value() const { return value_; }
 
  private:

@@ -17,12 +17,13 @@
 //     (time >> width_shift) mod nbuckets; width and bucket count track
 //     the live population, so insert and pop are O(1) amortized;
 //   * events due beyond the current calendar year (nbuckets * width) —
-//     the platform's standard far clump of session watchdogs — are
-//     parked completely unstructured instead of wrapping around into
-//     the near-term buckets: scheduling one tags its meta record and
-//     cancelling one (which is how almost all of them die) touches only
-//     that record — no list, no neighbours, no tombstones.  They are
-//     enumerated by a sequential meta sweep only when the year
+//     in the platform, the arrivals an open-loop run schedules up front
+//     at submit; in bench_core_throughput, its synthetic far timers,
+//     re-armed and cancelled on every request — are parked completely
+//     unstructured instead of wrapping around into the near-term
+//     buckets: scheduling one tags its meta record and cancelling one
+//     touches only that record — no list, no neighbours, no tombstones.
+//     They are enumerated by a sequential meta sweep only when the year
 //     advances and the calendar rebuilds;
 //   * cancel() is O(1): the EventId encodes (slot, generation), so a
 //     cancel unlinks the node immediately — no tombstones, bounded

@@ -2,72 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
+#include <vector>
 
 namespace rattrap::sim {
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() { shutdown(); }
-
-void ThreadPool::shutdown() {
-  std::vector<std::thread> workers;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-    // Claim the workers under the lock so concurrent shutdown() calls
-    // join disjoint (at most one non-empty) sets.
-    workers.swap(workers_);
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers) worker.join();
-}
-
-bool ThreadPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return false;
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) idle_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
@@ -77,19 +15,18 @@ void parallel_for(std::size_t count,
     body(0);
     return;
   }
-  ThreadPool pool(threads == 0 ? 0 : threads);
-  std::atomic<std::size_t> next{0};
-  const std::size_t lanes =
-      std::min<std::size_t>(pool.thread_count(), count);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    pool.submit([&] {
-      for (std::size_t i = next.fetch_add(1); i < count;
-           i = next.fetch_add(1)) {
-        body(i);
-      }
-    });
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  pool.wait_idle();
+  std::atomic<std::size_t> next{0};
+  const auto lane = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      body(i);
+    }
+  };
+  std::vector<std::thread> lanes(std::min(threads, count));
+  for (std::thread& t : lanes) t = std::thread(lane);
+  for (std::thread& t : lanes) t.join();
 }
 
 }  // namespace rattrap::sim

@@ -1,62 +1,23 @@
-// Thread pool and parallel sweeps for the benchmark harness.
+// Parallel sweeps for the benchmark harness.
 //
 // Simulations are single-threaded and deterministic by design; what *is*
 // embarrassingly parallel is running many independent simulations (one
-// per platform × workload × network cell).  The pool runs such sweeps
-// across hardware threads while keeping per-cell determinism: each task
-// owns its Platform instance and shares nothing mutable.
+// per seed or per platform × workload × network cell).  parallel_for
+// runs such sweeps across hardware threads while keeping per-cell
+// determinism: each iteration owns its Platform instance and shares
+// nothing mutable.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace rattrap::sim {
 
-class ThreadPool {
- public:
-  /// `threads` = 0 picks the hardware concurrency (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task.  Returns false (and drops the task) once shutdown
-  /// has begun — a submit racing the destructor used to enqueue work no
-  /// worker would ever run, wedging the next wait_idle() forever.
-  bool submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  /// Stops accepting work, drains the tasks already queued, and joins
-  /// every worker.  Idempotent and safe to call concurrently with
-  /// submit() from other threads (their submits are rejected).  The
-  /// destructor calls this.
-  void shutdown();
-
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
-  bool stopping_ = false;
-};
-
-/// Runs `body(i)` for i in [0, count) across a transient pool; blocks
-/// until all iterations finish.  Exceptions escaping `body` terminate
-/// (simulation code is noexcept by convention).
+/// Runs `body(i)` for i in [0, count) on min(threads, count) threads
+/// (`threads` = 0 picks the hardware concurrency) that claim indices
+/// from one shared counter; blocks until all iterations finish.
+/// Exceptions escaping `body` terminate (simulation code is noexcept by
+/// convention).
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);

@@ -2,6 +2,7 @@
 // adaptive offloading decision.
 #include <gtest/gtest.h>
 
+#include "core/load_driver.hpp"
 #include "core/platform.hpp"
 #include "workloads/generator.hpp"
 
@@ -139,6 +140,50 @@ TEST(AdaptiveOffloading, KeepsOffloadingWhenRemoteWins) {
     if (o.traffic.total_up() > 0) ++offloads;
   }
   EXPECT_EQ(offloads, outcomes.size());  // LAN OCR always wins remotely
+}
+
+TEST(AdaptiveOffloading, ObserverSeesLocalOutcomes) {
+  // Every finished request reaches the completion observer, including
+  // the ones the client chose to run locally.
+  PlatformConfig config =
+      make_config(PlatformKind::kRattrap, net::cellular_3g());
+  config.adaptive_offloading = true;
+  Platform platform(config);
+  std::size_t observed = 0;
+  std::size_t observed_local = 0;
+  platform.set_completion_observer([&](const RequestOutcome& o) {
+    ++observed;
+    if (o.traffic.total_up() == 0) ++observed_local;
+  });
+  const auto outcomes = platform.run(dense_stream(
+      workloads::Kind::kVirusScan, 1, 10, 9, 400 * sim::kSecond));
+  platform.set_completion_observer({});
+  std::size_t local_runs = 0;
+  for (const auto& o : outcomes) {
+    if (o.traffic.total_up() == 0) ++local_runs;
+  }
+  ASSERT_GT(local_runs, 0u);
+  EXPECT_EQ(observed, outcomes.size());
+  EXPECT_EQ(observed_local, local_runs);
+}
+
+TEST(AdaptiveOffloading, ClosedLoopOffersEveryRequest) {
+  // A device whose request ran locally issues its next one like any
+  // other: the closed loop offers and accounts every requested session.
+  PlatformConfig config =
+      make_config(PlatformKind::kRattrap, net::cellular_3g());
+  config.adaptive_offloading = true;
+  Platform platform(config);
+  LoadDriverConfig driver;
+  driver.kind = workloads::Kind::kVirusScan;
+  driver.loadgen.arrival = sim::ArrivalProcess::kClosedLoop;
+  driver.loadgen.devices = 5;
+  driver.loadgen.requests = 60;
+  const LoadSummary summary = run_load(platform, driver);
+  EXPECT_EQ(summary.offered, 60u);
+  EXPECT_EQ(summary.completed + summary.rejected, summary.offered);
+  EXPECT_TRUE(accounting_identity(summary));
+  EXPECT_GT(platform.metrics().counter("sessions.local").value(), 0u);
 }
 
 TEST(AdaptiveOffloading, LocalRunsCostLocalEnergy) {

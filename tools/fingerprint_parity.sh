@@ -2,7 +2,8 @@
 # Golden-fingerprint parity between a base git ref and the working tree.
 #
 # Builds both in Release mode and runs each on one fixed invocation set:
-# the loadgen sim / rpc / QoS lines, `experiments --quick`, a small
+# the loadgen sim / rpc / QoS lines, a closed-loop loadgen line (the only
+# one that drives the completion observer), `experiments --quick`, a small
 # elastic static|predictive crash-storm manifest, and traced rattrap
 # runs (plain, and warm pool under container crashes).  Prints one line
 # per invocation with both fingerprints.  A refactor that claims "no
@@ -17,7 +18,7 @@
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 || $1 == -h || $1 == --help ]]; then
-  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 base_ref=$1
@@ -80,6 +81,9 @@ fingerprints() {  # <source> <build-dir> <out-dir>
   echo "loadgen-qos $("$bin/loadgen" --qos --rate 400 --devices 64 \
     --requests 20000 --mix gold:interactive:3:0.3 \
     --mix silver:standard:2:0.4 --mix bronze:batch:1:0.3 |
+    sed -n 's/^metrics_fingerprint=//p')"
+  echo "loadgen-closed $("$bin/loadgen" --arrival closed --devices 200 \
+    --requests 5000 --faults net.drop:p=0.02 |
     sed -n 's/^metrics_fingerprint=//p')"
   echo "experiments-quick $("$bin/experiments" --quick --jobs 2 \
     --out "$out/quick" | sed -n 's/^summary_fingerprint=//p')"
