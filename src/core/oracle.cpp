@@ -177,12 +177,12 @@ void InvariantOracle::settle_envs() {
 
 InvariantOracle::Ledger InvariantOracle::recount() {
   Ledger fresh;
-  for (const auto& s : platform_.live_sessions_) {
-    if (s->done) continue;
+  platform_.for_each_live([&](const auto& s) {
+    if (s->done) return;
     const SessionSeen now = seen(*s, tenant_index(s->tenant));
     fresh.sessions.emplace(s->request.sequence, now);
     fresh.add(s->request.sequence, now, +1);
-  }
+  });
   const EnvTable& table = platform_.env_table_;
   for (const EnvRecord& rec : table.records()) {
     ++fresh.states[static_cast<std::size_t>(rec.state())];

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "android/image_profile.hpp"
 #include "core/oracle.hpp"
@@ -238,7 +239,7 @@ Platform::Platform(PlatformConfig config)
   }
 }
 
-Platform::~Platform() = default;
+Platform::~Platform() { clear_live(); }
 
 device::RadioProfile Platform::radio_profile() const {
   if (config_.link.name == "3G") return device::radio_3g();
@@ -616,7 +617,7 @@ void Platform::elastic_tick() {
   if (decision.drain > 0) elastic_retire_warm(decision.drain);
   // Keep ticking only while the run has work; the next arrival re-arms,
   // so an idle platform's event queue actually drains.
-  if (!live_sessions_.empty() || !queued_sessions_.empty()) {
+  if (live_head_ != nullptr || !queued_sessions_.empty()) {
     arm_elastic_tick();
   }
 }
@@ -750,8 +751,9 @@ std::vector<RequestOutcome> Platform::close_stream(
 void Platform::reset_run() {
   outcomes_.clear();
   outcome_done_.clear();
+  submitted_ = 0;
   completed_ = 0;
-  live_sessions_.clear();
+  clear_live();
   queued_sessions_.clear();
   if (admission_ != nullptr) admission_->scheduler().clear();
   streams_.clear();
@@ -798,56 +800,78 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
   assert(stream_it != streams_.end() && stream_it->second.open &&
          "submit on an unknown or closed session");
   Stream& stream = stream_it->second;
-  stream.sequences.push_back(request.sequence);
+  const std::uint64_t sequence = request.sequence;
+  stream.sequences.push_back(sequence);
   sim::Simulator& simulator = server_->simulator();
-  if (outcomes_.size() <= request.sequence) {
-    outcomes_.resize(request.sequence + 1);
-    outcome_done_.resize(request.sequence + 1, 0);
+  if (outcomes_.size() <= sequence) {
+    outcomes_.resize(sequence + 1);
+    outcome_done_.resize(sequence + 1, 0);
   }
+  ++submitted_;
   SessionMetrics& sm = session_metrics_;
   resolve(sm.offered, metrics_, "sessions.offered").inc();
+  const qos::PriorityClass klass = stream.config.priority;
+  resolve(sm.qos_offered[qos::class_index(klass)], metrics_, "qos.offered.",
+          qos::to_string(klass))
+      .inc();
+  // The request waits in its outcome slot; its session record is built
+  // when it arrives, so the records live only while sessions are in
+  // flight, however far ahead the schedule was submitted.
+  outcomes_[sequence].request = request;
+  simulator.schedule_at(
+      std::max(request.arrival, simulator.now()),
+      [this, stream_id, sequence]() {
+        on_arrival(make_session(stream_id, sequence));
+      });
+}
+
+std::shared_ptr<Platform::SessionState> Platform::make_session(
+    std::uint64_t stream_id, std::uint64_t sequence) {
+  const SessionConfig& config = stream_config(stream_id);
   auto session = std::allocate_shared<SessionState>(
       sim::StlSlabAllocator<SessionState>(session_pool_.get()));
-  session->request = request;
-  session->kind = request.task.kind;
+  // Copied out of the slot before the arrival runs: a synchronous reject
+  // reaches the completion observer, whose submits may resize outcomes_.
+  session->request = outcomes_[sequence].request;
+  session->kind = session->request.task.kind;
   session->app = &kind_data(session->kind);
   // The QoS identity rides on the session the request was submitted
   // through; an empty tenant falls back to per-app tenancy (the legacy
   // token-bucket key).
   session->stream_id = stream_id;
-  session->klass = stream.config.priority;
-  session->deadline = stream.config.deadline;
-  session->tenant = stream.config.tenant.empty() ? session->app_id()
-                                                 : stream.config.tenant;
-  resolve(sm.qos_offered[qos::class_index(session->klass)], metrics_,
-          "qos.offered.", qos::to_string(session->klass))
-      .inc();
-  // Execute the real kernel now; work units drive the simulated times.
+  session->klass = config.priority;
+  session->deadline = config.deadline;
+  session->tenant = config.tenant.empty() ? session->app_id() : config.tenant;
+  // Execute the real kernel; work units drive the simulated times.
   // Identical tasks replayed across platforms (§VI-D record/replay)
   // share one execution through a process-wide memo.
-  session->executed = execute_task_cached(request.task);
-  session->conn.emplace(*link_, rng_.fork(request.sequence + 1));
+  session->executed = execute_task_cached(session->request.task);
+  // The substream depends on the seed and sequence only, so building
+  // the connection at arrival draws what building it at submit did.
+  session->conn.emplace(*link_, rng_.fork(sequence + 1));
+  SessionMetrics& sm = session_metrics_;
   if (!sm.net) sm.net = net::Connection::resolve_metrics(metrics_);
   session->conn->set_metrics(*sm.net);
-  simulator.schedule_at(std::max(request.arrival, simulator.now()),
-                        [this, session]() { on_arrival(session); });
+  return session;
 }
 
 void Platform::drain_run() {
   sim::Simulator& simulator = server_->simulator();
   simulator.run();
-  if (faults_) {
-    // With recovery disabled (or budgets exhausted mid-flight) sessions
-    // can strand on a dead environment; the event queue drains with
-    // their outcomes unrecorded. Mark them rejected so the caller sees
-    // every request accounted for — and so the invariant report is the
-    // only place a stranding hides.  Stranded sessions give back every
-    // slot they held — the tenant's RAC in-flight quota slot, and a
-    // class-queue or in-service slot — so later runs are not refused
-    // for work that is no longer in flight.
-    std::vector<std::shared_ptr<SessionState>> stranded;
-    stranded.swap(live_sessions_);
-    for (const auto& s : stranded) {
+  // With recovery disabled (or budgets exhausted mid-flight) sessions
+  // can strand on a dead environment; the event queue drains with their
+  // outcomes unrecorded. Mark them rejected so the caller sees every
+  // request accounted for — and so the invariant report is the only
+  // place a stranding hides.  Stranded sessions give back every slot
+  // they held — the tenant's RAC in-flight quota slot, and a class-queue
+  // or in-service slot — so later runs are not refused for work that is
+  // no longer in flight.  Their outcomes reach the completion observer
+  // like any other; while it submits follow-ups (a closed-loop device's
+  // next request), the queue runs again.
+  while (faults_ && live_head_ != nullptr) {
+    const std::size_t submitted = submitted_;
+    while (live_head_ != nullptr) {
+      const std::shared_ptr<SessionState> s = live_head_;
       metrics_.counter("sessions.stranded").inc();
       metrics_
           .counter(std::string("qos.stranded.") + qos::to_string(s->klass))
@@ -855,23 +879,18 @@ void Platform::drain_run() {
       if (s->span_session != obs::kNoSpan) {
         trace_.annotate(s->span_session, "stranded", std::uint64_t{1});
       }
-      RequestOutcome outcome = outcome_of(*s);
+      RequestOutcome& outcome = outcome_of(*s);
       outcome.rejected = true;
       outcome.reject_reason = RejectReason::kStranded;
       outcome.stranded = true;
-      finish_session(s, std::move(outcome));
+      finish_session(s);
     }
+    if (submitted_ == submitted) break;
+    simulator.run();
   }
   if (oracle_ != nullptr) oracle_->quiescent_sweep();
   trace_.close_open_spans(simulator.now());
   assert(completed_ == outcomes_.size());
-}
-
-void Platform::record_outcome(std::uint64_t sequence,
-                              RequestOutcome outcome) {
-  assert(sequence < outcomes_.size());
-  outcomes_[sequence] = std::move(outcome);
-  outcome_done_[sequence] = 1;
 }
 
 template <auto Step, typename... Args>
@@ -911,7 +930,7 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
       const sim::SimDuration local =
           dev.local_execution_time(s->kind, s->executed);
       server_->simulator().schedule_in(local, [this, s, local]() {
-        RequestOutcome outcome = outcome_of(*s);
+        RequestOutcome& outcome = outcome_of(*s);
         outcome.response = local;
         outcome.local_time = local;
         outcome.speedup = 1.0;  // executed locally by choice
@@ -926,7 +945,7 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
         if (s->span_session != obs::kNoSpan) {
           trace_.annotate(s->span_session, "local", std::uint64_t{1});
         }
-        finish_session(s, std::move(outcome));
+        finish_session(s);
       });
       return;
     }
@@ -938,7 +957,7 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
   const AccessDeny deny =
       server_->access().admit(s->tenant, server_->simulator().now());
   if (deny != AccessDeny::kNone) {
-    live_sessions_.push_back(s);
+    link_live(s);
     reject_session(s, deny == AccessDeny::kQuota
                           ? RejectReason::kQuotaExceeded
                           : RejectReason::kAccessDenied);
@@ -951,9 +970,47 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
     pool_controller_->observe_arrival(s->klass);
     arm_elastic_tick();
   }
-  live_sessions_.push_back(s);
+  link_live(s);
   touched(*s);
   attempt_connect(s);
+}
+
+void Platform::link_live(const std::shared_ptr<SessionState>& s) {
+  assert(!s->live);
+  s->live = true;
+  s->live_prev = live_tail_;
+  (live_tail_ != nullptr ? live_tail_->live_next : live_head_) = s;
+  live_tail_ = s.get();
+  ++live_count_;
+}
+
+void Platform::unlink_live(SessionState& s) {
+  if (!s.live) return;
+  s.live = false;
+  --live_count_;
+  if (s.live_next != nullptr) {
+    s.live_next->live_prev = s.live_prev;
+  } else {
+    live_tail_ = s.live_prev;
+  }
+  std::shared_ptr<SessionState>& link =
+      s.live_prev != nullptr ? s.live_prev->live_next : live_head_;
+  s.live_prev = nullptr;
+  // `link` owns `s`; the caller holds its own reference, so the list's
+  // may go once the successor took its place.
+  const std::shared_ptr<SessionState> owner =
+      std::exchange(link, std::move(s.live_next));
+}
+
+void Platform::clear_live() {
+  while (live_head_ != nullptr) {
+    const std::shared_ptr<SessionState> s = std::move(live_head_);
+    live_head_ = std::move(s->live_next);
+    s->live_prev = nullptr;
+    s->live = false;
+  }
+  live_tail_ = nullptr;
+  live_count_ = 0;
 }
 
 void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
@@ -1464,7 +1521,7 @@ void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
 
 void Platform::complete(const std::shared_ptr<SessionState>& s) {
   SessionScope scope(*this, *s);
-  RequestOutcome outcome = outcome_of(*s);
+  RequestOutcome& outcome = outcome_of(*s);
   const device::MobileDevice& dev = device_for(s->request.device_id);
   outcome.local_time = dev.local_execution_time(s->kind, s->executed);
   outcome.speedup = outcome.response > 0
@@ -1526,7 +1583,7 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
       trace_.annotate(s->span_session, "deadline_missed", std::uint64_t{1});
     }
   }
-  finish_session(s, std::move(outcome));
+  finish_session(s);
 }
 
 // ---------------------------------------------------------------------
@@ -1589,8 +1646,8 @@ void Platform::crash_env(Env& env) {
   // slots and staged one-shot files die with the container. The sessions
   // stay *bound*: the Monitor has not discovered the crash yet, and the
   // session-env-liveness invariant tolerates exactly that window.
-  for (const auto& s : live_sessions_) {
-    if (s->done || s->env != &env) continue;
+  for_each_live([&](const std::shared_ptr<SessionState>& s) {
+    if (s->done || s->env != &env) return;
     ++s->epoch;
     if (trace_.enabled()) {
       trace_.instant(s->request.sequence + 1, "env_crash", "fault",
@@ -1605,7 +1662,7 @@ void Platform::crash_env(Env& env) {
       s->staged = false;
     }
     touched(*s);
-  }
+  });
   server_->monitor().notify_crash(env.id());
 }
 
@@ -1619,9 +1676,9 @@ void Platform::recover_env(std::uint32_t env_id) {
   if (env_table_.find(env_id) == nullptr) return;
   Env& dead = env_of(env_id);
   std::vector<std::shared_ptr<SessionState>> victims;
-  for (const auto& s : live_sessions_) {
+  for_each_live([&](const std::shared_ptr<SessionState>& s) {
     if (!s->done && s->env == &dead) victims.push_back(s);
-  }
+  });
   for (const auto& s : victims) {
     if (dead.rec.inflight > 0) --dead.rec.inflight;
     s->env = nullptr;
@@ -1654,11 +1711,11 @@ void Platform::on_tenant_blocked(const std::string& tenant,
         trace_.instant(kPlatformTrack, "rac_block", "rac", now);
     trace_.annotate(mark, "tenant", tenant);
   }
-  // Collect first: reject_session mutates live_sessions_.
+  // Collect first: reject_session unlinks from the live list.
   std::vector<std::shared_ptr<SessionState>> victims;
-  for (const auto& s : live_sessions_) {
+  for_each_live([&](const std::shared_ptr<SessionState>& s) {
     if (!s->done && s->tenant == tenant) victims.push_back(s);
-  }
+  });
   for (const auto& s : victims) {
     ++s->epoch;  // neutralize every scheduled continuation
     if (s->span_session != obs::kNoSpan) {
@@ -1694,18 +1751,19 @@ void Platform::reject_session(const std::shared_ptr<SessionState>& s,
     trace_.annotate(s->span_session, "rejected", std::uint64_t{1});
     trace_.annotate(s->span_session, "reject_reason", to_string(reason));
   }
-  RequestOutcome outcome = outcome_of(*s);
+  RequestOutcome& outcome = outcome_of(*s);
   outcome.rejected = true;
   outcome.reject_reason = reason;
   outcome.queue_wait = s->queue_wait;
   outcome.traffic = s->conn ? s->conn->traffic() : net::TrafficAccount{};
-  finish_session(s, std::move(outcome));
+  finish_session(s);
 }
 
-RequestOutcome Platform::outcome_of(const SessionState& s) const {
+RequestOutcome& Platform::outcome_of(const SessionState& s) {
   const sim::SimTime now = server_->simulator().now();
-  RequestOutcome outcome;
-  outcome.request = s.request;
+  assert(s.request.sequence < outcomes_.size());
+  // The slot still holds only the request submit parked there.
+  RequestOutcome& outcome = outcomes_[s.request.sequence];
   outcome.phases = s.phases;
   outcome.completed_at = now;
   outcome.response = now - s.request.arrival;
@@ -1718,9 +1776,10 @@ RequestOutcome Platform::outcome_of(const SessionState& s) const {
   return outcome;
 }
 
-void Platform::finish_session(const std::shared_ptr<SessionState>& s,
-                              RequestOutcome outcome) {
+void Platform::finish_session(const std::shared_ptr<SessionState>& s) {
   const sim::SimTime now = server_->simulator().now();
+  const std::uint64_t sequence = s->request.sequence;
+  const RequestOutcome& outcome = outcomes_[sequence];
   end_phase(*s);
   if (s->span_session != obs::kNoSpan) trace_.end(s->span_session, now);
   if (config_.adaptive_offloading && !outcome.rejected) {
@@ -1738,9 +1797,8 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s,
       ++history.samples;
     }
   }
-  const std::uint64_t sequence = s->request.sequence;
   const bool stranded = outcome.stranded;
-  record_outcome(sequence, std::move(outcome));
+  outcome_done_[sequence] = 1;
 
   if (s->computing) {
     server_->monitor().job_finished(s->klass);
@@ -1766,12 +1824,7 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s,
   }
   s->done = true;
   ++completed_;
-  for (auto it = live_sessions_.begin(); it != live_sessions_.end(); ++it) {
-    if (*it == s) {
-      live_sessions_.erase(it);
-      break;
-    }
-  }
+  unlink_live(*s);
   // Return the RAC, queue and in-service slots the session held.
   if (s->rac_slot) {
     server_->access().release(s->tenant);
@@ -1790,10 +1843,10 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s,
     s->admitted = false;
   }
   touched(*s);
-  // A stranded session ends after the event queue drained: work started
-  // or submitted for it now could never run.
-  if (stranded) return;
-  maybe_start_queued();
+  // A stranded session ends after the event queue drained, together with
+  // every other live one: queued work it frees is stranded in the same
+  // sweep, so none starts here.
+  if (!stranded) maybe_start_queued();
   if (completion_observer_) completion_observer_(outcomes_[sequence]);
 }
 

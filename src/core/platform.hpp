@@ -288,11 +288,12 @@ class Platform {
   /// The finished outcome for `sequence` (any session), or nullptr.
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
 
-  /// Observer invoked with each finished outcome (completed, rejected or
-  /// executed locally) — the closed-loop feedback path. Empty uninstalls.
-  /// Stranded outcomes never reach it: they are recorded after the event
-  /// queue has drained, where a follow-up submitted for them could never
-  /// run.
+  /// Observer invoked with each finished outcome (completed, rejected,
+  /// stranded or executed locally) — the closed-loop feedback path.
+  /// Empty uninstalls.  Stranded outcomes reach it after the event queue
+  /// has drained; the drain runs the queue again for any follow-up the
+  /// observer submits, so a device whose session stranded still issues
+  /// its next request.
   void set_completion_observer(
       std::function<void(const RequestOutcome&)> observer) {
     completion_observer_ = std::move(observer);
@@ -350,9 +351,7 @@ class Platform {
   [[nodiscard]] InvariantChecker& invariants() { return invariants_; }
 
   /// Sessions currently in flight (bound or connecting).
-  [[nodiscard]] std::size_t live_session_count() const {
-    return live_sessions_.size();
-  }
+  [[nodiscard]] std::size_t live_session_count() const { return live_count_; }
 
   /// Session-record allocations that overflowed the slab pool into the
   /// heap.  Stays 0 when the pool's block size covers allocate_shared's
@@ -418,7 +417,7 @@ class Platform {
   struct SessionScope;  ///< RAII: marks the session a handler acts for
 
   /// What every session of one workload kind shares, resolved once per
-  /// platform instead of per submit.
+  /// platform instead of per session.
   struct KindData {
     android::MobileApp app;
     std::uint32_t binder_calls_per_task = 0;
@@ -487,7 +486,11 @@ class Platform {
   std::vector<RequestOutcome> close_stream(std::uint64_t stream_id);
   [[nodiscard]] const SessionConfig& stream_config(
       std::uint64_t stream_id) const;
-  void record_outcome(std::uint64_t sequence, RequestOutcome outcome);
+  /// Builds the record of the session whose request waits in
+  /// outcomes_[sequence], under the QoS identity of `stream_id`: called
+  /// when the request arrives, so only in-flight sessions hold one.
+  std::shared_ptr<SessionState> make_session(std::uint64_t stream_id,
+                                             std::uint64_t sequence);
 
   /// A continuation that runs `Step(s, args...)` unless the session ended
   /// or its epoch moved on (a crash or a RAC sweep) since it was made.
@@ -495,6 +498,18 @@ class Platform {
   auto guarded(const std::shared_ptr<SessionState>& s, Args... args);
 
   void on_arrival(const std::shared_ptr<SessionState>& s);
+  /// The live list: appends `s`, or unlinks it in O(1) (a no-op when it
+  /// is not linked), keeping the arrival order the sweeps walk.
+  void link_live(const std::shared_ptr<SessionState>& s);
+  void unlink_live(SessionState& s);
+  /// Calls `f(const std::shared_ptr<SessionState>&)` on every live
+  /// session in arrival order; `f` must not end sessions (collect them
+  /// first).  Defined in platform_state.hpp.
+  template <typename F>
+  void for_each_live(F&& f) const;
+  /// Empties the live list iteratively (a long owning chain would
+  /// otherwise be destroyed recursively).
+  void clear_live();
   void attempt_connect(const std::shared_ptr<SessionState>& s);
   void on_connected(const std::shared_ptr<SessionState>& s);
   void dispatch(const std::shared_ptr<SessionState>& s,
@@ -528,16 +543,19 @@ class Platform {
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
   void reject_session(const std::shared_ptr<SessionState>& s,
                       RejectReason reason);
-  /// The outcome fields every ending fills the same way; each path sets
-  /// the rest.
-  [[nodiscard]] RequestOutcome outcome_of(const SessionState& s) const;
+  /// Fills the outcome fields every ending fills the same way into the
+  /// session's slot, outcomes_[sequence], and returns the slot; each
+  /// path sets the rest in place.  Valid until the next submit.
+  RequestOutcome& outcome_of(const SessionState& s);
   /// The one ending of every session — completed, rejected, stranded or
-  /// run locally: records `outcome`, marks the session done, unbinds its
-  /// environment, returns its slots, ends its spans and feeds the
-  /// adaptive decision history; then, unless it was stranded, starts
-  /// queued work and notifies the completion observer.
-  void finish_session(const std::shared_ptr<SessionState>& s,
-                      RequestOutcome outcome);
+  /// run locally: marks the outcome its path filled in as recorded and
+  /// the session done, unbinds its environment, returns its slots, ends
+  /// its spans and feeds the adaptive decision history; then, unless it
+  /// was stranded, starts queued work; and last it notifies the
+  /// completion observer.  A stranded session ends after the queue
+  /// drained, so drain_run runs the queue again for what the observer
+  /// submits.
+  void finish_session(const std::shared_ptr<SessionState>& s);
   /// Touch point: tells the invariant oracle, when armed, that a
   /// handler changed `s` (docs/FAULTS.md).
   void touched(const SessionState& s);
@@ -564,9 +582,13 @@ class Platform {
   /// Slab pool backing session records: every SessionState is created
   /// via std::allocate_shared, so control block + payload land in one
   /// recycled slab block instead of a per-session heap allocation
-  /// (docs/PERF.md).  Declared before server_ and the session containers
-  /// so it is destroyed after every shared_ptr<SessionState> — including
-  /// those captured in the simulator's pending event callbacks.
+  /// (docs/PERF.md).  A record is built when its request arrives and
+  /// freed once it ended and no event holds it, so the pool holds the
+  /// in-flight sessions only; a submitted request waits in its
+  /// outcomes_ slot until then.  Declared before server_ and the session
+  /// containers so it is destroyed after every shared_ptr<SessionState>
+  /// — including those captured in the simulator's pending event
+  /// callbacks.
   std::unique_ptr<sim::SlabPool> session_pool_;
   std::unique_ptr<CloudServer> server_;
   std::unique_ptr<net::Link> link_;
@@ -578,7 +600,11 @@ class Platform {
   std::map<std::uint64_t, std::shared_ptr<SessionState>> queued_sessions_;
   std::function<void(const RequestOutcome&)> completion_observer_;
   InvariantChecker invariants_;
-  std::vector<std::shared_ptr<SessionState>> live_sessions_;
+  /// Sessions in flight, in arrival order: an intrusive list through
+  /// SessionState::live_next, which owns the next member.
+  std::shared_ptr<SessionState> live_head_;
+  SessionState* live_tail_ = nullptr;
+  std::size_t live_count_ = 0;
   sim::Rng rng_;
   /// Environment resources, envs_[id - 1]; their state lives in
   /// env_table_.  Never pruned: continuations hold Env references.
@@ -588,9 +614,11 @@ class Platform {
   /// table and warehouse it attaches its touch list to.
   std::unique_ptr<InvariantOracle> oracle_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
-  /// Per-kind app data, resolved on a kind's first submit.
+  /// Per-kind app data, resolved on a kind's first arrival.
   std::array<std::optional<KindData>, workloads::kKindCount> kinds_;
   std::vector<device::MobileDevice> devices_;
+  /// One slot per submitted sequence: the parked request from submit to
+  /// arrival, then the outcome its ending fills in place.
   std::vector<RequestOutcome> outcomes_;
   std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
   std::unique_ptr<elastic::PoolController> pool_controller_;
@@ -610,6 +638,7 @@ class Platform {
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;
   bool run_active_ = false;
+  std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
   /// Radio the platform was constructed with; each run's mobility plan
   /// replays from this base configuration.

@@ -92,9 +92,23 @@ struct Platform::SessionState {
   bool fresh_env = false;  ///< bound to an env that still had to boot
   std::map<sim::FaultKind, std::uint64_t> fault_hits;
 
+  // Live-list links (Platform::live_head_): from arrival to its ending
+  // the list owns the session through its predecessor's `live_next`.
+  std::shared_ptr<SessionState> live_next;
+  SessionState* live_prev = nullptr;
+  bool live = false;  ///< linked into the live list
+
   [[nodiscard]] const std::string& app_id() const {
     return app->app.app_id();
   }
 };
+
+template <typename F>
+void Platform::for_each_live(F&& f) const {
+  for (const std::shared_ptr<SessionState>* link = &live_head_;
+       *link != nullptr; link = &(*link)->live_next) {
+    f(*link);
+  }
+}
 
 }  // namespace rattrap::core

@@ -4,6 +4,7 @@
 // and to run the invariant oracle's full sweep after every event.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "core/oracle.hpp"
@@ -33,6 +34,12 @@ struct PlatformTestPeer {
   }
   static void touch_tenant(Platform& platform, const std::string& tenant) {
     if (platform.oracle_ != nullptr) platform.oracle_->touch_tenant(tenant);
+  }
+
+  /// Slabs the session-record pool has allocated (it never returns
+  /// one, so this is its high-water mark in blocks of 256 sessions).
+  static std::size_t session_slabs(const Platform& platform) {
+    return platform.session_pool_->slab_count();
   }
 
   /// Runs the oracle's full sweep after every event as well, recording

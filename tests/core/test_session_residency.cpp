@@ -1,0 +1,132 @@
+// Session-record residency (docs/PERF.md "Arenas"): a submitted request
+// waits in its outcome slot and gets its session record only when it
+// arrives, so the record pool holds the sessions in flight, not the
+// schedule submitted ahead of them; and an arrival whose synchronous
+// reject feeds follow-ups back through the completion observer still
+// accounts for every sequence exactly once.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "core/platform.hpp"
+#include "platform_test_peer.hpp"
+#include "workloads/generator.hpp"
+
+namespace rattrap::core {
+namespace {
+
+/// One small Linpack task, shared by every request (the kernel runs
+/// once; the process-wide memo serves the rest).
+workloads::TaskSpec small_task() {
+  workloads::StreamConfig config;
+  config.kind = workloads::Kind::kLinpack;
+  config.count = 1;
+  config.size_class = 1;
+  return workloads::make_stream(config).front().task;
+}
+
+workloads::OffloadRequest request_at(std::uint64_t sequence,
+                                     std::uint32_t device,
+                                     sim::SimTime arrival,
+                                     const workloads::TaskSpec& task) {
+  workloads::OffloadRequest request;
+  request.sequence = sequence;
+  request.device_id = device;
+  request.task = task;
+  request.arrival = arrival;
+  return request;
+}
+
+TEST(SessionResidency, PoolHoldsInFlightSessionsOnly) {
+  // 20 000 requests submitted up front, one every 500 ms from 16 devices:
+  // well below capacity, so only a handful are ever in flight.  Built at
+  // submit, the records would fill ceil(20000 / 256) = 79 slabs.
+  constexpr std::size_t kRequests = 20'000;
+  Platform platform(make_config(PlatformKind::kRattrap));
+  Result<Session> opened = platform.open_session();
+  ASSERT_TRUE(opened.ok());
+  Session session = std::move(*opened);
+  const workloads::TaskSpec task = small_task();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    session.submit(request_at(i, static_cast<std::uint32_t>(i % 16),
+                              static_cast<sim::SimTime>(i) * 500 *
+                                  sim::kMillisecond,
+                              task));
+  }
+  EXPECT_EQ(platform.live_session_count(), 0u);  // nothing arrived yet
+  const std::vector<RequestOutcome> outcomes = session.close();
+
+  ASSERT_EQ(outcomes.size(), kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(outcomes[i].request.sequence, i);
+    EXPECT_FALSE(outcomes[i].rejected) << "sequence " << i;
+  }
+  EXPECT_EQ(platform.live_session_count(), 0u);
+  EXPECT_LE(PlatformTestPeer::session_slabs(platform), 8u);
+  EXPECT_EQ(platform.session_pool_heap_fallbacks(), 0u);
+}
+
+TEST(SessionResidency, ObserverSubmitsDuringDeniedArrival) {
+  // A one-session RAC quota turns most arrivals away inside on_arrival;
+  // each reject reaches the completion observer synchronously, and the
+  // observer submits a follow-up — so outcomes_ grows (and reallocates)
+  // while an arrival is being built and rejected.
+  constexpr std::uint64_t kSeed = 16;
+  constexpr std::uint64_t kTotal = 300;
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.access.tenant_quota = 1;
+  Platform platform(std::move(config));
+  SessionConfig identity;
+  identity.tenant = "flood";
+  Result<Session> opened = platform.open_session(identity);
+  ASSERT_TRUE(opened.ok());
+  Session session = std::move(*opened);
+
+  const workloads::TaskSpec task = small_task();
+  const auto device_of = [](std::uint64_t sequence) {
+    return static_cast<std::uint32_t>(sequence % 7);
+  };
+  std::uint64_t next = kSeed;
+  std::size_t observed = 0;
+  std::size_t quota_rejects = 0;
+  platform.set_completion_observer([&](const RequestOutcome& done) {
+    ++observed;
+    if (done.reject_reason == RejectReason::kQuotaExceeded) ++quota_rejects;
+    if (next == kTotal) return;
+    const std::uint64_t sequence = next++;
+    session.submit(request_at(
+        sequence, device_of(sequence),
+        platform.server().simulator().now() + 50 * sim::kMillisecond,
+        task));
+  });
+  for (std::uint64_t i = 0; i < kSeed; ++i) {
+    session.submit(request_at(i, device_of(i), 0, task));
+  }
+  const std::vector<RequestOutcome> outcomes = session.close();
+  platform.set_completion_observer({});
+
+  ASSERT_EQ(outcomes.size(), kTotal);
+  EXPECT_EQ(observed, kTotal);
+  EXPECT_GT(quota_rejects, kSeed / 2) << "the arrival gate never denied";
+  std::vector<int> seen(kTotal, 0);
+  for (const RequestOutcome& outcome : outcomes) {
+    const std::uint64_t sequence = outcome.request.sequence;
+    ASSERT_LT(sequence, kTotal);
+    ++seen[sequence];
+    EXPECT_EQ(outcome.request.device_id, device_of(sequence));
+    const RequestOutcome* recorded = platform.result(sequence);
+    ASSERT_NE(recorded, nullptr);
+    EXPECT_EQ(recorded->request.sequence, sequence);
+    EXPECT_EQ(recorded->rejected, outcome.rejected);
+  }
+  for (std::uint64_t sequence = 0; sequence < kTotal; ++sequence) {
+    EXPECT_EQ(seen[sequence], 1) << "sequence " << sequence;
+  }
+  EXPECT_EQ(platform.live_session_count(), 0u);
+}
+
+}  // namespace
+}  // namespace rattrap::core

@@ -311,6 +311,33 @@ TEST(LoadGenProperties, AccountingIdentityChecksEveryTenant) {
   EXPECT_FALSE(accounting_identity(summary));
 }
 
+TEST(LoadGenProperties, ClosedLoopDevicesKeepIssuingAfterAStranding) {
+  // Without crash recovery, sessions bound to a crashed environment
+  // strand.  Their outcomes reach the completion observer once the queue
+  // drains, so each stranded device still issues its next request and
+  // the run offers all 300 (it stopped at 49 when stranded outcomes
+  // skipped the observer).
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  const auto plan =
+      sim::FaultPlan::parse("container.crash:p=0.3;net.drop:p=0.1");
+  ASSERT_TRUE(plan.has_value());
+  config.fault_plan = *plan;
+  config.crash_recovery = false;
+  Platform platform(std::move(config));
+
+  LoadDriverConfig driver;
+  driver.loadgen.arrival = sim::ArrivalProcess::kClosedLoop;
+  driver.loadgen.devices = 20;
+  driver.loadgen.requests = 300;
+  const LoadSummary summary = run_load(platform, driver);
+
+  EXPECT_EQ(summary.offered, 300u);
+  EXPECT_EQ(summary.completed + summary.rejected, 300u);
+  EXPECT_GT(summary.stranded, 0u) << "the fault plan stranded nothing";
+  EXPECT_TRUE(accounting_identity(summary));
+  EXPECT_EQ(platform.live_session_count(), 0u);
+}
+
 TEST(LoadGenProperties, GoldenDeterminismMetricsAndTrace) {
   const auto run_once = [](std::uint64_t seed) {
     PlatformConfig config = make_config(PlatformKind::kRattrap);
