@@ -8,7 +8,10 @@
 // seconds on and every decile does the same work: a session is one
 // provision, the offload it was booted for and the reclaim after it.
 // Only the environment table grows.  The stream is driven through the
-// public Session API; the run happens in the close() drain.  One clock
+// public Session API; the run happens in the close() drain.  The real
+// Linpack kernels behind the stream run once per distinct task before
+// the drain (the process-wide memo then serves every session, as in
+// session_bench), so no decile times kernel work.  One clock
 // read per completion splits the drain into deciles of sessions, and each
 // decile's wall time over its session count is the host cost per
 // provision.
@@ -62,6 +65,12 @@ int main() {
   // One device per request: every session binds a new environment.
   for (workloads::OffloadRequest& request : stream) {
     request.device_id = static_cast<std::uint32_t>(request.sequence);
+  }
+  // Warm the kernel memo: a session executes its task when its request
+  // arrives, so a cold memo would put the real kernels in the first
+  // decile and make the growth ratio read low.
+  for (const workloads::OffloadRequest& request : stream) {
+    (void)workloads::execute_task_cached(request.task);
   }
 
   core::PlatformConfig config = core::make_config(core::PlatformKind::kRattrap);

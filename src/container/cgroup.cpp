@@ -27,37 +27,37 @@ Cgroup* CgroupHierarchy::create(const std::string& name,
   if (groups_.contains(name)) return nullptr;
   auto group = std::make_unique<Cgroup>(name, cpu_shares, memory_limit);
   Cgroup* raw = group.get();
-  groups_.emplace(name, std::move(group));
+  groups_.insert_or_assign(name, std::move(group));
   return raw;
 }
 
-Cgroup* CgroupHierarchy::find(std::string_view name) const {
-  const auto it = groups_.find(name);
-  return it == groups_.end() ? nullptr : it->second.get();
+Cgroup* CgroupHierarchy::find(std::string_view name) {
+  const std::unique_ptr<Cgroup>* group = groups_.find(name);
+  return group == nullptr ? nullptr : group->get();
+}
+
+const Cgroup* CgroupHierarchy::find(std::string_view name) const {
+  const std::unique_ptr<Cgroup>* group = groups_.find(name);
+  return group == nullptr ? nullptr : group->get();
 }
 
 bool CgroupHierarchy::destroy(std::string_view name) {
-  const auto it = groups_.find(name);
-  if (it == groups_.end()) return false;
-  groups_.erase(it);
-  return true;
+  return groups_.erase(name);
 }
 
 std::uint64_t CgroupHierarchy::total_memory_usage() const {
   std::uint64_t sum = 0;
-  for (const auto& [name, group] : groups_) {
-    (void)name;
+  groups_.for_each([&sum](const std::string&, const auto& group) {
     sum += group->memory_usage();
-  }
+  });
   return sum;
 }
 
 std::uint64_t CgroupHierarchy::total_cpu_shares() const {
   std::uint64_t sum = 0;
-  for (const auto& [name, group] : groups_) {
-    (void)name;
+  groups_.for_each([&sum](const std::string&, const auto& group) {
     sum += group->cpu_shares();
-  }
+  });
   return sum;
 }
 

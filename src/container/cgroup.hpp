@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "sim/flat_hash.hpp"
 #include "sim/time.hpp"
 
 namespace rattrap::container {
@@ -49,14 +49,16 @@ class Cgroup {
   sim::SimDuration cpu_time_ = 0;
 };
 
-/// Flat hierarchy (one level under the root, as LXC uses it).
+/// Flat hierarchy (one level under the root, as LXC uses it), hashed by
+/// name; a group's pointer stays valid until its destroy().
 class CgroupHierarchy {
  public:
   /// Creates a cgroup; returns nullptr when the name exists.
   Cgroup* create(const std::string& name, std::uint32_t cpu_shares,
                  std::uint64_t memory_limit);
 
-  [[nodiscard]] Cgroup* find(std::string_view name) const;
+  [[nodiscard]] Cgroup* find(std::string_view name);
+  [[nodiscard]] const Cgroup* find(std::string_view name) const;
 
   /// Removes a cgroup; returns false when absent.
   bool destroy(std::string_view name);
@@ -70,7 +72,7 @@ class CgroupHierarchy {
   [[nodiscard]] std::uint64_t total_cpu_shares() const;
 
  private:
-  std::map<std::string, std::unique_ptr<Cgroup>, std::less<>> groups_;
+  sim::FlatHashMap<std::string, std::unique_ptr<Cgroup>> groups_;
 };
 
 }  // namespace rattrap::container

@@ -31,9 +31,11 @@ const char* to_string(ContainerState state) {
   return "?";
 }
 
-Container::Container(ContainerId id, ContainerConfig config,
-                     kernel::HostKernel& k)
-    : id_(id), config_(std::move(config)), kernel_(k) {}
+Container::Container(ContainerId id,
+                     std::shared_ptr<const ContainerConfig> config,
+                     std::string name, kernel::HostKernel& k)
+    : id_(id), config_(std::move(config)), name_(std::move(name)),
+      kernel_(k) {}
 
 Container::~Container() {
   if (state_ == ContainerState::kRunning) stop();
@@ -44,22 +46,16 @@ std::optional<sim::SimDuration> Container::start(Cgroup& cgroup) {
       state_ != ContainerState::kStopped) {
     return std::nullopt;
   }
-  for (const auto& feature : config_.required_features) {
-    if (!kernel_.has_feature(feature)) return std::nullopt;
-  }
+  cgroup_ = &cgroup;
   if (!cgroup.charge_memory(kBaseMemory)) return std::nullopt;
 
-  cgroup_ = &cgroup;
   base_memory_ = kBaseMemory;
-  rootfs_ = std::make_unique<fs::UnionFs>(config_.name + "-rootfs",
-                                          config_.lower_layers);
+  // The rootfs is named after its container.
+  rootfs_.emplace(name_, config_->lower_layers);
   namespaces_ = NamespaceSet{};
-  namespaces_.mnt.root = nullptr;  // the unique_ptr above is authoritative
-  namespaces_.net.veth_host = "veth-" + config_.name;
-  namespaces_.net.address = "10.0." + std::to_string(id_ % 250) + ".2";
-  namespaces_.uts.hostname = config_.name;
+  namespaces_named_ = false;
   namespaces_.ipc.id = id_;
-  devns_ = kernel_.device_namespaces().create();
+  devns_ = kernel_.device_namespaces().create(config_->devns_base);
   if (!kernel_.device_namespaces().alive(devns_)) {
     // The device namespace was torn down under us (injected teardown
     // race): roll back and fail the start instead of running with dead
@@ -68,13 +64,22 @@ std::optional<sim::SimDuration> Container::start(Cgroup& cgroup) {
     rootfs_.reset();
     cgroup.uncharge_memory(base_memory_);
     base_memory_ = 0;
-    cgroup_ = nullptr;
     return std::nullopt;
   }
 
   state_ = ContainerState::kRunning;
   return kNamespaceKinds * kNamespaceCost + kVethCost + kUnionMountCost +
          kCgroupCost;
+}
+
+NamespaceSet& Container::namespaces() {
+  if (!namespaces_named_ && state_ != ContainerState::kCreated) {
+    namespaces_.net.veth_host = "veth-" + name_;
+    namespaces_.net.address = "10.0." + std::to_string(id_ % 250) + ".2";
+    namespaces_.uts.hostname = name_;
+    namespaces_named_ = true;
+  }
+  return namespaces_;
 }
 
 sim::SimDuration Container::stop() {
@@ -102,14 +107,14 @@ std::uint64_t Container::private_disk_bytes() const {
 
 bool Container::write_file(std::string_view path, std::uint64_t size,
                            sim::SimTime now) {
-  if (rootfs_ == nullptr) return false;
-  if (config_.disk_quota > 0) {
+  if (!rootfs_) return false;
+  if (config_->disk_quota > 0) {
     std::uint64_t existing = 0;
     if (const fs::UnionHit hit = rootfs_->lookup(path);
         hit.node != nullptr && hit.layer_index == 0) {
       existing = hit.node->size;  // replacing a private file frees it
     }
-    if (rootfs_->private_bytes() - existing + size > config_.disk_quota) {
+    if (rootfs_->private_bytes() - existing + size > config_->disk_quota) {
       return false;
     }
   }

@@ -5,10 +5,17 @@
 // setup), which is why the paper's Cloud Android Container boots ~16x
 // faster than an Android VM: the expensive part that remains is the
 // *userspace* boot, handled by the android module.
+//
+// Containers cloned from one image share its ContainerConfig (held by
+// shared_ptr) and carry only their id and name; their device namespace
+// starts as a shadow of the config's template namespace, and the strings
+// derived from the name (hostname, veth, address) are built only when
+// namespaces() is read.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <string>
 #include <vector>
@@ -45,25 +52,38 @@ struct ContainerConfig {
   /// fails when any is missing (the incompatibility OS-level
   /// virtualization hits without the Android Container Driver).
   std::vector<std::string> required_features;
+  /// Template device namespace (DeviceNamespaceManager::create_template)
+  /// whose booted driver state each start's namespace shadows;
+  /// kHostDevNs starts every namespace empty.
+  kernel::DevNsId devns_base = kernel::kHostDevNs;
 };
 
 class Container {
  public:
-  Container(ContainerId id, ContainerConfig config, kernel::HostKernel& k);
+  /// A container named `name` over a (possibly shared) `config`; the
+  /// config's own name is not read.
+  Container(ContainerId id, std::shared_ptr<const ContainerConfig> config,
+            std::string name, kernel::HostKernel& k);
   ~Container();
 
   Container(const Container&) = delete;
   Container& operator=(const Container&) = delete;
 
   [[nodiscard]] ContainerId id() const { return id_; }
-  [[nodiscard]] const std::string& name() const { return config_.name; }
+  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] ContainerState state() const { return state_; }
-  [[nodiscard]] const ContainerConfig& config() const { return config_; }
+  [[nodiscard]] const ContainerConfig& config() const { return *config_; }
+  [[nodiscard]] const std::shared_ptr<const ContainerConfig>& shared_config()
+      const {
+    return config_;
+  }
 
-  /// Starts the container: verifies kernel features, creates namespaces
-  /// and the device namespace, union-mounts the rootfs, spawns init, and
+  /// Starts the container in `cgroup` (its cgroup from then on): creates
+  /// namespaces and the device namespace, union-mounts the rootfs and
   /// charges base memory.  Returns the simulated cost, or std::nullopt on
-  /// failure (missing feature / out of memory), leaving state unchanged.
+  /// failure (out of memory, device namespace torn down), leaving state
+  /// unchanged.  Kernel features are the runtime's check
+  /// (ContainerRuntime::start).
   std::optional<sim::SimDuration> start(Cgroup& cgroup);
 
   /// Stops the container: kills all processes, destroys the device
@@ -73,10 +93,16 @@ class Container {
   /// Destroys a stopped container (rootfs delta discarded).
   void destroy();
 
-  /// Live accessors; only valid while running.
-  [[nodiscard]] NamespaceSet& namespaces() { return namespaces_; }
-  [[nodiscard]] fs::UnionFs* rootfs() { return rootfs_.get(); }
-  [[nodiscard]] const fs::UnionFs* rootfs() const { return rootfs_.get(); }
+  /// Live accessors; only valid while running.  namespaces() names the
+  /// network and uts namespaces on first read after a start.
+  [[nodiscard]] NamespaceSet& namespaces();
+  [[nodiscard]] PidNamespace& processes() { return namespaces_.pid; }
+  [[nodiscard]] fs::UnionFs* rootfs() {
+    return rootfs_ ? &*rootfs_ : nullptr;
+  }
+  [[nodiscard]] const fs::UnionFs* rootfs() const {
+    return rootfs_ ? &*rootfs_ : nullptr;
+  }
   [[nodiscard]] kernel::DevNsId devns() const { return devns_; }
   [[nodiscard]] Cgroup* cgroup() const { return cgroup_; }
 
@@ -90,11 +116,13 @@ class Container {
 
  private:
   ContainerId id_;
-  ContainerConfig config_;
+  std::shared_ptr<const ContainerConfig> config_;
+  std::string name_;
   kernel::HostKernel& kernel_;
   ContainerState state_ = ContainerState::kCreated;
   NamespaceSet namespaces_;
-  std::unique_ptr<fs::UnionFs> rootfs_;
+  bool namespaces_named_ = false;  ///< net/uts filled since the last start
+  std::optional<fs::UnionFs> rootfs_;
   kernel::DevNsId devns_ = kernel::kHostDevNs;
   Cgroup* cgroup_ = nullptr;
   std::uint64_t base_memory_ = 0;

@@ -22,8 +22,19 @@ using Pid = std::int32_t;
 
 /// Process table of one pid namespace. Pid 1 is reserved for init and is
 /// spawned implicitly on construction... of the first process.
+///
+/// A namespace may start from a shared snapshot of a booted process tree
+/// (a container template's init and its daemons): the snapshot is read
+/// through, and the namespace keeps only its own delta — the processes it
+/// spawned and the snapshot processes it killed.  Killing init drops the
+/// delta and the snapshot reference together.
 class PidNamespace {
  public:
+  PidNamespace() = default;
+  /// A namespace whose process table starts as `snapshot`'s; the next
+  /// spawn takes the pid after the snapshot's last.
+  explicit PidNamespace(std::shared_ptr<const PidNamespace> snapshot);
+
   /// Spawns a process; the first spawn becomes pid 1 (init).
   Pid spawn(std::string name);
 
@@ -31,12 +42,18 @@ class PidNamespace {
   /// with its init, as in the kernel).
   bool kill(Pid pid);
 
-  [[nodiscard]] bool exists(Pid pid) const { return procs_.contains(pid); }
+  [[nodiscard]] bool exists(Pid pid) const { return find(pid) != nullptr; }
   [[nodiscard]] std::optional<std::string> name_of(Pid pid) const;
-  [[nodiscard]] std::size_t count() const { return procs_.size(); }
+  [[nodiscard]] std::size_t count() const;
   [[nodiscard]] std::vector<Pid> pids() const;
 
  private:
+  /// The live process `pid`'s name, here or in the snapshot.
+  [[nodiscard]] const std::string* find(Pid pid) const;
+  [[nodiscard]] bool killed_in_snapshot(Pid pid) const;
+
+  std::shared_ptr<const PidNamespace> snapshot_;
+  std::vector<Pid> killed_;  ///< snapshot pids killed here, ascending
   std::map<Pid, std::string> procs_;
   Pid next_ = 1;
 };

@@ -1,9 +1,12 @@
 // Container runtime: creates, tracks and reaps containers (the lxc-*
 // command surface).
+//
+// Containers and their cgroups live from create() to destroy(), so a
+// caller that destroys what it reclaims keeps both maps at its live
+// population.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "container/cgroup.hpp"
 #include "container/container.hpp"
 #include "kernel/kernel.hpp"
+#include "sim/flat_hash.hpp"
 
 namespace rattrap::container {
 
@@ -21,7 +25,14 @@ class ContainerRuntime {
   /// Creates a container in the kCreated state.
   Container& create(ContainerConfig config);
 
-  /// Starts a container by id; allocates its cgroup from the hierarchy.
+  /// Creates a container named `name` over a config many containers
+  /// share (a container image); the config's own name is not read.
+  Container& create(std::shared_ptr<const ContainerConfig> config,
+                    std::string name);
+
+  /// Starts a container by id: checks the kernel features its config
+  /// requires (once per shared config and kernel feature epoch), and
+  /// allocates its cgroup from the hierarchy on its first start.
   /// Returns the simulated start cost or std::nullopt on failure.
   std::optional<sim::SimDuration> start(ContainerId id);
 
@@ -38,23 +49,33 @@ class ContainerRuntime {
   /// Containers crash-killed so far (fault-injection accounting).
   [[nodiscard]] std::uint64_t crash_count() const { return crashes_; }
 
-  /// Stops if needed, then destroys and removes the container.
+  /// Stops if needed, then destroys and removes the container and its
+  /// cgroup.
   bool destroy(ContainerId id);
 
-  [[nodiscard]] Container* find(ContainerId id) const;
+  [[nodiscard]] Container* find(ContainerId id);
+  [[nodiscard]] const Container* find(ContainerId id) const;
   [[nodiscard]] std::size_t count() const { return containers_.size(); }
   [[nodiscard]] std::size_t running_count() const;
+  /// Ids of the containers not yet destroyed, ascending.
   [[nodiscard]] std::vector<ContainerId> ids() const;
 
   [[nodiscard]] CgroupHierarchy& cgroups() { return cgroups_; }
   [[nodiscard]] kernel::HostKernel& kernel() { return kernel_; }
 
  private:
+  /// Whether the kernel provides every feature `config` requires.
+  bool features_present(const std::shared_ptr<const ContainerConfig>& config);
+
   kernel::HostKernel& kernel_;
   CgroupHierarchy cgroups_;
-  std::map<ContainerId, std::unique_ptr<Container>> containers_;
+  sim::FlatHashMap<ContainerId, std::unique_ptr<Container>> containers_;
   ContainerId next_id_ = 1;
   std::uint64_t crashes_ = 0;
+  /// The last config whose features were all present, and the kernel's
+  /// feature epoch then: clones of one image skip the string lookups.
+  std::shared_ptr<const ContainerConfig> features_checked_;
+  std::uint64_t features_epoch_ = 0;
 };
 
 }  // namespace rattrap::container

@@ -8,9 +8,18 @@
 // the offload engine.
 //
 // Every CAC of one OS profile stacks on the same lower layers and boots
-// the same Customized OS, so the inputs a provision does not take from
-// its environment live in one CacTemplate per profile: the platform
-// builds it once and every CAC copies from it.
+// the same Customized OS into the same state, so a CacTemplate holds both
+// the provision inputs and a booted image, built once per profile:
+//   * the shared ContainerConfig (lower layers, kernel features, limits);
+//   * a template device namespace whose binder context already has
+//     system_server registered with the image's service table — each
+//     CAC's namespace shadows it and copies it only when it writes (the
+//     alarm, logger, ashmem and sw_sync drivers boot with no state);
+//   * the init process tree as one shared PidNamespace snapshot;
+//   * the seeded private layer (app data dirs, logs: Table I's delta),
+//     which each CAC's rootfs shadows copy-on-write.
+// Provisioning a CAC clones these by reference, and reclaim drops the
+// CAC's own delta and hands its container and cgroup back to the runtime.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +31,9 @@
 #include "android/boot.hpp"
 #include "android/classloader.hpp"
 #include "android/properties.hpp"
+#include "container/namespaces.hpp"
 #include "container/runtime.hpp"
+#include "fs/layer.hpp"
 #include "kernel/android_container_driver.hpp"
 
 namespace rattrap::core {
@@ -43,16 +54,27 @@ struct CacConfig {
   std::uint64_t private_seed_bytes = 7340032;  // 7.0 MiB
 };
 
-/// The environment-independent part of a CacConfig, with the boot model
-/// evaluated once: what every CAC of one profile shares.
-struct CacTemplate {
-  /// Built from `config`; its name and warm flag are per-CAC, not used.
-  explicit CacTemplate(const CacConfig& config);
+/// The environment-independent part of a CacConfig with the boot model
+/// evaluated once, plus the state a boot leaves behind: what every CAC of
+/// one profile is cloned from.
+class CacTemplate {
+ public:
+  /// Builds and boots the template from `config` (its name and warm flag
+  /// are per-CAC, not used) on `runtime`'s kernel and `driver`'s binder.
+  /// Consults no fault injector and loads no module.
+  CacTemplate(const CacConfig& config, container::ContainerRuntime& runtime,
+              kernel::AndroidContainerDriver& driver);
+  /// Releases the template device namespace.
+  ~CacTemplate();
+
+  CacTemplate(const CacTemplate&) = delete;
+  CacTemplate& operator=(const CacTemplate&) = delete;
 
   android::OsProfile profile;
-  /// Container skeleton: lower layers, required kernel features, memory
-  /// limit and cpu shares.  Each CAC fills in only its name.
-  container::ContainerConfig container;
+  /// Container skeleton every clone shares: lower layers, required kernel
+  /// features, memory limit, cpu shares and the template device
+  /// namespace.  Each CAC adds only its name.
+  std::shared_ptr<const container::ContainerConfig> container;
   /// Userspace boot plans for a cold and a page-cached shared layer.
   android::UserspaceBoot cold_boot;
   android::UserspaceBoot warm_boot;
@@ -60,25 +82,36 @@ struct CacTemplate {
   kernel::SharedServiceTable services;
   /// The build properties init publishes; each CAC adds ro.serialno.
   std::shared_ptr<const android::PropertyStore> build_properties;
-  std::uint64_t private_seed_bytes;
+  /// The process tree the modified init brings up.
+  std::shared_ptr<const container::PidNamespace> processes;
+  /// The private layer a boot seeds (app data dirs, logs).
+  std::shared_ptr<const fs::Layer> private_seed;
+  /// Whether the lower layers hold the framework core a boot needs.
+  bool has_framework = false;
 
   [[nodiscard]] const android::UserspaceBoot& boot(bool warm) const {
     return warm ? warm_boot : cold_boot;
   }
+
+ private:
+  kernel::HostKernel& kernel_;
 };
 
 class CloudAndroidContainer {
  public:
-  /// A standalone CAC described by `config` alone.
+  /// A standalone CAC described by `config` alone: cloned from a
+  /// template of its own.
   CloudAndroidContainer(const CacConfig& config,
                         container::ContainerRuntime& runtime,
                         kernel::AndroidContainerDriver& driver);
-  /// A CAC copied from a shared template; `warm_shared_layer` picks the
-  /// boot plan it keeps.
+  /// A CAC cloned from a shared template, which must outlive its boot;
+  /// `warm_shared_layer` picks the boot plan it keeps.
   CloudAndroidContainer(const CacTemplate& tmpl, std::string name,
                         bool warm_shared_layer,
                         container::ContainerRuntime& runtime,
                         kernel::AndroidContainerDriver& driver);
+  /// Releases driver pins and hands the container and its cgroup back to
+  /// the runtime.
   ~CloudAndroidContainer();
 
   CloudAndroidContainer(const CloudAndroidContainer&) = delete;
@@ -94,12 +127,14 @@ class CloudAndroidContainer {
   ///   2. userspace_boot(): the Android boot breakdown (cpu components +
   ///      disk bytes) the engine turns into simulator/disk events — the
   ///      plan the CAC was provisioned with.
-  ///   3. finish_boot(now): marks booted, spawns the Android process
-  ///      tree, charges memory and seeds the private layer.
+  ///   3. finish_boot(now): marks booted and installs the template's
+  ///      booted state — the Android process tree and the seeded private
+  ///      layer — by reference, and charges memory.  The binder context
+  ///      came with the device namespace.
   std::optional<sim::SimDuration> start_container(
       kernel::HostKernel& kernel);
   [[nodiscard]] const android::UserspaceBoot& userspace_boot() const {
-    return boot_;
+    return tmpl_.boot(warm_);
   }
   void finish_boot(sim::SimTime now);
 
@@ -117,30 +152,37 @@ class CloudAndroidContainer {
   [[nodiscard]] std::uint64_t private_disk_bytes() const;
 
   /// Discards the private COW layer (drain-based reclaim): the shared
-  /// lower layers are untouched, the per-CAC delta is gone.  Returns the
-  /// bytes freed.
+  /// lower layers and the template's seed are untouched, the per-CAC
+  /// delta is gone.  Returns the bytes freed.
   std::uint64_t reclaim_private_layer();
 
   /// Resident memory once booted.
   [[nodiscard]] std::uint64_t boot_memory() const {
-    return boot_.boot_memory;
+    return userspace_boot().boot_memory;
   }
 
   [[nodiscard]] android::ClassLoader& classloader() { return loader_; }
-  [[nodiscard]] android::PropertyStore& properties() { return properties_; }
+  /// The property store; the boot's properties (the image's build
+  /// properties plus ro.serialno) are published on first read.
+  [[nodiscard]] android::PropertyStore& properties();
   [[nodiscard]] container::Container* container() { return container_; }
 
  private:
-  android::UserspaceBoot boot_;
-  kernel::SharedServiceTable services_;
-  std::shared_ptr<const android::PropertyStore> build_properties_;
-  std::uint64_t private_seed_bytes_;
+  CloudAndroidContainer(std::unique_ptr<const CacTemplate> owned,
+                        std::string name, bool warm_shared_layer,
+                        container::ContainerRuntime& runtime,
+                        kernel::AndroidContainerDriver& driver);
+
+  std::unique_ptr<const CacTemplate> owned_template_;  ///< standalone only
+  const CacTemplate& tmpl_;
+  bool warm_;
   container::ContainerRuntime& runtime_;
   kernel::AndroidContainerDriver& driver_;
   container::Container* container_ = nullptr;
   container::ContainerId cid_ = 0;
   android::ClassLoader loader_;
   android::PropertyStore properties_;
+  bool properties_pending_ = false;  ///< booted, properties not built yet
   bool booted_ = false;
   bool pinned_ = false;
   bool crashed_ = false;

@@ -1,16 +1,6 @@
 #include "core/dispatcher.hpp"
 
-#include <cstdio>
-
 namespace rattrap::core {
-
-std::string Dispatcher::binding_key(
-    const workloads::OffloadRequest& request) {
-  // Environments are provisioned per device on every platform; with
-  // affinity the Dispatcher may *reroute* a request to an app-hot
-  // container, but new environments always bind to the requesting device.
-  return "dev:" + std::to_string(request.device_id);
-}
 
 void Dispatcher::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
@@ -52,13 +42,7 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
     }
     return record;
   };
-  // Format the device key on the stack: this runs once per request and
-  // the flat key index takes a string_view, so no allocation is needed.
-  char device_key[24];
-  const int key_len = std::snprintf(device_key, sizeof device_key, "dev:%u",
-                                    request.device_id);
-  EnvRecord* device_env = envs_.find_by_key(
-      std::string_view(device_key, static_cast<std::size_t>(key_len)));
+  EnvRecord* device_env = envs_.find_by_key(binding_key(request));
   if (!affinity_) return finish(device_env, false);
   // A device's first request always provisions its own environment (all
   // three platforms pay one boot per device); affinity then *reroutes*

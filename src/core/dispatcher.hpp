@@ -28,8 +28,10 @@ class Dispatcher {
 
   /// The environment-binding key for a request (per-device on every
   /// platform; affinity rerouting happens in assign()).
-  [[nodiscard]] static std::string binding_key(
-      const workloads::OffloadRequest& request);
+  [[nodiscard]] static EnvKey binding_key(
+      const workloads::OffloadRequest& request) {
+    return EnvKey::device(request.device_id);
+  }
 
   /// The existing environment this request should run in, or nullptr when
   /// a new one must be provisioned.  `code_ref` is the warehouse reference

@@ -62,28 +62,57 @@ void EnvTable::set_metrics(obs::MetricsRegistry* metrics) {
   active_ = &metrics->gauge("envdb.active");
 }
 
-void EnvTable::index_key(const std::string& key, EnvId id) {
-  std::vector<EnvId>& ids = by_key_[key];
-  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+void EnvTable::index_key(EnvRecord& record) {
+  EnvId* head = by_key_.find(record.key_.bits());
+  if (head == nullptr) {
+    record.next_with_key_ = 0;
+    by_key_.insert_or_assign(record.key_.bits(), record.id);
+    return;
+  }
+  // Keep the chain ascending: walk to the last id below this one.
+  if (record.id < *head) {
+    record.next_with_key_ = *head;
+    *head = record.id;
+    return;
+  }
+  EnvRecord* prev = &records_[*head - 1];
+  while (prev->next_with_key_ != 0 && prev->next_with_key_ < record.id) {
+    prev = &records_[prev->next_with_key_ - 1];
+  }
+  record.next_with_key_ = prev->next_with_key_;
+  prev->next_with_key_ = record.id;
 }
 
-void EnvTable::unindex_key(const std::string& key, EnvId id) {
-  std::vector<EnvId>* ids = by_key_.find(key);
-  if (ids == nullptr) return;
-  const auto it = std::lower_bound(ids->begin(), ids->end(), id);
-  if (it != ids->end() && *it == id) ids->erase(it);
-  if (ids->empty()) by_key_.erase(key);
+void EnvTable::unindex_key(EnvRecord& record) {
+  EnvId* head = by_key_.find(record.key_.bits());
+  if (head == nullptr) return;
+  if (*head == record.id) {
+    if (record.next_with_key_ == 0) {
+      by_key_.erase(record.key_.bits());
+    } else {
+      *head = record.next_with_key_;
+    }
+    record.next_with_key_ = 0;
+    return;
+  }
+  for (EnvRecord* prev = &records_[*head - 1]; prev->next_with_key_ != 0;
+       prev = &records_[prev->next_with_key_ - 1]) {
+    if (prev->next_with_key_ == record.id) {
+      prev->next_with_key_ = record.next_with_key_;
+      record.next_with_key_ = 0;
+      return;
+    }
+  }
 }
 
-EnvRecord& EnvTable::add(EnvBacking backing, std::string key,
-                         sim::SimTime now) {
+EnvRecord& EnvTable::add(EnvBacking backing, EnvKey key, sim::SimTime now) {
   EnvRecord& record = records_.emplace_back();
   record.id = static_cast<EnvId>(records_.size());
   record.backing = backing;
   record.provisioned_at = now;
   record.entered_at_ = now;
-  record.key_ = std::move(key);
-  index_key(record.key_, record.id);
+  record.key_ = key;
+  index_key(record);
   live_.insert(live_.end(), record.id);
   ++counts_[slot(EnvState::kCold)];
   touch(record.id);
@@ -123,11 +152,10 @@ void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
   record->entered_at_ = now;
   if (to == EnvState::kDraining || to == EnvState::kReclaimed) {
     leave_pool(id);
+    // Draining takes no new leases, so its key no longer finds it.
+    if (from != EnvState::kDraining) unindex_key(*record);
   }
-  if (to == EnvState::kReclaimed) {
-    live_.erase(id);
-    unindex_key(record->key_, id);
-  }
+  if (to == EnvState::kReclaimed) live_.erase(id);
   emit(*record, from, to, now);
 }
 
@@ -174,18 +202,19 @@ const EnvRecord* EnvTable::find(EnvId id) const {
   return id == 0 || id > records_.size() ? nullptr : &records_[id - 1];
 }
 
-EnvRecord* EnvTable::find_by_key(std::string_view key) {
-  const std::vector<EnvId>* ids = by_key_.find(key);
-  return ids == nullptr ? nullptr : find(ids->front());
+EnvRecord* EnvTable::find_by_key(EnvKey key) {
+  const EnvId* head = by_key_.find(key.bits());
+  return head == nullptr ? nullptr : find(*head);
 }
 
-bool EnvTable::rebind(EnvId id, std::string key) {
+bool EnvTable::rebind(EnvId id, EnvKey key) {
   EnvRecord* record = find(id);
   if (record == nullptr) return false;
   if (record->key_ == key) return true;
-  if (record->live()) unindex_key(record->key_, id);
-  record->key_ = std::move(key);
-  if (record->live()) index_key(record->key_, id);
+  const bool indexed = record->leasable();
+  if (indexed) unindex_key(*record);
+  record->key_ = key;
+  if (indexed) index_key(*record);
   return true;
 }
 

@@ -20,8 +20,9 @@
 // warm-idle memory integral (the byte·seconds the §III-B ablation prices),
 // emits the envdb.* and elastic.* metrics and one lifecycle trace span per
 // state, and maintains the ordered indexes the engine reads instead of
-// scanning every record: binding key → live ids, the live ids, and the
-// claimable warm-pool ids.  Illegal transitions are not fatal: the first
+// scanning every record: binding key → leasable ids, the live ids, and
+// the claimable warm-pool ids.  Binding keys are integers (EnvKey), and a
+// draining environment simply leaves the key index.  Illegal transitions are not fatal: the first
 // one is kept in first_error() and reported by the lifecycle-state
 // invariant, so a violation fails loudly in the harness instead of
 // crashing a release build.
@@ -37,7 +38,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/warehouse.hpp"  // EnvId
@@ -63,6 +63,33 @@ inline constexpr std::size_t kEnvStateCount = 6;
 
 enum class EnvBacking : std::uint8_t { kVm, kContainer };
 
+/// What an environment is bound to: the device whose requests it serves,
+/// a warm-pool slot no device has claimed yet, or the provision probe.
+/// An integer, so the key index never hashes or compares strings.
+class EnvKey {
+ public:
+  [[nodiscard]] static constexpr EnvKey device(std::uint32_t device_id) {
+    return EnvKey(kDevice, device_id);
+  }
+  [[nodiscard]] static constexpr EnvKey pool(std::uint32_t slot) {
+    return EnvKey(kPool, slot);
+  }
+  [[nodiscard]] static constexpr EnvKey probe() { return EnvKey(kProbe, 0); }
+
+  /// The key as one integer (kind in the high word, number in the low).
+  [[nodiscard]] constexpr std::uint64_t bits() const { return bits_; }
+
+  friend constexpr bool operator==(EnvKey a, EnvKey b) {
+    return a.bits_ == b.bits_;
+  }
+
+ private:
+  enum Kind : std::uint64_t { kDevice = 0, kPool = 1, kProbe = 2 };
+  constexpr EnvKey(Kind kind, std::uint32_t number)
+      : bits_(static_cast<std::uint64_t>(kind) << 32 | number) {}
+  std::uint64_t bits_;
+};
+
 /// Lifecycle-state spans live on one trace track per environment, far
 /// above any session's (session tracks are sequence + 1).
 inline constexpr std::uint64_t kLifecycleTrackBase = 1'000'000'000;
@@ -80,7 +107,7 @@ class EnvRecord {
   bool failed = false;              ///< reclaimed because provisioning failed
 
   [[nodiscard]] EnvState state() const { return state_; }
-  [[nodiscard]] const std::string& key() const { return key_; }
+  [[nodiscard]] EnvKey key() const { return key_; }
   [[nodiscard]] bool live() const { return state_ != EnvState::kReclaimed; }
 
   /// Booted and not reclaimed: the environment can run work.  A drain
@@ -100,7 +127,9 @@ class EnvRecord {
   friend class EnvTable;
   EnvState state_ = EnvState::kCold;
   sim::SimTime entered_at_ = 0;  ///< when state_ was entered
-  std::string key_;              ///< binding key (indexed; see rebind())
+  EnvKey key_ = EnvKey::probe();  ///< binding key (see rebind())
+  /// Next leasable record with the same key, ascending; 0 ends the chain.
+  EnvId next_with_key_ = 0;
   obs::SpanId span_ = obs::kNoSpan;  ///< open lifecycle span
 };
 
@@ -108,7 +137,7 @@ class EnvTable {
  public:
   /// Registers a new cold environment bound to `key`; ids count up from
   /// 1.  The reference is stable for the table's lifetime.
-  EnvRecord& add(EnvBacking backing, std::string key, sim::SimTime now);
+  EnvRecord& add(EnvBacking backing, EnvKey key, sim::SimTime now);
 
   /// Moves `id` to `to` if the edge is legal; otherwise records the
   /// violation in first_error() and leaves the state unchanged.
@@ -117,12 +146,13 @@ class EnvTable {
   [[nodiscard]] EnvRecord* find(EnvId id);
   [[nodiscard]] const EnvRecord* find(EnvId id) const;
 
-  /// The live environment bound to `key` with the lowest id, if any.
-  [[nodiscard]] EnvRecord* find_by_key(std::string_view key);
+  /// The leasable environment (neither draining nor reclaimed) bound to
+  /// `key` with the lowest id, if any.
+  [[nodiscard]] EnvRecord* find_by_key(EnvKey key);
 
   /// Re-points an environment's binding key, keeping the key index
   /// coherent.  False for unknown ids.
-  bool rebind(EnvId id, std::string key);
+  bool rebind(EnvId id, EnvKey key);
 
   // -- Warm pool: pre-booted environments waiting for a claimant.
 
@@ -189,13 +219,14 @@ class EnvTable {
     if (touches_ != nullptr) touches_->push_back(id);
   }
   void leave_pool(EnvId id);
-  void index_key(const std::string& key, EnvId id);
-  void unindex_key(const std::string& key, EnvId id);
+  void index_key(EnvRecord& record);
+  void unindex_key(EnvRecord& record);
   void emit(EnvRecord& record, EnvState from, EnvState to, sim::SimTime now);
 
   std::deque<EnvRecord> records_;  ///< records_[id - 1]
-  /// binding key → live ids holding it, ascending (usually size 1).
-  sim::FlatHashMap<std::string, std::vector<EnvId>> by_key_;
+  /// binding key bits → the lowest leasable id holding it; the others
+  /// follow through EnvRecord::next_with_key_ (usually there are none).
+  sim::FlatHashMap<std::uint64_t, EnvId> by_key_;
   std::set<EnvId> live_;
   std::set<EnvId> pool_;
   std::uint64_t pool_bytes_ = 0;

@@ -23,4 +23,8 @@ bool accounting_identity(const LoadSummary& summary) {
          tenant_offered == summary.offered;
 }
 
+bool accounting_identity(const LoadSummary& summary, std::size_t requested) {
+  return summary.offered == requested && accounting_identity(summary);
+}
+
 }  // namespace rattrap::core

@@ -211,6 +211,12 @@ LoadSummary run_load_transport(SessionTransport& transport,
 /// class and tenant slices each add up to the total.
 [[nodiscard]] bool accounting_identity(const LoadSummary& summary);
 
+/// The identity, and the run offered every one of the `requested`
+/// requests its driver planned (sim::planned_requests): a run that
+/// silently offered fewer is a violation too.
+[[nodiscard]] bool accounting_identity(const LoadSummary& summary,
+                                       std::size_t requested);
+
 /// Reduces an outcome vector to a LoadSummary (exposed for tests).
 [[nodiscard]] LoadSummary summarize_load(
     const std::vector<RequestOutcome>& outcomes);

@@ -46,7 +46,7 @@ void MonitorScheduler::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void MonitorScheduler::env_up(std::uint32_t env_id) {
-  live_envs_.insert(env_id);
+  live_envs_.insert_or_assign(env_id, true);
   if (metric_active_envs_ != nullptr) {
     metric_active_envs_->set(static_cast<double>(live_envs_.size()));
   }

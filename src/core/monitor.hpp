@@ -13,6 +13,7 @@
 
 #include "core/qos/qos.hpp"
 #include "obs/metrics.hpp"
+#include "sim/flat_hash.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -138,7 +139,7 @@ class MonitorScheduler {
   std::array<std::uint32_t, qos::kClassCount> running_by_class_{};
   std::function<void(std::uint32_t)> crash_handler_;
   std::set<std::uint32_t> pending_crashes_;
-  std::set<std::uint32_t> live_envs_;
+  sim::FlatHashMap<std::uint32_t, bool> live_envs_;  ///< as a set
   std::uint64_t reported_ = 0;
   std::uint64_t detected_ = 0;
   obs::Gauge* metric_jobs_ = nullptr;

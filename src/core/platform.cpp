@@ -303,7 +303,7 @@ sim::SimDuration Platform::compute_io_time(Env& env, std::uint64_t bytes,
 // ---------------------------------------------------------------------
 // Environment provisioning
 
-Platform::Env& Platform::provision_env(const std::string& binding_key,
+Platform::Env& Platform::provision_env(EnvKey binding_key,
                                        sim::SimTime now) {
   EnvRecord& rec = env_table_.add(
       config_.container_backing ? EnvBacking::kContainer : EnvBacking::kVm,
@@ -318,6 +318,7 @@ Platform::Env& Platform::provision_env(const std::string& binding_key,
     metrics_.counter("env.provision_failed").inc();
     rec.failed = true;
     rec.memory_bytes = 0;
+    env.cac.reset();  // hands a half-started container back
     server_->simulator().schedule_in(0, [&env]() { env.run_waiters(); });
   }
   env_table_.transition(rec.id, EnvState::kBooting, now);
@@ -369,7 +370,7 @@ const CacTemplate& Platform::cac_template() {
   cc.memory_limit = config_.customized_os
                         ? server_->calibration().cac_opt_memory
                         : server_->calibration().cac_plain_memory;
-  cac_template_.emplace(cc);
+  cac_template_.emplace(cc, server_->containers(), server_->driver());
   // Pin the lower layers by content digest: deduplicated across every
   // CAC, and held here so the shared base outlives any one container's
   // drain (only the private top layer is reclaimed).
@@ -388,7 +389,7 @@ bool Platform::provision_cac(Env& env) {
   env.cac = std::make_unique<CloudAndroidContainer>(
       tmpl, "cac-" + std::to_string(env.id()), warm, server_->containers(),
       server_->driver());
-  env.rec.memory_bytes = tmpl.container.memory_limit;
+  env.rec.memory_bytes = tmpl.container->memory_limit;
 
   const auto start_cost = env.cac->start_container(server_->kernel());
   if (!start_cost.has_value()) return false;
@@ -398,7 +399,7 @@ bool Platform::provision_cac(Env& env) {
   // or just the COW delta (seeded at finish_boot) with it.
   env.disk_bytes = config_.shared_resource_layer
                        ? 0  // updated after finish_boot
-                       : tmpl.container.lower_layers.front()->total_bytes();
+                       : tmpl.container->lower_layers.front()->total_bytes();
 
   // The boot continuations bail once the environment is torn down:
   // teardown frees the CAC.
@@ -440,9 +441,13 @@ void Platform::env_ready(Env& env) {
   rec.busy_until = rec.ready_at;
   // A draining env turns ready with no transition.
   if (oracle_ != nullptr) oracle_->touch_env(env.id());
-  metrics_.counter("env.provisioned").inc();
-  metrics_.histogram("env.provision_ms")
-      .observe(sim::to_millis(rec.ready_at - rec.provisioned_at));
+  if (env_provisioned_ == nullptr) {
+    env_provisioned_ = &metrics_.counter("env.provisioned");
+    env_provision_ms_ = &metrics_.histogram("env.provision_ms");
+  }
+  env_provisioned_->inc();
+  env_provision_ms_->observe(
+      sim::to_millis(rec.ready_at - rec.provisioned_at));
   server_->monitor().env_up(env.id());
   if (pool_controller_ != nullptr) {
     pool_controller_->observe_boot(
@@ -504,13 +509,13 @@ std::uint64_t Platform::session_pool_heap_fallbacks() const {
 
 void Platform::begin_drain(Env& env) {
   if (!env.rec.leasable()) return;  // already draining or reclaimed
-  metrics_.counter("elastic.drained").inc();
-  // Leaves the warm pool for good.
+  if (drained_ == nullptr) drained_ = &metrics_.counter("elastic.drained");
+  drained_->inc();
+  // Leaves the warm pool and the key index for good: the dispatcher
+  // never routes new work here; in-flight sessions keep their binding
+  // through s->env.
   env_table_.transition(env.id(), EnvState::kDraining,
                         server_->simulator().now());
-  // Unbind the affinity key so the dispatcher never routes new work
-  // here; in-flight sessions keep their binding through s->env.
-  env_table_.rebind(env.id(), "drain:" + std::to_string(env.id()));
   if (env.rec.ready() && env.rec.inflight == 0) finish_drain(env);
 }
 
@@ -521,7 +526,11 @@ void Platform::finish_drain(Env& env) {
     // environments still referencing them.
     const std::uint64_t freed = env.cac->reclaim_private_layer();
     if (freed > 0) {
-      metrics_.counter("elastic.reclaimed.private_bytes").inc(freed);
+      if (reclaimed_private_bytes_ == nullptr) {
+        reclaimed_private_bytes_ =
+            &metrics_.counter("elastic.reclaimed.private_bytes");
+      }
+      reclaimed_private_bytes_->inc(freed);
     }
   }
   teardown_env(env, /*crashed=*/false);
@@ -535,8 +544,8 @@ bool Platform::drain_env(std::uint32_t env_id) {
 }
 
 Platform::Env& Platform::prewarm_env() {
-  Env& env = provision_env("pool:" + std::to_string(pool_seq_++),
-                           server_->simulator().now());
+  Env& env =
+      provision_env(EnvKey::pool(pool_seq_++), server_->simulator().now());
   env_table_.add_to_pool(env.id());
   metrics_.counter("elastic.prewarmed").inc();
   return env;
@@ -1168,7 +1177,7 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
   bool claimed_pool = false;
   bool fresh = false;
   if (target == nullptr || !target->rec.leasable()) {
-    const std::string key = Dispatcher::binding_key(s->request);
+    const EnvKey key = Dispatcher::binding_key(s->request);
     // A warm-pool environment (pre-booted, unclaimed) is rebound to
     // this device instead of paying a cold start; the lowest id wins.
     // Draining capacity left the pool the moment its drain began.
@@ -1867,7 +1876,7 @@ ProvisionStats Platform::measure_provision() {
   assert(envs_.empty() && "measure_provision needs a fresh platform");
   config_.env_idle_timeout = 0;  // a probe environment is never reclaimed
   sim::Simulator& simulator = server_->simulator();
-  Env& env = provision_env("probe", simulator.now());
+  Env& env = provision_env(EnvKey::probe(), simulator.now());
   simulator.run();
   assert(env.rec.ready());
 

@@ -454,7 +454,7 @@ class Platform {
     bool open = true;
   };
 
-  Env& provision_env(const std::string& binding_key, sim::SimTime now);
+  Env& provision_env(EnvKey binding_key, sim::SimTime now);
   /// Start the VM / container; false when provisioning failed.
   bool provision_vm(Env& env);
   bool provision_cac(Env& env);
@@ -623,10 +623,11 @@ class Platform {
   std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
   std::unique_ptr<elastic::PoolController> pool_controller_;
   container::LayerStore layer_store_;
-  /// Every CAC's environment-independent inputs.  The profile is fixed by
-  /// config_, so one template serves the platform's whole lifetime.
+  /// The booted image every CAC is cloned from.  The profile is fixed by
+  /// config_, so one template serves the platform's whole lifetime.  It
+  /// is destroyed before envs_: a CAC's teardown does not read it.
   std::optional<CacTemplate> cac_template_;
-  std::uint32_t pool_seq_ = 0;       ///< names pool:<n> environments
+  std::uint32_t pool_seq_ = 0;       ///< keys pool:<n> environments
   bool elastic_tick_armed_ = false;
   // elastic.* instruments touched on the session path, created on first
   // use so a run that never touches them exports none.
@@ -634,6 +635,11 @@ class Platform {
   obs::Counter* cold_boots_ = nullptr;
   obs::Gauge* warm_hit_ratio_ = nullptr;
   obs::Histogram* prewarm_lead_ms_ = nullptr;
+  // Provision and drain instruments, created on first use likewise.
+  obs::Counter* env_provisioned_ = nullptr;
+  obs::Histogram* env_provision_ms_ = nullptr;
+  obs::Counter* drained_ = nullptr;
+  obs::Counter* reclaimed_private_bytes_ = nullptr;
   SessionMetrics session_metrics_;
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;

@@ -31,7 +31,7 @@ sim::SimTime DiskModel::estimated_completion(std::uint64_t bytes,
 }
 
 void DiskModel::submit(IoKind kind, std::uint64_t bytes, bool sequential,
-                       std::function<void()> done) {
+                       sim::InlineCallback done) {
   const sim::SimTime start = std::max(sim_.now(), arm_free_at_);
   sim::SimDuration service = service_time(bytes, sequential);
   if (kind == IoKind::kWrite && faults_ != nullptr &&

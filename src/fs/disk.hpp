@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "sim/fault.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -37,7 +38,7 @@ class DiskModel {
   /// serviced FIFO by the single arm. Utilization and per-second byte
   /// counters are recorded for the monitor.
   void submit(IoKind kind, std::uint64_t bytes, bool sequential,
-              std::function<void()> done);
+              sim::InlineCallback done);
 
   /// Synchronous estimate: completion time if submitted now (includes the
   /// current backlog). Does not enqueue.

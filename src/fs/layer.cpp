@@ -70,6 +70,12 @@ bool Layer::erase(std::string_view path) {
   return true;
 }
 
+void Layer::clear() {
+  entries_.clear();
+  total_bytes_ = 0;
+  file_count_ = 0;
+}
+
 const FileNode* Layer::find(std::string_view path) const {
   std::string scratch;
   const auto it = entries_.find(canonical(path, scratch));

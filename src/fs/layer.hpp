@@ -59,6 +59,9 @@ class Layer {
   /// Removes an entry. Returns true when something was removed.
   bool erase(std::string_view path);
 
+  /// Removes every entry.
+  void clear();
+
   /// Looks up an exact path.
   [[nodiscard]] const FileNode* find(std::string_view path) const;
   [[nodiscard]] FileNode* find(std::string_view path);

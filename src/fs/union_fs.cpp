@@ -17,7 +17,7 @@ UnionFs::UnionFs(std::string name,
 
 UnionHit UnionFs::lookup(std::string_view path) const {
   const std::string key = normalize(path);
-  if (const FileNode* node = top_.find(key)) {
+  if (const FileNode* node = private_find(key)) {
     if (node->whiteout) return {};
     return {node, 0};
   }
@@ -42,12 +42,64 @@ const FileNode* UnionFs::lower_lookup(std::string_view path) const {
   return nullptr;
 }
 
+const FileNode* UnionFs::private_find(std::string_view key) const {
+  if (const FileNode* node = top_.find(key)) return node;
+  return private_base_ != nullptr ? private_base_->find(key) : nullptr;
+}
+
+std::uint64_t UnionFs::base_file_bytes(std::string_view key) const {
+  if (private_base_ == nullptr) return 0;
+  const FileNode* node = private_base_->find(key);
+  return node != nullptr && node->kind == FileKind::kRegular &&
+                 !node->whiteout
+             ? node->size
+             : 0;
+}
+
+void UnionFs::put_delta_file(const std::string& key, std::uint64_t size,
+                             sim::SimTime now) {
+  shadow_base(key);
+  top_.put_file(key, size, now);
+}
+
+void UnionFs::put_delta_whiteout(const std::string& key) {
+  shadow_base(key);
+  top_.put_whiteout(key);
+}
+
+void UnionFs::shadow_base(const std::string& key) {
+  if (private_base_ == nullptr || top_.contains(key)) return;
+  shadowed_base_bytes_ += base_file_bytes(key);
+  // The delta entry is a new file: the base copy's reads are not its.
+  base_reads_.erase(key);
+}
+
+void UnionFs::erase_delta(const std::string& key) {
+  if (top_.erase(key)) shadowed_base_bytes_ -= base_file_bytes(key);
+}
+
+void UnionFs::set_private_base(std::shared_ptr<const Layer> base) {
+  private_base_ = std::move(base);
+  shadowed_base_bytes_ = 0;
+  base_reads_.clear();
+  top_.for_each([this](const std::string& path, const FileNode&) {
+    shadowed_base_bytes_ += base_file_bytes(path);
+    return true;
+  });
+}
+
 std::int64_t UnionFs::read(std::string_view path, sim::SimTime now) {
   const std::string key = normalize(path);
   if (FileNode* node = top_.find(key)) {
     if (node->whiteout) return -1;
     node->atime = now;
     node->accessed = true;
+    return static_cast<std::int64_t>(node->size);
+  }
+  if (const FileNode* node =
+          private_base_ != nullptr ? private_base_->find(key) : nullptr) {
+    if (node->whiteout) return -1;
+    base_reads_.insert(key);
     return static_cast<std::int64_t>(node->size);
   }
   if (const FileNode* node = lower_lookup(key)) {
@@ -60,24 +112,25 @@ std::int64_t UnionFs::read(std::string_view path, sim::SimTime now) {
 void UnionFs::write(std::string_view path, std::uint64_t size,
                     sim::SimTime now) {
   const std::string key = normalize(path);
-  if (const FileNode* existing = top_.find(key);
+  if (const FileNode* existing = private_find(key);
       existing != nullptr && !existing->whiteout) {
     // Truncate-to-size semantics: a write always sets the new size.
-    top_.put_file(key, size, now);
+    put_delta_file(key, size, now);
     return;
   }
   if (const FileNode* below = lower_lookup(key)) {
     // COW: materialize the lower file's bytes into the top layer first.
     cow_bytes_ += below->size;
   }
-  top_.put_file(key, size, now);
+  put_delta_file(key, size, now);
 }
 
 void UnionFs::append(std::string_view path, std::uint64_t delta,
                      sim::SimTime now) {
   const std::string key = normalize(path);
-  if (FileNode* node = top_.find(key); node != nullptr && !node->whiteout) {
-    top_.put_file(key, node->size + delta, now);
+  if (const FileNode* node = private_find(key);
+      node != nullptr && !node->whiteout) {
+    put_delta_file(key, node->size + delta, now);
     return;
   }
   std::uint64_t base = 0;
@@ -85,31 +138,40 @@ void UnionFs::append(std::string_view path, std::uint64_t delta,
     cow_bytes_ += below->size;
     base = below->size;
   }
-  top_.put_file(key, base + delta, now);
+  put_delta_file(key, base + delta, now);
 }
 
 bool UnionFs::unlink(std::string_view path) {
   const std::string key = normalize(path);
   const FileNode* in_top = top_.find(key);
-  const bool top_visible = in_top != nullptr && !in_top->whiteout;
+  const FileNode* mine = private_find(key);
+  const bool mine_visible = mine != nullptr && !mine->whiteout;
   const bool below = lower_lookup(key) != nullptr;
-  if (!top_visible && (in_top != nullptr || !below)) {
+  if (!mine_visible && (mine != nullptr || !below)) {
     // Already whiteouted, or absent everywhere.
     return false;
   }
-  if (top_visible) top_.erase(key);
-  if (below) top_.put_whiteout(key);
-  return top_visible || below;
+  if (in_top != nullptr) erase_delta(key);
+  // A whiteout hides whatever would show through the delta: a lower
+  // file or a private-base entry.
+  if (below || (private_base_ != nullptr && private_base_->contains(key))) {
+    put_delta_whiteout(key);
+  }
+  return true;
 }
 
-std::uint64_t UnionFs::purge_top_layer() {
-  const std::uint64_t freed = top_.total_bytes();
-  std::vector<std::string> paths;
-  top_.for_each([&](const std::string& path, const FileNode&) {
-    paths.push_back(path);
-    return true;
-  });
-  for (const std::string& path : paths) top_.erase(path);
+bool UnionFs::read_anywhere(const std::string& path,
+                            const FileNode& node) const {
+  return node.accessed || lower_reads_.contains(path) ||
+         base_reads_.contains(path);
+}
+
+std::uint64_t UnionFs::drop_private() {
+  const std::uint64_t freed = private_bytes();
+  top_.clear();
+  private_base_.reset();
+  shadowed_base_bytes_ = 0;
+  base_reads_.clear();
   return freed;
 }
 
@@ -140,6 +202,13 @@ void UnionFs::for_each_visible(
   std::map<std::string, const FileNode*, std::less<>> merged;
   for (const auto& layer : lower_) {
     layer->for_each([&](const std::string& path, const FileNode& node) {
+      merged[path] = &node;
+      return true;
+    });
+  }
+  if (private_base_ != nullptr) {
+    private_base_->for_each([&](const std::string& path,
+                                const FileNode& node) {
       merged[path] = &node;
       return true;
     });
@@ -177,9 +246,7 @@ double UnionFs::never_accessed_fraction() const {
   for_each_visible([&](const std::string& path, const FileNode& node) {
     if (node.kind != FileKind::kRegular) return true;
     ++total;
-    const bool read_through_top = node.accessed;
-    const bool read_through_lower = lower_reads_.contains(path);
-    if (!read_through_top && !read_through_lower) ++untouched;
+    if (!read_anywhere(path, node)) ++untouched;
     return true;
   });
   return total == 0 ? 0.0
@@ -191,7 +258,7 @@ std::uint64_t UnionFs::never_accessed_bytes() const {
   std::uint64_t bytes = 0;
   for_each_visible([&](const std::string& path, const FileNode& node) {
     if (node.kind != FileKind::kRegular) return true;
-    if (!node.accessed && !lower_reads_.contains(path)) bytes += node.size;
+    if (!read_anywhere(path, node)) bytes += node.size;
     return true;
   });
   return bytes;

@@ -6,6 +6,12 @@
 // the paper's Shared Resource Layer: all Cloud Android Containers mount the
 // same read-only system layer, so a container's private delta stays tiny
 // (< 7.1 MB vs ~1 GB per Android VM).
+//
+// The private layer may itself start from a shared read-only base — the
+// seeded app data of a booted container image.  The base counts as
+// private (top, index 0) until the mount's own delta shadows it; the
+// mount keeps only that delta, so dropping the private layer costs the
+// delta, not the base.
 #pragma once
 
 #include <cstdint>
@@ -60,16 +66,25 @@ class UnionFs {
   /// when a lower layer still provides it. Returns true if it existed.
   bool unlink(std::string_view path);
 
-  /// Private (top-layer) bytes — the container's real disk footprint.
+  /// Starts the private layer over `base`: a shared, read-only layer of
+  /// private files the mount's delta shadows copy-on-write (nullptr for
+  /// none).  Entries already in the delta keep shadowing it.
+  void set_private_base(std::shared_ptr<const Layer> base);
+
+  /// Private bytes — the container's real disk footprint: the delta plus
+  /// the private base's files the delta does not shadow.
   [[nodiscard]] std::uint64_t private_bytes() const {
-    return top_.total_bytes();
+    return top_.total_bytes() +
+           (private_base_ != nullptr ? private_base_->total_bytes() : 0) -
+           shadowed_base_bytes_;
   }
 
-  /// Drops every top-layer entry (files, whiteouts, COW copies) — the
-  /// drain-based reclaim path discards the container's private delta
-  /// while the shared lower layers stay untouched.  Returns the regular
-  /// file bytes freed.
-  std::uint64_t purge_top_layer();
+  /// Drops the private layer — the delta's files, whiteouts and COW
+  /// copies, and the private base reference — while the shared lower
+  /// layers stay untouched: the drain-based reclaim of a container's
+  /// private delta.  Costs the delta's entries only.  Returns the private
+  /// bytes freed.
+  std::uint64_t drop_private();
 
   /// Bytes materialized by copy-up operations so far.
   [[nodiscard]] std::uint64_t cow_bytes() const { return cow_bytes_; }
@@ -88,7 +103,8 @@ class UnionFs {
   /// Bytes of visible regular files never read since mount.
   [[nodiscard]] std::uint64_t never_accessed_bytes() const;
 
-  /// Direct access to the writable top layer (e.g. for snapshotting).
+  /// Direct access to the writable top layer's delta (e.g. for
+  /// snapshotting); the private base is not included.
   [[nodiscard]] const Layer& top() const { return top_; }
 
   /// Number of layers including the top.
@@ -108,12 +124,33 @@ class UnionFs {
  private:
   Layer top_;
   std::vector<std::shared_ptr<const Layer>> lower_;  // bottom-most first
+  std::shared_ptr<const Layer> private_base_;
+  /// Bytes of private-base files that have a delta entry over them.
+  std::uint64_t shadowed_base_bytes_ = 0;
   // Paths in *lower* layers that have been read through this mount.
   std::set<std::string, std::less<>> lower_reads_;
+  // Private-base files read through this mount and not shadowed since:
+  // the base is shared and immutable, so its access marks live here.
+  std::set<std::string, std::less<>> base_reads_;
   std::uint64_t cow_bytes_ = 0;
 
   /// Finds the topmost lower-layer node for `path` (ignoring the top).
   [[nodiscard]] const FileNode* lower_lookup(std::string_view path) const;
+  /// The private layer's entry for `key` (whiteouts included): the
+  /// delta's, else the private base's.
+  [[nodiscard]] const FileNode* private_find(std::string_view key) const;
+  /// Bytes of the private base's regular file at `key` (0 when none).
+  [[nodiscard]] std::uint64_t base_file_bytes(std::string_view key) const;
+  // Delta mutations that keep shadowed_base_bytes_ current.
+  void put_delta_file(const std::string& key, std::uint64_t size,
+                      sim::SimTime now);
+  void put_delta_whiteout(const std::string& key);
+  void erase_delta(const std::string& key);
+  /// Accounts for a delta entry about to cover the private base at `key`.
+  void shadow_base(const std::string& key);
+  /// Whether the visible `node` at `path` was read through this mount.
+  [[nodiscard]] bool read_anywhere(const std::string& path,
+                                   const FileNode& node) const;
 };
 
 }  // namespace rattrap::fs

@@ -1,5 +1,6 @@
 #include "kernel/android_container_driver.hpp"
 
+#include <array>
 #include <utility>
 
 namespace rattrap::kernel {
@@ -163,10 +164,13 @@ bool AndroidContainerDriver::loaded(const HostKernel& kernel) {
 }
 
 bool AndroidContainerDriver::pin(HostKernel& kernel) {
-  if (!loaded(kernel)) return false;
-  for (const char* name :
-       {kModBinder, kModAlarm, kModLogger, kModAshmem, kModSwSync}) {
-    kernel.module_get(name);
+  constexpr std::array<const char*, 5> kModules = {
+      kModBinder, kModAlarm, kModLogger, kModAshmem, kModSwSync};
+  for (std::size_t i = 0; i < kModules.size(); ++i) {
+    if (kernel.module_get(kModules[i])) continue;
+    // Not loaded: take back the pins already taken.
+    while (i-- > 0) kernel.module_put(kModules[i]);
+    return false;
   }
   return true;
 }

@@ -11,24 +11,62 @@ SharedServiceTable make_service_table(std::vector<std::string> names) {
   return std::make_shared<const std::vector<std::string>>(std::move(names));
 }
 
+std::shared_ptr<BinderDriver::Context> BinderDriver::fresh_context() {
+  // Endpoint 0 is the namespace's service manager, brought up implicitly
+  // with the namespace (servicemanager is among the first init services).
+  auto ctx = std::make_shared<Context>();
+  ctx->endpoints[kServiceManagerHandle] = true;
+  return ctx;
+}
+
+void BinderDriver::on_namespace_created(DevNsId ns, DevNsId base) {
+  if (base == kHostDevNs) return;
+  const Namespace* template_state = namespaces_.find(base);
+  if (template_state == nullptr) return;
+  std::shared_ptr<const Context> shadowed =
+      template_state->own != nullptr ? template_state->own
+                                     : template_state->shadowed;
+  if (shadowed != nullptr) namespaces_[ns].shadowed = std::move(shadowed);
+}
+
 BinderDriver::Context& BinderDriver::context(DevNsId ns) {
-  auto [it, inserted] = contexts_.try_emplace(ns);
-  if (inserted) {
-    // Endpoint 0 is the namespace's service manager, brought up implicitly
-    // with the namespace (servicemanager is among the first init services).
-    it->second.endpoints[kServiceManagerHandle] = true;
-    it->second.has_service_manager = true;
+  Namespace& state = namespaces_[ns];
+  if (state.own == nullptr) {
+    state.own = state.shadowed != nullptr
+                    ? std::make_shared<Context>(*state.shadowed)
+                    : fresh_context();
+    state.shadowed.reset();
+  } else if (state.own.use_count() > 1) {
+    // A template written after namespaces were created over it: they
+    // keep the context they shadow, the template writes to a copy.
+    state.own = std::make_shared<Context>(*state.own);
   }
-  return it->second;
+  return *state.own;
+}
+
+const BinderDriver::Context& BinderDriver::read_context(Namespace& state) {
+  if (state.own != nullptr) return *state.own;
+  if (state.shadowed != nullptr) return *state.shadowed;
+  state.own = fresh_context();
+  return *state.own;
 }
 
 const BinderDriver::Context* BinderDriver::find_context(DevNsId ns) const {
-  const auto it = contexts_.find(ns);
-  return it == contexts_.end() ? nullptr : &it->second;
+  const Namespace* state = namespaces_.find(ns);
+  if (state == nullptr) return nullptr;
+  return state->own != nullptr ? state->own.get() : state->shadowed.get();
 }
 
 void BinderDriver::on_namespace_destroyed(DevNsId ns) {
-  contexts_.erase(ns);
+  namespaces_.erase(ns);
+}
+
+std::size_t BinderDriver::context_count() const {
+  std::size_t n = 0;
+  namespaces_.for_each([&n](DevNsId, const Namespace& state) {
+    if (state.own != nullptr) ++n;
+  });
+  return n;
 }
 
 BinderHandle BinderDriver::create_endpoint(DevNsId ns) {
@@ -115,23 +153,23 @@ sim::SimDuration BinderDriver::transaction_cost(std::uint64_t payload_bytes) {
 std::optional<sim::SimDuration> BinderDriver::transact(
     DevNsId ns, BinderHandle from, BinderHandle to,
     std::uint64_t payload_bytes) {
-  Context& ctx = context(ns);
-  const auto src = ctx.endpoints.find(from);
-  const auto dst = ctx.endpoints.find(to);
-  if (src == ctx.endpoints.end() || !src->second ||
-      dst == ctx.endpoints.end() || !dst->second) {
-    ++ctx.stats.failed;
+  // A transaction only reads the context: a shadowing namespace keeps
+  // reading its template's.
+  Namespace& state = namespaces_[ns];
+  const Context& ctx = read_context(state);
+  if (!ctx.alive(from) || !ctx.alive(to)) {
+    ++state.stats.failed;
     return std::nullopt;
   }
   if (faults_ != nullptr &&
       faults_->should_fire(sim::FaultKind::kBinderFail)) {
     // Target thread died mid-transaction: BR_DEAD_REPLY to the caller.
-    ++ctx.stats.failed;
+    ++state.stats.failed;
     ++injected_failures_;
     return std::nullopt;
   }
-  ++ctx.stats.transactions;
-  ctx.stats.bytes += payload_bytes;
+  ++state.stats.transactions;
+  state.stats.bytes += payload_bytes;
   // Synchronous transaction: request copy + reply copy.
   return 2 * transaction_cost(payload_bytes);
 }
@@ -140,37 +178,37 @@ std::optional<sim::SimDuration> BinderDriver::transact_oneway(
     DevNsId ns, BinderHandle from, BinderHandle to,
     std::uint64_t payload_bytes) {
   Context& ctx = context(ns);
-  const auto src = ctx.endpoints.find(from);
-  const auto dst = ctx.endpoints.find(to);
-  if (src == ctx.endpoints.end() || !src->second ||
-      dst == ctx.endpoints.end() || !dst->second) {
-    ++ctx.stats.failed;
+  BinderStats& stats = namespaces_.find(ns)->stats;
+  if (!ctx.alive(from) || !ctx.alive(to)) {
+    ++stats.failed;
     return std::nullopt;
   }
   if (faults_ != nullptr &&
       faults_->should_fire(sim::FaultKind::kBinderFail)) {
-    ++ctx.stats.failed;
+    ++stats.failed;
     ++injected_failures_;
     return std::nullopt;
   }
   std::uint64_t& queued = ctx.async_queued[to];
   if (queued + payload_bytes > kAsyncBufferBytes) {
-    ++ctx.stats.failed;  // async buffer exhausted
+    ++stats.failed;  // async buffer exhausted
     return std::nullopt;
   }
   queued += payload_bytes;
-  ++ctx.stats.transactions;
-  ctx.stats.bytes += payload_bytes;
+  ++stats.transactions;
+  stats.bytes += payload_bytes;
   return transaction_cost(payload_bytes);  // one copy, no reply leg
 }
 
 std::uint64_t BinderDriver::drain_async(DevNsId ns, BinderHandle target) {
-  const auto ctx_it = contexts_.find(ns);
-  if (ctx_it == contexts_.end()) return 0;
-  const auto it = ctx_it->second.async_queued.find(target);
-  if (it == ctx_it->second.async_queued.end()) return 0;
+  // Only a namespace's own context ever queues one-way work.
+  Namespace* state = namespaces_.find(ns);
+  if (state == nullptr || state->own == nullptr) return 0;
+  std::map<BinderHandle, std::uint64_t>& queued = state->own->async_queued;
+  const auto it = queued.find(target);
+  if (it == queued.end()) return 0;
   const std::uint64_t drained = it->second;
-  ctx_it->second.async_queued.erase(it);
+  queued.erase(it);
   return drained;
 }
 
@@ -183,8 +221,8 @@ std::uint64_t BinderDriver::async_pending(DevNsId ns,
 }
 
 BinderStats BinderDriver::stats(DevNsId ns) const {
-  const Context* ctx = find_context(ns);
-  return ctx == nullptr ? BinderStats{} : ctx->stats;
+  const Namespace* state = namespaces_.find(ns);
+  return state == nullptr ? BinderStats{} : state->stats;
 }
 
 std::size_t BinderDriver::endpoint_count(DevNsId ns) const {

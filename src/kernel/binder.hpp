@@ -6,6 +6,13 @@
 // platform exercises: per-device-namespace binder contexts, a service
 // manager (handle 0) with named service registration, synchronous
 // transactions with payload accounting, and per-namespace teardown.
+//
+// A namespace created over a template namespace (DeviceNamespaceManager::
+// create(base)) shares the template's booted context read-only: lookups
+// and transactions read through to it, and the first write (a new
+// endpoint, a registration, a death link, a one-way queue) copies it into
+// a context of the namespace's own.  Transaction counters are per
+// namespace and never copy the context.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,7 @@
 
 #include "kernel/device.hpp"
 #include "sim/fault.hpp"
+#include "sim/flat_hash.hpp"
 #include "sim/time.hpp"
 
 namespace rattrap::kernel {
@@ -46,6 +54,7 @@ class BinderDriver final : public Device {
     return "/dev/binder";
   }
 
+  void on_namespace_created(DevNsId ns, DevNsId base) override;
   void on_namespace_destroyed(DevNsId ns) override;
 
   /// Creates a new endpoint (a process opening /dev/binder and calling
@@ -105,6 +114,13 @@ class BinderDriver final : public Device {
   /// the real driver's async budget).
   static constexpr std::uint64_t kAsyncBufferBytes = 512 * 1024;
 
+  /// Namespaces holding driver state (a context, a shadow or counters).
+  [[nodiscard]] std::size_t namespace_count() const {
+    return namespaces_.size();
+  }
+  /// Namespaces whose context is their own (not a template's shadow).
+  [[nodiscard]] std::size_t context_count() const;
+
   /// Namespace-local stats (all-zero for unknown namespaces).
   [[nodiscard]] BinderStats stats(DevNsId ns) const;
 
@@ -138,14 +154,37 @@ class BinderDriver final : public Device {
     BinderHandle shared_provider = 0;
     std::map<BinderHandle, std::vector<std::function<void()>>> death_links;
     std::map<BinderHandle, std::uint64_t> async_queued;  ///< bytes
-    BinderStats stats;
-    bool has_service_manager = false;
+
+    /// Whether `handle` names a live endpoint.
+    [[nodiscard]] bool alive(BinderHandle handle) const {
+      const auto it = endpoints.find(handle);
+      return it != endpoints.end() && it->second;
+    }
   };
 
-  Context& context(DevNsId ns);
-  [[nodiscard]] const Context* find_context(DevNsId ns) const;
+  /// One namespace's driver state: its own context once it wrote, else
+  /// the template context it shadows (both null until first use).  A
+  /// template's own context is shared with its shadows, so a write to
+  /// it copies it first.
+  struct Namespace {
+    std::shared_ptr<Context> own;
+    std::shared_ptr<const Context> shadowed;
+    BinderStats stats;
+  };
 
-  std::map<DevNsId, Context> contexts_;
+  /// A context holding only the implicit service manager.
+  static std::shared_ptr<Context> fresh_context();
+  /// The namespace's own context, copied from the shadowed one (or made
+  /// with the implicit service manager) on first use: every write goes
+  /// through here.
+  Context& context(DevNsId ns);
+  /// The context `ns` reads; nullptr for unknown namespaces.
+  [[nodiscard]] const Context* find_context(DevNsId ns) const;
+  /// Reads of a transaction: the shadowed context when there is one,
+  /// the namespace's own (made on demand) otherwise.
+  const Context& read_context(Namespace& state);
+
+  sim::FlatHashMap<DevNsId, Namespace> namespaces_;
   sim::FaultInjector* faults_ = nullptr;
   std::uint64_t injected_failures_ = 0;
 };

@@ -21,10 +21,10 @@ Device* DeviceRegistry::find(std::string_view dev_path) const {
   return it == devices_.end() ? nullptr : it->second;
 }
 
-void DeviceRegistry::namespace_created(DevNsId ns) {
+void DeviceRegistry::namespace_created(DevNsId ns, DevNsId base) {
   for (auto& [path, device] : devices_) {
     (void)path;
-    device->on_namespace_created(ns);
+    device->on_namespace_created(ns, base);
   }
 }
 

@@ -28,8 +28,11 @@ class Device {
   [[nodiscard]] virtual std::string dev_path() const = 0;
 
   /// A container's namespace came into existence (driver may lazily
-  /// allocate per-namespace state instead; this is a hint).
-  virtual void on_namespace_created(DevNsId /*ns*/) {}
+  /// allocate per-namespace state instead; this is a hint).  `base` is
+  /// the namespace whose state `ns` starts as a copy of (kHostDevNs for
+  /// an empty namespace); a driver that keeps booted per-namespace state
+  /// lets `ns` read through to it until `ns` writes.
+  virtual void on_namespace_created(DevNsId /*ns*/, DevNsId /*base*/) {}
 
   /// A namespace was destroyed: all its per-namespace state must go.
   virtual void on_namespace_destroyed(DevNsId /*ns*/) {}
@@ -50,7 +53,7 @@ class DeviceRegistry {
   [[nodiscard]] std::size_t count() const { return devices_.size(); }
 
   /// Broadcasts namespace lifecycle to every registered device.
-  void namespace_created(DevNsId ns);
+  void namespace_created(DevNsId ns, DevNsId base);
   void namespace_destroyed(DevNsId ns);
 
  private:

@@ -2,10 +2,19 @@
 
 namespace rattrap::kernel {
 
-DevNsId DeviceNamespaceManager::create() {
+DevNsId DeviceNamespaceManager::allocate(DevNsId base) {
   const DevNsId ns = next_++;
-  active_.insert(ns);
-  registry_.namespace_created(ns);
+  active_.insert_or_assign(ns, true);
+  registry_.namespace_created(ns, base);
+  return ns;
+}
+
+DevNsId DeviceNamespaceManager::create_template() {
+  return allocate(kHostDevNs);
+}
+
+DevNsId DeviceNamespaceManager::create(DevNsId base) {
+  const DevNsId ns = allocate(base);
   if (faults_ != nullptr &&
       faults_->should_fire(sim::FaultKind::kDevNsTeardown)) {
     // Teardown racing creation: every driver sees the full

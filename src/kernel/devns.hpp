@@ -8,13 +8,18 @@
 // destroyed with container lifecycle at much higher churn.  The manager
 // hands out namespace ids and broadcasts lifecycle to every registered
 // device driver.
+//
+// A template namespace holds booted driver state (a CAC template's binder
+// service manager and system_server endpoint) once; a namespace created
+// over it starts as a copy-on-write shadow of that state, so a clone's
+// namespace costs no driver work until it writes.
 #pragma once
 
 #include <cstdint>
-#include <set>
 
 #include "kernel/device.hpp"
 #include "sim/fault.hpp"
+#include "sim/flat_hash.hpp"
 
 namespace rattrap::kernel {
 
@@ -23,8 +28,15 @@ class DeviceNamespaceManager {
   explicit DeviceNamespaceManager(DeviceRegistry& registry)
       : registry_(registry) {}
 
-  /// Allocates a fresh namespace and notifies all drivers.
-  DevNsId create();
+  /// Allocates a fresh namespace and notifies all drivers.  With a
+  /// `base`, the drivers start the namespace as a shadow of the base's
+  /// state (see create_template()).
+  DevNsId create(DevNsId base = kHostDevNs);
+
+  /// Allocates a template namespace: drivers build booted state in it
+  /// for create(base) namespaces to shadow.  It is never entered by a
+  /// container and does not consult the fault injector.
+  DevNsId create_template();
 
   /// Destroys a namespace; all per-namespace driver state is torn down.
   /// Returns false for unknown/already-destroyed ids.
@@ -48,8 +60,10 @@ class DeviceNamespaceManager {
   }
 
  private:
+  DevNsId allocate(DevNsId base);
+
   DeviceRegistry& registry_;
-  std::set<DevNsId> active_;
+  sim::FlatHashMap<DevNsId, bool> active_;  ///< live ids, as a set
   DevNsId next_ = 1;  // 0 is the host namespace, never handed out
   sim::FaultInjector* faults_ = nullptr;
   std::uint64_t injected_teardowns_ = 0;

@@ -18,11 +18,13 @@ bool HostKernel::has_feature(std::string_view feature) const {
 
 void HostKernel::add_feature(std::string feature) {
   features_.insert(std::move(feature));
+  ++features_epoch_;
 }
 
 void HostKernel::remove_feature(std::string_view feature) {
   const auto it = features_.find(feature);
   if (it != features_.end()) features_.erase(it);
+  ++features_epoch_;
 }
 
 sim::SimDuration HostKernel::load_module(

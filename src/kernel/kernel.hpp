@@ -47,6 +47,12 @@ class HostKernel {
   void add_feature(std::string feature);
   void remove_feature(std::string_view feature);
 
+  /// Bumped by every add_feature()/remove_feature(): a feature check made
+  /// at one epoch holds until the epoch moves.
+  [[nodiscard]] std::uint64_t features_epoch() const {
+    return features_epoch_;
+  }
+
   // --- loadable modules ------------------------------------------------
   /// Inserts a module. Fails (returning 0 cost and not loading) when a
   /// module of the same name is present or a dependency is missing.
@@ -86,6 +92,7 @@ class HostKernel {
   DeviceNamespaceManager devns_;
   std::map<std::string, LoadedModule, std::less<>> modules_;
   std::set<std::string, std::less<>> features_;
+  std::uint64_t features_epoch_ = 0;
 };
 
 }  // namespace rattrap::kernel

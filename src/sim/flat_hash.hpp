@@ -219,7 +219,7 @@ class FlatHashMap {
     while (want - want / 8 < n) want <<= 1;
     if (want <= slots_.size()) return;
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(want, Slot{});
+    slots_ = std::vector<Slot>(want);  // no copy: values may be move-only
     for (Slot& slot : old) {
       if (slot.state != State::kFull) continue;
       const std::size_t idx = probe_for(slot.key);

@@ -251,9 +251,7 @@ std::vector<Arrival> trace_replay_arrivals(const LoadGenConfig& config) {
   } else if (!events.empty()) {
     span += kSecond;
   }
-  const std::uint32_t repeats = std::max<std::uint32_t>(1, config.trace_repeat);
-  const std::size_t total =
-      std::min<std::size_t>(config.requests, events.size() * repeats);
+  const std::size_t total = planned_requests(config);
   std::vector<Arrival> arrivals;
   arrivals.reserve(total);
   Rng mixes = Rng(config.seed).fork("loadgen-mix");
@@ -326,6 +324,13 @@ std::vector<Arrival> make_arrivals(const LoadGenConfig& config) {
       return trace_replay_arrivals(config);
   }
   return {};
+}
+
+std::size_t planned_requests(const LoadGenConfig& config) {
+  if (config.arrival != ArrivalProcess::kTraceReplay) return config.requests;
+  const std::uint32_t repeats = std::max<std::uint32_t>(1, config.trace_repeat);
+  return std::min<std::size_t>(config.requests,
+                               config.trace.size() * repeats);
 }
 
 ClosedLoopSource::ClosedLoopSource(const LoadGenConfig& config)

@@ -200,6 +200,11 @@ struct Arrival {
 /// arrivals are time-sorted with dense sequences.
 [[nodiscard]] std::vector<Arrival> make_arrivals(const LoadGenConfig& config);
 
+/// Requests a run of `config` offers: config.requests, or fewer for a
+/// trace replay whose repeated trace ends first.  The budget the
+/// accounting identity holds a run's offered count to.
+[[nodiscard]] std::size_t planned_requests(const LoadGenConfig& config);
+
 /// Online think-time source for closed-loop runs.  The driver asks for
 /// the next think period whenever a device's request finishes; draws are
 /// per-device substreams, so one device's completion count never perturbs

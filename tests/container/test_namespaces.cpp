@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 namespace rattrap::container {
 namespace {
 
@@ -56,6 +61,42 @@ TEST(PidNamespace, PidListing) {
   ASSERT_EQ(pids.size(), 2u);
   EXPECT_EQ(pids[0], 1);
   EXPECT_EQ(pids[1], 2);
+}
+
+std::shared_ptr<const PidNamespace> booted_tree() {
+  auto tree = std::make_shared<PidNamespace>();
+  tree->spawn("init");
+  tree->spawn("zygote");
+  tree->spawn("system_server");
+  return tree;
+}
+
+TEST(PidSnapshot, CloneReadsTheSnapshotAndSpawnsAfterIt) {
+  const auto tree = booted_tree();
+  PidNamespace clone(tree);
+  EXPECT_EQ(clone.count(), 3u);
+  EXPECT_EQ(clone.name_of(2), std::optional<std::string>("zygote"));
+  EXPECT_EQ(clone.spawn("app"), 4);
+  EXPECT_EQ(clone.pids(), (std::vector<Pid>{1, 2, 3, 4}));
+  EXPECT_EQ(tree->count(), 3u);  // the snapshot never changes
+}
+
+TEST(PidSnapshot, KillsStayInTheClone) {
+  const auto tree = booted_tree();
+  PidNamespace a(tree);
+  PidNamespace b(tree);
+  EXPECT_TRUE(a.kill(2));
+  EXPECT_FALSE(a.kill(2));
+  EXPECT_FALSE(a.exists(2));
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(a.pids(), (std::vector<Pid>{1, 3}));
+  EXPECT_TRUE(b.exists(2));
+  // Killing init drops the whole view, snapshot included.
+  a.spawn("app");
+  EXPECT_TRUE(a.kill(1));
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_FALSE(a.exists(3));
+  EXPECT_EQ(b.count(), 3u);
 }
 
 TEST(NamespaceSet, DefaultConstructible) {

@@ -128,5 +128,42 @@ TEST_F(RuntimeTest, InjectedDevNsTeardownFailsStart) {
   EXPECT_TRUE(runtime_.start(c.id()).has_value());
 }
 
+TEST_F(RuntimeTest, DestroyHandsTheCgroupBack) {
+  Container& a = started("a");
+  started("b");
+  EXPECT_EQ(runtime_.cgroups().count(), 2u);
+  EXPECT_TRUE(runtime_.destroy(a.id()));
+  EXPECT_EQ(runtime_.cgroups().count(), 1u);
+  EXPECT_EQ(runtime_.cgroups().find("a"), nullptr);
+  EXPECT_EQ(runtime_.count(), 1u);
+  EXPECT_EQ(kernel_.device_namespaces().count(), 1u);
+}
+
+TEST_F(RuntimeTest, ClonesShareOneConfig) {
+  const auto image =
+      std::make_shared<const ContainerConfig>(basic_config("image"));
+  Container& a = runtime_.create(image, "clone-1");
+  Container& b = runtime_.create(image, "clone-2");
+  EXPECT_EQ(a.name(), "clone-1");
+  EXPECT_EQ(b.name(), "clone-2");
+  EXPECT_EQ(&a.config(), &b.config());
+  ASSERT_TRUE(runtime_.start(a.id()).has_value());
+  ASSERT_TRUE(runtime_.start(b.id()).has_value());
+  EXPECT_NE(runtime_.cgroups().find("clone-1"), nullptr);
+  EXPECT_EQ(b.namespaces().uts.hostname, "clone-2");
+}
+
+TEST_F(RuntimeTest, FeatureCheckFollowsTheKernel) {
+  // Clones of one image check its features once, until the kernel's
+  // features change.
+  ContainerConfig config = basic_config("image");
+  config.required_features = {"needs_me"};
+  const auto image = std::make_shared<const ContainerConfig>(config);
+  kernel_.add_feature("needs_me");
+  EXPECT_TRUE(runtime_.start(runtime_.create(image, "a").id()).has_value());
+  kernel_.remove_feature("needs_me");
+  EXPECT_FALSE(runtime_.start(runtime_.create(image, "b").id()).has_value());
+}
+
 }  // namespace
 }  // namespace rattrap::container

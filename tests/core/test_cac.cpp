@@ -257,9 +257,9 @@ TEST(CacTemplate, PlatformsKeepIndependentTemplates) {
   EXPECT_EQ(*b.services, names_of(android::stock_services()));
   EXPECT_EQ(a.build_properties->get("ro.rattrap.customized"), "1");
   EXPECT_EQ(b.build_properties->get("ro.rattrap.customized"), "0");
-  EXPECT_EQ(a.container.lower_layers.front(),
+  EXPECT_EQ(a.container->lower_layers.front(),
             customized.server().shared_layer().system_layer());
-  EXPECT_EQ(b.container.lower_layers.front(),
+  EXPECT_EQ(b.container->lower_layers.front(),
             stock.server().shared_layer().system_layer());
   EXPECT_EQ(customized.layer_store().layer_count(), 1u);
   EXPECT_EQ(stock.layer_store().layer_count(), 1u);

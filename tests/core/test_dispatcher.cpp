@@ -14,10 +14,10 @@ workloads::OffloadRequest request_from_device(std::uint32_t device) {
 class DispatcherTest : public ::testing::Test {
  protected:
   /// Adds an environment bound to `key`, booted into `state` at t=10.
-  EnvRecord& add_env(std::string key,
+  EnvRecord& add_env(EnvKey key,
                      EnvState state = EnvState::kWarmIdle) {
     EnvRecord& record =
-        envs_.add(EnvBacking::kContainer, std::move(key), 0);
+        envs_.add(EnvBacking::kContainer, key, 0);
     envs_.transition(record.id, EnvState::kBooting, 0);
     if (state != EnvState::kBooting) {
       record.ready_at = 10;
@@ -35,14 +35,14 @@ TEST_F(DispatcherTest, BindingKeyIsPerDevice) {
   Dispatcher with_affinity(envs_, warehouse_, true);
   Dispatcher without(envs_, warehouse_, false);
   const auto request = request_from_device(2);
-  EXPECT_EQ(with_affinity.binding_key(request), "dev:2");
-  EXPECT_EQ(without.binding_key(request), "dev:2");
+  EXPECT_EQ(with_affinity.binding_key(request), EnvKey::device(2));
+  EXPECT_EQ(without.binding_key(request), EnvKey::device(2));
 }
 
 TEST_F(DispatcherTest, NoAffinityRoutesToDeviceEnv) {
   Dispatcher dispatcher(envs_, warehouse_, false);
   EXPECT_EQ(dispatcher.assign(request_from_device(0), app_ref_, 0), nullptr);
-  envs_.add(EnvBacking::kVm, "dev:0", 0);
+  envs_.add(EnvBacking::kVm, EnvKey::device(0), 0);
   EnvRecord* assigned = dispatcher.assign(request_from_device(0), app_ref_, 0);
   ASSERT_NE(assigned, nullptr);
   EXPECT_EQ(assigned->id, 1u);
@@ -51,7 +51,7 @@ TEST_F(DispatcherTest, NoAffinityRoutesToDeviceEnv) {
 TEST_F(DispatcherTest, FirstRequestOfDeviceProvisionsEvenWithAffinity) {
   Dispatcher dispatcher(envs_, warehouse_, true);
   // Another device's container already ran this app...
-  add_env("dev:1");
+  add_env(EnvKey::device(1));
   warehouse_.store(app_ref_, 100);
   warehouse_.record_execution(app_ref_, 1);
   // ...but device 0 has no environment yet: it must boot its own.
@@ -60,8 +60,8 @@ TEST_F(DispatcherTest, FirstRequestOfDeviceProvisionsEvenWithAffinity) {
 
 TEST_F(DispatcherTest, AffinityReroutesToAppHotContainer) {
   Dispatcher dispatcher(envs_, warehouse_, true);
-  add_env("dev:0");
-  add_env("dev:1");
+  add_env(EnvKey::device(0));
+  add_env(EnvKey::device(1));
   warehouse_.store(app_ref_, 100);
   warehouse_.record_execution(app_ref_, 2);
   EnvRecord* assigned =
@@ -72,8 +72,8 @@ TEST_F(DispatcherTest, AffinityReroutesToAppHotContainer) {
 
 TEST_F(DispatcherTest, BackloggedHotContainerIsAvoided) {
   Dispatcher dispatcher(envs_, warehouse_, true);
-  add_env("dev:0");
-  EnvRecord& hot = add_env("dev:1", EnvState::kLeased);
+  add_env(EnvKey::device(0));
+  EnvRecord& hot = add_env(EnvKey::device(1), EnvState::kLeased);
   hot.busy_until = 100 * sim::kSecond;  // deep backlog
   warehouse_.store(app_ref_, 100);
   warehouse_.record_execution(app_ref_, 2);
@@ -85,8 +85,8 @@ TEST_F(DispatcherTest, BackloggedHotContainerIsAvoided) {
 
 TEST_F(DispatcherTest, RetiredHotContainerIsSkipped) {
   Dispatcher dispatcher(envs_, warehouse_, true);
-  add_env("dev:0");
-  add_env("dev:1");
+  add_env(EnvKey::device(0));
+  add_env(EnvKey::device(1));
   warehouse_.store(app_ref_, 100);
   warehouse_.record_execution(app_ref_, 2);
   envs_.transition(2, EnvState::kReclaimed, 20);
@@ -98,8 +98,8 @@ TEST_F(DispatcherTest, RetiredHotContainerIsSkipped) {
 
 TEST_F(DispatcherTest, ProvisioningHotContainerNotRerouted) {
   Dispatcher dispatcher(envs_, warehouse_, true);
-  add_env("dev:0");
-  add_env("dev:1", EnvState::kBooting);  // not registered yet
+  add_env(EnvKey::device(0));
+  add_env(EnvKey::device(1), EnvState::kBooting);  // not registered yet
   warehouse_.store(app_ref_, 100);
   warehouse_.record_execution(app_ref_, 2);
   EnvRecord* assigned =

@@ -20,10 +20,10 @@ namespace {
 using sim::kSecond;
 
 /// Adds an environment and admits it (cold → booting).
-EnvRecord& admit(EnvTable& table, std::string key, sim::SimTime now,
+EnvRecord& admit(EnvTable& table, EnvKey key, sim::SimTime now,
                  std::uint64_t memory_bytes = 100) {
   EnvRecord& record =
-      table.add(EnvBacking::kContainer, std::move(key), now);
+      table.add(EnvBacking::kContainer, key, now);
   record.memory_bytes = memory_bytes;
   table.transition(record.id, EnvState::kBooting, now);
   return record;
@@ -33,7 +33,7 @@ EnvRecord& admit(EnvTable& table, std::string key, sim::SimTime now,
 
 TEST(ContainerDb, AddAndFind) {
   EnvTable table;
-  EnvRecord& record = table.add(EnvBacking::kContainer, "dev:0", 100);
+  EnvRecord& record = table.add(EnvBacking::kContainer, EnvKey::device(0), 100);
   EXPECT_EQ(record.id, 1u);
   EXPECT_EQ(record.state(), EnvState::kCold);
   EXPECT_EQ(record.provisioned_at, 100);
@@ -44,19 +44,19 @@ TEST(ContainerDb, AddAndFind) {
 
 TEST(ContainerDb, FindByKey) {
   EnvTable table;
-  table.add(EnvBacking::kContainer, "dev:0", 0);
-  table.add(EnvBacking::kContainer, "dev:1", 0);
-  EnvRecord* record = table.find_by_key("dev:1");
+  table.add(EnvBacking::kContainer, EnvKey::device(0), 0);
+  table.add(EnvBacking::kContainer, EnvKey::device(1), 0);
+  EnvRecord* record = table.find_by_key(EnvKey::device(1));
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->id, 2u);
-  EXPECT_EQ(table.find_by_key("dev:9"), nullptr);
+  EXPECT_EQ(table.find_by_key(EnvKey::device(9)), nullptr);
 }
 
 TEST(ContainerDb, RetiredEnvsAreNotFoundByKey) {
   EnvTable table;
-  admit(table, "dev:0", 0);
+  admit(table, EnvKey::device(0), 0);
   table.transition(1, EnvState::kReclaimed, 0);
-  EXPECT_EQ(table.find_by_key("dev:0"), nullptr);
+  EXPECT_EQ(table.find_by_key(EnvKey::device(0)), nullptr);
   EXPECT_TRUE(table.first_error().empty());
   table.transition(1, EnvState::kReclaimed, 0);  // reclaimed is terminal
   EXPECT_FALSE(table.first_error().empty());
@@ -65,9 +65,9 @@ TEST(ContainerDb, RetiredEnvsAreNotFoundByKey) {
 
 TEST(ContainerDb, StateCounts) {
   EnvTable table;
-  admit(table, "a", 0);
-  admit(table, "b", 0);
-  admit(table, "c", 0);
+  admit(table, EnvKey::device(0), 0);
+  admit(table, EnvKey::device(1), 0);
+  admit(table, EnvKey::device(2), 0);
   table.transition(1, EnvState::kReclaimed, 0);
   table.transition(2, EnvState::kWarmIdle, 0);
   table.transition(3, EnvState::kLeased, 0);
@@ -81,8 +81,8 @@ TEST(ContainerDb, StateCounts) {
 
 TEST(ContainerDb, IdsListing) {
   EnvTable table;
-  table.add(EnvBacking::kVm, "a", 0);
-  table.add(EnvBacking::kVm, "b", 0);
+  table.add(EnvBacking::kVm, EnvKey::device(0), 0);
+  table.add(EnvBacking::kVm, EnvKey::device(1), 0);
   ASSERT_EQ(table.records().size(), 2u);
   EXPECT_EQ(table.records()[0].id, 1u);  // allocation order is ascending
   EXPECT_EQ(table.records()[1].id, 2u);
@@ -99,7 +99,7 @@ TEST(ContainerDb, StateNames) {
 
 TEST(CacLifecycle, AdmitEntersBooting) {
   EnvTable table;
-  admit(table, "a", 0);
+  admit(table, EnvKey::device(0), 0);
   EXPECT_EQ(table.find(1)->state(), EnvState::kBooting);
   EXPECT_EQ(table.count(EnvState::kBooting), 1u);
   EXPECT_EQ(table.count(EnvState::kCold), 0u);
@@ -109,7 +109,7 @@ TEST(CacLifecycle, AdmitEntersBooting) {
 
 TEST(CacLifecycle, FullHappyPathKeepsCountsConserved) {
   EnvTable table;
-  admit(table, "a", 0);
+  admit(table, EnvKey::device(0), 0);
   table.transition(1, EnvState::kWarmIdle, 1 * kSecond);
   table.transition(1, EnvState::kLeased, 2 * kSecond);
   table.transition(1, EnvState::kWarmIdle, 3 * kSecond);
@@ -129,7 +129,7 @@ TEST(CacLifecycle, FullHappyPathKeepsCountsConserved) {
 
 TEST(CacLifecycle, IllegalEdgeRecordsErrorAndKeepsState) {
   EnvTable table;
-  admit(table, "a", 0);
+  admit(table, EnvKey::device(0), 0);
   table.transition(1, EnvState::kWarmIdle, 1 * kSecond);
   table.transition(1, EnvState::kReclaimed, 2 * kSecond);
   // reclaimed is terminal: nothing leaves it.
@@ -148,7 +148,7 @@ TEST(CacLifecycle, UntrackedAndDoubleAdmitAreErrors) {
   EXPECT_FALSE(table.first_error().empty());
 
   EnvTable table2;
-  admit(table2, "a", 0);
+  admit(table2, EnvKey::device(0), 0);
   table2.transition(1, EnvState::kBooting, 1 * kSecond);
   EXPECT_FALSE(table2.first_error().empty());
   EXPECT_EQ(table2.size(), 1u);
@@ -157,7 +157,7 @@ TEST(CacLifecycle, UntrackedAndDoubleAdmitAreErrors) {
 
 TEST(CacLifecycle, IdleByteSecondsIntegratesWarmIdleOnly) {
   EnvTable table;
-  admit(table, "a", 0, /*memory_bytes=*/1000);
+  admit(table, EnvKey::device(0), 0, /*memory_bytes=*/1000);
   table.transition(1, EnvState::kWarmIdle, 1 * kSecond);
   table.transition(1, EnvState::kLeased, 3 * kSecond);  // 2 s warm
   EXPECT_NEAR(table.idle_byte_seconds(10 * kSecond), 2000.0, 1e-6);
@@ -175,7 +175,7 @@ TEST(CacLifecycle, HookSeesUpdatedCounts) {
   obs::MetricsRegistry metrics;
   EnvTable table;
   table.set_metrics(&metrics);
-  admit(table, "a", 0);
+  admit(table, EnvKey::device(0), 0);
   ASSERT_NE(metrics.find_gauge("elastic.state.booting"), nullptr);
   EXPECT_EQ(metrics.find_gauge("elastic.state.booting")->value(), 1.0);
   EXPECT_EQ(metrics.find_gauge("elastic.state.cold"), nullptr);
@@ -192,33 +192,33 @@ TEST(CacLifecycle, HookSeesUpdatedCounts) {
 
 TEST(EnvTable, FindByKeyReturnsLowestLiveId) {
   EnvTable table;
-  admit(table, "dev:0", 0);
-  admit(table, "dev:0", 0);
-  ASSERT_NE(table.find_by_key("dev:0"), nullptr);
-  EXPECT_EQ(table.find_by_key("dev:0")->id, 1u);
+  admit(table, EnvKey::device(0), 0);
+  admit(table, EnvKey::device(0), 0);
+  ASSERT_NE(table.find_by_key(EnvKey::device(0)), nullptr);
+  EXPECT_EQ(table.find_by_key(EnvKey::device(0))->id, 1u);
   table.transition(1, EnvState::kReclaimed, 0);
-  ASSERT_NE(table.find_by_key("dev:0"), nullptr);
-  EXPECT_EQ(table.find_by_key("dev:0")->id, 2u);
+  ASSERT_NE(table.find_by_key(EnvKey::device(0)), nullptr);
+  EXPECT_EQ(table.find_by_key(EnvKey::device(0))->id, 2u);
 }
 
 TEST(EnvTable, RebindMovesTheKeyIndex) {
   EnvTable table;
-  admit(table, "pool:0", 0);
-  EXPECT_TRUE(table.rebind(1, "dev:5"));
-  EXPECT_EQ(table.find(1)->key(), "dev:5");
-  EXPECT_EQ(table.find_by_key("pool:0"), nullptr);
-  ASSERT_NE(table.find_by_key("dev:5"), nullptr);
-  EXPECT_EQ(table.find_by_key("dev:5")->id, 1u);
-  EXPECT_FALSE(table.rebind(9, "dev:6"));
+  admit(table, EnvKey::pool(0), 0);
+  EXPECT_TRUE(table.rebind(1, EnvKey::device(5)));
+  EXPECT_EQ(table.find(1)->key(), EnvKey::device(5));
+  EXPECT_EQ(table.find_by_key(EnvKey::pool(0)), nullptr);
+  ASSERT_NE(table.find_by_key(EnvKey::device(5)), nullptr);
+  EXPECT_EQ(table.find_by_key(EnvKey::device(5))->id, 1u);
+  EXPECT_FALSE(table.rebind(9, EnvKey::device(6)));
   // A reclaimed record keeps its key but is never found by it.
   table.transition(1, EnvState::kReclaimed, 0);
-  EXPECT_TRUE(table.rebind(1, "dev:7"));
-  EXPECT_EQ(table.find_by_key("dev:7"), nullptr);
+  EXPECT_TRUE(table.rebind(1, EnvKey::device(7)));
+  EXPECT_EQ(table.find_by_key(EnvKey::device(7)), nullptr);
 }
 
 TEST(EnvTable, PoolClaimTakesTheLowestId) {
   EnvTable table;
-  for (int i = 0; i < 3; ++i) admit(table, "pool:" + std::to_string(i), 0);
+  for (int i = 0; i < 3; ++i) admit(table, EnvKey::pool(static_cast<std::uint32_t>(i)), 0);
   table.add_to_pool(3);
   table.add_to_pool(1);
   table.add_to_pool(2);
@@ -235,7 +235,7 @@ TEST(EnvTable, PoolClaimTakesTheLowestId) {
 
 TEST(EnvTable, DrainAndReclaimLeaveThePool) {
   EnvTable table;
-  for (int i = 0; i < 3; ++i) admit(table, "pool:" + std::to_string(i), 0);
+  for (int i = 0; i < 3; ++i) admit(table, EnvKey::pool(static_cast<std::uint32_t>(i)), 0);
   for (EnvId id = 1; id <= 3; ++id) table.add_to_pool(id);
   table.transition(2, EnvState::kDraining, 0);
   table.transition(3, EnvState::kReclaimed, 0);
@@ -254,8 +254,8 @@ TEST(EnvTable, MetricsTrackAddsRetirementsAndFirstTouch) {
   // envdb.* exist from attachment; elastic.* only once touched.
   ASSERT_NE(metrics.find_gauge("envdb.active"), nullptr);
   EXPECT_EQ(metrics.find_counter("elastic.transitions.booting"), nullptr);
-  admit(table, "a", 0);
-  admit(table, "b", 0);
+  admit(table, EnvKey::device(0), 0);
+  admit(table, EnvKey::device(1), 0);
   EXPECT_EQ(metrics.find_gauge("envdb.active")->value(), 2.0);
   EXPECT_EQ(metrics.find_counter("envdb.added")->value(), 2u);
   table.transition(1, EnvState::kReclaimed, 0);
@@ -269,7 +269,7 @@ TEST(EnvTable, LifecycleSpansOnePerState) {
   trace.enable();
   EnvTable table;
   table.set_trace(&trace);
-  admit(table, "a", 0);
+  admit(table, EnvKey::device(0), 0);
   table.transition(1, EnvState::kWarmIdle, 1 * kSecond);
   table.transition(1, EnvState::kReclaimed, 2 * kSecond);
   const auto& spans = trace.spans();
@@ -285,8 +285,8 @@ TEST(EnvTable, LifecycleSpansOnePerState) {
 
 TEST(EnvTable, MemoryByteSecondsEndsAtReclaim) {
   EnvTable table;
-  admit(table, "a", 0, /*memory_bytes=*/1000);
-  admit(table, "b", 2 * kSecond, /*memory_bytes=*/10);
+  admit(table, EnvKey::device(0), 0, /*memory_bytes=*/1000);
+  admit(table, EnvKey::device(1), 2 * kSecond, /*memory_bytes=*/10);
   table.transition(1, EnvState::kReclaimed, 3 * kSecond);
   // env 1: 1000 B × 3 s closed; env 2: 10 B × 8 s still open at t=10.
   EXPECT_NEAR(table.memory_byte_seconds(10 * kSecond), 3080.0, 1e-6);

@@ -203,5 +203,89 @@ TEST_P(UnionFsModelCheck, AgreesWithReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UnionFsModelCheck,
                          ::testing::Range(1, 11));
 
+// -- Private base -------------------------------------------------------
+
+TEST(UnionFsPrivateBase, BaseFilesArePrivateUntilShadowed) {
+  auto seed = std::make_shared<Layer>("seed");
+  seed->put_file("/data/app.bin", 300);
+  seed->put_file("/data/boot.log", 100);
+  UnionFs ufs("mnt", {make_lower()});
+  ufs.set_private_base(seed);
+  EXPECT_EQ(ufs.private_bytes(), 400u);
+  EXPECT_EQ(ufs.lookup("/data/app.bin").layer_index, 0u);
+  ufs.write("/data/app.bin", 50, 1);  // shadows the seed copy, no COW
+  EXPECT_EQ(ufs.private_bytes(), 150u);
+  EXPECT_EQ(ufs.cow_bytes(), 0u);
+  EXPECT_TRUE(ufs.unlink("/data/boot.log"));
+  EXPECT_FALSE(ufs.exists("/data/boot.log"));
+  EXPECT_EQ(ufs.private_bytes(), 50u);
+  EXPECT_EQ(seed->total_bytes(), 400u);  // the base never changes
+  EXPECT_EQ(ufs.drop_private(), 50u);
+  EXPECT_EQ(ufs.private_bytes(), 0u);
+  EXPECT_FALSE(ufs.exists("/data/app.bin"));
+  EXPECT_TRUE(ufs.exists("/system/lib/libc.so"));
+}
+
+// Property: a mount over a private base agrees, operation by operation,
+// with a mount whose top layer had the same files written into it.
+class UnionFsPrivateBaseModelCheck : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnionFsPrivateBaseModelCheck, AgreesWithWrittenSeed) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  auto lower = std::make_shared<Layer>("low");
+  auto seed = std::make_shared<Layer>("seed");
+  UnionFs written("written", {lower});
+  for (int i = 0; i < 20; ++i) {
+    const auto size = static_cast<std::uint64_t>(rng.uniform_int(1, 100));
+    lower->put_file("/f" + std::to_string(i), size);
+  }
+  for (int i = 10; i < 25; ++i) {  // overlaps the lower layer's files
+    const auto size = static_cast<std::uint64_t>(rng.uniform_int(1, 100));
+    seed->put_file("/f" + std::to_string(i), size);
+    written.write("/f" + std::to_string(i), size, 0);
+  }
+  // Writing the seed copied up the lower files it replaced; the base
+  // holds them without a copy-up.
+  const std::uint64_t seed_cow = written.cow_bytes();
+  UnionFs based("based", {lower});
+  based.set_private_base(seed);
+  EXPECT_EQ(based.private_bytes(), written.private_bytes());
+  for (int op = 0; op < 400; ++op) {
+    const std::string path = "/f" + std::to_string(rng.uniform_int(0, 29));
+    const double dice = rng.uniform();
+    if (dice < 0.35) {
+      const auto size = static_cast<std::uint64_t>(rng.uniform_int(1, 100));
+      written.write(path, size, op);
+      based.write(path, size, op);
+    } else if (dice < 0.5) {
+      const auto delta = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+      written.append(path, delta, op);
+      based.append(path, delta, op);
+    } else if (dice < 0.75) {
+      EXPECT_EQ(based.unlink(path), written.unlink(path)) << path;
+    } else {
+      EXPECT_EQ(based.read(path, op), written.read(path, op)) << path;
+    }
+    ASSERT_EQ(based.private_bytes(), written.private_bytes()) << op;
+    ASSERT_EQ(based.cow_bytes(), written.cow_bytes() - seed_cow) << op;
+    const UnionHit a = based.lookup(path);
+    const UnionHit b = written.lookup(path);
+    ASSERT_EQ(a.node == nullptr, b.node == nullptr) << path;
+    if (a.node != nullptr) {
+      EXPECT_EQ(a.node->size, b.node->size) << path;
+      EXPECT_EQ(a.layer_index, b.layer_index) << path;
+    }
+  }
+  EXPECT_EQ(based.visible_bytes(), written.visible_bytes());
+  EXPECT_EQ(based.visible_files(), written.visible_files());
+  EXPECT_EQ(based.readdir("/"), written.readdir("/"));
+  EXPECT_DOUBLE_EQ(based.never_accessed_fraction(),
+                   written.never_accessed_fraction());
+  EXPECT_EQ(based.drop_private(), written.private_bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UnionFsPrivateBaseModelCheck,
+                         ::testing::Range(1, 11));
+
 }  // namespace
 }  // namespace rattrap::fs

@@ -311,6 +311,35 @@ TEST(LoadGenProperties, AccountingIdentityChecksEveryTenant) {
   EXPECT_FALSE(accounting_identity(summary));
 }
 
+TEST(LoadGenProperties, AccountingIdentityChecksTheRequestBudget) {
+  // A run that balances but offered fewer requests than it planned lost
+  // requests before they were offered: the budget form reads that as a
+  // violation.
+  LoadSummary summary;
+  summary.offered = 4;
+  summary.completed = 3;
+  summary.rejected = 1;
+  ClassLoadStats& standard = summary.by_class[qos::class_index(
+      qos::PriorityClass::kStandard)];
+  standard.offered = 4;
+  standard.completed = 3;
+  standard.rejected = 1;
+  summary.by_tenant["a"] = TenantLoadStats{4, 3, 1};
+  EXPECT_TRUE(accounting_identity(summary, 4));
+  EXPECT_FALSE(accounting_identity(summary, 5));  // planted shortfall
+  EXPECT_FALSE(accounting_identity(summary, 3));
+
+  // The budget is the trace's length when a replay ends first.
+  sim::LoadGenConfig loadgen;
+  loadgen.requests = 10;
+  EXPECT_EQ(sim::planned_requests(loadgen), 10u);
+  loadgen.arrival = sim::ArrivalProcess::kTraceReplay;
+  loadgen.trace = {{0, 1}, {sim::kSecond, 2}};
+  loadgen.trace_repeat = 3;
+  EXPECT_EQ(sim::planned_requests(loadgen), 6u);
+  EXPECT_EQ(sim::make_arrivals(loadgen).size(), 6u);
+}
+
 TEST(LoadGenProperties, ClosedLoopDevicesKeepIssuingAfterAStranding) {
   // Without crash recovery, sessions bound to a crashed environment
   // strand.  Their outcomes reach the completion observer once the queue
@@ -334,7 +363,7 @@ TEST(LoadGenProperties, ClosedLoopDevicesKeepIssuingAfterAStranding) {
   EXPECT_EQ(summary.offered, 300u);
   EXPECT_EQ(summary.completed + summary.rejected, 300u);
   EXPECT_GT(summary.stranded, 0u) << "the fault plan stranded nothing";
-  EXPECT_TRUE(accounting_identity(summary));
+  EXPECT_TRUE(accounting_identity(summary, driver.loadgen.requests));
   EXPECT_EQ(platform.live_session_count(), 0u);
 }
 

@@ -188,5 +188,79 @@ TEST(Binder, ServiceNamesSorted) {
   EXPECT_EQ(names[1], "zeta");
 }
 
+// -- Template namespaces --------------------------------------------------
+
+/// A binder whose namespace 1 is a booted template: system_server
+/// (endpoint 1) provides a two-service table.
+BinderDriver& booted_template(BinderDriver& binder) {
+  binder.register_services(1, make_service_table({"activity", "package"}),
+                           binder.create_endpoint(1));
+  return binder;
+}
+
+TEST(BinderShadow, ShadowReadsTheTemplateUntilItWrites) {
+  BinderDriver binder;
+  booted_template(binder);
+  binder.on_namespace_created(2, 1);
+  EXPECT_EQ(binder.endpoint_count(2), 2u);
+  EXPECT_EQ(binder.lookup_service(2, "package"), BinderHandle{1});
+  EXPECT_EQ(binder.service_names(2), binder.service_names(1));
+  // Transactions only count: the shadow keeps reading the template.
+  ASSERT_TRUE(binder.transact(2, 0, 1, 64).has_value());
+  EXPECT_EQ(binder.stats(2).transactions, 1u);
+  EXPECT_EQ(binder.stats(1).transactions, 0u);
+  EXPECT_EQ(binder.context_count(), 1u);
+  // The first write copies the template into a context of its own.
+  const BinderHandle own = binder.create_endpoint(2);
+  EXPECT_EQ(own, 2u);
+  EXPECT_EQ(binder.context_count(), 2u);
+  ASSERT_TRUE(binder.register_service(2, "package", own));
+  EXPECT_EQ(binder.lookup_service(2, "package"), own);
+  EXPECT_EQ(binder.lookup_service(1, "package"), BinderHandle{1});
+  EXPECT_EQ(binder.endpoint_count(1), 2u);
+  EXPECT_EQ(binder.stats(2).transactions, 1u);  // counters survive the copy
+}
+
+TEST(BinderShadow, DestroyingAShadowLeavesTheTemplate) {
+  BinderDriver binder;
+  booted_template(binder);
+  binder.on_namespace_created(2, 1);
+  binder.on_namespace_created(3, 1);
+  binder.destroy_endpoint(3, 1);  // copy-on-write: only 3 loses it
+  EXPECT_EQ(binder.endpoint_count(3), 1u);
+  EXPECT_EQ(binder.endpoint_count(2), 2u);
+  binder.on_namespace_destroyed(2);
+  binder.on_namespace_destroyed(3);
+  EXPECT_EQ(binder.namespace_count(), 1u);
+  EXPECT_EQ(binder.endpoint_count(1), 2u);
+  EXPECT_EQ(binder.endpoint_count(2), 0u);
+  // A shadow outlives its template's teardown with the state it read.
+  binder.on_namespace_created(4, 1);
+  binder.on_namespace_destroyed(1);
+  EXPECT_EQ(binder.lookup_service(4, "activity"), BinderHandle{1});
+}
+
+TEST(BinderShadow, TemplateWritesDoNotReachItsShadows) {
+  BinderDriver binder;
+  booted_template(binder);
+  binder.on_namespace_created(2, 1);
+  const BinderHandle late = binder.create_endpoint(1);
+  ASSERT_TRUE(binder.register_service(1, "late", late));
+  EXPECT_EQ(binder.endpoint_count(1), 3u);
+  EXPECT_EQ(binder.endpoint_count(2), 2u);
+  EXPECT_FALSE(binder.lookup_service(2, "late").has_value());
+}
+
+TEST(BinderShadow, UnknownOrHostBaseStartsEmpty) {
+  BinderDriver binder;
+  binder.on_namespace_created(2, kHostDevNs);
+  binder.on_namespace_created(3, 9);
+  EXPECT_EQ(binder.namespace_count(), 0u);
+  EXPECT_EQ(binder.endpoint_count(3), 0u);
+  // Implicit service manager on first use, as for any namespace.
+  EXPECT_TRUE(binder.transact(3, 0, 0, 8).has_value());
+  EXPECT_EQ(binder.endpoint_count(3), 1u);
+}
+
 }  // namespace
 }  // namespace rattrap::kernel

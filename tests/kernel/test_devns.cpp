@@ -55,6 +55,36 @@ TEST(DeviceNamespaces, CreatedTotalIsMonotonic) {
   EXPECT_EQ(manager.count(), 2u);
 }
 
+TEST(DeviceNamespaces, CreateOverATemplateShadowsItsDriverState) {
+  DeviceRegistry registry;
+  BinderDriver binder;
+  registry.add(&binder);
+  DeviceNamespaceManager manager(registry);
+  const DevNsId base = manager.create_template();
+  binder.register_services(base, make_service_table({"activity"}),
+                           binder.create_endpoint(base));
+  const DevNsId ns = manager.create(base);
+  EXPECT_EQ(binder.lookup_service(ns, "activity"), BinderHandle{1});
+  EXPECT_TRUE(manager.destroy(ns));
+  EXPECT_EQ(binder.namespace_count(), 1u);  // the template's
+  EXPECT_EQ(manager.count(), 1u);
+}
+
+TEST(DeviceNamespaces, TemplateCreationConsultsNoFaults) {
+  DeviceRegistry registry;
+  DeviceNamespaceManager manager(registry);
+  const auto plan = sim::FaultPlan::parse("devns.teardown:p=1");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector faults(*plan, /*seed=*/1);
+  manager.set_fault_injector(&faults);
+  const DevNsId base = manager.create_template();
+  EXPECT_TRUE(manager.alive(base));
+  EXPECT_EQ(faults.consults(sim::FaultKind::kDevNsTeardown), 0u);
+  EXPECT_FALSE(manager.alive(manager.create(base)));
+  EXPECT_EQ(faults.consults(sim::FaultKind::kDevNsTeardown), 1u);
+  EXPECT_EQ(manager.injected_teardowns(), 1u);
+}
+
 TEST(DeviceRegistry, AddFindRemove) {
   DeviceRegistry registry;
   BinderDriver binder;

@@ -113,7 +113,10 @@ RunResult execute_run(const RunSpec& spec) {
           ? 0.0
           : static_cast<double>(summary.completed) /
                 static_cast<double>(summary.offered));
-  put("accounting_ok", core::accounting_identity(summary) ? 1.0 : 0.0);
+  put("accounting_ok",
+      core::accounting_identity(summary, sim::planned_requests(loadgen))
+          ? 1.0
+          : 0.0);
   put("duration_s", summary.duration_s);
   put("offered_rate_per_s", summary.offered_rate_per_s);
   put("goodput_per_s", summary.goodput_per_s);

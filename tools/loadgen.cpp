@@ -176,11 +176,15 @@ int main(int argc, char** argv) {
   std::printf("virtual_duration=%.1fs envs=%zu\n", summary.duration_s,
               platform.env_count());
 
-  // Request accounting must balance on every transport: what was offered
-  // either completed or was rejected, in total, per class and per tenant
-  // (the CI rpc-loopback smoke greps for this line).
+  // Request accounting must balance on every transport: every planned
+  // request was offered, and what was offered either completed or was
+  // rejected, in total, per class and per tenant (the CI rpc-loopback
+  // smoke greps for this line).
   std::printf("accounting_identity=%s\n",
-              core::accounting_identity(summary) ? "ok" : "violated");
+              core::accounting_identity(
+                  summary, sim::planned_requests(driver.loadgen))
+                  ? "ok"
+                  : "violated");
   const core::InvariantChecker& invariants = platform.invariants();
   std::printf("invariant_violations=%llu\n",
               static_cast<unsigned long long>(invariants.total_violations()));
