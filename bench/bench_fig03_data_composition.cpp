@@ -3,7 +3,9 @@
 // Shape targets: every VM receives its own copy of the mobile code
 // (duplicate code transfer, Obs. 3); for workloads without file payloads
 // (ChessGame, Linpack) the code accounts for > 50 % of migrated data.
+#include <cstdint>
 #include <cstdio>
+#include <map>
 
 #include "bench_util.hpp"
 
@@ -16,14 +18,18 @@ int main() {
     const auto stream = bench::paper_stream(kind);
     core::Platform platform(
         core::make_config(core::PlatformKind::kVmCloud));
-    platform.run(stream);
+    // Each completed session's upload, grouped by the VM that served it.
+    std::map<std::uint32_t, net::TrafficAccount> per_vm;
+    for (const auto& outcome : platform.run(stream)) {
+      if (!outcome.rejected) per_vm[outcome.env_id].merge(outcome.traffic);
+    }
 
     bench::print_rule('=');
     std::printf("(%s)\n", workloads::to_string(kind));
     std::printf("%6s %14s %16s %14s %8s\n", "VM", "code[KB]",
                 "files+params[KB]", "control[KB]", "code%");
     bench::print_rule();
-    for (const auto& [env, traffic] : platform.env_traffic()) {
+    for (const auto& [env, traffic] : per_vm) {
       const double code =
           static_cast<double>(
               traffic.up_bytes(net::MessageType::kMobileCode)) /

@@ -42,7 +42,7 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
     }
     return record;
   };
-  EnvRecord* device_env = envs_.find_by_key(binding_key(request));
+  EnvRecord* device_env = table_.find_by_key(binding_key(request));
   if (!affinity_) return finish(device_env, false);
   // A device's first request always provisions its own environment (all
   // three platforms pay one boot per device); affinity then *reroutes*
@@ -50,7 +50,7 @@ EnvRecord* Dispatcher::assign(const workloads::OffloadRequest& request,
   // saving the code-loading time — unless that container is backlogged.
   if (device_env == nullptr) return finish(nullptr, false);
   if (const auto preferred = warehouse_.preferred_env(code_ref)) {
-    EnvRecord* record = envs_.find(*preferred);
+    EnvRecord* record = table_.find(*preferred);
     // Only reroute onto a container that is actually serving: a reclaimed
     // record is a dead environment (the warehouse learns of crashes
     // asynchronously), a booting one has no Dispatcher registration yet,

@@ -24,7 +24,7 @@ class Dispatcher {
  public:
   /// `affinity`: route by application (AID → CID) instead of by device.
   Dispatcher(EnvTable& envs, AppWarehouse& warehouse, bool affinity)
-      : envs_(envs), warehouse_(warehouse), affinity_(affinity) {}
+      : table_(envs), warehouse_(warehouse), affinity_(affinity) {}
 
   /// The environment-binding key for a request (per-device on every
   /// platform; affinity rerouting happens in assign()).
@@ -57,7 +57,7 @@ class Dispatcher {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  EnvTable& envs_;
+  EnvTable& table_;
   AppWarehouse& warehouse_;
   bool affinity_;
   obs::Counter* assign_total_ = nullptr;

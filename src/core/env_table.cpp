@@ -75,9 +75,9 @@ void EnvTable::index_key(EnvRecord& record) {
     *head = record.id;
     return;
   }
-  EnvRecord* prev = &records_[*head - 1];
+  EnvRecord* prev = find(*head);
   while (prev->next_with_key_ != 0 && prev->next_with_key_ < record.id) {
-    prev = &records_[prev->next_with_key_ - 1];
+    prev = find(prev->next_with_key_);
   }
   record.next_with_key_ = prev->next_with_key_;
   prev->next_with_key_ = record.id;
@@ -95,8 +95,8 @@ void EnvTable::unindex_key(EnvRecord& record) {
     record.next_with_key_ = 0;
     return;
   }
-  for (EnvRecord* prev = &records_[*head - 1]; prev->next_with_key_ != 0;
-       prev = &records_[prev->next_with_key_ - 1]) {
+  for (EnvRecord* prev = find(*head); prev->next_with_key_ != 0;
+       prev = find(prev->next_with_key_)) {
     if (prev->next_with_key_ == record.id) {
       prev->next_with_key_ = record.next_with_key_;
       record.next_with_key_ = 0;
@@ -106,14 +106,15 @@ void EnvTable::unindex_key(EnvRecord& record) {
 }
 
 EnvRecord& EnvTable::add(EnvBacking backing, EnvKey key, sim::SimTime now) {
-  EnvRecord& record = records_.emplace_back();
-  record.id = static_cast<EnvId>(records_.size());
+  const auto id = static_cast<EnvId>(++issued_);
+  EnvRecord& record = records_.try_emplace(records_.end(), id)->second;
+  by_id_.insert_or_assign(id, &record);
+  record.id = id;
   record.backing = backing;
   record.provisioned_at = now;
   record.entered_at_ = now;
   record.key_ = key;
   index_key(record);
-  live_.insert(live_.end(), record.id);
   ++counts_[slot(EnvState::kCold)];
   touch(record.id);
   if (added_ != nullptr) {
@@ -121,6 +122,12 @@ EnvRecord& EnvTable::add(EnvBacking backing, EnvKey key, sim::SimTime now) {
     active_->set(static_cast<double>(live_count()));
   }
   return record;
+}
+
+EnvTable::Records::node_type EnvTable::erase(EnvId id) {
+  touch(id);
+  by_id_.erase(id);
+  return records_.extract(id);
 }
 
 void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
@@ -155,7 +162,10 @@ void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
     // Draining takes no new leases, so its key no longer finds it.
     if (from != EnvState::kDraining) unindex_key(*record);
   }
-  if (to == EnvState::kReclaimed) live_.erase(id);
+  if (to == EnvState::kReclaimed) {
+    memory_byte_seconds_ += static_cast<double>(record->memory_bytes) *
+                            sim::to_seconds(now - record->provisioned_at);
+  }
   emit(*record, from, to, now);
 }
 
@@ -194,14 +204,6 @@ void EnvTable::emit(EnvRecord& record, EnvState from, EnvState to,
   record.span_ = trace_->begin(track, to_string(to), "lifecycle", now);
 }
 
-EnvRecord* EnvTable::find(EnvId id) {
-  return id == 0 || id > records_.size() ? nullptr : &records_[id - 1];
-}
-
-const EnvRecord* EnvTable::find(EnvId id) const {
-  return id == 0 || id > records_.size() ? nullptr : &records_[id - 1];
-}
-
 EnvRecord* EnvTable::find_by_key(EnvKey key) {
   const EnvId* head = by_key_.find(key.bits());
   return head == nullptr ? nullptr : find(*head);
@@ -227,7 +229,7 @@ void EnvTable::add_to_pool(EnvId id) {
 
 void EnvTable::leave_pool(EnvId id) {
   if (pool_.erase(id) == 0) return;
-  pool_bytes_ -= records_[id - 1].memory_bytes;
+  pool_bytes_ -= find(id)->memory_bytes;
   touch(id);
 }
 
@@ -240,8 +242,7 @@ std::optional<EnvId> EnvTable::claim_pool() {
 
 double EnvTable::idle_byte_seconds(sim::SimTime now) const {
   double sum = idle_byte_seconds_;
-  for (const EnvId id : live_) {
-    const EnvRecord& record = records_[id - 1];
+  for (const EnvRecord& record : records()) {
     if (record.state_ != EnvState::kWarmIdle) continue;
     sum += static_cast<double>(record.memory_bytes) *
            sim::to_seconds(now - record.entered_at_);
@@ -250,13 +251,11 @@ double EnvTable::idle_byte_seconds(sim::SimTime now) const {
 }
 
 double EnvTable::memory_byte_seconds(sim::SimTime now) const {
-  double sum = 0;
-  for (const EnvRecord& record : records_) {
-    if (record.memory_bytes == 0) continue;
-    const sim::SimTime end =
-        record.live() ? now : record.entered_at_;  // reclaim time
+  double sum = memory_byte_seconds_;
+  for (const EnvRecord& record : records()) {
+    if (!record.live()) continue;
     sum += static_cast<double>(record.memory_bytes) *
-           sim::to_seconds(end - record.provisioned_at);
+           sim::to_seconds(now - record.provisioned_at);
   }
   return sum;
 }
@@ -264,7 +263,8 @@ double EnvTable::memory_byte_seconds(sim::SimTime now) const {
 std::optional<std::string> EnvTable::check() const {
   if (!first_error_.empty()) return "lifecycle error: " + first_error_;
   std::array<std::size_t, kEnvStateCount> recount{};
-  for (const EnvRecord& record : records_) ++recount[slot(record.state_)];
+  recount[slot(EnvState::kReclaimed)] = issued_ - records_.size();
+  for (const EnvRecord& record : records()) ++recount[slot(record.state_)];
   for (std::size_t s = 0; s < kEnvStateCount; ++s) {
     if (recount[s] == counts_[s]) continue;
     return std::string("count of ") + to_string(static_cast<EnvState>(s)) +
@@ -272,7 +272,7 @@ std::optional<std::string> EnvTable::check() const {
            std::to_string(recount[s]);
   }
   std::uint64_t pool_bytes = 0;
-  for (const EnvId id : pool_) pool_bytes += records_[id - 1].memory_bytes;
+  for (const EnvId id : pool_) pool_bytes += find(id)->memory_bytes;
   if (pool_bytes != pool_bytes_) {
     return "pool ledger says " + std::to_string(pool_bytes_) +
            " bytes, pooled records hold " + std::to_string(pool_bytes);

@@ -17,34 +17,39 @@
 // (provision failure, crash); `failed` records why.
 //
 // transition() checks the edge, keeps the per-state counts and the
-// warm-idle memory integral (the byte·seconds the §III-B ablation prices),
-// emits the envdb.* and elastic.* metrics and one lifecycle trace span per
+// memory integrals (the byte·seconds the §III-B ablation prices), emits
+// the envdb.* and elastic.* metrics and one lifecycle trace span per
 // state, and maintains the ordered indexes the engine reads instead of
-// scanning every record: binding key → leasable ids, the live ids, and
-// the claimable warm-pool ids.  Binding keys are integers (EnvKey), and a
-// draining environment simply leaves the key index.  Illegal transitions are not fatal: the first
-// one is kept in first_error() and reported by the lifecycle-state
-// invariant, so a violation fails loudly in the harness instead of
-// crashing a release build.
+// scanning every record: binding key → leasable ids, and the claimable
+// warm-pool ids.  Binding keys are integers (EnvKey), and a draining
+// environment simply leaves the key index.  Illegal transitions are not
+// fatal: the first one is kept in first_error() and reported by the
+// lifecycle-state invariant, so a violation fails loudly in the harness
+// instead of crashing a release build.
 //
-// Records live in a deque indexed by id - 1: ids are allocated by add()
-// in ascending order, references stay stable for the table's lifetime,
-// and iterating records() visits environments in ascending id.
+// A record also holds the environment's resources.  Records live in an
+// id-keyed map (references stable until erase(), records() in id order)
+// until the platform erases one, reclaimed with no session bound.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <map>
+#include <memory>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/cac.hpp"
 #include "core/warehouse.hpp"  // EnvId
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/flat_hash.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/time.hpp"
+#include "vm/vm.hpp"
 
 namespace rattrap::core {
 
@@ -106,6 +111,15 @@ class EnvRecord {
   std::uint64_t memory_bytes = 0;   ///< committed allocation (0 = none)
   bool failed = false;              ///< reclaimed because provisioning failed
 
+  // Resources, which only the platform reads.
+  vm::VmId vm_id = 0;                          ///< VM-backed only
+  std::unique_ptr<CloudAndroidContainer> cac;  ///< container-backed only
+  android::ClassLoader vm_loader;              ///< VM-backed only
+  std::vector<sim::InlineCallback> waiters;    ///< sessions awaiting boot
+  std::set<std::string> pushed_apps;  ///< code received (§III-D duplicates)
+  std::uint64_t disk_bytes = 0;
+
+  [[nodiscard]] bool is_vm() const { return backing == EnvBacking::kVm; }
   [[nodiscard]] EnvState state() const { return state_; }
   [[nodiscard]] EnvKey key() const { return key_; }
   [[nodiscard]] bool live() const { return state_ != EnvState::kReclaimed; }
@@ -135,16 +149,28 @@ class EnvRecord {
 
 class EnvTable {
  public:
+  using Records = std::map<EnvId, EnvRecord>;
+
   /// Registers a new cold environment bound to `key`; ids count up from
-  /// 1.  The reference is stable for the table's lifetime.
+  /// 1.  The reference is stable until erase().
   EnvRecord& add(EnvBacking backing, EnvKey key, sim::SimTime now);
+
+  /// Removes a reclaimed record, which size() and the state counts keep
+  /// counting; returns its node, which a caller may hold to keep the
+  /// storage alive.
+  Records::node_type erase(EnvId id);
 
   /// Moves `id` to `to` if the edge is legal; otherwise records the
   /// violation in first_error() and leaves the state unchanged.
   void transition(EnvId id, EnvState to, sim::SimTime now);
 
-  [[nodiscard]] EnvRecord* find(EnvId id);
-  [[nodiscard]] const EnvRecord* find(EnvId id) const;
+  [[nodiscard]] EnvRecord* find(EnvId id) {
+    EnvRecord* const* record = by_id_.find(id);
+    return record != nullptr ? *record : nullptr;
+  }
+  [[nodiscard]] const EnvRecord* find(EnvId id) const {
+    return const_cast<EnvTable*>(this)->find(id);
+  }
 
   /// The leasable environment (neither draining nor reclaimed) bound to
   /// `key` with the lowest id, if any.
@@ -168,14 +194,20 @@ class EnvTable {
   [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
 
   /// Ids not yet reclaimed, ascending.
-  [[nodiscard]] const std::set<EnvId>& live_ids() const { return live_; }
-  /// Every record ever added, in ascending id.
-  [[nodiscard]] const std::deque<EnvRecord>& records() const {
-    return records_;
+  [[nodiscard]] std::set<EnvId> live_ids() const {
+    std::set<EnvId> ids;
+    for (const auto& [id, record] : records_) {
+      if (record.live()) ids.insert(ids.end(), id);
+    }
+    return ids;
   }
-
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
+  /// The records not erased, as const EnvRecord&, in ascending id.
+  [[nodiscard]] auto records() const { return std::views::values(records_); }
+  /// Ids issued so far, erased records included.
+  [[nodiscard]] std::size_t size() const { return issued_; }
+  [[nodiscard]] std::size_t live_count() const {
+    return issued_ - count(EnvState::kReclaimed);
+  }
   [[nodiscard]] std::size_t count(EnvState state) const {
     return counts_[static_cast<std::size_t>(state)];
   }
@@ -196,7 +228,8 @@ class EnvTable {
   [[nodiscard]] const std::string& first_error() const { return first_error_; }
 
   /// Lifecycle-state conservation: no illegal transition was attempted,
-  /// and the per-state counts and pool bytes equal a recount.
+  /// and the per-state counts and pool bytes equal a recount (an erased
+  /// record is reclaimed).
   [[nodiscard]] std::optional<std::string> check() const;
 
   /// Attaches a metrics registry: add/reclaim count into envdb.added /
@@ -223,17 +256,20 @@ class EnvTable {
   void unindex_key(EnvRecord& record);
   void emit(EnvRecord& record, EnvState from, EnvState to, sim::SimTime now);
 
-  std::deque<EnvRecord> records_;  ///< records_[id - 1]
+  Records records_;
+  sim::FlatHashMap<EnvId, EnvRecord*> by_id_;  ///< find() in one probe
+  std::size_t issued_ = 0;  ///< the last id add() handed out
   /// binding key bits → the lowest leasable id holding it; the others
   /// follow through EnvRecord::next_with_key_ (usually there are none).
   sim::FlatHashMap<std::uint64_t, EnvId> by_key_;
-  std::set<EnvId> live_;
   std::set<EnvId> pool_;
   std::uint64_t pool_bytes_ = 0;
   std::array<std::size_t, kEnvStateCount> counts_{};
   std::array<std::uint64_t, kEnvStateCount> transitions_{};
-  /// Closed warm-idle intervals; open ones are added by the accessor.
+  /// Closed warm-idle intervals and provisioned lifetimes; open ones are
+  /// added by the accessors.
   double idle_byte_seconds_ = 0;
+  double memory_byte_seconds_ = 0;
   std::string first_error_;
 
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -45,17 +45,21 @@ void MonitorScheduler::set_metrics(obs::MetricsRegistry* metrics) {
   metric_crashes_detected_ = &metrics->counter("monitor.crashes.detected");
 }
 
-void MonitorScheduler::env_up(std::uint32_t env_id) {
-  live_envs_.insert_or_assign(env_id, true);
-  if (metric_active_envs_ != nullptr) {
-    metric_active_envs_->set(static_cast<double>(live_envs_.size()));
+void MonitorScheduler::publish_jobs(qos::PriorityClass klass) {
+  const std::size_t c = qos::class_index(klass);
+  if (metric_jobs_ != nullptr) {
+    const auto jobs = static_cast<double>(running_jobs_);
+    metric_jobs_->set(jobs);
+    metric_jobs_peak_->set(std::max(metric_jobs_peak_->value(), jobs));
+  }
+  if (metric_class_jobs_[c] != nullptr) {
+    metric_class_jobs_[c]->set(static_cast<double>(running_by_class_[c]));
   }
 }
 
-void MonitorScheduler::env_down(std::uint32_t env_id) {
-  live_envs_.erase(env_id);
+void MonitorScheduler::publish_active_envs(std::size_t count) {
   if (metric_active_envs_ != nullptr) {
-    metric_active_envs_->set(static_cast<double>(live_envs_.size()));
+    metric_active_envs_->set(static_cast<double>(count));
   }
 }
 

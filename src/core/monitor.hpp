@@ -13,7 +13,6 @@
 
 #include "core/qos/qos.hpp"
 #include "obs/metrics.hpp"
-#include "sim/flat_hash.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -51,29 +50,14 @@ class MonitorScheduler {
       qos::PriorityClass klass = qos::PriorityClass::kStandard) {
     ++running_jobs_;
     ++running_by_class_[qos::class_index(klass)];
-    if (metric_jobs_ != nullptr) {
-      metric_jobs_->set(static_cast<double>(running_jobs_));
-      metric_jobs_peak_->set(
-          std::max(metric_jobs_peak_->value(),
-                   static_cast<double>(running_jobs_)));
-    }
-    if (metric_class_jobs_[qos::class_index(klass)] != nullptr) {
-      metric_class_jobs_[qos::class_index(klass)]->set(static_cast<double>(
-          running_by_class_[qos::class_index(klass)]));
-    }
+    publish_jobs(klass);
   }
   void job_finished(
       qos::PriorityClass klass = qos::PriorityClass::kStandard) {
     if (running_jobs_ > 0) --running_jobs_;
     auto& by_class = running_by_class_[qos::class_index(klass)];
     if (by_class > 0) --by_class;
-    if (metric_jobs_ != nullptr) {
-      metric_jobs_->set(static_cast<double>(running_jobs_));
-    }
-    if (metric_class_jobs_[qos::class_index(klass)] != nullptr) {
-      metric_class_jobs_[qos::class_index(klass)]->set(
-          static_cast<double>(by_class));
-    }
+    publish_jobs(klass);
   }
   [[nodiscard]] std::uint32_t running_jobs() const { return running_jobs_; }
   [[nodiscard]] std::uint32_t running_jobs(qos::PriorityClass klass) const {
@@ -94,18 +78,14 @@ class MonitorScheduler {
   /// monitor.crashes.* . nullptr detaches.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  // -- Live-environment tracking (docs/ELASTIC.md) ----------------------
+  // -- Live-environment count (docs/ELASTIC.md) -------------------------
   //
-  // The live environment count feeds the monitor.active_envs gauge.  It
-  // is decremented on *every* teardown path — idle reclaim, drain
-  // completion and crash alike — otherwise the gauge goes stale across
-  // reclaim and reports warm capacity that has already drained.
+  // Feeds the monitor.active_envs gauge: up at every boot end, down on
+  // every teardown (idle reclaim, drain, crash) of a booted environment.
 
-  void env_up(std::uint32_t env_id);
-  void env_down(std::uint32_t env_id);
-  [[nodiscard]] std::size_t active_envs() const {
-    return live_envs_.size();
-  }
+  void env_up() { publish_active_envs(++active_envs_); }
+  void env_down() { publish_active_envs(--active_envs_); }
+  [[nodiscard]] std::size_t active_envs() const { return active_envs_; }
 
   // -- Crashed-environment detection -----------------------------------
   //
@@ -131,6 +111,11 @@ class MonitorScheduler {
   [[nodiscard]] std::uint64_t crashes_detected() const { return detected_; }
 
  private:
+  /// Mirrors the job counts (and their peak) and the live environment
+  /// count into their gauges, when metrics are attached.
+  void publish_jobs(qos::PriorityClass klass);
+  void publish_active_envs(std::size_t count);
+
   sim::Simulator& sim_;
   std::uint32_t cores_;
   sim::TimeSeries cpu_{sim::kSecond};
@@ -139,7 +124,7 @@ class MonitorScheduler {
   std::array<std::uint32_t, qos::kClassCount> running_by_class_{};
   std::function<void(std::uint32_t)> crash_handler_;
   std::set<std::uint32_t> pending_crashes_;
-  sim::FlatHashMap<std::uint32_t, bool> live_envs_;  ///< as a set
+  std::size_t active_envs_ = 0;
   std::uint64_t reported_ = 0;
   std::uint64_t detected_ = 0;
   obs::Gauge* metric_jobs_ = nullptr;

@@ -6,6 +6,10 @@
 
 namespace rattrap::core {
 
+namespace {
+std::size_t slot(EnvState state) { return static_cast<std::size_t>(state); }
+}  // namespace
+
 InvariantOracle::InvariantOracle(Platform& platform)
     : platform_(platform), checker_(platform.invariants_) {
   using O = InvariantOracle;
@@ -78,15 +82,11 @@ InvariantOracle::~InvariantOracle() {
 void InvariantOracle::Ledger::add(std::uint64_t sequence,
                                   const SessionSeen& seen, int sign) {
   if (seen.env != 0) {
-    if (bound.size() <= seen.env) bound.resize(seen.env + 1);
-    std::vector<std::uint64_t>& on_env = bound[seen.env];
     if (sign > 0) {
-      on_env.push_back(sequence);
-    } else if (const auto it = std::find(on_env.begin(), on_env.end(),
-                                         sequence);
-               it != on_env.end()) {
-      *it = on_env.back();
-      on_env.pop_back();
+      bound[seen.env].push_back(sequence);
+    } else if (std::vector<std::uint64_t>* on_env = bound.find(seen.env)) {
+      std::erase(*on_env, sequence);
+      if (on_env->empty()) bound.erase(seen.env);
     }
   }
   const auto step = [sign](std::uint32_t& count) {
@@ -111,7 +111,7 @@ std::uint32_t InvariantOracle::tenant_index(const std::string& tenant) {
 InvariantOracle::SessionSeen InvariantOracle::seen(
     const Platform::SessionState& s, std::uint32_t tenant) {
   SessionSeen seen;
-  seen.env = s.env != nullptr ? s.env->id() : 0;
+  seen.env = s.env != nullptr ? s.env->id : 0;
   seen.tenant = tenant;
   seen.computing = s.computing;
   seen.admitted = s.admitted;
@@ -160,18 +160,21 @@ void InvariantOracle::settle_envs() {
   const EnvTable& table = platform_.env_table_;
   for (const EnvId id : touched_envs_) {
     const EnvRecord* rec = table.find(id);
-    if (rec == nullptr) continue;
-    if (envs_seen_.size() <= id) envs_seen_.resize(id + 1);
-    EnvSeen& seen = envs_seen_[id];
-    if (seen.seen) {
-      --ledger_.states[static_cast<std::size_t>(seen.state)];
-      ledger_.pool_bytes -= seen.pool_bytes;
+    const EnvSeen* was = envs_seen_.find(id);
+    if (rec == nullptr && was == nullptr) continue;  // erased, or not issued
+    if (was != nullptr) {
+      --ledger_.states[slot(was->state)];
+      ledger_.pool_bytes -= was->pool_bytes;
     }
-    seen.seen = true;
-    seen.state = rec->state();
-    seen.pool_bytes = table.pooled(id) ? rec->memory_bytes : 0;
-    ++ledger_.states[static_cast<std::size_t>(seen.state)];
-    ledger_.pool_bytes += seen.pool_bytes;
+    if (rec == nullptr) {  // erased: it stays in the books as reclaimed
+      ++ledger_.states[slot(EnvState::kReclaimed)];
+      envs_seen_.erase(id);
+      continue;
+    }
+    const EnvSeen now{rec->state(), table.pooled(id) ? rec->memory_bytes : 0};
+    envs_seen_.insert_or_assign(id, now);
+    ++ledger_.states[slot(now.state)];
+    ledger_.pool_bytes += now.pool_bytes;
   }
 }
 
@@ -184,8 +187,11 @@ InvariantOracle::Ledger InvariantOracle::recount() {
     fresh.add(s->request.sequence, now, +1);
   });
   const EnvTable& table = platform_.env_table_;
+  // An erased record is reclaimed.
+  fresh.states[slot(EnvState::kReclaimed)] =
+      table.size() - table.records().size();
   for (const EnvRecord& rec : table.records()) {
-    ++fresh.states[static_cast<std::size_t>(rec.state())];
+    ++fresh.states[slot(rec.state())];
   }
   for (const EnvId id : table.pool()) {
     fresh.pool_bytes += table.find(id)->memory_bytes;
@@ -255,14 +261,16 @@ std::vector<std::uint64_t> InvariantOracle::all_entities(
   std::vector<std::uint64_t> entities;
   switch (scope) {
     case Scope::kEnv: {
-      const std::size_t count = platform_.env_table_.size();
-      for (std::uint64_t id = 1; id <= count; ++id) entities.push_back(id);
-      // The warehouse may map ids the table never issued.
+      // The held records, the ids sessions are bound to and the ids the
+      // warehouse maps: every environment predicate holds on any other.
+      for (const EnvRecord& rec : platform_.env_table_.records()) {
+        entities.push_back(rec.id);
+      }
+      l.bound.for_each([&](EnvId id, const auto&) { entities.push_back(id); });
       platform_.server_->warehouse().for_each_entry(
           [&](const CacheEntry& entry) {
-            for (const EnvId id : entry.containers) {
-              if (id == 0 || id > count) entities.push_back(id);
-            }
+            entities.insert(entities.end(), entry.containers.begin(),
+                            entry.containers.end());
           });
       break;
     }
@@ -334,10 +342,10 @@ void InvariantOracle::quiescent_sweep() {
     invariants_[i].open = std::move(open[i]);
   }
   const EnvTable& table = platform_.env_table_;
-  envs_seen_.assign(table.size() + 1, EnvSeen{});
+  envs_seen_.clear();
   for (const EnvRecord& rec : table.records()) {
-    envs_seen_[rec.id] = {rec.state(),
-                          table.pooled(rec.id) ? rec.memory_bytes : 0, true};
+    envs_seen_.insert_or_assign(
+        rec.id, {rec.state(), table.pooled(rec.id) ? rec.memory_bytes : 0});
   }
 }
 
@@ -346,16 +354,18 @@ void InvariantOracle::quiescent_sweep() {
 
 std::optional<std::string> InvariantOracle::session_env_liveness(
     std::uint64_t env, const Ledger& l) const {
-  if (l.bound_count(env) == 0) return std::nullopt;
-  const EnvRecord* rec = platform_.env_table_.find(static_cast<EnvId>(env));
-  if (rec == nullptr || rec->live() || rec->failed) return std::nullopt;
-  if (platform_.server_->monitor().crash_pending(rec->id)) {
+  const auto id = static_cast<EnvId>(env);
+  if (l.bound_count(id) == 0) return std::nullopt;
+  // A bound session pins its record, so an erased one is always a
+  // violation; a held dead one is not while its crash awaits detection.
+  const EnvRecord* rec = platform_.env_table_.find(id);
+  if (rec != nullptr && (rec->live() || rec->failed ||
+                         platform_.server_->monitor().crash_pending(id))) {
     return std::nullopt;
   }
-  const std::vector<std::uint64_t>& bound = l.bound[env];
-  return "request " +
-         std::to_string(*std::min_element(bound.begin(), bound.end())) +
-         " bound to dead env " + std::to_string(env);
+  return "request " + std::to_string(std::ranges::min(*l.bound.find(id))) +
+         " bound to " + (rec != nullptr ? "dead" : "erased") + " env " +
+         std::to_string(env);
 }
 
 std::optional<std::string> InvariantOracle::affinity_live(
@@ -403,7 +413,7 @@ std::optional<std::string> InvariantOracle::inflight_consistency(
     std::uint64_t env, const Ledger& l) const {
   const EnvRecord* rec = platform_.env_table_.find(static_cast<EnvId>(env));
   if (rec == nullptr) return std::nullopt;
-  const std::size_t bound = l.bound_count(env);
+  const std::size_t bound = l.bound_count(static_cast<EnvId>(env));
   if (bound == rec->inflight) return std::nullopt;
   return "env " + std::to_string(env) + " pins " +
          std::to_string(rec->inflight) + " sessions, " +
@@ -413,9 +423,8 @@ std::optional<std::string> InvariantOracle::inflight_consistency(
 std::optional<std::string> InvariantOracle::db_consistency(
     std::uint64_t env, const Ledger& /*l*/) const {
   const EnvRecord* rec = platform_.env_table_.find(static_cast<EnvId>(env));
-  if (rec == nullptr || !rec->live() || !rec->ready()) return std::nullopt;
-  const Platform::Env& e = platform_.env_of(rec->id);
-  if (e.is_vm() || (e.cac != nullptr && e.cac->booted())) return std::nullopt;
+  if (rec == nullptr || !rec->ready()) return std::nullopt;
+  if (rec->is_vm() || (rec->cac && rec->cac->booted())) return std::nullopt;
   return "env " + std::to_string(env) + " serving without a booted container";
 }
 

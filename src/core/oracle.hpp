@@ -45,6 +45,7 @@
 #include "core/env_table.hpp"
 #include "core/invariant.hpp"
 #include "core/platform.hpp"
+#include "sim/flat_hash.hpp"
 
 namespace rattrap::core {
 
@@ -90,7 +91,7 @@ class InvariantOracle {
   /// live sessions and sums over them, and the records' states.
   struct Ledger {
     std::unordered_map<std::uint64_t, SessionSeen> sessions;  ///< by sequence
-    std::vector<std::vector<std::uint64_t>> bound;  ///< by env id: sequences
+    sim::FlatHashMap<EnvId, std::vector<std::uint64_t>> bound;  ///< by env
     std::uint32_t computing = 0;
     std::uint32_t admitted = 0;
     std::uint32_t queued = 0;
@@ -100,13 +101,13 @@ class InvariantOracle {
 
     void add(std::uint64_t sequence, const SessionSeen& seen, int sign);
     [[nodiscard]] std::size_t bound_count(EnvId id) const {
-      return id < bound.size() ? bound[id].size() : 0;
+      const std::vector<std::uint64_t>* on_env = bound.find(id);
+      return on_env != nullptr ? on_env->size() : 0;
     }
   };
   struct EnvSeen {
     EnvState state = EnvState::kCold;
     std::uint64_t pool_bytes = 0;
-    bool seen = false;
   };
   enum class Scope : std::uint8_t { kEnv, kTenant, kPlatform };
   using Predicate = std::optional<std::string> (InvariantOracle::*)(
@@ -170,7 +171,8 @@ class InvariantOracle {
   InvariantChecker& checker_;
   std::vector<Invariant> invariants_;
   Ledger ledger_;
-  std::vector<EnvSeen> envs_seen_;  ///< by env id
+  /// The records as last seen, by id; an erased one leaves as reclaimed.
+  sim::FlatHashMap<EnvId, EnvSeen> envs_seen_;
   std::vector<std::string> tenants_;  ///< by tenant index
   std::unordered_map<std::string, std::uint32_t> tenant_ids_;
   std::vector<EnvId> touched_envs_;

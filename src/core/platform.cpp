@@ -275,7 +275,8 @@ double Platform::cpu_factor() const {
                                    : cal.vm_cpu_factor;
 }
 
-sim::SimDuration Platform::compute_io_time(Env& env, std::uint64_t bytes,
+sim::SimDuration Platform::compute_io_time(const EnvRecord& env,
+                                           std::uint64_t bytes,
                                            std::uint32_t ops) const {
   if (bytes == 0 && ops == 0) return 0;
   const Calibration& cal = server_->calibration();
@@ -303,33 +304,37 @@ sim::SimDuration Platform::compute_io_time(Env& env, std::uint64_t bytes,
 // ---------------------------------------------------------------------
 // Environment provisioning
 
-Platform::Env& Platform::provision_env(EnvKey binding_key,
-                                       sim::SimTime now) {
-  EnvRecord& rec = env_table_.add(
+EnvRecord& Platform::provision_env(EnvKey binding_key, sim::SimTime now) {
+  EnvRecord& env = env_table_.add(
       config_.container_backing ? EnvBacking::kContainer : EnvBacking::kVm,
       binding_key, now);
-  Env& env = *envs_.emplace_back(std::make_unique<Env>(rec));
   const bool started = env.is_vm() ? provision_vm(env) : provision_cac(env);
   if (!started) {
     // Dead on arrival — the VM density wall of a 512 MB-per-VM resource
     // model on a 16 GB server, a missing kernel feature, a cgroup memory
     // limit or an injected device-namespace teardown.  Every waiting
-    // session is answered with a rejection.
+    // session is answered with a rejection; the last one to unbind, or
+    // this run when none waits, erases the record.
     metrics_.counter("env.provision_failed").inc();
-    rec.failed = true;
-    rec.memory_bytes = 0;
+    env.failed = true;
+    env.memory_bytes = 0;
     env.cac.reset();  // hands a half-started container back
-    server_->simulator().schedule_in(0, [&env]() { env.run_waiters(); });
+    server_->simulator().schedule_in(0, [this, id = env.id]() {
+      if (EnvRecord* failed = env_table_.find(id)) {
+        for (auto& waiter : std::exchange(failed->waiters, {})) waiter();
+      }
+      if (EnvRecord* failed = env_table_.find(id)) prune(*failed);
+    });
   }
-  env_table_.transition(rec.id, EnvState::kBooting, now);
-  if (!started) env_table_.transition(rec.id, EnvState::kReclaimed, now);
+  env_table_.transition(env.id, EnvState::kBooting, now);
+  if (!started) env_table_.transition(env.id, EnvState::kReclaimed, now);
   return env;
 }
 
-bool Platform::provision_vm(Env& env) {
+bool Platform::provision_vm(EnvRecord& env) {
   const Calibration& cal = server_->calibration();
   vm::VmConfig vc;
-  vc.name = "android-vm-" + std::to_string(env.id());
+  vc.name = "android-vm-" + std::to_string(env.id);
   vc.vcpus = 1;
   vc.memory = cal.vm_memory;
   vc.disk_image = android::stock_layer()->total_bytes();
@@ -339,17 +344,18 @@ bool Platform::provision_vm(Env& env) {
   if (machine == nullptr) return false;  // host memory exhausted
   env.vm_id = machine->id();
   env.disk_bytes = vc.disk_image;
-  env.rec.memory_bytes = vc.memory;
+  env.memory_bytes = vc.memory;
 
   const sim::SimTime boot_start = server_->simulator().now();
   server_->hypervisor().boot(
       env.vm_id, android::vm_boot_plan(android::OsProfile::kStock),
-      [this, &env, boot_start](sim::SimTime booted_at) {
+      [this, id = env.id, boot_start](sim::SimTime booted_at) {
         // Boot keeps roughly one guest vCPU busy end to end.
         server_->monitor().record_cpu(boot_start, booted_at, 0.85);
         server_->simulator().schedule_in(
-            server_->calibration().env_register_cost,
-            [this, &env]() { env_ready(env); });
+            server_->calibration().env_register_cost, [this, id]() {
+              if (EnvRecord* env = live_env(id)) env_ready(*env);
+            });
       });
   return true;
 }
@@ -382,14 +388,14 @@ const CacTemplate& Platform::cac_template() {
   return *cac_template_;
 }
 
-bool Platform::provision_cac(Env& env) {
+bool Platform::provision_cac(EnvRecord& env) {
   const CacTemplate& tmpl = cac_template();
   // A later CAC finds the shared layer page-cached by the first boot.
-  const bool warm = config_.shared_resource_layer && envs_.size() > 1;
+  const bool warm = config_.shared_resource_layer && env_table_.size() > 1;
   env.cac = std::make_unique<CloudAndroidContainer>(
-      tmpl, "cac-" + std::to_string(env.id()), warm, server_->containers(),
+      tmpl, "cac-" + std::to_string(env.id), warm, server_->containers(),
       server_->driver());
-  env.rec.memory_bytes = tmpl.container->memory_limit;
+  env.memory_bytes = tmpl.container->memory_limit;
 
   const auto start_cost = env.cac->start_container(server_->kernel());
   if (!start_cost.has_value()) return false;
@@ -405,91 +411,85 @@ bool Platform::provision_cac(Env& env) {
   // teardown frees the CAC.
   sim::Simulator& simulator = server_->simulator();
   const sim::SimTime cpu_start = simulator.now() + *start_cost;
-  auto after_io = [this, &env, cpu = boot.cpu_total(), cpu_start]() {
-    if (!env.rec.live()) return;
+  auto after_io = [this, id = env.id, cpu = boot.cpu_total(), cpu_start]() {
+    if (live_env(id) == nullptr) return;
     sim::Simulator& simulator2 = server_->simulator();
     const sim::SimTime now = simulator2.now();
     const sim::SimTime cpu_done = now + cpu;
     server_->monitor().record_cpu(std::max(cpu_start, now), cpu_done, 0.9);
-    simulator2.schedule_at(cpu_done, [this, &env]() {
-      if (!env.rec.live()) return;
-      env.cac->finish_boot(server_->simulator().now());
+    simulator2.schedule_at(cpu_done, [this, id]() {
+      EnvRecord* env = live_env(id);
+      if (env == nullptr) return;
+      env->cac->finish_boot(server_->simulator().now());
       if (config_.shared_resource_layer) {
-        env.disk_bytes = env.cac->private_disk_bytes();
+        env->disk_bytes = env->cac->private_disk_bytes();
       }
       server_->simulator().schedule_in(
-          server_->calibration().env_register_cost,
-          [this, &env]() { env_ready(env); });
+          server_->calibration().env_register_cost, [this, id]() {
+            if (EnvRecord* env = live_env(id)) env_ready(*env);
+          });
     });
   };
 
   simulator.schedule_at(cpu_start,
                         [this, disk_read = boot.disk_read_bytes, after_io]() {
-    if (disk_read == 0) {
-      after_io();
-      return;
-    }
+    if (disk_read == 0) return after_io();
     server_->disk().submit(fs::IoKind::kRead, disk_read,
                            /*sequential=*/true, after_io);
   });
   return true;
 }
 
-void Platform::env_ready(Env& env) {
-  EnvRecord& rec = env.rec;
-  rec.ready_at = server_->simulator().now();
-  rec.busy_until = rec.ready_at;
+void Platform::env_ready(EnvRecord& env) {
+  env.ready_at = server_->simulator().now();
+  env.busy_until = env.ready_at;
   // A draining env turns ready with no transition.
-  if (oracle_ != nullptr) oracle_->touch_env(env.id());
-  if (env_provisioned_ == nullptr) {
-    env_provisioned_ = &metrics_.counter("env.provisioned");
-    env_provision_ms_ = &metrics_.histogram("env.provision_ms");
-  }
-  env_provisioned_->inc();
-  env_provision_ms_->observe(
-      sim::to_millis(rec.ready_at - rec.provisioned_at));
-  server_->monitor().env_up(env.id());
+  if (oracle_ != nullptr) oracle_->touch_env(env.id);
+  resolve(env_provisioned_, metrics_, "env.provisioned").inc();
+  resolve(env_provision_ms_, metrics_, "env.provision_ms")
+      .observe(sim::to_millis(env.ready_at - env.provisioned_at));
+  server_->monitor().env_up();
   if (pool_controller_ != nullptr) {
     pool_controller_->observe_boot(
-        sim::to_seconds(rec.ready_at - rec.provisioned_at));
+        sim::to_seconds(env.ready_at - env.provisioned_at));
   }
   // A drain begun mid-boot already moved the record to draining.
-  const bool draining = rec.state() == EnvState::kDraining;
+  const bool draining = env.state() == EnvState::kDraining;
   if (!draining) {
     env_table_.transition(
-        env.id(), rec.inflight > 0 ? EnvState::kLeased : EnvState::kWarmIdle,
-        rec.ready_at);
+        env.id, env.inflight > 0 ? EnvState::kLeased : EnvState::kWarmIdle,
+        env.ready_at);
   }
-  env.run_waiters();
+  // Resumes the sessions waiting for the boot; none ends, as it succeeded.
+  for (auto& waiter : std::exchange(env.waiters, {})) waiter();
   if (draining) {
-    if (rec.inflight == 0) finish_drain(env);
+    if (env.inflight == 0) finish_drain(env);
     return;
   }
   schedule_reclaim(env);
 }
 
-Platform::Env& Platform::env_of(EnvId id) { return *envs_[id - 1]; }
-
-void Platform::schedule_reclaim(Env& env) {
+void Platform::schedule_reclaim(EnvRecord& env) {
   if (config_.env_idle_timeout <= 0) return;
-  const std::uint64_t epoch = env.rec.jobs_served;
+  const std::uint64_t epoch = env.jobs_served;
   server_->simulator().schedule_in(
-      config_.env_idle_timeout, [this, &env, epoch]() {
-        const EnvRecord& rec = env.rec;
-        if (!rec.ready()) return;
-        if (env_table_.pooled(rec.id)) return;  // waiting warm
-        if (rec.jobs_served != epoch) return;   // work arrived since
-        if (rec.inflight > 0) return;           // sessions in progress
-        if (rec.busy_until > server_->simulator().now()) return;
-        begin_drain(env);
+      config_.env_idle_timeout, [this, id = env.id, epoch]() {
+        EnvRecord* env = live_env(id);
+        if (env == nullptr || !env->ready()) return;
+        if (env_table_.pooled(id)) return;      // waiting warm
+        if (env->jobs_served != epoch) return;  // work arrived since
+        if (env->inflight > 0) return;          // sessions in progress
+        if (env->busy_until > server_->simulator().now()) return;
+        begin_drain(*env);
       });
 }
 
-void Platform::teardown_env(Env& env, bool crashed) {
-  server_->monitor().env_down(env.id());
-  env_table_.transition(env.id(), EnvState::kReclaimed,
+void Platform::teardown_env(EnvRecord& env, bool crashed) {
+  assert(env.ready_at >= 0 && "only a booted env was counted up");
+  server_->monitor().env_down();
+  env_table_.transition(env.id, EnvState::kReclaimed,
                         server_->simulator().now());
-  server_->warehouse().forget_env(env.id());
+  server_->warehouse().forget_env(env.id);
   if (env.is_vm()) {
     server_->hypervisor().destroy(env.vm_id);
   } else if (env.cac && crashed) {
@@ -503,52 +503,43 @@ void Platform::teardown_env(Env& env, bool crashed) {
 // ---------------------------------------------------------------------
 // Elastic capacity machinery (docs/ELASTIC.md)
 
-std::uint64_t Platform::session_pool_heap_fallbacks() const {
-  return session_pool_->heap_fallbacks();
-}
-
-void Platform::begin_drain(Env& env) {
-  if (!env.rec.leasable()) return;  // already draining or reclaimed
-  if (drained_ == nullptr) drained_ = &metrics_.counter("elastic.drained");
-  drained_->inc();
+void Platform::begin_drain(EnvRecord& env) {
+  if (!env.leasable()) return;  // already draining or reclaimed
+  resolve(drained_, metrics_, "elastic.drained").inc();
   // Leaves the warm pool and the key index for good: the dispatcher
   // never routes new work here; in-flight sessions keep their binding
   // through s->env.
-  env_table_.transition(env.id(), EnvState::kDraining,
+  env_table_.transition(env.id, EnvState::kDraining,
                         server_->simulator().now());
-  if (env.rec.ready() && env.rec.inflight == 0) finish_drain(env);
+  if (env.ready() && env.inflight == 0) finish_drain(env);
 }
 
-void Platform::finish_drain(Env& env) {
-  if (!env.rec.live()) return;
+void Platform::finish_drain(EnvRecord& env) {
   if (!env.is_vm() && env.cac != nullptr) {
     // Reclaim the private COW layer; shared lower layers stay for the
     // environments still referencing them.
     const std::uint64_t freed = env.cac->reclaim_private_layer();
     if (freed > 0) {
-      if (reclaimed_private_bytes_ == nullptr) {
-        reclaimed_private_bytes_ =
-            &metrics_.counter("elastic.reclaimed.private_bytes");
-      }
-      reclaimed_private_bytes_->inc(freed);
+      resolve(reclaimed_private_bytes_, metrics_,
+              "elastic.reclaimed.private_bytes")
+          .inc(freed);
     }
   }
   teardown_env(env, /*crashed=*/false);
+  prune(env);
 }
 
 bool Platform::drain_env(std::uint32_t env_id) {
-  const EnvRecord* rec = env_table_.find(env_id);
-  if (rec == nullptr || !rec->leasable()) return false;
-  begin_drain(env_of(env_id));
+  EnvRecord* env = env_table_.find(env_id);
+  if (env == nullptr || !env->leasable()) return false;
+  begin_drain(*env);
   return true;
 }
 
-Platform::Env& Platform::prewarm_env() {
-  Env& env =
-      provision_env(EnvKey::pool(pool_seq_++), server_->simulator().now());
-  env_table_.add_to_pool(env.id());
+void Platform::prewarm_env() {
+  env_table_.add_to_pool(
+      provision_env(EnvKey::pool(pool_seq_++), server_->simulator().now()).id);
   metrics_.counter("elastic.prewarmed").inc();
-  return env;
 }
 
 std::uint64_t Platform::default_env_memory() const {
@@ -594,7 +585,7 @@ std::uint32_t Platform::elastic_retire_warm(std::uint32_t count) {
       victims.push_back(*it);
     }
   }
-  for (const EnvId id : victims) begin_drain(env_of(id));
+  for (const EnvId id : victims) begin_drain(*env_table_.find(id));
   return static_cast<std::uint32_t>(victims.size());
 }
 
@@ -768,7 +759,7 @@ void Platform::reset_run() {
   streams_.clear();
   run_active_ = true;
   sim::Simulator& simulator = server_->simulator();
-  if (envs_.empty()) {
+  if (env_table_.size() == 0) {
     const std::uint32_t initial =
         elastic::initial_target(config_.elastic, default_env_memory());
     for (std::uint32_t i = 0; i < initial; ++i) prewarm_env();
@@ -784,19 +775,18 @@ void Platform::reset_run() {
       for (const sim::SimTime when : faults_->scheduled_times(kind)) {
         simulator.schedule_at(when, [this, kind]() {
           std::optional<EnvId> victim;
-          for (const EnvId id : env_table_.live_ids()) {
-            const EnvRecord& rec = *env_table_.find(id);
+          for (const EnvRecord& rec : env_table_.records()) {
             if (!rec.ready()) continue;
-            if (!victim) victim = id;
+            if (!victim) victim = rec.id;
             if (rec.inflight > 0) {
-              victim = id;
+              victim = rec.id;
               break;
             }
           }
           if (!victim) return;  // nothing alive to kill
           faults_->record_scheduled_fire(kind,
                                          server_->simulator().now());
-          crash_env(env_of(*victim));
+          crash_env(*env_table_.find(*victim));
         });
       }
     }
@@ -1114,7 +1104,6 @@ void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
     }
     if (*verdict == AdmissionController::Admitted::kQueued) {
       s->queued = true;
-      s->enqueued_at = simulator.now();
       s->pending_lead = platform_cost;
       queued_sessions_.emplace(s->request.sequence, s);
       touched(*s);
@@ -1163,34 +1152,33 @@ void Platform::dispatch(const std::shared_ptr<SessionState>& s,
                         sim::SimDuration lead_cost) {
   sim::Simulator& simulator = server_->simulator();
   ++s->dispatch_attempts;
-  EnvRecord* record =
+  const EnvRecord* picked =
       dispatcher_->assign(s->request, s->app->code_ref, simulator.now(),
                           class_backlog_threshold(s->klass), s->klass);
-  Env* env = record != nullptr ? &env_of(record->id) : nullptr;
-  simulator.schedule_in(lead_cost, guarded<&Platform::on_dispatched>(s, env));
+  simulator.schedule_in(lead_cost, guarded<&Platform::on_dispatched>(
+                                       s, picked != nullptr ? picked->id : 0));
 }
 
 void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
-                             Env* env) {
+                             EnvId picked) {
   SessionScope scope(*this, *s);
-  Env* target = env;
+  // The pick (0: none) may have drained, or left the table, meanwhile.
+  EnvRecord* target = env_table_.find(picked);
   bool claimed_pool = false;
   bool fresh = false;
-  if (target == nullptr || !target->rec.leasable()) {
+  if (target == nullptr || !target->leasable()) {
     const EnvKey key = Dispatcher::binding_key(s->request);
     // A warm-pool environment (pre-booted, unclaimed) is rebound to
     // this device instead of paying a cold start; the lowest id wins.
     // Draining capacity left the pool the moment its drain began.
     if (const std::optional<EnvId> claimed = env_table_.claim_pool()) {
-      target = &env_of(*claimed);
-      if (target->rec.ready()) {
+      target = env_table_.find(*claimed);
+      if (target->ready()) {
         // Prewarm lead time: how far ahead of demand the controller
         // had this environment standing warm.
-        if (prewarm_lead_ms_ == nullptr) {
-          prewarm_lead_ms_ = &metrics_.histogram("elastic.prewarm.lead_ms");
-        }
-        prewarm_lead_ms_->observe(sim::to_millis(
-            server_->simulator().now() - target->rec.ready_at));
+        resolve(prewarm_lead_ms_, metrics_, "elastic.prewarm.lead_ms")
+            .observe(sim::to_millis(server_->simulator().now() -
+                                    target->ready_at));
       }
       env_table_.rebind(*claimed, key);
       claimed_pool = true;
@@ -1203,7 +1191,7 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
       target = &provision_env(key, server_->simulator().now());
     }
   }
-  EnvRecord& rec = target->rec;
+  EnvRecord& rec = *target;
   if (!fresh) {
     fresh = !rec.ready();
     begin_phase(*s, fresh ? "provision" : "reuse");
@@ -1226,14 +1214,14 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
   if (rec.ready()) {
     on_env_ready(s);
   } else {
-    target->waiters.push_back(guarded<&Platform::on_env_ready>(s));
+    rec.waiters.push_back(guarded<&Platform::on_env_ready>(s));
   }
 }
 
 void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
-  if (s->env->rec.failed) {
+  if (s->env->failed) {
     // Provisioning failed (host capacity): reject the request.
     reject_session(s, RejectReason::kCapacity);
     return;
@@ -1364,7 +1352,7 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
   begin_phase(*s, "execute");  // transfer ends now; queueing included
-  Env& env = *s->env;
+  EnvRecord& env = *s->env;
 
   // The controller filters every workflow leaving the container (§IV-E);
   // honest benchmark apps hold all of these grants.  Adversarial streams
@@ -1468,9 +1456,9 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   const sim::SimDuration duration = static_cast<sim::SimDuration>(
       static_cast<double>(classload + binder_cost + cpu + io + interaction) *
       contention);
-  const sim::SimTime start = std::max(simulator.now(), env.rec.busy_until);
+  const sim::SimTime start = std::max(simulator.now(), env.busy_until);
   const sim::SimTime done = start + duration;
-  env.rec.busy_until = done;
+  env.busy_until = done;
   server_->monitor().record_cpu(start, done, 1.0);
   server_->monitor().job_started(s->klass);
   s->computing = true;
@@ -1485,8 +1473,9 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
     const bool oom_fire = faults_->should_fire(
         sim::FaultKind::kContainerOom, simulator.now());
     if (crash_fire || oom_fire) {
-      simulator.schedule_at(start + duration / 2,
-                            [this, &env]() { crash_env(env); });
+      simulator.schedule_at(start + duration / 2, [this, id = env.id]() {
+        if (EnvRecord* env = live_env(id)) crash_env(*env);
+      });
     }
   }
   simulator.schedule_at(done, guarded<&Platform::on_computed>(s));
@@ -1498,15 +1487,15 @@ void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
   server_->monitor().job_finished(s->klass);
   s->computing = false;
   touched(*s);
-  Env& env = *s->env;
+  EnvRecord& env = *s->env;
   // Computation phase spans upload-end → compute-end (queueing included).
   s->phases.computation = simulator.now() -
                           (s->connected_at + s->phases.runtime_preparation +
                            s->phases.data_transfer);
   begin_phase(*s, "teardown");  // result download + completion control
-  ++env.rec.jobs_served;
+  ++env.jobs_served;
   if (config_.code_cache) {
-    server_->warehouse().record_execution(s->app->code_ref, env.id());
+    server_->warehouse().record_execution(s->app->code_ref, env.id);
   }
 
   // Result + completion control flow back.
@@ -1544,13 +1533,12 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
       s->phases, s->upload_time, s->download_time, radio);
   outcome.local_energy_mj = dev.local_energy_mj(s->kind, s->executed, radio);
   outcome.traffic = s->conn->traffic();
-  outcome.env_id = s->env->id();
+  outcome.env_id = s->env->id;
   outcome.code_cache_hit = s->cache_hit;
   outcome.queue_wait = s->queue_wait;
   outcome.recovered = s->recovered;
   outcome.deadline_missed =
       s->deadline > 0 && outcome.response > s->deadline;
-  env_traffic_[s->env->id()].merge(s->conn->traffic());
 
   SessionMetrics& sm = session_metrics_;
   const std::size_t klass = qos::class_index(s->klass);
@@ -1581,7 +1569,7 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
   }
   if (s->span_session != obs::kNoSpan) {
     trace_.annotate(s->span_session, "env_id",
-                    static_cast<std::uint64_t>(s->env->id()));
+                    static_cast<std::uint64_t>(s->env->id));
     trace_.annotate(s->span_session, "cache_hit",
                     static_cast<std::uint64_t>(s->cache_hit ? 1 : 0));
     if (s->recovered) {
@@ -1646,8 +1634,8 @@ void Platform::note_resumption(SessionState& s) {
   }
 }
 
-void Platform::crash_env(Env& env) {
-  if (!env.rec.live()) return;
+void Platform::crash_env(EnvRecord& env) {
+  if (!env.live()) return;
   metrics_.counter("env.crashes").inc();
   teardown_env(env, /*crashed=*/true);
   // Sessions bound to the dead environment: neutralize every scheduled
@@ -1672,7 +1660,8 @@ void Platform::crash_env(Env& env) {
     }
     touched(*s);
   });
-  server_->monitor().notify_crash(env.id());
+  server_->monitor().notify_crash(env.id);
+  prune(env);
 }
 
 void Platform::recover_env(std::uint32_t env_id) {
@@ -1682,14 +1671,14 @@ void Platform::recover_env(std::uint32_t env_id) {
   // what notices.
   if (oracle_ != nullptr) oracle_->touch_env(env_id);
   if (!config_.crash_recovery) return;
-  if (env_table_.find(env_id) == nullptr) return;
-  Env& dead = env_of(env_id);
+  EnvRecord* dead = env_table_.find(env_id);
+  if (dead == nullptr) return;  // erased: no session was bound to it
   std::vector<std::shared_ptr<SessionState>> victims;
   for_each_live([&](const std::shared_ptr<SessionState>& s) {
-    if (!s->done && s->env == &dead) victims.push_back(s);
+    if (!s->done && s->env == dead) victims.push_back(s);
   });
   for (const auto& s : victims) {
-    if (dead.rec.inflight > 0) --dead.rec.inflight;
+    if (dead->inflight > 0) --dead->inflight;
     s->env = nullptr;
     ++s->epoch;
     touched(*s);
@@ -1707,6 +1696,7 @@ void Platform::recover_env(std::uint32_t env_id) {
     }
     dispatch(s, server_->calibration().dispatcher_cost);
   }
+  prune(*dead);
 }
 
 void Platform::on_tenant_blocked(const std::string& tenant,
@@ -1818,18 +1808,19 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s) {
     s->staged = false;
   }
   if (s->env != nullptr) {
-    EnvRecord& rec = s->env->rec;
-    if (rec.inflight > 0) --rec.inflight;
-    if (rec.ready() && rec.inflight == 0) {
-      if (rec.state() == EnvState::kDraining) {
+    EnvRecord& env = *std::exchange(s->env, nullptr);
+    if (env.inflight > 0) --env.inflight;
+    if (!env.live()) {
+      prune(env);  // the last session left a crashed or failed env
+    } else if (env.ready() && env.inflight == 0) {
+      if (env.state() == EnvState::kDraining) {
         // Last in-flight session left a draining environment: reclaim.
-        finish_drain(*s->env);
+        finish_drain(env);
       } else {
-        env_table_.transition(rec.id, EnvState::kWarmIdle, now);
-        schedule_reclaim(*s->env);
+        env_table_.transition(env.id, EnvState::kWarmIdle, now);
+        schedule_reclaim(env);
       }
     }
-    s->env = nullptr;
   }
   s->done = true;
   ++completed_;
@@ -1865,25 +1856,20 @@ void Platform::touched(const SessionState& s) {
 
 // ---------------------------------------------------------------------
 
-double Platform::memory_time_byte_seconds() const {
-  const sim::SimTime now =
-      server_ ? static_cast<const CloudServer&>(*server_).simulator().now()
-              : 0;
-  return env_table_.memory_byte_seconds(now);
-}
-
 ProvisionStats Platform::measure_provision() {
-  assert(envs_.empty() && "measure_provision needs a fresh platform");
+  assert(env_table_.size() == 0 && "measure_provision needs a fresh platform");
   config_.env_idle_timeout = 0;  // a probe environment is never reclaimed
   sim::Simulator& simulator = server_->simulator();
-  Env& env = provision_env(EnvKey::probe(), simulator.now());
+  const EnvId id = provision_env(EnvKey::probe(), simulator.now()).id;
   simulator.run();
-  assert(env.rec.ready());
+  const EnvRecord* env = env_table_.find(id);
+  if (env == nullptr) return {};  // the provision failed
+  assert(env->ready());
 
   ProvisionStats stats;
-  stats.setup_time = env.rec.ready_at - env.rec.provisioned_at;
+  stats.setup_time = env->ready_at - env->provisioned_at;
   const Calibration& cal = server_->calibration();
-  if (env.is_vm()) {
+  if (env->is_vm()) {
     stats.memory_configured = cal.vm_memory;
     stats.memory_usage =
         android::device_userspace_boot(android::OsProfile::kStock)
@@ -1892,9 +1878,9 @@ ProvisionStats Platform::measure_provision() {
     stats.memory_configured = config_.customized_os
                                   ? cal.cac_opt_memory
                                   : cal.cac_plain_memory;
-    stats.memory_usage = env.cac->boot_memory();
+    stats.memory_usage = env->cac->boot_memory();
   }
-  stats.disk_bytes = env.disk_bytes;
+  stats.disk_bytes = env->disk_bytes;
   stats.shared_disk_bytes = config_.shared_resource_layer
                                 ? server_->shared_layer().shared_bytes()
                                 : 0;

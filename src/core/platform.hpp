@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "android/app.hpp"
-#include "android/classloader.hpp"
 #include "container/registry.hpp"
 #include "core/admission.hpp"
 #include "core/cac.hpp"
@@ -319,21 +318,17 @@ class Platform {
   /// the Table I statistics.  Usable once, on a fresh Platform.
   ProvisionStats measure_provision();
 
-  /// Per-environment traffic accounts (Fig. 3's per-VM composition).
-  [[nodiscard]] const std::map<std::uint32_t, net::TrafficAccount>&
-  env_traffic() const {
-    return env_traffic_;
-  }
-
   /// Device-side radio profile implied by the configured link.
   [[nodiscard]] device::RadioProfile radio_profile() const;
 
-  /// The environments provisioned so far.
+  /// The environments provisioned so far (reclaimed ones included).
   [[nodiscard]] std::size_t env_count() const { return env_table_.size(); }
 
   /// Integral of committed environment memory over simulated time so far
   /// (byte·seconds) — the resource cost a warm pool pays (§III-B).
-  [[nodiscard]] double memory_time_byte_seconds() const;
+  [[nodiscard]] double memory_time_byte_seconds() const {
+    return env_table_.memory_byte_seconds(server_->simulator().now());
+  }
 
   /// The installed fault injector, or nullptr when the plan is empty.
   [[nodiscard]] sim::FaultInjector* fault_injector() {
@@ -356,7 +351,9 @@ class Platform {
   /// Session-record allocations that overflowed the slab pool into the
   /// heap.  Stays 0 when the pool's block size covers allocate_shared's
   /// combined control-block + SessionState request (tests assert this).
-  [[nodiscard]] std::uint64_t session_pool_heap_fallbacks() const;
+  [[nodiscard]] std::uint64_t session_pool_heap_fallbacks() const {
+    return session_pool_->heap_fallbacks();
+  }
 
   /// The platform-wide metrics registry (docs/OBSERVABILITY.md). Always
   /// live: every component is wired at construction and instrument
@@ -375,7 +372,7 @@ class Platform {
 
   /// The environment table: the one record and lifecycle state
   /// (cold → booting → warm_idle ⇄ leased → draining → reclaimed) of
-  /// every environment this platform ever provisioned.
+  /// every environment, until it is reclaimed and no session is bound.
   [[nodiscard]] const EnvTable& env_table() const { return env_table_; }
 
   /// Integral of warm-idle memory over simulated time (byte·seconds) —
@@ -408,11 +405,9 @@ class Platform {
   friend class Session;
   friend class InvariantOracle;
   /// Defined only by tests (forced illegal transitions, planted invariant
-  /// violations, the oracle's per-event full sweep), so no caller can add
-  /// a table record without a matching Env.
+  /// violations, the oracle's per-event full sweep).
   friend struct PlatformTestPeer;
 
-  struct Env;
   struct SessionState;
   struct SessionScope;  ///< RAII: marks the session a handler acts for
 
@@ -454,23 +449,32 @@ class Platform {
     bool open = true;
   };
 
-  Env& provision_env(EnvKey binding_key, sim::SimTime now);
+  EnvRecord& provision_env(EnvKey binding_key, sim::SimTime now);
   /// Start the VM / container; false when provisioning failed.
-  bool provision_vm(Env& env);
-  bool provision_cac(Env& env);
+  bool provision_vm(EnvRecord& env);
+  bool provision_cac(EnvRecord& env);
   /// The CAC template of this platform's OS profile, built (and its
   /// lower layers pinned) on first use.
   const CacTemplate& cac_template();
-  void env_ready(Env& env);
-  void schedule_reclaim(Env& env);
+  /// What an environment continuation's captured id resolves to: the
+  /// record while it is held and live, else nullptr.
+  [[nodiscard]] EnvRecord* live_env(EnvId id) {
+    EnvRecord* env = env_table_.find(id);
+    return env != nullptr && env->live() ? env : nullptr;
+  }
+  void env_ready(EnvRecord& env);
+  void schedule_reclaim(EnvRecord& env);
   /// Stops an environment for good — shutdown, or a crash when `crashed`.
-  void teardown_env(Env& env, bool crashed);
-  [[nodiscard]] Env& env_of(EnvId id);
+  void teardown_env(EnvRecord& env, bool crashed);
+  /// Erases a reclaimed record no session is bound to.
+  void prune(EnvRecord& env) {
+    if (!env.live() && env.inflight == 0) env_table_.erase(env.id);
+  }
 
   // Elastic capacity machinery (docs/ELASTIC.md).
-  void begin_drain(Env& env);
-  void finish_drain(Env& env);
-  Env& prewarm_env();
+  void begin_drain(EnvRecord& env);
+  void finish_drain(EnvRecord& env);
+  void prewarm_env();
   /// Boots up to `count` fresh pool environments (respects the elastic
   /// memory budget); returns how many were actually started.
   std::uint32_t elastic_prewarm(std::uint32_t count);
@@ -514,9 +518,9 @@ class Platform {
   void on_connected(const std::shared_ptr<SessionState>& s);
   void dispatch(const std::shared_ptr<SessionState>& s,
                 sim::SimDuration lead_cost);
-  /// Binds the session to the dispatcher's pick `env` (nullptr: a pool
-  /// claim or a fresh environment) once the dispatch lead cost elapsed.
-  void on_dispatched(const std::shared_ptr<SessionState>& s, Env* env);
+  /// Binds the session to the dispatcher's pick (0 or no longer leasable:
+  /// a pool claim or a fresh environment) once the lead cost elapsed.
+  void on_dispatched(const std::shared_ptr<SessionState>& s, EnvId picked);
   void on_env_ready(const std::shared_ptr<SessionState>& s);
   void on_uploaded(const std::shared_ptr<SessionState>& s);
   void on_computed(const std::shared_ptr<SessionState>& s);
@@ -535,7 +539,7 @@ class Platform {
   void note_resumption(SessionState& s);
 
   // Fault-injection machinery.
-  void crash_env(Env& env);
+  void crash_env(EnvRecord& env);
   void recover_env(std::uint32_t env_id);
   /// Block-onset sweep (docs/RAC.md): rejects every live session of a
   /// just-blocked tenant so it consumes zero container time past this
@@ -569,7 +573,7 @@ class Platform {
   void on_fault_fired(sim::FaultKind kind, sim::SimTime when);
 
   [[nodiscard]] double cpu_factor() const;
-  [[nodiscard]] sim::SimDuration compute_io_time(Env& env,
+  [[nodiscard]] sim::SimDuration compute_io_time(const EnvRecord& env,
                                                  std::uint64_t bytes,
                                                  std::uint32_t ops) const;
 
@@ -606,14 +610,11 @@ class Platform {
   SessionState* live_tail_ = nullptr;
   std::size_t live_count_ = 0;
   sim::Rng rng_;
-  /// Environment resources, envs_[id - 1]; their state lives in
-  /// env_table_.  Never pruned: continuations hold Env references.
+  /// After server_: a CAC hands its container back when destroyed.
   EnvTable env_table_;
-  std::vector<std::unique_ptr<Env>> envs_;
   /// Armed with a fault plan or force_invariants; destroyed before the
   /// table and warehouse it attaches its touch list to.
   std::unique_ptr<InvariantOracle> oracle_;
-  std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
   /// Per-kind app data, resolved on a kind's first arrival.
   std::array<std::optional<KindData>, workloads::kKindCount> kinds_;
   std::vector<device::MobileDevice> devices_;
@@ -625,7 +626,7 @@ class Platform {
   container::LayerStore layer_store_;
   /// The booted image every CAC is cloned from.  The profile is fixed by
   /// config_, so one template serves the platform's whole lifetime.  It
-  /// is destroyed before envs_: a CAC's teardown does not read it.
+  /// is destroyed before env_table_: a CAC's teardown does not read it.
   std::optional<CacTemplate> cac_template_;
   std::uint32_t pool_seq_ = 0;       ///< keys pool:<n> environments
   bool elastic_tick_armed_ = false;

@@ -1,45 +1,16 @@
 // Platform internals shared by the engine (platform.cpp) and the
-// invariant oracle (oracle.cpp): one environment's resources and one
-// offload session's state.  Not part of the public API.
+// invariant oracle (oracle.cpp): one offload session's state.  Not part
+// of the public API.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "core/platform.hpp"
-#include "sim/inline_callback.hpp"
 
 namespace rattrap::core {
-
-/// One environment's resources; its state and bookkeeping are `rec`, its
-/// record in the environment table.
-struct Platform::Env {
-  explicit Env(EnvRecord& record) : rec(record) {}
-
-  [[nodiscard]] EnvId id() const { return rec.id; }
-  [[nodiscard]] bool is_vm() const { return rec.backing == EnvBacking::kVm; }
-
-  /// Resumes every session waiting for the boot to end (or fail).
-  void run_waiters() {
-    auto pending = std::move(waiters);
-    waiters.clear();
-    for (auto& waiter : pending) waiter();
-  }
-
-  EnvRecord& rec;
-  vm::VmId vm_id = 0;
-  std::unique_ptr<CloudAndroidContainer> cac;
-  android::ClassLoader vm_loader;  ///< for VM-backed environments
-  std::vector<sim::InlineCallback> waiters;
-  /// Apps whose code this specific environment has received (the per-VM
-  /// duplicate-code bookkeeping of §III-D).
-  std::set<std::string> pushed_apps;
-  std::uint64_t disk_bytes = 0;
-};
 
 struct Platform::SessionState {
   workloads::OffloadRequest request;
@@ -53,7 +24,7 @@ struct Platform::SessionState {
   sim::SimDuration download_time = 0;
   bool cache_hit = false;
   bool spilled_to_disk = false;  ///< tmpfs full: files staged on disk
-  Env* env = nullptr;
+  EnvRecord* env = nullptr;  ///< bound, so pinned (EnvRecord::inflight)
 
   // Fault-injection state. Scheduled continuations (Platform::guarded)
   // capture `epoch` and bail when it moved on — a crash invalidates every
@@ -74,7 +45,6 @@ struct Platform::SessionState {
   // Admission-control state (docs/LOADGEN.md).
   bool admitted = false;    ///< holds an in-service slot
   bool queued = false;      ///< waiting in the bounded accept queue
-  sim::SimTime enqueued_at = 0;
   sim::SimDuration queue_wait = 0;
   sim::SimDuration pending_lead = 0;  ///< dispatch lead cost when popped
 

@@ -17,12 +17,23 @@ struct PlatformTestPeer {
   static EnvTable& env_table(Platform& platform) {
     return platform.env_table_;
   }
-  static Platform::Env& env(Platform& platform, EnvId id) {
-    return platform.env_of(id);
+  /// The record of a held environment (its resources included).
+  static EnvRecord& env(Platform& platform, EnvId id) {
+    return *platform.env_table_.find(id);
   }
   /// The platform's CAC template, built on first use.
   static const CacTemplate& cac_template(Platform& platform) {
     return platform.cac_template();
+  }
+  /// Plants an early erase: reclaims `id` behind the Monitor's back and
+  /// erases its record while sessions may still be bound to it.  Returns
+  /// the record's node; hold it until the run ends, so the sessions bound
+  /// to it read live storage, and drop it before the platform.
+  static EnvTable::Records::node_type erase_env(Platform& platform,
+                                                EnvId id) {
+    platform.env_table_.transition(id, EnvState::kReclaimed,
+                                   platform.server().simulator().now());
+    return platform.env_table_.erase(id);
   }
   /// Boots one warm-pool environment, ignoring the memory budget.
   static void prewarm(Platform& platform) { platform.prewarm_env(); }

@@ -281,14 +281,11 @@ TEST(CacReclaim, IdleTimeoutFreesTheCac) {
   config.env_idle_timeout = 5 * sim::kSecond;
   Platform platform(std::move(config));
   (void)platform.run(fleet_stream(6, 3));
-  std::size_t reclaimed = 0;
-  for (const EnvRecord& rec : platform.env_table().records()) {
-    if (rec.live()) continue;
-    ++reclaimed;
-    EXPECT_EQ(PlatformTestPeer::env(platform, rec.id).cac, nullptr)
-        << "env " << rec.id;
-  }
-  EXPECT_EQ(reclaimed, platform.env_table().records().size());
+  // Every environment was reclaimed and left the table with its CAC.
+  EXPECT_GT(platform.env_table().size(), 0u);
+  EXPECT_EQ(platform.env_table().count(EnvState::kReclaimed),
+            platform.env_table().size());
+  EXPECT_EQ(platform.env_table().records().size(), 0u);
   expect_clean(platform);
 }
 
@@ -305,8 +302,9 @@ TEST(CacReclaim, DrainFreesTheCac) {
       [&platform, &drained]() { drained = platform.drain_env(1); });
   (void)session->close();
   ASSERT_TRUE(drained);
-  EXPECT_EQ(platform.env_table().find(1)->state(), EnvState::kReclaimed);
-  EXPECT_EQ(PlatformTestPeer::env(platform, 1).cac, nullptr);
+  // Env 1 was reclaimed and left the table with its CAC.
+  EXPECT_EQ(platform.env_table().find(1), nullptr);
+  EXPECT_EQ(platform.env_table().count(EnvState::kReclaimed), 1u);
   EXPECT_NE(PlatformTestPeer::env(platform, 2).cac, nullptr);  // still up
   expect_clean(platform);
 }
@@ -323,14 +321,14 @@ TEST(CacReclaim, CrashFreesTheCac) {
   const obs::Counter* crashes = platform.metrics().find_counter("env.crashes");
   ASSERT_NE(crashes, nullptr);
   ASSERT_GE(crashes->value(), 1u);
-  std::size_t dead = 0;
-  for (const EnvRecord& rec : platform.env_table().records()) {
-    if (rec.live()) continue;  // idle reclaim is off: only crashes end envs
-    ++dead;
-    EXPECT_EQ(PlatformTestPeer::env(platform, rec.id).cac, nullptr)
-        << "env " << rec.id;
+  // Idle reclaim is off, so only crashes ended environments, and every
+  // crashed one left the table with its CAC.
+  const EnvTable& envs = platform.env_table();
+  EXPECT_EQ(envs.count(EnvState::kReclaimed), crashes->value());
+  EXPECT_EQ(envs.records().size() + crashes->value(), envs.size());
+  for (const EnvRecord& rec : envs.records()) {
+    EXPECT_TRUE(rec.live()) << "env " << rec.id;
   }
-  EXPECT_EQ(dead, crashes->value());
   expect_clean(platform);
 }
 

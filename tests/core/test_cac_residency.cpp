@@ -3,7 +3,9 @@
 // ever provisioned.  Every request of the stream comes from a new device
 // and environments idle out after 10 s, so the run is a steady churn of
 // provision → offload → reclaim; one container crashes and one
-// device-namespace create is torn down by injection on the way.
+// device-namespace create is torn down by injection on the way.  The
+// environment table itself holds a record only while its environment is
+// live or a session is still bound to it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,8 @@ struct Residency {
   std::size_t binder_namespaces = 0;
   std::size_t binder_contexts = 0;
   std::size_t pid_entries = 0;
+  std::size_t held_records = 0;  ///< records the env table holds
+  std::size_t dead_bound = 0;    ///< held reclaimed records a session pins
 };
 
 Residency sample(Platform& platform) {
@@ -42,6 +46,10 @@ Residency sample(Platform& platform) {
   for (const container::ContainerId id : runtime.ids()) {
     r.pid_entries += runtime.find(id)->processes().count();
   }
+  for (const EnvRecord& rec : platform.env_table().records()) {
+    ++r.held_records;
+    if (!rec.live() && rec.inflight > 0) ++r.dead_bound;
+  }
   return r;
 }
 
@@ -54,6 +62,7 @@ void expect_bounded(const Residency& r) {
   EXPECT_LE(r.binder_namespaces, r.live_envs + 1);
   EXPECT_LE(r.binder_contexts, r.live_envs + 1);
   EXPECT_LE(r.pid_entries, 5 * r.live_envs);
+  EXPECT_LE(r.held_records, r.live_envs + r.dead_bound);
 }
 
 TEST(CacResidency, ProvisionReclaimChurnStaysBoundedByLiveCacs) {
@@ -111,6 +120,7 @@ TEST(CacResidency, ProvisionReclaimChurnStaysBoundedByLiveCacs) {
   EXPECT_EQ(end.device_namespaces, 1u);
   EXPECT_EQ(end.binder_namespaces, 1u);
   EXPECT_EQ(end.binder_contexts, 1u);
+  EXPECT_EQ(end.held_records, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -84,8 +85,9 @@ TEST(ContainerDb, IdsListing) {
   table.add(EnvBacking::kVm, EnvKey::device(0), 0);
   table.add(EnvBacking::kVm, EnvKey::device(1), 0);
   ASSERT_EQ(table.records().size(), 2u);
-  EXPECT_EQ(table.records()[0].id, 1u);  // allocation order is ascending
-  EXPECT_EQ(table.records()[1].id, 2u);
+  // Allocation order is ascending, and records() visits it in order.
+  EXPECT_EQ(table.records().front().id, 1u);
+  EXPECT_EQ((*std::next(table.records().begin())).id, 2u);
 }
 
 TEST(ContainerDb, StateNames) {
@@ -321,19 +323,23 @@ TEST(EnvTable, RetireWarmDrainsNewestFirst) {
   ASSERT_TRUE(session.ok());
   std::uint32_t drained = 0;
   std::vector<EnvState> after;
+  bool newest_gone = false;
   platform.server().simulator().schedule_at(
-      20 * kSecond, [&platform, &drained, &after]() {
+      20 * kSecond, [&platform, &drained, &after, &newest_gone]() {
         ASSERT_EQ(platform.warm_idle_count(), 3u);
         drained = platform.elastic_retire_warm(1);
-        for (EnvId id = 1; id <= 3; ++id) {
+        for (EnvId id = 1; id <= 2; ++id) {
           after.push_back(platform.env_table().find(id)->state());
         }
+        // Reclaimed with nothing bound, env 3 left the table.
+        newest_gone = platform.env_table().find(3) == nullptr &&
+                      platform.env_table().count(EnvState::kReclaimed) == 1;
       });
   (void)session->close();
   EXPECT_EQ(drained, 1u);
   EXPECT_EQ(after, (std::vector<EnvState>{EnvState::kWarmIdle,
-                                          EnvState::kWarmIdle,
-                                          EnvState::kReclaimed}));
+                                          EnvState::kWarmIdle}));
+  EXPECT_TRUE(newest_gone);
 }
 
 TEST(EnvTable, PoolClaimServesLowestIdFirst) {
@@ -443,6 +449,51 @@ TEST(EnvTable, LifecycleInvariantReportsForcedIllegalTransition) {
   const InvariantViolation* first = platform.invariants().first_violation();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->name, "lifecycle-state");
+}
+
+TEST(InvariantOracle, BoundSessionOnAnErasedEnvFailsLiveness) {
+  // A bound session pins its record; erasing a leased one early must not
+  // hide the session from session-env-liveness.
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.force_invariants = true;
+  config.env_idle_timeout = 0;
+  Platform platform(std::move(config));
+  EnvTable::Records::node_type erased;  // dropped before the platform
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session.ok());
+  for (const auto& request : linpack_stream(6, 2, kSecond)) {
+    session->submit(request);
+  }
+  std::optional<std::uint64_t> planted_check;
+  EnvId planted_id = 0;
+  for (int tick = 1; tick < 400; ++tick) {
+    platform.server().simulator().schedule_at(tick * (kSecond / 20), [&]() {
+      if (planted_check) return;
+      for (const EnvRecord& rec : platform.env_table().records()) {
+        if (rec.state() != EnvState::kLeased || rec.inflight == 0) continue;
+        planted_check = platform.invariants().checks_run();
+        planted_id = rec.id;
+        erased = PlatformTestPeer::erase_env(platform, rec.id);
+        return;
+      }
+    });
+  }
+  (void)session->close();
+  ASSERT_TRUE(planted_check.has_value()) << "no leased env to erase";
+  ASSERT_FALSE(erased.empty());
+  EXPECT_EQ(platform.env_table().find(planted_id), nullptr);
+  const InvariantChecker& invariants = platform.invariants();
+  ASSERT_FALSE(invariants.ok());
+  EXPECT_EQ(invariants.first_violation()->event_index, *planted_check)
+      << invariants.report();
+  bool found = false;
+  for (const InvariantViolation& v : invariants.violations()) {
+    if (v.event_index != *planted_check) continue;
+    if (v.name != "session-env-liveness") continue;
+    found = v.detail.find("erased env " + std::to_string(planted_id)) !=
+            std::string::npos;
+  }
+  EXPECT_TRUE(found) << invariants.report();
 }
 
 }  // namespace

@@ -66,7 +66,9 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].stranded);
   EXPECT_GT(outcomes[0].response, 0);
-  EXPECT_EQ(platform.env_table().find(1)->state(), EnvState::kReclaimed);
+  // Reclaimed once the session ended, env 1 left the table.
+  EXPECT_EQ(platform.env_table().find(1), nullptr);
+  EXPECT_EQ(platform.env_table().count(EnvState::kReclaimed), 1u);
   EXPECT_TRUE(platform.env_table().first_error().empty())
       << platform.env_table().first_error();
 }
@@ -113,7 +115,8 @@ TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
 
   EXPECT_TRUE(first);
   EXPECT_FALSE(second);
-  EXPECT_EQ(platform.env_table().find(1)->state(), EnvState::kReclaimed);
+  // Reclaimed with nothing bound, env 1 left the table.
+  EXPECT_EQ(platform.env_table().find(1), nullptr);
   EXPECT_TRUE(platform.env_table().first_error().empty())
       << platform.env_table().first_error();
   // The drain counter saw exactly one begin_drain for env 1; the only

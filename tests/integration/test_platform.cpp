@@ -185,21 +185,6 @@ TEST(Platform, AccessControllerAnalyzesEachAppOnce) {
       "com.bench.chess", platform.server().simulator().now()));
 }
 
-TEST(Platform, EnvTrafficSumsToRequestTraffic) {
-  Platform platform(make_config(PlatformKind::kVmCloud));
-  const auto outcomes =
-      platform.run(small_stream(workloads::Kind::kOcr));
-  std::uint64_t per_request = 0;
-  for (const auto& outcome : outcomes) {
-    per_request += outcome.traffic.total_up();
-  }
-  std::uint64_t per_env = 0;
-  for (const auto& [env, account] : platform.env_traffic()) {
-    per_env += account.total_up();
-  }
-  EXPECT_EQ(per_request, per_env);
-}
-
 TEST(Platform, MixedWorkloadStreamWorks) {
   Platform platform(make_config(PlatformKind::kRattrap));
   const auto stream =
