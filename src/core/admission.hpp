@@ -106,8 +106,8 @@ class AdmissionController {
   struct Offer {
     std::string tenant;
     qos::PriorityClass klass = qos::PriorityClass::kStandard;
-    /// Caller-owned id for the queued item (the platform uses the request
-    /// sequence); echoed back by pop_queued().
+    /// Caller-owned id for the queued item (the platform uses the
+    /// session's record slot); echoed back by pop_queued().
     std::uint64_t id = 0;
   };
 

@@ -260,24 +260,4 @@ double EnvTable::memory_byte_seconds(sim::SimTime now) const {
   return sum;
 }
 
-std::optional<std::string> EnvTable::check() const {
-  if (!first_error_.empty()) return "lifecycle error: " + first_error_;
-  std::array<std::size_t, kEnvStateCount> recount{};
-  recount[slot(EnvState::kReclaimed)] = issued_ - records_.size();
-  for (const EnvRecord& record : records()) ++recount[slot(record.state_)];
-  for (std::size_t s = 0; s < kEnvStateCount; ++s) {
-    if (recount[s] == counts_[s]) continue;
-    return std::string("count of ") + to_string(static_cast<EnvState>(s)) +
-           " is " + std::to_string(counts_[s]) + ", records hold " +
-           std::to_string(recount[s]);
-  }
-  std::uint64_t pool_bytes = 0;
-  for (const EnvId id : pool_) pool_bytes += find(id)->memory_bytes;
-  if (pool_bytes != pool_bytes_) {
-    return "pool ledger says " + std::to_string(pool_bytes_) +
-           " bytes, pooled records hold " + std::to_string(pool_bytes);
-  }
-  return std::nullopt;
-}
-
 }  // namespace rattrap::core

@@ -193,14 +193,6 @@ class EnvTable {
   /// Committed memory of the claimable environments (O(1) ledger).
   [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
 
-  /// Ids not yet reclaimed, ascending.
-  [[nodiscard]] std::set<EnvId> live_ids() const {
-    std::set<EnvId> ids;
-    for (const auto& [id, record] : records_) {
-      if (record.live()) ids.insert(ids.end(), id);
-    }
-    return ids;
-  }
   /// The records not erased, as const EnvRecord&, in ascending id.
   [[nodiscard]] auto records() const { return std::views::values(records_); }
   /// Ids issued so far, erased records included.
@@ -226,11 +218,6 @@ class EnvTable {
 
   /// First illegal transition observed, or empty.
   [[nodiscard]] const std::string& first_error() const { return first_error_; }
-
-  /// Lifecycle-state conservation: no illegal transition was attempted,
-  /// and the per-state counts and pool bytes equal a recount (an erased
-  /// record is reclaimed).
-  [[nodiscard]] std::optional<std::string> check() const;
 
   /// Attaches a metrics registry: add/reclaim count into envdb.added /
   /// envdb.retired with envdb.active tracking the live population, and

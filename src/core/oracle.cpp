@@ -122,7 +122,7 @@ InvariantOracle::SessionSeen InvariantOracle::seen(
 void InvariantOracle::touch(const Platform::SessionState& s) {
   const std::uint64_t sequence = s.request.sequence;
   const auto it = ledger_.sessions.find(sequence);
-  if (s.done) {
+  if (!s.live) {  // ended (or run locally, never in the books)
     if (it == ledger_.sessions.end()) return;
     const SessionSeen was = it->second;
     ledger_.sessions.erase(it);
@@ -180,11 +180,10 @@ void InvariantOracle::settle_envs() {
 
 InvariantOracle::Ledger InvariantOracle::recount() {
   Ledger fresh;
-  platform_.for_each_live([&](const auto& s) {
-    if (s->done) return;
-    const SessionSeen now = seen(*s, tenant_index(s->tenant));
-    fresh.sessions.emplace(s->request.sequence, now);
-    fresh.add(s->request.sequence, now, +1);
+  platform_.for_each_live([&](const Platform::SessionState& s) {
+    const SessionSeen now = seen(s, tenant_index(s.tenant));
+    fresh.sessions.emplace(s.request.sequence, now);
+    fresh.add(s.request.sequence, now, +1);
   });
   const EnvTable& table = platform_.env_table_;
   // An erased record is reclaimed.

@@ -105,7 +105,7 @@ struct Platform::SessionScope {
       : platform_(platform),
         prev_session_(platform.active_session_),
         prev_span_(platform.trace_.active()) {
-    platform_.active_session_ = &session;
+    platform_.active_session_ = platform.session_ref(session);
     platform_.trace_.set_active(session.span_phase != obs::kNoSpan
                                     ? session.span_phase
                                     : session.span_session);
@@ -119,7 +119,7 @@ struct Platform::SessionScope {
 
  private:
   Platform& platform_;
-  SessionState* prev_session_;
+  SessionRef prev_session_;
   obs::SpanId prev_span_;
 };
 
@@ -142,8 +142,9 @@ void Platform::on_fault_fired(sim::FaultKind kind, sim::SimTime when) {
       .inc();
   if (!trace_.enabled()) return;
   const std::string name = std::string("fault:") + sim::to_string(kind);
-  SessionState* s = active_session_;
-  if (s != nullptr && !s->done) {
+  // The handler's session, unless it ended since the handler began.
+  SessionState* s = find_session(active_session_);
+  if (s != nullptr) {
     const std::uint64_t hits = ++s->fault_hits[kind];
     const std::string key = std::string("fault.") + sim::to_string(kind);
     if (s->span_phase != obs::kNoSpan) {
@@ -163,12 +164,6 @@ void Platform::on_fault_fired(sim::FaultKind kind, sim::SimTime when) {
 
 Platform::Platform(PlatformConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  // Session records are pooled: one slab block fits the shared_ptr
-  // control block plus the SessionState payload (64 bytes of headroom
-  // covers the library's control-block layout; anything bigger falls
-  // through to the heap and is counted, never lost).
-  session_pool_ =
-      std::make_unique<sim::SlabPool>(sizeof(SessionState) + 64);
   const auto system_layer = config_.customized_os
                                 ? android::customized_layer()
                                 : android::container_stock_layer();
@@ -239,7 +234,7 @@ Platform::Platform(PlatformConfig config)
   }
 }
 
-Platform::~Platform() { clear_live(); }
+Platform::~Platform() { release_all_sessions(); }
 
 device::RadioProfile Platform::radio_profile() const {
   if (config_.link.name == "3G") return device::radio_3g();
@@ -529,13 +524,6 @@ void Platform::finish_drain(EnvRecord& env) {
   prune(env);
 }
 
-bool Platform::drain_env(std::uint32_t env_id) {
-  EnvRecord* env = env_table_.find(env_id);
-  if (env == nullptr || !env->leasable()) return false;
-  begin_drain(*env);
-  return true;
-}
-
 void Platform::prewarm_env() {
   env_table_.add_to_pool(
       provision_env(EnvKey::pool(pool_seq_++), server_->simulator().now()).id);
@@ -615,11 +603,10 @@ void Platform::elastic_tick() {
   metrics_.gauge("elastic.idle_byte_seconds").set(idle_byte_seconds());
   if (decision.prewarm > 0) elastic_prewarm(decision.prewarm);
   if (decision.drain > 0) elastic_retire_warm(decision.drain);
-  // Keep ticking only while the run has work; the next arrival re-arms,
-  // so an idle platform's event queue actually drains.
-  if (live_head_ != nullptr || !queued_sessions_.empty()) {
-    arm_elastic_tick();
-  }
+  // Keep ticking only while the run has work (queued sessions are live
+  // too); the next arrival re-arms, so an idle platform's event queue
+  // actually drains.
+  if (live_count_ > 0) arm_elastic_tick();
 }
 
 // ---------------------------------------------------------------------
@@ -753,8 +740,7 @@ void Platform::reset_run() {
   outcome_done_.clear();
   submitted_ = 0;
   completed_ = 0;
-  clear_live();
-  queued_sessions_.clear();
+  release_all_sessions();
   if (admission_ != nullptr) admission_->scheduler().clear();
   streams_.clear();
   run_active_ = true;
@@ -824,12 +810,14 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
       });
 }
 
-std::shared_ptr<Platform::SessionState> Platform::make_session(
-    std::uint64_t stream_id, std::uint64_t sequence) {
+Platform::SessionState& Platform::make_session(std::uint64_t stream_id,
+                                               std::uint64_t sequence) {
   const SessionConfig& config = stream_config(stream_id);
-  auto session = std::allocate_shared<SessionState>(
-      sim::StlSlabAllocator<SessionState>(session_pool_.get()));
-  // Copied out of the slot before the arrival runs: a synchronous reject
+  const auto [session, slot] = sessions_.create();
+  if (slot == session_slots_.size()) session_slots_.emplace_back();
+  session_slots_[slot].held = true;
+  session->slot = slot;
+  // Copied out of outcomes_ before the arrival runs: a synchronous reject
   // reaches the completion observer, whose submits may resize outcomes_.
   session->request = outcomes_[sequence].request;
   session->kind = session->request.task.kind;
@@ -851,7 +839,22 @@ std::shared_ptr<Platform::SessionState> Platform::make_session(
   SessionMetrics& sm = session_metrics_;
   if (!sm.net) sm.net = net::Connection::resolve_metrics(metrics_);
   session->conn->set_metrics(*sm.net);
-  return session;
+  return *session;
+}
+
+void Platform::release_session(std::uint32_t slot) {
+  sessions_.destroy(slot);
+  SessionSlot& meta = session_slots_[slot];
+  ++meta.gen;
+  meta.held = false;
+}
+
+void Platform::release_all_sessions() {
+  for (std::uint32_t slot = 0; slot < session_slots_.size(); ++slot) {
+    if (session_slots_[slot].held) release_session(slot);
+  }
+  live_head_ = live_tail_ = sim::kNoSlot;
+  live_count_ = 0;
 }
 
 void Platform::drain_run() {
@@ -867,18 +870,18 @@ void Platform::drain_run() {
   // no longer in flight.  Their outcomes reach the completion observer
   // like any other; while it submits follow-ups (a closed-loop device's
   // next request), the queue runs again.
-  while (faults_ && live_head_ != nullptr) {
+  while (faults_ && live_head_ != sim::kNoSlot) {
     const std::size_t submitted = submitted_;
-    while (live_head_ != nullptr) {
-      const std::shared_ptr<SessionState> s = live_head_;
+    while (live_head_ != sim::kNoSlot) {
+      SessionState& s = sessions_.at(live_head_);
       metrics_.counter("sessions.stranded").inc();
       metrics_
-          .counter(std::string("qos.stranded.") + qos::to_string(s->klass))
+          .counter(std::string("qos.stranded.") + qos::to_string(s.klass))
           .inc();
-      if (s->span_session != obs::kNoSpan) {
-        trace_.annotate(s->span_session, "stranded", std::uint64_t{1});
+      if (s.span_session != obs::kNoSpan) {
+        trace_.annotate(s.span_session, "stranded", std::uint64_t{1});
       }
-      RequestOutcome& outcome = outcome_of(*s);
+      RequestOutcome& outcome = outcome_of(s);
       outcome.rejected = true;
       outcome.reject_reason = RejectReason::kStranded;
       outcome.stranded = true;
@@ -893,10 +896,9 @@ void Platform::drain_run() {
 }
 
 template <auto Step, typename... Args>
-auto Platform::guarded(const std::shared_ptr<SessionState>& s, Args... args) {
-  auto step = [this, s, epoch = s->epoch, args...]() {
-    if (s->done || s->epoch != epoch) return;
-    (this->*Step)(s, args...);
+auto Platform::guarded(const SessionState& s, Args... args) {
+  auto step = [this, ref = session_ref(s), args...]() {
+    if (SessionState* live = find_session(ref)) (this->*Step)(*live, args...);
   };
   // Step is a template argument rather than a capture, which keeps the
   // event callback in InlineCallback's inline storage (no heap block).
@@ -904,48 +906,32 @@ auto Platform::guarded(const std::shared_ptr<SessionState>& s, Args... args) {
   return step;
 }
 
-void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
+void Platform::on_arrival(SessionState& s) {
   if (trace_.enabled()) {
-    s->span_session = trace_.begin(s->request.sequence + 1, "session",
+    s.span_session = trace_.begin(s.request.sequence + 1, "session",
                                    "session", server_->simulator().now());
-    trace_.annotate(s->span_session, "app", s->app_id());
-    trace_.annotate(s->span_session, "device",
-                    static_cast<std::uint64_t>(s->request.device_id));
-    trace_.annotate(s->span_session, "class", qos::to_string(s->klass));
-    trace_.annotate(s->span_session, "tenant", s->tenant);
-    if (const auto it = streams_.find(s->stream_id); it != streams_.end()) {
+    trace_.annotate(s.span_session, "app", s.app_id());
+    trace_.annotate(s.span_session, "device",
+                    static_cast<std::uint64_t>(s.request.device_id));
+    trace_.annotate(s.span_session, "class", qos::to_string(s.klass));
+    trace_.annotate(s.span_session, "tenant", s.tenant);
+    if (const auto it = streams_.find(s.stream_id); it != streams_.end()) {
       trace_.annotate(
-          s->span_session, "tenant_weight",
+          s.span_session, "tenant_weight",
           static_cast<std::uint64_t>(it->second.config.tenant_weight));
     }
   }
   if (config_.adaptive_offloading) {
-    DecisionState& history = decisions_[s->app_id()];
+    DecisionState& history = decisions_[s.app_id()];
     constexpr std::uint32_t kExplore = 3;  // first offloads gather data
     if (history.samples >= kExplore &&
         history.ewma_remote_s >= history.ewma_local_s) {
       // Run locally: no traffic, no cloud involvement.
-      const device::MobileDevice& dev = device_for(s->request.device_id);
+      const device::MobileDevice& dev = device_for(s.request.device_id);
       const sim::SimDuration local =
-          dev.local_execution_time(s->kind, s->executed);
-      server_->simulator().schedule_in(local, [this, s, local]() {
-        RequestOutcome& outcome = outcome_of(*s);
-        outcome.response = local;
-        outcome.local_time = local;
-        outcome.speedup = 1.0;  // executed locally by choice
-        outcome.local_energy_mj = device_for(s->request.device_id)
-                                      .local_energy_mj(s->kind, s->executed,
-                                                       radio_profile());
-        outcome.offload_energy_mj = outcome.local_energy_mj;
-        metrics_.counter("sessions.local").inc();
-        metrics_
-            .counter(std::string("qos.local.") + qos::to_string(s->klass))
-            .inc();
-        if (s->span_session != obs::kNoSpan) {
-          trace_.annotate(s->span_session, "local", std::uint64_t{1});
-        }
-        finish_session(s);
-      });
+          dev.local_execution_time(s.kind, s.executed);
+      server_->simulator().schedule_in(
+          local, guarded<&Platform::finish_locally>(s, local));
       return;
     }
   }
@@ -954,32 +940,49 @@ void Platform::on_arrival(const std::shared_ptr<SessionState>& s) {
   // flooding tenant ahead of the QoS queues.  Every kNone is paired with
   // release() in finish_session via rac_slot.
   const AccessDeny deny =
-      server_->access().admit(s->tenant, server_->simulator().now());
+      server_->access().admit(s.tenant, server_->simulator().now());
   if (deny != AccessDeny::kNone) {
-    link_live(s);
     reject_session(s, deny == AccessDeny::kQuota
                           ? RejectReason::kQuotaExceeded
                           : RejectReason::kAccessDenied);
     return;
   }
-  s->rac_slot = true;
+  s.rac_slot = true;
   if (pool_controller_ != nullptr) {
     // Offloaded arrivals feed the forecaster; locally served requests
     // (the adaptive early-return above) never need warm capacity.
-    pool_controller_->observe_arrival(s->klass);
+    pool_controller_->observe_arrival(s.klass);
     arm_elastic_tick();
   }
   link_live(s);
-  touched(*s);
+  touched(s);
   attempt_connect(s);
 }
 
-void Platform::link_live(const std::shared_ptr<SessionState>& s) {
-  assert(!s->live);
-  s->live = true;
-  s->live_prev = live_tail_;
-  (live_tail_ != nullptr ? live_tail_->live_next : live_head_) = s;
-  live_tail_ = s.get();
+void Platform::finish_locally(SessionState& s, sim::SimDuration local) {
+  RequestOutcome& outcome = outcome_of(s);
+  outcome.response = local;
+  outcome.local_time = local;
+  outcome.speedup = 1.0;  // executed locally by choice
+  outcome.local_energy_mj =
+      device_for(s.request.device_id)
+          .local_energy_mj(s.kind, s.executed, radio_profile());
+  outcome.offload_energy_mj = outcome.local_energy_mj;
+  metrics_.counter("sessions.local").inc();
+  metrics_.counter(std::string("qos.local.") + qos::to_string(s.klass)).inc();
+  if (s.span_session != obs::kNoSpan) {
+    trace_.annotate(s.span_session, "local", std::uint64_t{1});
+  }
+  finish_session(s);
+}
+
+void Platform::link_live(SessionState& s) {
+  assert(!s.live);
+  s.live = true;
+  s.live_prev = live_tail_;
+  (live_tail_ != sim::kNoSlot ? sessions_.at(live_tail_).live_next
+                              : live_head_) = s.slot;
+  live_tail_ = s.slot;
   ++live_count_;
 }
 
@@ -987,59 +990,40 @@ void Platform::unlink_live(SessionState& s) {
   if (!s.live) return;
   s.live = false;
   --live_count_;
-  if (s.live_next != nullptr) {
-    s.live_next->live_prev = s.live_prev;
-  } else {
-    live_tail_ = s.live_prev;
-  }
-  std::shared_ptr<SessionState>& link =
-      s.live_prev != nullptr ? s.live_prev->live_next : live_head_;
-  s.live_prev = nullptr;
-  // `link` owns `s`; the caller holds its own reference, so the list's
-  // may go once the successor took its place.
-  const std::shared_ptr<SessionState> owner =
-      std::exchange(link, std::move(s.live_next));
+  (s.live_next != sim::kNoSlot ? sessions_.at(s.live_next).live_prev
+                               : live_tail_) = s.live_prev;
+  (s.live_prev != sim::kNoSlot ? sessions_.at(s.live_prev).live_next
+                               : live_head_) = s.live_next;
 }
 
-void Platform::clear_live() {
-  while (live_head_ != nullptr) {
-    const std::shared_ptr<SessionState> s = std::move(live_head_);
-    live_head_ = std::move(s->live_next);
-    s->live_prev = nullptr;
-    s->live = false;
-  }
-  live_tail_ = nullptr;
-  live_count_ = 0;
-}
-
-void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
+void Platform::attempt_connect(SessionState& s) {
   sim::Simulator& simulator = server_->simulator();
-  SessionScope scope(*this, *s);
+  SessionScope scope(*this, s);
   // Retries reuse the one "connect" span; it ends when a handshake lands.
-  if (s->span_phase == obs::kNoSpan) begin_phase(*s, "connect");
+  if (s.span_phase == obs::kNoSpan) begin_phase(s, "connect");
   const sim::SimDuration stall = mobility_stall(simulator.now());
   if (stall > 0) {
     // Radio detached (handoff outage): the handshake cannot even start;
     // the device re-attempts the instant the new radio attaches.  A
     // session whose connection the outage cut mid-retry counts as
     // resumed; a request merely *arriving* during the gap just waits.
-    if (s->connect_attempts > 0) note_resumption(*s);
-    s->phases.network_connection += stall;
+    if (s.connect_attempts > 0) note_resumption(s);
+    s.phases.network_connection += stall;
     simulator.schedule_in(stall, guarded<&Platform::attempt_connect>(s));
     return;
   }
-  ++s->connect_attempts;
-  if (s->span_phase != obs::kNoSpan) {
-    trace_.annotate(s->span_phase, "attempts",
-                    static_cast<std::uint64_t>(s->connect_attempts));
+  ++s.connect_attempts;
+  if (s.span_phase != obs::kNoSpan) {
+    trace_.annotate(s.span_phase, "attempts",
+                    static_cast<std::uint64_t>(s.connect_attempts));
   }
-  const sim::SimDuration connect = s->conn->establish();
-  s->phases.network_connection += connect;
+  const sim::SimDuration connect = s.conn->establish();
+  s.phases.network_connection += connect;
   if (faults_ &&
       faults_->should_fire(sim::FaultKind::kNetDrop, simulator.now())) {
     // The handshake never completes; the client times out and retries
     // with exponential backoff until its attempt budget runs dry.
-    if (s->connect_attempts >= config_.max_connect_attempts) {
+    if (s.connect_attempts >= config_.max_connect_attempts) {
       simulator.schedule_in(connect, guarded<&Platform::reject_session>(
                                          s, RejectReason::kConnectFailed));
       return;
@@ -1047,8 +1031,8 @@ void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
     constexpr sim::SimDuration kConnectBackoff = 200 * sim::kMillisecond;
     const sim::SimDuration backoff =
         kConnectBackoff *
-        static_cast<sim::SimDuration>(1u << (s->connect_attempts - 1));
-    s->phases.network_connection += backoff;
+        static_cast<sim::SimDuration>(1u << (s.connect_attempts - 1));
+    s.phases.network_connection += backoff;
     simulator.schedule_in(connect + backoff,
                           guarded<&Platform::attempt_connect>(s));
     return;
@@ -1056,25 +1040,25 @@ void Platform::attempt_connect(const std::shared_ptr<SessionState>& s) {
   simulator.schedule_in(connect, guarded<&Platform::on_connected>(s));
 }
 
-void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
+void Platform::on_connected(SessionState& s) {
   sim::Simulator& simulator = server_->simulator();
-  SessionScope scope(*this, *s);
-  s->connected_at = simulator.now();
-  end_phase(*s);  // connect
-  begin_phase(*s, "dispatch");
+  SessionScope scope(*this, s);
+  s.connected_at = simulator.now();
+  end_phase(s);  // connect
+  begin_phase(s, "dispatch");
   const Calibration& cal = server_->calibration();
 
   sim::SimDuration platform_cost = cal.dispatcher_cost;
   if (config_.code_cache) {
     platform_cost += cal.warehouse_lookup_cost;
-    s->cache_hit = server_->warehouse().lookup(s->app->code_ref);
-    if (s->span_phase != obs::kNoSpan) {
-      trace_.annotate(s->span_phase, "cache_hit",
-                      static_cast<std::uint64_t>(s->cache_hit ? 1 : 0));
+    s.cache_hit = server_->warehouse().lookup(s.app->code_ref);
+    if (s.span_phase != obs::kNoSpan) {
+      trace_.annotate(s.span_phase, "cache_hit",
+                      static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
     }
   }
   // Request-based Access Controller: per-app analysis, once.
-  if (server_->access().ensure_analyzed(s->app_id())) {
+  if (server_->access().ensure_analyzed(s.app_id())) {
     platform_cost += cal.access_analysis_cost;
   } else {
     platform_cost += cal.access_check_cost;
@@ -1084,7 +1068,7 @@ void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
   // tenants never reach an environment (§IV-E).  Belt and braces after
   // the arrival gate — the tenant may have crossed the threshold while
   // this session's handshake was in flight.
-  if (server_->access().allow_open(s->tenant, simulator.now()) !=
+  if (server_->access().allow_open(s.tenant, simulator.now()) !=
       AccessDeny::kNone) {
     reject_session(s, RejectReason::kAccessDenied);
     return;
@@ -1095,25 +1079,23 @@ void Platform::on_connected(const std::shared_ptr<SessionState>& s) {
   // or the class-aware bounded queue.
   if (admission_ != nullptr) {
     const Result<AdmissionController::Admitted> verdict = admission_->offer(
-        AdmissionController::Offer{s->tenant, s->klass,
-                                   s->request.sequence},
+        AdmissionController::Offer{s.tenant, s.klass, s.slot},
         simulator.now());
     if (!verdict) {
       reject_session(s, verdict.error());
       return;
     }
     if (*verdict == AdmissionController::Admitted::kQueued) {
-      s->queued = true;
-      s->pending_lead = platform_cost;
-      queued_sessions_.emplace(s->request.sequence, s);
-      touched(*s);
-      if (s->span_phase != obs::kNoSpan) {
-        trace_.annotate(s->span_phase, "queued", std::uint64_t{1});
+      s.queued = true;
+      s.pending_lead = platform_cost;
+      touched(s);
+      if (s.span_phase != obs::kNoSpan) {
+        trace_.annotate(s.span_phase, "queued", std::uint64_t{1});
       }
       return;  // dispatched by maybe_start_queued() when a slot frees
     }
-    s->admitted = true;
-    touched(*s);
+    s.admitted = true;
+    touched(s);
   }
 
   dispatch(s, platform_cost);
@@ -1128,46 +1110,43 @@ void Platform::maybe_start_queued() {
     // queue by finish_session, so every pop maps to a live session.
     const auto popped = admission_->pop_queued(simulator.now());
     if (!popped) break;
-    const auto it = queued_sessions_.find(popped->id);
-    assert(it != queued_sessions_.end() &&
-           "scheduler echoed an id the platform is not tracking");
-    std::shared_ptr<SessionState> s = it->second;
-    queued_sessions_.erase(it);
-    s->queued = false;
-    s->admitted = true;
-    s->queue_wait = popped->waited;
-    s->drr_deficit = popped->deficit_after;
-    touched(*s);
-    SessionScope scope(*this, *s);
-    if (s->span_phase != obs::kNoSpan) {
-      trace_.annotate(s->span_phase, "queue_wait_us",
-                      static_cast<std::uint64_t>(s->queue_wait));
-      trace_.annotate(s->span_phase, "deficit", s->drr_deficit);
+    SessionState& s = sessions_.at(static_cast<std::uint32_t>(popped->id));
+    assert(s.queued && "scheduler echoed an id the platform is not tracking");
+    s.queued = false;
+    s.admitted = true;
+    s.queue_wait = popped->waited;
+    s.drr_deficit = popped->deficit_after;
+    touched(s);
+    SessionScope scope(*this, s);
+    if (s.span_phase != obs::kNoSpan) {
+      trace_.annotate(s.span_phase, "queue_wait_us",
+                      static_cast<std::uint64_t>(s.queue_wait));
+      trace_.annotate(s.span_phase, "deficit", s.drr_deficit);
     }
-    dispatch(s, s->pending_lead);
+    dispatch(s, s.pending_lead);
   }
 }
 
-void Platform::dispatch(const std::shared_ptr<SessionState>& s,
+void Platform::dispatch(SessionState& s,
                         sim::SimDuration lead_cost) {
   sim::Simulator& simulator = server_->simulator();
-  ++s->dispatch_attempts;
+  ++s.dispatch_attempts;
   const EnvRecord* picked =
-      dispatcher_->assign(s->request, s->app->code_ref, simulator.now(),
-                          class_backlog_threshold(s->klass), s->klass);
+      dispatcher_->assign(s.request, s.app->code_ref, simulator.now(),
+                          class_backlog_threshold(s.klass), s.klass);
   simulator.schedule_in(lead_cost, guarded<&Platform::on_dispatched>(
                                        s, picked != nullptr ? picked->id : 0));
 }
 
-void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
+void Platform::on_dispatched(SessionState& s,
                              EnvId picked) {
-  SessionScope scope(*this, *s);
+  SessionScope scope(*this, s);
   // The pick (0: none) may have drained, or left the table, meanwhile.
   EnvRecord* target = env_table_.find(picked);
   bool claimed_pool = false;
   bool fresh = false;
   if (target == nullptr || !target->leasable()) {
-    const EnvKey key = Dispatcher::binding_key(s->request);
+    const EnvKey key = Dispatcher::binding_key(s.request);
     // A warm-pool environment (pre-booted, unclaimed) is rebound to
     // this device instead of paying a cold start; the lowest id wins.
     // Draining capacity left the pool the moment its drain began.
@@ -1186,7 +1165,7 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
       // Switch the phase before provisioning so faults fired during
       // the (synchronous) container start annotate the boot, not the
       // dispatch decision.
-      begin_phase(*s, "provision");
+      begin_phase(s, "provision");
       fresh = true;
       target = &provision_env(key, server_->simulator().now());
     }
@@ -1194,19 +1173,19 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
   EnvRecord& rec = *target;
   if (!fresh) {
     fresh = !rec.ready();
-    begin_phase(*s, fresh ? "provision" : "reuse");
+    begin_phase(s, fresh ? "provision" : "reuse");
   }
-  s->fresh_env = fresh;
-  if (s->span_phase != obs::kNoSpan) {
-    trace_.annotate(s->span_phase, "env_id",
+  s.fresh_env = fresh;
+  if (s.span_phase != obs::kNoSpan) {
+    trace_.annotate(s.span_phase, "env_id",
                     static_cast<std::uint64_t>(rec.id));
     if (claimed_pool) {
-      trace_.annotate(s->span_phase, "warm_pool", std::uint64_t{1});
+      trace_.annotate(s.span_phase, "warm_pool", std::uint64_t{1});
     }
   }
-  s->env = target;
+  s.env = target;
   ++rec.inflight;  // pins the env against idle reclamation
-  touched(*s);
+  touched(s);
   if (rec.ready() && rec.inflight == 1) {
     env_table_.transition(rec.id, EnvState::kLeased,
                           server_->simulator().now());
@@ -1218,10 +1197,10 @@ void Platform::on_dispatched(const std::shared_ptr<SessionState>& s,
   }
 }
 
-void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
+void Platform::on_env_ready(SessionState& s) {
   sim::Simulator& simulator = server_->simulator();
-  SessionScope scope(*this, *s);
-  if (s->env->failed) {
+  SessionScope scope(*this, s);
+  if (s.env->failed) {
     // Provisioning failed (host capacity): reject the request.
     reject_session(s, RejectReason::kCapacity);
     return;
@@ -1232,64 +1211,64 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
     // environment stays bound and the upload starts when the new radio
     // attaches (the wait lands in runtime_preparation, which is wall
     // time from the device's perspective).
-    note_resumption(*s);
+    note_resumption(s);
     simulator.schedule_in(stall, guarded<&Platform::on_env_ready>(s));
     return;
   }
-  s->phases.runtime_preparation = simulator.now() - s->connected_at;
+  s.phases.runtime_preparation = simulator.now() - s.connected_at;
   // The paper's headline latency split: what a session waits when its
   // environment must boot vs when a warm one is rebound.
   SessionMetrics& sm = session_metrics_;
-  (s->fresh_env
+  (s.fresh_env
        ? resolve(sm.prep_provision_ms, metrics_, "session.prep.provision_ms")
        : resolve(sm.prep_reuse_ms, metrics_, "session.prep.reuse_ms"))
-      .observe(sim::to_millis(s->phases.runtime_preparation));
+      .observe(sim::to_millis(s.phases.runtime_preparation));
   if (warm_hits_ == nullptr) {
     warm_hits_ = &metrics_.counter("elastic.warm_hits");
     cold_boots_ = &metrics_.counter("elastic.cold_boots");
     warm_hit_ratio_ = &metrics_.gauge("elastic.warm_hit_ratio");
   }
-  (s->fresh_env ? cold_boots_ : warm_hits_)->inc();
+  (s.fresh_env ? cold_boots_ : warm_hits_)->inc();
   {
     const double hits = static_cast<double>(warm_hits_->value());
     const double cold = static_cast<double>(cold_boots_->value());
     warm_hit_ratio_->set(hits / std::max(1.0, hits + cold));
   }
-  begin_phase(*s, "transfer");
+  begin_phase(s, "transfer");
 
   // Determine the code push. With a code cache the warehouse answer
   // rules; without one the client must push into every environment that
   // has not seen this app yet (the duplicate transfer of Obs. 3).
   bool have_code;
   if (config_.code_cache) {
-    have_code = s->cache_hit;
+    have_code = s.cache_hit;
   } else {
-    have_code = s->env->pushed_apps.contains(s->app_id());
-    s->cache_hit = have_code;
+    have_code = s.env->pushed_apps.contains(s.app_id());
+    s.cache_hit = have_code;
   }
 
-  const device::MobileDevice& dev = device_for(s->request.device_id);
+  const device::MobileDevice& dev = device_for(s.request.device_id);
   device::OffloadClient client(dev);
   const device::UploadPlan plan =
-      client.plan_upload(s->request, s->app->app.apk_bytes(), have_code);
+      client.plan_upload(s.request, s.app->app.apk_bytes(), have_code);
 
   // Upload: control handshake, optional code, files + parameters.
   sim::SimDuration upload = dev.config().serialize_cost;
-  upload += s->conn->upload(net::Message{net::MessageType::kControl,
+  upload += s.conn->upload(net::Message{net::MessageType::kControl,
                                          client.protocol().request_control});
-  upload += s->conn->download(net::Message{
+  upload += s.conn->download(net::Message{
       net::MessageType::kControl, client.protocol().response_control});
   if (plan.push_code) {
-    upload += s->conn->upload(
+    upload += s.conn->upload(
         net::Message{net::MessageType::kMobileCode, plan.code_bytes});
-    s->env->pushed_apps.insert(s->app_id());
+    s.env->pushed_apps.insert(s.app_id());
     if (config_.code_cache) {
-      server_->warehouse().store(s->app->code_ref, plan.code_bytes);
+      server_->warehouse().store(s.app->code_ref, plan.code_bytes);
     }
   }
   const std::uint64_t payload = plan.file_bytes + plan.param_bytes;
   if (payload > 0) {
-    upload += s->conn->upload(
+    upload += s.conn->upload(
         net::Message{net::MessageType::kFileParams, payload});
   }
 
@@ -1302,17 +1281,17 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
     bool staged = false;
     if (config_.sharing_offload_io) {
       staged = server_->shared_layer().stage_request_files(
-          s->request.sequence, payload, simulator.now());
+          s.request.sequence, payload, simulator.now());
       if (staged) {
         ingest = server_->shared_layer().io_time(ingest_bytes);
-        s->staged = payload > 0;
+        s.staged = payload > 0;
       }
     }
     if (config_.sharing_offload_io && !staged && payload > 0) {
       // In-memory layer full: spill this request's files to disk (the
       // tradeoff §IV-C accepts — volatility and size are bounded because
       // offload payloads are small, but the fallback must exist).
-      s->spilled_to_disk = true;
+      s.spilled_to_disk = true;
       const sim::SimDuration native =
           server_->disk().service_time(ingest_bytes, true);
       ingest = native;
@@ -1322,7 +1301,7 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
     if (!config_.sharing_offload_io) {
       const sim::SimDuration native =
           server_->disk().service_time(ingest_bytes, true);
-      ingest = s->env->is_vm()
+      ingest = s.env->is_vm()
                    ? static_cast<sim::SimDuration>(
                          static_cast<double>(native) /
                          server_->calibration().vm_io_factor)
@@ -1333,26 +1312,26 @@ void Platform::on_env_ready(const std::shared_ptr<SessionState>& s) {
     }
   }
 
-  s->upload_time = upload;
+  s.upload_time = upload;
   const sim::SimDuration transfer = std::max(upload, ingest);
-  s->phases.data_transfer = transfer;
-  if (s->span_phase != obs::kNoSpan) {
-    trace_.annotate(s->span_phase, "push_code",
+  s.phases.data_transfer = transfer;
+  if (s.span_phase != obs::kNoSpan) {
+    trace_.annotate(s.span_phase, "push_code",
                     static_cast<std::uint64_t>(plan.push_code ? 1 : 0));
-    trace_.annotate(s->span_phase, "bytes",
+    trace_.annotate(s.span_phase, "bytes",
                     static_cast<std::uint64_t>(ingest_bytes));
-    if (s->spilled_to_disk) {
-      trace_.annotate(s->span_phase, "spilled", std::uint64_t{1});
+    if (s.spilled_to_disk) {
+      trace_.annotate(s.span_phase, "spilled", std::uint64_t{1});
     }
   }
   simulator.schedule_in(transfer, guarded<&Platform::on_uploaded>(s));
 }
 
-void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
+void Platform::on_uploaded(SessionState& s) {
   sim::Simulator& simulator = server_->simulator();
-  SessionScope scope(*this, *s);
-  begin_phase(*s, "execute");  // transfer ends now; queueing included
-  EnvRecord& env = *s->env;
+  SessionScope scope(*this, s);
+  begin_phase(s, "execute");  // transfer ends now; queueing included
+  EnvRecord& env = *s.env;
 
   // The controller filters every workflow leaving the container (§IV-E);
   // honest benchmark apps hold all of these grants.  Adversarial streams
@@ -1361,37 +1340,39 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   // ledger, and crossing the threshold blocks the tenant on the spot —
   // including this very session, swept by the on_block hook mid-handler.
   auto& access = server_->access();
-  if (s->executed.units.io_bytes > 0) {
-    access.check(s->app_id(), s->tenant, Operation::kReadOffloadFile,
+  if (s.executed.units.io_bytes > 0) {
+    access.check(s.app_id(), s.tenant, Operation::kReadOffloadFile,
                  simulator.now());
-    access.check(s->app_id(), s->tenant, Operation::kWriteOffloadFile,
+    access.check(s.app_id(), s.tenant, Operation::kWriteOffloadFile,
                  simulator.now());
   }
-  access.check(s->app_id(), s->tenant, Operation::kBinderCall,
+  access.check(s.app_id(), s.tenant, Operation::kBinderCall,
                simulator.now());
   if (config_.code_cache) {
-    access.check(s->app_id(), s->tenant, Operation::kReadWarehouse,
+    access.check(s.app_id(), s.tenant, Operation::kReadWarehouse,
                  simulator.now());
   }
-  if (const auto stream_it = streams_.find(s->stream_id);
+  // A probe that crosses the threshold ends this session in the sweep,
+  // which frees its record: re-resolve it after every probe.
+  const SessionRef self = session_ref(s);
+  if (const auto stream_it = streams_.find(s.stream_id);
       stream_it != streams_.end()) {
     for (const Operation op : stream_it->second.config.probe_ops) {
-      access.check(s->app_id(), s->tenant, op, simulator.now());
-      if (s->done) break;  // probe crossed the threshold; we were swept
+      access.check(s.app_id(), s.tenant, op, simulator.now());
+      if (find_session(self) == nullptr) return;  // self-evicted
     }
   }
-  if (s->done) return;  // self-evicted by the RAC block sweep
 
   // ClassLoader: first load per environment pays dex verification.
   android::ClassLoader& loader =
       env.is_vm() ? env.vm_loader : env.cac->classloader();
   const sim::SimDuration classload =
-      loader.load(s->app_id(), s->app->app.apk_bytes());
+      loader.load(s.app_id(), s.app->app.apk_bytes());
 
   // Binder traffic of the task (exercises the Android Container Driver
   // for container-backed environments).
   sim::SimDuration binder_cost = 0;
-  const std::uint32_t binder_calls = s->app->binder_calls_per_task;
+  const std::uint32_t binder_calls = s.app->binder_calls_per_task;
   if (!env.is_vm() && env.cac->container() != nullptr) {
     const kernel::DevNsId ns = env.cac->container()->devns();
     for (std::uint32_t i = 0; i < binder_calls; ++i) {
@@ -1407,28 +1388,28 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   // Compute time: native units rate, degraded by the platform CPU factor,
   // plus the offloading I/O the task performs.
   const sim::SimDuration native =
-      server_->native_compute_time(s->kind, s->executed.units.compute);
+      server_->native_compute_time(s.kind, s.executed.units.compute);
   const auto cpu = static_cast<sim::SimDuration>(
       static_cast<double>(native) / cpu_factor());
   sim::SimDuration io;
-  if (s->spilled_to_disk) {
+  if (s.spilled_to_disk) {
     // Spilled inputs read back from disk regardless of the shared layer.
     const Calibration& cal = server_->calibration();
-    io = server_->disk().service_time(s->executed.units.io_bytes, true) +
-         static_cast<sim::SimDuration>(s->request.task.io_ops) *
+    io = server_->disk().service_time(s.executed.units.io_bytes, true) +
+         static_cast<sim::SimDuration>(s.request.task.io_ops) *
              sim::from_millis(cal.disk.avg_seek_ms + cal.disk.rotational_ms);
   } else {
-    io = compute_io_time(env, s->executed.units.io_bytes,
-                         s->request.task.io_ops);
+    io = compute_io_time(env, s.executed.units.io_bytes,
+                         s.request.task.io_ops);
   }
-  if (config_.sharing_offload_io && !s->spilled_to_disk) {
+  if (config_.sharing_offload_io && !s.spilled_to_disk) {
     // Burn after reading: consume the staged files.
-    server_->shared_layer().consume_request_files(s->request.sequence,
+    server_->shared_layer().consume_request_files(s.request.sequence,
                                                   simulator.now());
-    s->staged = false;
-  } else if (s->executed.units.io_bytes > 0) {
+    s.staged = false;
+  } else if (s.executed.units.io_bytes > 0) {
     // The task reads its inputs back off the disk.
-    server_->disk().submit(fs::IoKind::kRead, s->executed.units.io_bytes,
+    server_->disk().submit(fs::IoKind::kRead, s.executed.units.io_bytes,
                            true, []() {});
   }
 
@@ -1438,10 +1419,10 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   // run code gets this interaction for free, which is why chatty apps
   // profit less from offloading than their compute ratio suggests.
   sim::SimDuration interaction = 0;
-  for (std::uint32_t round = 0; round < s->request.task.control_rounds;
+  for (std::uint32_t round = 0; round < s.request.task.control_rounds;
        ++round) {
-    s->conn->upload(net::Message{net::MessageType::kControl, 48});
-    s->conn->download(net::Message{net::MessageType::kControl, 48});
+    s.conn->upload(net::Message{net::MessageType::kControl, 48});
+    s.conn->download(net::Message{net::MessageType::kControl, 48});
     interaction += config_.link.rtt + sim::from_millis(60);
   }
 
@@ -1460,9 +1441,9 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   const sim::SimTime done = start + duration;
   env.busy_until = done;
   server_->monitor().record_cpu(start, done, 1.0);
-  server_->monitor().job_started(s->klass);
-  s->computing = true;
-  touched(*s);
+  server_->monitor().job_started(s.klass);
+  s.computing = true;
+  touched(s);
   if (faults_) {
     // Container crash / OOM-kill: the environment dies halfway through
     // this job. One consult per job and per kind keeps both substreams
@@ -1481,85 +1462,85 @@ void Platform::on_uploaded(const std::shared_ptr<SessionState>& s) {
   simulator.schedule_at(done, guarded<&Platform::on_computed>(s));
 }
 
-void Platform::on_computed(const std::shared_ptr<SessionState>& s) {
+void Platform::on_computed(SessionState& s) {
   sim::Simulator& simulator = server_->simulator();
-  SessionScope scope(*this, *s);
-  server_->monitor().job_finished(s->klass);
-  s->computing = false;
-  touched(*s);
-  EnvRecord& env = *s->env;
+  SessionScope scope(*this, s);
+  server_->monitor().job_finished(s.klass);
+  s.computing = false;
+  touched(s);
+  EnvRecord& env = *s.env;
   // Computation phase spans upload-end → compute-end (queueing included).
-  s->phases.computation = simulator.now() -
-                          (s->connected_at + s->phases.runtime_preparation +
-                           s->phases.data_transfer);
-  begin_phase(*s, "teardown");  // result download + completion control
+  s.phases.computation = simulator.now() -
+                          (s.connected_at + s.phases.runtime_preparation +
+                           s.phases.data_transfer);
+  begin_phase(s, "teardown");  // result download + completion control
   ++env.jobs_served;
   if (config_.code_cache) {
-    server_->warehouse().record_execution(s->app->code_ref, env.id);
+    server_->warehouse().record_execution(s.app->code_ref, env.id);
   }
 
   // Result + completion control flow back.
-  device::OffloadClient client(device_for(s->request.device_id));
-  sim::SimDuration download = s->conn->download(
-      net::Message{net::MessageType::kResult, s->request.task.result_bytes});
-  download += s->conn->upload(net::Message{
+  device::OffloadClient client(device_for(s.request.device_id));
+  sim::SimDuration download = s.conn->download(
+      net::Message{net::MessageType::kResult, s.request.task.result_bytes});
+  download += s.conn->upload(net::Message{
       net::MessageType::kControl, client.protocol().completion_control});
-  s->download_time = download;
-  s->phases.data_transfer += download;
+  s.download_time = download;
+  s.phases.data_transfer += download;
   // Handoff outage at result-delivery time: the download waits for the
   // new radio to attach (the computed result is already spooled server
   // side), then transfers at the new radio's rates.
   const sim::SimDuration stall = mobility_stall(simulator.now());
   if (stall > 0) {
-    note_resumption(*s);
-    s->phases.data_transfer += stall;
+    note_resumption(s);
+    s.phases.data_transfer += stall;
   }
   simulator.schedule_in(stall + download, guarded<&Platform::complete>(s));
 }
 
-void Platform::complete(const std::shared_ptr<SessionState>& s) {
-  SessionScope scope(*this, *s);
-  RequestOutcome& outcome = outcome_of(*s);
-  const device::MobileDevice& dev = device_for(s->request.device_id);
-  outcome.local_time = dev.local_execution_time(s->kind, s->executed);
+void Platform::complete(SessionState& s) {
+  SessionScope scope(*this, s);
+  RequestOutcome& outcome = outcome_of(s);
+  const device::MobileDevice& dev = device_for(s.request.device_id);
+  outcome.local_time = dev.local_execution_time(s.kind, s.executed);
   outcome.speedup = outcome.response > 0
                         ? static_cast<double>(outcome.local_time) /
                               static_cast<double>(outcome.response)
                         : 0.0;
   const device::RadioProfile radio = radio_profile();
-  outcome.upload_time = s->upload_time;
-  outcome.download_time = s->download_time;
+  outcome.upload_time = s.upload_time;
+  outcome.download_time = s.download_time;
   outcome.offload_energy_mj = offload_energy_mj(
-      s->phases, s->upload_time, s->download_time, radio);
-  outcome.local_energy_mj = dev.local_energy_mj(s->kind, s->executed, radio);
-  outcome.traffic = s->conn->traffic();
-  outcome.env_id = s->env->id;
-  outcome.code_cache_hit = s->cache_hit;
-  outcome.queue_wait = s->queue_wait;
-  outcome.recovered = s->recovered;
+      s.phases, s.upload_time, s.download_time, radio);
+  outcome.local_energy_mj = dev.local_energy_mj(s.kind, s.executed, radio);
+  outcome.traffic = s.conn->traffic();
+  outcome.env_id = s.env->id;
+  outcome.code_cache_hit = s.cache_hit;
+  outcome.queue_wait = s.queue_wait;
+  outcome.recovered = s.recovered;
   outcome.deadline_missed =
-      s->deadline > 0 && outcome.response > s->deadline;
+      s.deadline > 0 && outcome.response > s.deadline;
 
   SessionMetrics& sm = session_metrics_;
-  const std::size_t klass = qos::class_index(s->klass);
+  const std::size_t klass = qos::class_index(s.klass);
   const double response_ms = sim::to_millis(outcome.response);
   resolve(sm.completed, metrics_, "sessions.completed").inc();
   resolve(sm.qos_completed[klass], metrics_, "qos.completed.",
-          qos::to_string(s->klass))
+          qos::to_string(s.klass))
       .inc();
   if (outcome.deadline_missed) {
     resolve(sm.deadline_missed, metrics_, "qos.deadline.missed").inc();
   }
-  if (s->cache_hit) {
+  if (s.cache_hit) {
     resolve(sm.cache_hits, metrics_, "sessions.cache_hits").inc();
   }
-  if (s->recovered) {
+  if (s.recovered) {
     resolve(sm.recovered, metrics_, "sessions.recovered").inc();
   }
   resolve(sm.response_ms, metrics_, "session.response_ms")
       .observe(response_ms);
   resolve(sm.qos_response_ms[klass], metrics_, "qos.response_ms.",
-          qos::to_string(s->klass))
+          qos::to_string(s.klass))
       .observe(response_ms);
   if (admission_ != nullptr) {
     // Goodput latency: responses of sessions that made it through
@@ -1567,17 +1548,17 @@ void Platform::complete(const std::shared_ptr<SessionState>& s) {
     resolve(sm.accepted_response_ms, metrics_, "session.accepted.response_ms")
         .observe(response_ms);
   }
-  if (s->span_session != obs::kNoSpan) {
-    trace_.annotate(s->span_session, "env_id",
-                    static_cast<std::uint64_t>(s->env->id));
-    trace_.annotate(s->span_session, "cache_hit",
-                    static_cast<std::uint64_t>(s->cache_hit ? 1 : 0));
-    if (s->recovered) {
-      trace_.annotate(s->span_session, "recovered", std::uint64_t{1});
+  if (s.span_session != obs::kNoSpan) {
+    trace_.annotate(s.span_session, "env_id",
+                    static_cast<std::uint64_t>(s.env->id));
+    trace_.annotate(s.span_session, "cache_hit",
+                    static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
+    if (s.recovered) {
+      trace_.annotate(s.span_session, "recovered", std::uint64_t{1});
     }
-    trace_.annotate(s->span_session, "speedup", outcome.speedup);
+    trace_.annotate(s.span_session, "speedup", outcome.speedup);
     if (outcome.deadline_missed) {
-      trace_.annotate(s->span_session, "deadline_missed", std::uint64_t{1});
+      trace_.annotate(s.span_session, "deadline_missed", std::uint64_t{1});
     }
   }
   finish_session(s);
@@ -1639,26 +1620,26 @@ void Platform::crash_env(EnvRecord& env) {
   metrics_.counter("env.crashes").inc();
   teardown_env(env, /*crashed=*/true);
   // Sessions bound to the dead environment: neutralize every scheduled
-  // continuation (epoch bump) and give back what they held — Monitor job
-  // slots and staged one-shot files die with the container. The sessions
-  // stay *bound*: the Monitor has not discovered the crash yet, and the
-  // session-env-liveness invariant tolerates exactly that window.
-  for_each_live([&](const std::shared_ptr<SessionState>& s) {
-    if (s->done || s->env != &env) return;
-    ++s->epoch;
+  // continuation (generation bump) and give back what they held — Monitor
+  // job slots and staged one-shot files die with the container. The
+  // sessions stay *bound*: the Monitor has not discovered the crash yet,
+  // and the session-env-liveness invariant tolerates exactly that window.
+  for_each_live([&](SessionState& s) {
+    if (s.env != &env) return;
+    ++session_slots_[s.slot].gen;
     if (trace_.enabled()) {
-      trace_.instant(s->request.sequence + 1, "env_crash", "fault",
+      trace_.instant(s.request.sequence + 1, "env_crash", "fault",
                      server_->simulator().now());
     }
-    if (s->computing) {
-      server_->monitor().job_finished(s->klass);
-      s->computing = false;
+    if (s.computing) {
+      server_->monitor().job_finished(s.klass);
+      s.computing = false;
     }
-    if (s->staged) {
-      server_->shared_layer().release_request_files(s->request.sequence);
-      s->staged = false;
+    if (s.staged) {
+      server_->shared_layer().release_request_files(s.request.sequence);
+      s.staged = false;
     }
-    touched(*s);
+    touched(s);
   });
   server_->monitor().notify_crash(env.id);
   prune(env);
@@ -1673,26 +1654,27 @@ void Platform::recover_env(std::uint32_t env_id) {
   if (!config_.crash_recovery) return;
   EnvRecord* dead = env_table_.find(env_id);
   if (dead == nullptr) return;  // erased: no session was bound to it
-  std::vector<std::shared_ptr<SessionState>> victims;
-  for_each_live([&](const std::shared_ptr<SessionState>& s) {
-    if (!s->done && s->env == dead) victims.push_back(s);
+  std::vector<std::uint32_t> victims;
+  for_each_live([&](const SessionState& s) {
+    if (s.env == dead) victims.push_back(s.slot);
   });
-  for (const auto& s : victims) {
+  for (const std::uint32_t slot : victims) {
+    SessionState& s = sessions_.at(slot);
     if (dead->inflight > 0) --dead->inflight;
-    s->env = nullptr;
-    ++s->epoch;
-    touched(*s);
-    if (s->dispatch_attempts >= config_.max_redispatch) {
+    s.env = nullptr;
+    ++session_slots_[slot].gen;
+    touched(s);
+    if (s.dispatch_attempts >= config_.max_redispatch) {
       reject_session(s, RejectReason::kRedispatchExhausted);
       continue;
     }
     // Re-dispatch over the existing connection: the device re-sends its
     // request and the session restarts from runtime preparation.
-    s->recovered = true;
-    s->connected_at = server_->simulator().now();
+    s.recovered = true;
+    s.connected_at = server_->simulator().now();
     {
-      SessionScope scope(*this, *s);
-      begin_phase(*s, "redispatch");  // closes the span the crash cut off
+      SessionScope scope(*this, s);
+      begin_phase(s, "redispatch");  // closes the span the crash cut off
     }
     dispatch(s, server_->calibration().dispatcher_cost);
   }
@@ -1710,51 +1692,51 @@ void Platform::on_tenant_blocked(const std::string& tenant,
         trace_.instant(kPlatformTrack, "rac_block", "rac", now);
     trace_.annotate(mark, "tenant", tenant);
   }
-  // Collect first: reject_session unlinks from the live list.
-  std::vector<std::shared_ptr<SessionState>> victims;
-  for_each_live([&](const std::shared_ptr<SessionState>& s) {
-    if (!s->done && s->tenant == tenant) victims.push_back(s);
+  // Collect first: reject_session unlinks from the live list (and frees
+  // the record `tenant` may point into, so it is not read past here).
+  std::vector<std::uint32_t> victims;
+  for_each_live([&](const SessionState& s) {
+    if (s.tenant == tenant) victims.push_back(s.slot);
   });
-  for (const auto& s : victims) {
-    ++s->epoch;  // neutralize every scheduled continuation
-    if (s->span_session != obs::kNoSpan) {
-      trace_.annotate(s->span_session, "rac_swept", std::uint64_t{1});
+  for (const std::uint32_t slot : victims) {
+    SessionState& s = sessions_.at(slot);
+    ++session_slots_[slot].gen;  // neutralize every scheduled continuation
+    if (s.span_session != obs::kNoSpan) {
+      trace_.annotate(s.span_session, "rac_swept", std::uint64_t{1});
     }
     reject_session(s, RejectReason::kAccessDenied);
   }
 }
 
-void Platform::reject_session(const std::shared_ptr<SessionState>& s,
-                              RejectReason reason) {
-  if (s->done) return;
-  SessionScope scope(*this, *s);
+void Platform::reject_session(SessionState& s, RejectReason reason) {
+  SessionScope scope(*this, s);
   SessionMetrics& sm = session_metrics_;
   resolve(sm.rejected, metrics_, "sessions.rejected").inc();
   resolve(sm.rejected_by_reason[static_cast<std::size_t>(reason)], metrics_,
           "sessions.rejected.", to_string(reason))
       .inc();
-  resolve(sm.qos_rejected[qos::class_index(s->klass)], metrics_,
-          "qos.rejected.", qos::to_string(s->klass))
+  resolve(sm.qos_rejected[qos::class_index(s.klass)], metrics_,
+          "qos.rejected.", qos::to_string(s.klass))
       .inc();
   // Typed reject reply: the device learns *why* it was turned away
   // (back-off hint) at the cost of one small downlink frame.  Sessions
   // whose connection never established — a connect that failed, or one
   // still queued when the RAC turned the session away — have nowhere to
   // send it.
-  if (reason != RejectReason::kConnectFailed && s->conn.has_value() &&
-      s->conn->established()) {
-    s->conn->download(
+  if (reason != RejectReason::kConnectFailed && s.conn.has_value() &&
+      s.conn->established()) {
+    s.conn->download(
         net::Message{net::MessageType::kReject, net::kRejectReplyBytes});
   }
-  if (s->span_session != obs::kNoSpan) {
-    trace_.annotate(s->span_session, "rejected", std::uint64_t{1});
-    trace_.annotate(s->span_session, "reject_reason", to_string(reason));
+  if (s.span_session != obs::kNoSpan) {
+    trace_.annotate(s.span_session, "rejected", std::uint64_t{1});
+    trace_.annotate(s.span_session, "reject_reason", to_string(reason));
   }
-  RequestOutcome& outcome = outcome_of(*s);
+  RequestOutcome& outcome = outcome_of(s);
   outcome.rejected = true;
   outcome.reject_reason = reason;
-  outcome.queue_wait = s->queue_wait;
-  outcome.traffic = s->conn ? s->conn->traffic() : net::TrafficAccount{};
+  outcome.queue_wait = s.queue_wait;
+  outcome.traffic = s.conn ? s.conn->traffic() : net::TrafficAccount{};
   finish_session(s);
 }
 
@@ -1775,22 +1757,22 @@ RequestOutcome& Platform::outcome_of(const SessionState& s) {
   return outcome;
 }
 
-void Platform::finish_session(const std::shared_ptr<SessionState>& s) {
+void Platform::finish_session(SessionState& s) {
   const sim::SimTime now = server_->simulator().now();
-  const std::uint64_t sequence = s->request.sequence;
+  const std::uint64_t sequence = s.request.sequence;
   const RequestOutcome& outcome = outcomes_[sequence];
-  end_phase(*s);
-  if (s->span_session != obs::kNoSpan) trace_.end(s->span_session, now);
+  end_phase(s);
+  if (s.span_session != obs::kNoSpan) trace_.end(s.span_session, now);
   if (config_.adaptive_offloading && !outcome.rejected) {
     // Every run refreshes the local estimate; an offload (one that had an
     // environment) also the remote one, and only offloads are samples.
-    DecisionState& history = decisions_[s->app_id()];
+    DecisionState& history = decisions_[s.app_id()];
     const auto fold = [](double& ewma, double x, bool first) {
       ewma = first ? x : 0.7 * ewma + 0.3 * x;
     };
     fold(history.ewma_local_s, sim::to_seconds(outcome.local_time),
          history.ewma_local_s == 0);
-    if (s->env != nullptr) {
+    if (s.env != nullptr) {
       fold(history.ewma_remote_s, sim::to_seconds(outcome.response),
            history.samples == 0);
       ++history.samples;
@@ -1799,16 +1781,10 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s) {
   const bool stranded = outcome.stranded;
   outcome_done_[sequence] = 1;
 
-  if (s->computing) {
-    server_->monitor().job_finished(s->klass);
-    s->computing = false;
-  }
-  if (s->staged) {
-    server_->shared_layer().release_request_files(sequence);
-    s->staged = false;
-  }
-  if (s->env != nullptr) {
-    EnvRecord& env = *std::exchange(s->env, nullptr);
+  if (s.computing) server_->monitor().job_finished(s.klass);
+  if (s.staged) server_->shared_layer().release_request_files(sequence);
+  if (s.env != nullptr) {
+    EnvRecord& env = *s.env;
     if (env.inflight > 0) --env.inflight;
     if (!env.live()) {
       prune(env);  // the last session left a crashed or failed env
@@ -1822,27 +1798,19 @@ void Platform::finish_session(const std::shared_ptr<SessionState>& s) {
       }
     }
   }
-  s->done = true;
   ++completed_;
-  unlink_live(*s);
+  unlink_live(s);
   // Return the RAC, queue and in-service slots the session held.
-  if (s->rac_slot) {
-    server_->access().release(s->tenant);
-    s->rac_slot = false;
-  }
-  if (admission_ != nullptr && s->queued) {
+  if (s.rac_slot) server_->access().release(s.tenant);
+  if (admission_ != nullptr && s.queued) {
     // Ended while still waiting in a class queue (rejected after the
     // access controller blocked its app, or stranded); pull it out of
     // the scheduler so no stale id is ever echoed by pop_queued().
-    admission_->abandon_queued(s->klass, s->tenant, sequence);
-    queued_sessions_.erase(sequence);
-    s->queued = false;
+    admission_->abandon_queued(s.klass, s.tenant, s.slot);
   }
-  if (admission_ != nullptr && s->admitted) {
-    admission_->release();
-    s->admitted = false;
-  }
-  touched(*s);
+  if (admission_ != nullptr && s.admitted) admission_->release();
+  touched(s);  // unlinked: the oracle drops it from its books
+  release_session(s.slot);
   // A stranded session ends after the event queue drained, together with
   // every other live one: queued work it frees is stranded in the same
   // sweep, so none starts here.

@@ -348,13 +348,6 @@ class Platform {
   /// Sessions currently in flight (bound or connecting).
   [[nodiscard]] std::size_t live_session_count() const { return live_count_; }
 
-  /// Session-record allocations that overflowed the slab pool into the
-  /// heap.  Stays 0 when the pool's block size covers allocate_shared's
-  /// combined control-block + SessionState request (tests assert this).
-  [[nodiscard]] std::uint64_t session_pool_heap_fallbacks() const {
-    return session_pool_->heap_fallbacks();
-  }
-
   /// The platform-wide metrics registry (docs/OBSERVABILITY.md). Always
   /// live: every component is wired at construction and instrument
   /// updates are cheap enough for benchmark builds.
@@ -389,10 +382,6 @@ class Platform {
   /// once in-flight work finishes.
   std::uint32_t elastic_retire_warm(std::uint32_t count);
 
-  /// Starts draining one specific environment (tests / operations).
-  /// False if the id is unknown, already draining, or retired.
-  bool drain_env(std::uint32_t env_id);
-
   /// Content-addressed store of every lower layer the platform's CACs
   /// stack on.  Layers are pinned here by digest (deduplicated), so the
   /// shared base survives any individual environment's drain — only the
@@ -410,6 +399,20 @@ class Platform {
 
   struct SessionState;
   struct SessionScope;  ///< RAII: marks the session a handler acts for
+
+  /// A session record's handle: its slot in sessions_ and the slot's
+  /// generation when the handle was made (the EventQueue idiom).  It
+  /// stops resolving once a crash, a RAC sweep or the session's ending
+  /// bumps that generation, so a reused slot never answers for it.
+  struct SessionRef {
+    std::uint32_t slot = sim::kNoSlot;
+    std::uint32_t gen = 0;
+  };
+  /// What Platform keeps per slot of sessions_, outside the cells.
+  struct SessionSlot {
+    std::uint32_t gen = 0;  ///< the generation a handle captures
+    bool held = false;      ///< the slot holds a record
+  };
 
   /// What every session of one workload kind shares, resolved once per
   /// platform instead of per session.
@@ -493,38 +496,45 @@ class Platform {
   /// Builds the record of the session whose request waits in
   /// outcomes_[sequence], under the QoS identity of `stream_id`: called
   /// when the request arrives, so only in-flight sessions hold one.
-  std::shared_ptr<SessionState> make_session(std::uint64_t stream_id,
-                                             std::uint64_t sequence);
+  SessionState& make_session(std::uint64_t stream_id, std::uint64_t sequence);
+  /// The handle of `s`, and what a handle resolves to: the record while
+  /// its generation holds, else nullptr.  Defined in platform_state.hpp.
+  [[nodiscard]] SessionRef session_ref(const SessionState& s) const;
+  [[nodiscard]] SessionState* find_session(SessionRef ref);
+  /// Frees the record's slot and bumps its generation.
+  void release_session(std::uint32_t slot);
+  /// Releases every record still held (a run's leftovers, or the
+  /// platform's teardown) and empties the live list.
+  void release_all_sessions();
 
-  /// A continuation that runs `Step(s, args...)` unless the session ended
-  /// or its epoch moved on (a crash or a RAC sweep) since it was made.
+  /// A continuation that runs `Step(s, args...)` unless the session's
+  /// generation moved on (it ended, crashed or was swept) since it was
+  /// made.
   template <auto Step, typename... Args>
-  auto guarded(const std::shared_ptr<SessionState>& s, Args... args);
+  auto guarded(const SessionState& s, Args... args);
 
-  void on_arrival(const std::shared_ptr<SessionState>& s);
+  void on_arrival(SessionState& s);
+  /// The ending of a session the adaptive decision ran on the device.
+  void finish_locally(SessionState& s, sim::SimDuration local);
   /// The live list: appends `s`, or unlinks it in O(1) (a no-op when it
   /// is not linked), keeping the arrival order the sweeps walk.
-  void link_live(const std::shared_ptr<SessionState>& s);
+  void link_live(SessionState& s);
   void unlink_live(SessionState& s);
-  /// Calls `f(const std::shared_ptr<SessionState>&)` on every live
-  /// session in arrival order; `f` must not end sessions (collect them
-  /// first).  Defined in platform_state.hpp.
+  /// Calls `f(SessionState&)` on every live session in arrival order;
+  /// `f` must not end sessions (collect their slots first).  Defined in
+  /// platform_state.hpp.
   template <typename F>
-  void for_each_live(F&& f) const;
-  /// Empties the live list iteratively (a long owning chain would
-  /// otherwise be destroyed recursively).
-  void clear_live();
-  void attempt_connect(const std::shared_ptr<SessionState>& s);
-  void on_connected(const std::shared_ptr<SessionState>& s);
-  void dispatch(const std::shared_ptr<SessionState>& s,
-                sim::SimDuration lead_cost);
+  void for_each_live(F&& f);
+  void attempt_connect(SessionState& s);
+  void on_connected(SessionState& s);
+  void dispatch(SessionState& s, sim::SimDuration lead_cost);
   /// Binds the session to the dispatcher's pick (0 or no longer leasable:
   /// a pool claim or a fresh environment) once the lead cost elapsed.
-  void on_dispatched(const std::shared_ptr<SessionState>& s, EnvId picked);
-  void on_env_ready(const std::shared_ptr<SessionState>& s);
-  void on_uploaded(const std::shared_ptr<SessionState>& s);
-  void on_computed(const std::shared_ptr<SessionState>& s);
-  void complete(const std::shared_ptr<SessionState>& s);
+  void on_dispatched(SessionState& s, EnvId picked);
+  void on_env_ready(SessionState& s);
+  void on_uploaded(SessionState& s);
+  void on_computed(SessionState& s);
+  void complete(SessionState& s);
 
   // Mobility machinery (docs/LOADGEN.md).
   void arm_mobility_pump();
@@ -545,21 +555,20 @@ class Platform {
   /// just-blocked tenant so it consumes zero container time past this
   /// instant (invariant #14).
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
-  void reject_session(const std::shared_ptr<SessionState>& s,
-                      RejectReason reason);
+  void reject_session(SessionState& s, RejectReason reason);
   /// Fills the outcome fields every ending fills the same way into the
   /// session's slot, outcomes_[sequence], and returns the slot; each
   /// path sets the rest in place.  Valid until the next submit.
   RequestOutcome& outcome_of(const SessionState& s);
   /// The one ending of every session — completed, rejected, stranded or
-  /// run locally: marks the outcome its path filled in as recorded and
-  /// the session done, unbinds its environment, returns its slots, ends
-  /// its spans and feeds the adaptive decision history; then, unless it
-  /// was stranded, starts queued work; and last it notifies the
+  /// run locally: marks the outcome its path filled in as recorded,
+  /// unbinds its environment, returns its slots, ends its spans, feeds
+  /// the adaptive decision history and releases its record; then, unless
+  /// it was stranded, starts queued work; and last it notifies the
   /// completion observer.  A stranded session ends after the queue
   /// drained, so drain_run runs the queue again for what the observer
   /// submits.
-  void finish_session(const std::shared_ptr<SessionState>& s);
+  void finish_session(SessionState& s);
   /// Touch point: tells the invariant oracle, when armed, that a
   /// handler changed `s` (docs/FAULTS.md).
   void touched(const SessionState& s);
@@ -582,32 +591,25 @@ class Platform {
   // handles are destroyed first.
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder trace_;
-  SessionState* active_session_ = nullptr;  ///< set while a handler runs
-  /// Slab pool backing session records: every SessionState is created
-  /// via std::allocate_shared, so control block + payload land in one
-  /// recycled slab block instead of a per-session heap allocation
-  /// (docs/PERF.md).  A record is built when its request arrives and
-  /// freed once it ended and no event holds it, so the pool holds the
-  /// in-flight sessions only; a submitted request waits in its
-  /// outcomes_ slot until then.  Declared before server_ and the session
-  /// containers so it is destroyed after every shared_ptr<SessionState>
-  /// — including those captured in the simulator's pending event
-  /// callbacks.
-  std::unique_ptr<sim::SlabPool> session_pool_;
+  SessionRef active_session_;  ///< set while a handler runs
+  /// One record per in-flight session, owned here alone (docs/PERF.md
+  /// "Arenas"): built when its request arrives, released when it ends;
+  /// a submitted request waits in its outcomes_ slot until then.
+  sim::SlabArena<SessionState, 256> sessions_;
+  std::vector<SessionSlot> session_slots_;  ///< parallel to sessions_
   std::unique_ptr<CloudServer> server_;
   std::unique_ptr<net::Link> link_;
   std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<sim::FaultInjector> faults_;
+  /// Parks sessions in its class queues by slot (the id the QosScheduler
+  /// echoes back on pop).
   std::unique_ptr<AdmissionController> admission_;
-  /// Sessions parked in the admission class queues, by request sequence
-  /// (the id the QosScheduler echoes back on pop).
-  std::map<std::uint64_t, std::shared_ptr<SessionState>> queued_sessions_;
   std::function<void(const RequestOutcome&)> completion_observer_;
   InvariantChecker invariants_;
-  /// Sessions in flight, in arrival order: an intrusive list through
-  /// SessionState::live_next, which owns the next member.
-  std::shared_ptr<SessionState> live_head_;
-  SessionState* live_tail_ = nullptr;
+  /// Sessions in flight, in arrival order: an intrusive list of slots
+  /// through SessionState::live_next.
+  std::uint32_t live_head_ = sim::kNoSlot;
+  std::uint32_t live_tail_ = sim::kNoSlot;
   std::size_t live_count_ = 0;
   sim::Rng rng_;
   /// After server_: a CAC hands its container back when destroyed.

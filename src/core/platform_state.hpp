@@ -3,8 +3,8 @@
 // of the public API.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -25,19 +25,19 @@ struct Platform::SessionState {
   bool cache_hit = false;
   bool spilled_to_disk = false;  ///< tmpfs full: files staged on disk
   EnvRecord* env = nullptr;  ///< bound, so pinned (EnvRecord::inflight)
+  /// Its cell in Platform::sessions_.  Continuations (Platform::guarded)
+  /// capture the slot with its generation, so a crash, a RAC sweep or
+  /// the session's ending voids every event it had in flight without
+  /// cancelling them one by one.
+  std::uint32_t slot = sim::kNoSlot;
 
-  // Fault-injection state. Scheduled continuations (Platform::guarded)
-  // capture `epoch` and bail when it moved on — a crash invalidates every
-  // event the session had in flight without having to cancel them
-  // individually.
-  std::uint64_t epoch = 0;
+  // Fault-injection state.
   std::uint32_t dispatch_attempts = 0;
   std::uint32_t connect_attempts = 0;
   bool recovered = false;   ///< survived at least one environment crash
   bool resumed = false;     ///< stalled through a handoff outage
   bool staged = false;      ///< files currently staged in the shared tmpfs
   bool computing = false;   ///< holds a Monitor job slot
-  bool done = false;        ///< ended: finish_session recorded its outcome
 
   // Access-control state (docs/RAC.md).
   bool rac_slot = false;    ///< holds a RAC in-flight quota slot
@@ -62,10 +62,10 @@ struct Platform::SessionState {
   bool fresh_env = false;  ///< bound to an env that still had to boot
   std::map<sim::FaultKind, std::uint64_t> fault_hits;
 
-  // Live-list links (Platform::live_head_): from arrival to its ending
-  // the list owns the session through its predecessor's `live_next`.
-  std::shared_ptr<SessionState> live_next;
-  SessionState* live_prev = nullptr;
+  // Live-list links (Platform::live_head_), by slot: an offloaded
+  // session is linked from arrival to its ending; one run locally never.
+  std::uint32_t live_next = sim::kNoSlot;
+  std::uint32_t live_prev = sim::kNoSlot;
   bool live = false;  ///< linked into the live list
 
   [[nodiscard]] const std::string& app_id() const {
@@ -73,11 +73,23 @@ struct Platform::SessionState {
   }
 };
 
+inline Platform::SessionRef Platform::session_ref(
+    const SessionState& s) const {
+  return {s.slot, session_slots_[s.slot].gen};
+}
+
+inline Platform::SessionState* Platform::find_session(SessionRef ref) {
+  return ref.slot < session_slots_.size() &&
+                 session_slots_[ref.slot].gen == ref.gen
+             ? &sessions_.at(ref.slot)
+             : nullptr;
+}
+
 template <typename F>
-void Platform::for_each_live(F&& f) const {
-  for (const std::shared_ptr<SessionState>* link = &live_head_;
-       *link != nullptr; link = &(*link)->live_next) {
-    f(*link);
+void Platform::for_each_live(F&& f) {
+  for (std::uint32_t slot = live_head_; slot != sim::kNoSlot;
+       slot = sessions_.at(slot).live_next) {
+    f(sessions_.at(slot));
   }
 }
 

@@ -1,23 +1,14 @@
-// Slab arenas for the discrete-event hot path.
+// Slab arena for the discrete-event hot path.
 //
 // The simulator allocates and frees one object per event (the event node)
 // and one per offloading session (the session record) — at 10^6-device
 // scale that is tens of millions of malloc/free pairs per run, most of
-// them the same two sizes.  These arenas turn each of those into a
-// free-list pop/push inside large slabs:
-//
-//   SlabArena<T>      — typed, slot-indexed.  create() returns (T*, slot);
-//                       the slot index is stable for the object's lifetime
-//                       and reusable as a compact handle (the calendar
-//                       queue packs it into EventId).  destroy(slot) runs
-//                       the destructor and recycles the slot.
-//   SlabPool          — untyped fixed-block pool with a graceful
-//                       fall-through to operator new for oversized
-//                       requests.
-//   StlSlabAllocator  — std-allocator shim over a SlabPool (the
-//                       aws-crt-cpp StlAllocator idiom), so
-//                       std::allocate_shared can place shared control
-//                       block + payload in one pooled block.
+// them the same two sizes.  SlabArena<T> turns each of those into a
+// free-list pop/push inside large slabs.  It is typed and slot-indexed:
+// create() returns (T*, slot); the slot index is stable for the object's
+// lifetime and reusable as a compact handle (the calendar queue packs it
+// into EventId, the platform pairs it with a generation as a session
+// handle).  destroy(slot) runs the destructor and recycles the slot.
 //
 // Lifetime/poisoning contract (docs/PERF.md): freed slots are poisoned
 // under AddressSanitizer, so any dangling use of a recycled event node or
@@ -195,125 +186,6 @@ class SlabArena {
   std::vector<std::uint32_t> free_;  ///< recycled slots (LIFO)
   std::uint32_t next_ = 0;           ///< first never-used slot
   std::size_t live_ = 0;
-};
-
-/// Untyped fixed-block pool: blocks of `block_size` bytes in slabs, with
-/// oversized requests falling through to the global heap (the pool never
-/// rejects — it just stops helping).  Alignment is max_align_t.
-class SlabPool {
- public:
-  explicit SlabPool(std::size_t block_size, std::size_t blocks_per_slab = 256)
-      : block_size_(round_up(block_size)),
-        blocks_per_slab_(blocks_per_slab) {
-    assert(block_size > 0 && blocks_per_slab > 0);
-  }
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
-  ~SlabPool() {
-    assert(live_ == 0 && "SlabPool destroyed with live blocks");
-    for (unsigned char* slab : slabs_) {
-      detail::unpoison(slab, block_size_ * blocks_per_slab_);
-      ::operator delete[](slab, std::align_val_t{alignof(std::max_align_t)});
-    }
-  }
-
-  /// True when a request of `bytes` is served from the pool.
-  [[nodiscard]] bool pooled(std::size_t bytes) const {
-    return bytes <= block_size_;
-  }
-
-  [[nodiscard]] void* allocate(std::size_t bytes) {
-    if (!pooled(bytes)) {
-      ++heap_fallbacks_;
-      return ::operator new(bytes);
-    }
-    void* block;
-    if (!free_.empty()) {
-      block = free_.back();
-      free_.pop_back();
-    } else {
-      if (used_in_slab_ == blocks_per_slab_ || slabs_.empty()) {
-        auto* slab = static_cast<unsigned char*>(::operator new[](
-            block_size_ * blocks_per_slab_,
-            std::align_val_t{alignof(std::max_align_t)}));
-        detail::poison(slab, block_size_ * blocks_per_slab_);
-        slabs_.push_back(slab);
-        used_in_slab_ = 0;
-      }
-      block = slabs_.back() + block_size_ * used_in_slab_;
-      ++used_in_slab_;
-    }
-    detail::unpoison(block, block_size_);
-    ++live_;
-    return block;
-  }
-
-  void deallocate(void* block, std::size_t bytes) {
-    if (!pooled(bytes)) {
-      ::operator delete(block);
-      return;
-    }
-    detail::poison(block, block_size_);
-    free_.push_back(block);
-    --live_;
-  }
-
-  [[nodiscard]] std::size_t block_size() const { return block_size_; }
-  [[nodiscard]] std::size_t live() const { return live_; }
-  [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
-  /// Requests too large for the pool, served by the heap instead.
-  [[nodiscard]] std::uint64_t heap_fallbacks() const {
-    return heap_fallbacks_;
-  }
-
- private:
-  static std::size_t round_up(std::size_t n) {
-    const std::size_t a = alignof(std::max_align_t);
-    return (n + a - 1) / a * a;
-  }
-
-  std::size_t block_size_;
-  std::size_t blocks_per_slab_;
-  std::vector<unsigned char*> slabs_;
-  std::vector<void*> free_;
-  std::size_t used_in_slab_ = 0;
-  std::size_t live_ = 0;
-  std::uint64_t heap_fallbacks_ = 0;
-};
-
-/// std-allocator over a SlabPool (aws-crt-cpp's StlAllocator shape).
-/// Rebinding preserves the pool, so std::allocate_shared's internal
-/// control-block type allocates from the same pool as T would.
-template <typename T>
-class StlSlabAllocator {
- public:
-  using value_type = T;
-
-  explicit StlSlabAllocator(SlabPool* pool) noexcept : pool_(pool) {}
-  template <typename U>
-  StlSlabAllocator(const StlSlabAllocator<U>& other) noexcept
-      : pool_(other.pool()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(pool_->allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    pool_->deallocate(p, n * sizeof(T));
-  }
-
-  [[nodiscard]] SlabPool* pool() const noexcept { return pool_; }
-
-  template <typename U>
-  bool operator==(const StlSlabAllocator<U>& other) const noexcept {
-    return pool_ == other.pool();
-  }
-  template <typename U>
-  bool operator!=(const StlSlabAllocator<U>& other) const noexcept {
-    return pool_ != other.pool();
-  }
-
- private:
-  SlabPool* pool_;
 };
 
 }  // namespace rattrap::sim

@@ -2,13 +2,14 @@
 //
 // libstdc++'s std::function stores a callable inline only when it is
 // trivially copyable and at most 16 bytes, so every continuation that
-// captures a shared_ptr (the platform's session continuations all do)
-// costs a malloc and a free per event.  InlineCallback keeps any
-// nothrow-movable callable of up to kInlineBytes bytes (alignment up to
-// 8) in the object itself and falls back to one heap block only for
-// bigger or over-aligned ones.  Like std::function, operator() is const
-// and invokes the target as a non-const lvalue; unlike it, the wrapper
-// is move-only, so move-only captures (unique_ptr) work too.
+// captures a shared_ptr, or more than two words (the platform's session
+// continuations capture up to three), costs a malloc and a free per event.
+// InlineCallback keeps any nothrow-movable callable of up to kInlineBytes
+// bytes (alignment up to 8) in the object itself and falls back to one
+// heap block only for bigger or over-aligned ones.  Like std::function,
+// operator() is const and invokes the target as a non-const lvalue;
+// unlike it, the wrapper is move-only, so move-only captures
+// (unique_ptr) work too.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "core/oracle.hpp"
@@ -37,6 +38,14 @@ struct PlatformTestPeer {
   }
   /// Boots one warm-pool environment, ignoring the memory budget.
   static void prewarm(Platform& platform) { platform.prewarm_env(); }
+  /// Starts draining one specific environment; false if the id is
+  /// unknown, already draining, or retired.
+  static bool drain_env(Platform& platform, EnvId id) {
+    EnvRecord* env = platform.env_table_.find(id);
+    if (env == nullptr || !env->leasable()) return false;
+    platform.begin_drain(*env);
+    return true;
+  }
 
   /// Reports a touch point the way the mutation site a plant stands in
   /// for does (a defective site still says what it changed).
@@ -47,10 +56,20 @@ struct PlatformTestPeer {
     if (platform.oracle_ != nullptr) platform.oracle_->touch_tenant(tenant);
   }
 
-  /// Slabs the session-record pool has allocated (it never returns
+  /// The record slot of live session `sequence`, or sim::kNoSlot.
+  static std::uint32_t session_slot(Platform& platform,
+                                    std::uint64_t sequence) {
+    std::uint32_t slot = sim::kNoSlot;
+    platform.for_each_live([&](const Platform::SessionState& s) {
+      if (s.request.sequence == sequence) slot = s.slot;
+    });
+    return slot;
+  }
+
+  /// Slabs the session-record arena has allocated (it never returns
   /// one, so this is its high-water mark in blocks of 256 sessions).
   static std::size_t session_slabs(const Platform& platform) {
-    return platform.session_pool_->slab_count();
+    return platform.sessions_.capacity() / 256;
   }
 
   /// Runs the oracle's full sweep after every event as well, recording

@@ -298,8 +298,9 @@ TEST(CacReclaim, DrainFreesTheCac) {
   for (const auto& request : fleet_stream(4, 2)) session->submit(request);
   bool drained = false;
   platform.server().simulator().schedule_at(
-      60 * sim::kSecond,
-      [&platform, &drained]() { drained = platform.drain_env(1); });
+      60 * sim::kSecond, [&platform, &drained]() {
+        drained = PlatformTestPeer::drain_env(platform, 1);
+      });
   (void)session->close();
   ASSERT_TRUE(drained);
   // Env 1 was reclaimed and left the table with its CAC.

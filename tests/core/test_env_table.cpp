@@ -77,7 +77,9 @@ TEST(ContainerDb, StateCounts) {
   EXPECT_EQ(table.count(EnvState::kLeased), 1u);
   EXPECT_EQ(table.count(EnvState::kReclaimed), 1u);
   EXPECT_EQ(table.live_count(), 2u);
-  EXPECT_EQ(table.live_ids(), (std::set<EnvId>{2, 3}));
+  EXPECT_FALSE(table.find(1)->live());
+  EXPECT_TRUE(table.find(2)->live());
+  EXPECT_TRUE(table.find(3)->live());
 }
 
 TEST(ContainerDb, IdsListing) {
@@ -126,7 +128,6 @@ TEST(CacLifecycle, FullHappyPathKeepsCountsConserved) {
   EXPECT_EQ(table.count(EnvState::kDraining), 0u);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_TRUE(table.first_error().empty());
-  EXPECT_EQ(table.check(), std::nullopt);
 }
 
 TEST(CacLifecycle, IllegalEdgeRecordsErrorAndKeepsState) {
@@ -137,11 +138,9 @@ TEST(CacLifecycle, IllegalEdgeRecordsErrorAndKeepsState) {
   // reclaimed is terminal: nothing leaves it.
   table.transition(1, EnvState::kWarmIdle, 3 * kSecond);
   EXPECT_EQ(table.find(1)->state(), EnvState::kReclaimed);
-  EXPECT_FALSE(table.first_error().empty());
-  const auto verdict = table.check();
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_NE(verdict->find("reclaimed -> warm_idle"), std::string::npos)
-      << *verdict;
+  EXPECT_NE(table.first_error().find("reclaimed -> warm_idle"),
+            std::string::npos)
+      << table.first_error();
 }
 
 TEST(CacLifecycle, UntrackedAndDoubleAdmitAreErrors) {
@@ -232,7 +231,6 @@ TEST(EnvTable, PoolClaimTakesTheLowestId) {
   EXPECT_EQ(table.claim_pool(), std::optional<EnvId>(3));
   EXPECT_EQ(table.claim_pool(), std::nullopt);
   EXPECT_EQ(table.pool_bytes(), 0u);
-  EXPECT_EQ(table.check(), std::nullopt);
 }
 
 TEST(EnvTable, DrainAndReclaimLeaveThePool) {
@@ -246,7 +244,6 @@ TEST(EnvTable, DrainAndReclaimLeaveThePool) {
   table.add_to_pool(3);
   EXPECT_EQ(table.pool(), (std::set<EnvId>{1}));
   EXPECT_EQ(table.pool_bytes(), 100u);
-  EXPECT_EQ(table.check(), std::nullopt);
 }
 
 TEST(EnvTable, MetricsTrackAddsRetirementsAndFirstTouch) {

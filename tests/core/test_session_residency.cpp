@@ -1,11 +1,13 @@
 // Session-record residency (docs/PERF.md "Arenas"): a submitted request
 // waits in its outcome slot and gets its session record only when it
-// arrives, so the record pool holds the sessions in flight, not the
-// schedule submitted ahead of them; and an arrival whose synchronous
-// reject feeds follow-ups back through the completion observer still
-// accounts for every sequence exactly once.
+// arrives, so the record arena holds the sessions in flight, not the
+// schedule submitted ahead of them; an arrival whose synchronous reject
+// feeds follow-ups back through the completion observer still accounts
+// for every sequence exactly once; and a step queued by a session that
+// ended never acts on the session that reuses its record slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -18,13 +20,13 @@
 namespace rattrap::core {
 namespace {
 
-/// One small Linpack task, shared by every request (the kernel runs
-/// once; the process-wide memo serves the rest).
-workloads::TaskSpec small_task() {
+/// One Linpack task of `size_class`, shared by every request that uses
+/// it (the kernel runs once; the process-wide memo serves the rest).
+workloads::TaskSpec linpack_task(std::uint32_t size_class = 1) {
   workloads::StreamConfig config;
   config.kind = workloads::Kind::kLinpack;
   config.count = 1;
-  config.size_class = 1;
+  config.size_class = size_class;
   return workloads::make_stream(config).front().task;
 }
 
@@ -49,7 +51,7 @@ TEST(SessionResidency, PoolHoldsInFlightSessionsOnly) {
   Result<Session> opened = platform.open_session();
   ASSERT_TRUE(opened.ok());
   Session session = std::move(*opened);
-  const workloads::TaskSpec task = small_task();
+  const workloads::TaskSpec task = linpack_task();
   for (std::size_t i = 0; i < kRequests; ++i) {
     session.submit(request_at(i, static_cast<std::uint32_t>(i % 16),
                               static_cast<sim::SimTime>(i) * 500 *
@@ -66,7 +68,6 @@ TEST(SessionResidency, PoolHoldsInFlightSessionsOnly) {
   }
   EXPECT_EQ(platform.live_session_count(), 0u);
   EXPECT_LE(PlatformTestPeer::session_slabs(platform), 8u);
-  EXPECT_EQ(platform.session_pool_heap_fallbacks(), 0u);
 }
 
 TEST(SessionResidency, ObserverSubmitsDuringDeniedArrival) {
@@ -85,7 +86,7 @@ TEST(SessionResidency, ObserverSubmitsDuringDeniedArrival) {
   ASSERT_TRUE(opened.ok());
   Session session = std::move(*opened);
 
-  const workloads::TaskSpec task = small_task();
+  const workloads::TaskSpec task = linpack_task();
   const auto device_of = [](std::uint64_t sequence) {
     return static_cast<std::uint32_t>(sequence % 7);
   };
@@ -126,6 +127,81 @@ TEST(SessionResidency, ObserverSubmitsDuringDeniedArrival) {
     EXPECT_EQ(seen[sequence], 1) << "sequence " << sequence;
   }
   EXPECT_EQ(platform.live_session_count(), 0u);
+}
+
+TEST(SessionResidency, StaleContinuationSkipsTheSlotsNextSession) {
+  // A RAC block sweep ends an in-flight session of the blocked tenant
+  // while its next phase step is still queued.  The sweep frees the
+  // record's slot, and arrivals submitted at that instant reuse it.  The
+  // queued step still fires, against whichever session now holds the
+  // slot: the generation it captured must turn it away, or it would
+  // drive another tenant's session.
+  PlatformConfig config = make_config(PlatformKind::kRattrap);
+  config.force_invariants = true;
+  config.access.violation_threshold = 1;  // one probe blocks the tenant
+  Platform platform(std::move(config));
+  sim::Simulator& simulator = platform.server().simulator();
+
+  SessionConfig honest;
+  honest.tenant = "mallory";
+  SessionConfig probing = honest;
+  probing.probe_ops = {Operation::kWriteSharedLayer};
+  SessionConfig bystander;
+  bystander.tenant = "alice";
+  Result<Session> victim = platform.open_session(honest);
+  Result<Session> prober = platform.open_session(probing);
+  Result<Session> next = platform.open_session(bystander);
+  ASSERT_TRUE(victim.ok() && prober.ok() && next.ok());
+
+  // The victim's long task is still in flight when the prober's upload
+  // lands and its probe blocks their shared tenant.
+  const workloads::TaskSpec task = linpack_task();
+  victim->submit(request_at(0, 0, 0, linpack_task(3)));
+  prober->submit(request_at(1, 1, 500 * sim::kMillisecond, task));
+  std::uint32_t victim_slot = sim::kNoSlot;
+  simulator.schedule_at(sim::kMillisecond, [&]() {
+    victim_slot = PlatformTestPeer::session_slot(platform, 0);
+  });
+  std::vector<std::uint32_t> reused;  // the follow-ups' slots
+  platform.set_completion_observer([&](const RequestOutcome& done) {
+    if (done.request.sequence != 0) return;
+    // Bound, and uploading or computing: a phase step is still queued.
+    EXPECT_GT(done.phases.data_transfer, 0);
+    EXPECT_EQ(done.phases.computation, 0);
+    const sim::SimTime now = simulator.now();
+    for (std::uint64_t sequence = 2; sequence < 4; ++sequence) {
+      next->submit(request_at(sequence, static_cast<std::uint32_t>(sequence),
+                              now, linpack_task(3)));
+    }
+    simulator.schedule_at(now, [&]() {
+      for (std::uint64_t sequence = 2; sequence < 4; ++sequence) {
+        reused.push_back(PlatformTestPeer::session_slot(platform, sequence));
+      }
+    });
+  });
+  (void)victim->close();
+  platform.set_completion_observer({});
+
+  ASSERT_NE(victim_slot, sim::kNoSlot);
+  EXPECT_NE(std::find(reused.begin(), reused.end(), victim_slot),
+            reused.end())
+      << "no follow-up reused the swept session's slot";
+  for (std::uint64_t sequence = 0; sequence < 2; ++sequence) {
+    const RequestOutcome* swept = platform.result(sequence);
+    ASSERT_NE(swept, nullptr);
+    EXPECT_TRUE(swept->rejected);
+    EXPECT_EQ(swept->reject_reason, RejectReason::kAccessDenied);
+  }
+  for (std::uint64_t sequence = 2; sequence < 4; ++sequence) {
+    const RequestOutcome* served = platform.result(sequence);
+    ASSERT_NE(served, nullptr);
+    EXPECT_FALSE(served->rejected) << "sequence " << sequence;
+    EXPECT_EQ(served->tenant, "alice");
+    EXPECT_EQ(served->dispatch_attempts, 1u);
+    EXPECT_GT(served->phases.computation, 0);
+  }
+  EXPECT_EQ(platform.live_session_count(), 0u);
+  EXPECT_TRUE(platform.invariants().ok()) << platform.invariants().report();
 }
 
 }  // namespace

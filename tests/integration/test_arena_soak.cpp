@@ -1,7 +1,7 @@
 // Arena soak (ctest label: soak — opt-in via RATTRAP_SOAK=1, run under
 // ASan in CI like the loadgen soak).
 //
-// Churns a SlabArena and a SlabPool at event-queue rates for a
+// Churns a SlabArena at event-queue rates for a
 // wall-clock budget and asserts the resident set stays bounded: slabs
 // are recycled, never accreted.  This is the allocator-level counterpart
 // of EventQueue's ChurnWorkloadStaysBounded — that test proves node
@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -62,10 +61,8 @@ TEST(ArenaSoak, ChurnKeepsResidentSetBounded) {
   Rng rng(7);
   EventQueue queue;
   SlabArena<Session> sessions;
-  SlabPool pool(128);
   std::vector<std::uint32_t> live_sessions;
   std::vector<EventId> live_events;
-  std::vector<void*> live_blocks;
 
   // Warm-up: reach steady-state population so the baseline RSS includes
   // every slab the workload will ever need.
@@ -81,7 +78,6 @@ TEST(ArenaSoak, ChurnKeepsResidentSetBounded) {
         live_events.push_back(queue.schedule(
             static_cast<SimTime>(rng.uniform(0.0, 1e9)), [] {}));
         live_sessions.push_back(sessions.create().second);
-        live_blocks.push_back(pool.allocate(96));
         continue;
       }
       const auto pick = static_cast<std::size_t>(
@@ -91,8 +87,6 @@ TEST(ArenaSoak, ChurnKeepsResidentSetBounded) {
           static_cast<SimTime>(rng.uniform(0.0, 1e9)), [] {});
       sessions.destroy(live_sessions[pick]);
       live_sessions[pick] = sessions.create().second;
-      pool.deallocate(live_blocks[pick], 96);
-      live_blocks[pick] = pool.allocate(96);
     }
     if (rounds == 1) baseline_rss = resident_bytes();
   }
@@ -109,11 +103,8 @@ TEST(ArenaSoak, ChurnKeepsResidentSetBounded) {
   // Allocator-level bounds hold regardless of /proc availability.
   EXPECT_LE(queue.allocated_nodes(), kPopulation + 8);
   EXPECT_EQ(sessions.allocated_slots(), kPopulation);
-  EXPECT_EQ(pool.slab_count(),
-            (kPopulation + 255) / 256);  // blocks_per_slab = 256
 
   for (const std::uint32_t slot : live_sessions) sessions.destroy(slot);
-  for (void* block : live_blocks) pool.deallocate(block, 96);
   queue.clear();
 }
 

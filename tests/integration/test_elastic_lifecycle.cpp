@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "../core/platform_test_peer.hpp"
 #include "core/platform.hpp"
 #include "workloads/generator.hpp"
 
@@ -55,7 +56,8 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
           const EnvRecord* env = platform.env_table().find(1);
           if (!drained_while_booting && env != nullptr &&
               env->state() == EnvState::kBooting) {
-            drained_while_booting = platform.drain_env(1);
+            drained_while_booting =
+                PlatformTestPeer::drain_env(platform, 1);
           }
         });
   }
@@ -107,8 +109,9 @@ TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
   bool second = false;
   platform.server().simulator().schedule_at(
       2 * sim::kSecond, [&platform, &first, &second]() {
-        first = platform.drain_env(1);
-        second = platform.drain_env(1);  // already draining or reclaimed
+        first = PlatformTestPeer::drain_env(platform, 1);
+        // Already draining or reclaimed.
+        second = PlatformTestPeer::drain_env(platform, 1);
       });
   for (const auto& request : small_stream(2)) session->submit(request);
   (void)session->close();

@@ -97,52 +97,6 @@ TEST(SlabArena, NeverHandedOutSlotsStartPoisonedUnderAsan) {
   arena.destroy(0);
 }
 
-TEST(SlabPool, RecyclesBlocksAndCountsFallbacks) {
-  SlabPool pool(64, 8);
-  void* a = pool.allocate(48);
-  void* b = pool.allocate(64);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.live(), 2u);
-  pool.deallocate(a, 48);
-  void* c = pool.allocate(32);  // LIFO: the freed block comes back
-  EXPECT_EQ(c, a);
-  EXPECT_EQ(pool.heap_fallbacks(), 0u);
-  // Oversized requests fall through to the heap and are counted.
-  void* big = pool.allocate(4096);
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(pool.heap_fallbacks(), 1u);
-  pool.deallocate(big, 4096);
-  pool.deallocate(b, 64);
-  pool.deallocate(c, 32);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(StlSlabAllocator, AllocateSharedUsesThePool) {
-  SlabPool pool(sizeof(Payload) + 64);
-  {
-    std::vector<std::shared_ptr<Payload>> objects;
-    for (int i = 0; i < 100; ++i) {
-      objects.push_back(
-          std::allocate_shared<Payload>(StlSlabAllocator<Payload>(&pool)));
-      objects.back()->value = static_cast<std::uint64_t>(i);
-    }
-    EXPECT_EQ(pool.live(), 100u);
-    // Control block + payload fit one pooled block — the whole point of
-    // the aws-crt-cpp StlAllocator idiom.
-    EXPECT_EQ(pool.heap_fallbacks(), 0u);
-  }
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.slab_count(), 1u);
-}
-
-TEST(StlSlabAllocator, RebindPreservesThePool) {
-  SlabPool pool(128);
-  StlSlabAllocator<Payload> alloc(&pool);
-  StlSlabAllocator<std::uint64_t> rebound(alloc);
-  EXPECT_EQ(rebound.pool(), &pool);
-  EXPECT_TRUE(alloc == rebound);
-}
-
 // TSan arm: per-shard arenas under sim::parallel_for.  Arenas are
 // single-threaded by contract — one arena per shard, never shared — and
 // this test proves that usage is race-free (the TSan CI job runs it).
