@@ -114,6 +114,8 @@ EnvRecord& EnvTable::add(EnvBacking backing, EnvKey key, sim::SimTime now) {
   record.provisioned_at = now;
   record.entered_at_ = now;
   record.key_ = key;
+  record.idle_slot_ = static_cast<std::uint32_t>(idle_.size());
+  idle_.emplace_back();
   index_key(record);
   ++counts_[slot(EnvState::kCold)];
   touch(record.id);
@@ -127,7 +129,23 @@ EnvRecord& EnvTable::add(EnvBacking backing, EnvKey key, sim::SimTime now) {
 EnvTable::Records::node_type EnvTable::erase(EnvId id) {
   touch(id);
   by_id_.erase(id);
-  return records_.extract(id);
+  Records::node_type node = records_.extract(id);
+  if (!node.empty()) {
+    idle_[node.mapped().idle_slot_] = {};
+    if (++idle_holes_ > idle_.size() / 2) compact_idle();
+  }
+  return node;
+}
+
+void EnvTable::compact_idle() {
+  // The held records and their entries are in the same (id) order.
+  std::uint32_t kept = 0;
+  for (EnvRecord& record : std::views::values(records_)) {
+    idle_[kept] = idle_[record.idle_slot_];
+    record.idle_slot_ = kept++;
+  }
+  idle_.resize(kept);
+  idle_holes_ = 0;
 }
 
 void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
@@ -148,9 +166,16 @@ void EnvTable::transition(EnvId id, EnvState to, sim::SimTime now) {
     }
     return;
   }
+  IdleSlot& idle = idle_[record->idle_slot_];
   if (from == EnvState::kWarmIdle) {
     idle_byte_seconds_ += static_cast<double>(record->memory_bytes) *
                           sim::to_seconds(now - record->entered_at_);
+    idle.since = -1;
+  }
+  if (to == EnvState::kWarmIdle) idle = {now, record->memory_bytes};
+  if (record->pooled_) {
+    --pooled_counts_[slot(from)];
+    ++pooled_counts_[slot(to)];
   }
   --counts_[slot(from)];
   ++counts_[slot(to)];
@@ -221,15 +246,22 @@ bool EnvTable::rebind(EnvId id, EnvKey key) {
 }
 
 void EnvTable::add_to_pool(EnvId id) {
-  const EnvRecord* record = find(id);
+  EnvRecord* record = find(id);
   if (record == nullptr || !record->leasable()) return;
-  if (pool_.insert(id).second) pool_bytes_ += record->memory_bytes;
+  if (pool_.insert(id).second) {
+    pool_bytes_ += record->memory_bytes;
+    record->pooled_ = true;
+    ++pooled_counts_[slot(record->state_)];
+  }
   touch(id);
 }
 
 void EnvTable::leave_pool(EnvId id) {
   if (pool_.erase(id) == 0) return;
-  pool_bytes_ -= find(id)->memory_bytes;
+  EnvRecord* record = find(id);
+  pool_bytes_ -= record->memory_bytes;
+  record->pooled_ = false;
+  --pooled_counts_[slot(record->state_)];
   touch(id);
 }
 
@@ -242,10 +274,10 @@ std::optional<EnvId> EnvTable::claim_pool() {
 
 double EnvTable::idle_byte_seconds(sim::SimTime now) const {
   double sum = idle_byte_seconds_;
-  for (const EnvRecord& record : records()) {
-    if (record.state_ != EnvState::kWarmIdle) continue;
-    sum += static_cast<double>(record.memory_bytes) *
-           sim::to_seconds(now - record.entered_at_);
+  for (const IdleSlot& entry : idle_) {
+    if (entry.since < 0) continue;
+    sum += static_cast<double>(entry.bytes) *
+           sim::to_seconds(now - entry.since);
   }
   return sum;
 }

@@ -123,6 +123,8 @@ class EnvRecord {
   [[nodiscard]] EnvState state() const { return state_; }
   [[nodiscard]] EnvKey key() const { return key_; }
   [[nodiscard]] bool live() const { return state_ != EnvState::kReclaimed; }
+  /// Claimable in the warm pool (EnvTable::add_to_pool).
+  [[nodiscard]] bool pooled() const { return pooled_; }
 
   /// Booted and not reclaimed: the environment can run work.  A drain
   /// begun mid-boot leaves it draining but not ready until the boot ends.
@@ -145,6 +147,8 @@ class EnvRecord {
   /// Next leasable record with the same key, ascending; 0 ends the chain.
   EnvId next_with_key_ = 0;
   obs::SpanId span_ = obs::kNoSpan;  ///< open lifecycle span
+  bool pooled_ = false;              ///< claimable in the warm pool
+  std::uint32_t idle_slot_ = 0;      ///< its entry in EnvTable::idle_
 };
 
 class EnvTable {
@@ -187,9 +191,16 @@ class EnvTable {
   void add_to_pool(EnvId id);
   /// Takes the lowest claimable id out of the pool.
   std::optional<EnvId> claim_pool();
-  [[nodiscard]] bool pooled(EnvId id) const { return pool_.contains(id); }
+  [[nodiscard]] bool pooled(EnvId id) const {
+    const EnvRecord* record = find(id);
+    return record != nullptr && record->pooled();
+  }
   /// Claimable ids, ascending.
   [[nodiscard]] const std::set<EnvId>& pool() const { return pool_; }
+  /// Claimable environments in `state` (O(1): kept per transition).
+  [[nodiscard]] std::size_t pooled_count(EnvState state) const {
+    return pooled_counts_[static_cast<std::size_t>(state)];
+  }
   /// Committed memory of the claimable environments (O(1) ledger).
   [[nodiscard]] std::uint64_t pool_bytes() const { return pool_bytes_; }
 
@@ -209,7 +220,9 @@ class EnvTable {
   }
 
   /// Integral of committed memory over time spent warm-idle, in
-  /// byte·seconds up to `now` — the standing cost of the warm pool.
+  /// byte·seconds up to `now` — the standing cost of the warm pool.  The
+  /// open intervals are added in id order from a compact array, so the
+  /// sum rounds as a walk over the records would.
   [[nodiscard]] double idle_byte_seconds(sim::SimTime now) const;
 
   /// Integral of committed memory over each environment's provisioned
@@ -239,6 +252,7 @@ class EnvTable {
     if (touches_ != nullptr) touches_->push_back(id);
   }
   void leave_pool(EnvId id);
+  void compact_idle();
   void index_key(EnvRecord& record);
   void unindex_key(EnvRecord& record);
   void emit(EnvRecord& record, EnvState from, EnvState to, sim::SimTime now);
@@ -251,6 +265,16 @@ class EnvTable {
   sim::FlatHashMap<std::uint64_t, EnvId> by_key_;
   std::set<EnvId> pool_;
   std::uint64_t pool_bytes_ = 0;
+  std::array<std::size_t, kEnvStateCount> pooled_counts_{};
+  /// One entry per held record, in id order (add() appends and ids only
+  /// grow): the open warm-idle interval idle_byte_seconds() adds.  An
+  /// erased record leaves a hole until holes are the majority.
+  struct IdleSlot {
+    sim::SimTime since = -1;  ///< warm-idle since; -1 when not warm-idle
+    std::uint64_t bytes = 0;  ///< committed memory while warm-idle
+  };
+  std::vector<IdleSlot> idle_;
+  std::size_t idle_holes_ = 0;
   std::array<std::size_t, kEnvStateCount> counts_{};
   std::array<std::uint64_t, kEnvStateCount> transitions_{};
   /// Closed warm-idle intervals and provisioned lifetimes; open ones are

@@ -537,11 +537,8 @@ std::uint64_t Platform::default_env_memory() const {
 }
 
 std::uint32_t Platform::warm_idle_count() const {
-  std::uint32_t n = 0;
-  for (const EnvId id : env_table_.pool()) {
-    if (env_table_.find(id)->state() == EnvState::kWarmIdle) ++n;
-  }
-  return n;
+  return static_cast<std::uint32_t>(
+      env_table_.pooled_count(EnvState::kWarmIdle));
 }
 
 std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
@@ -590,17 +587,18 @@ void Platform::elastic_tick() {
   if (pool_controller_ == nullptr) return;
   elastic::PoolSnapshot snapshot;
   snapshot.memory_per_env = default_env_memory();
-  for (const EnvId id : env_table_.pool()) {
-    const EnvState state = env_table_.find(id)->state();
-    if (state == EnvState::kBooting) ++snapshot.booting;
-    if (state == EnvState::kWarmIdle) ++snapshot.warm;
-  }
+  snapshot.booting = env_table_.pooled_count(EnvState::kBooting);
+  snapshot.warm = env_table_.pooled_count(EnvState::kWarmIdle);
   const elastic::PoolDecision decision =
       pool_controller_->tick(snapshot, pool_controller_->config().tick_s);
-  metrics_.gauge("elastic.target").set(static_cast<double>(decision.target));
-  metrics_.gauge("elastic.forecast_rate")
-      .set(pool_controller_->forecast_rate());
-  metrics_.gauge("elastic.idle_byte_seconds").set(idle_byte_seconds());
+  if (elastic_target_ == nullptr) {
+    elastic_target_ = &metrics_.gauge("elastic.target");
+    elastic_forecast_rate_ = &metrics_.gauge("elastic.forecast_rate");
+    elastic_idle_byte_seconds_ = &metrics_.gauge("elastic.idle_byte_seconds");
+  }
+  elastic_target_->set(static_cast<double>(decision.target));
+  elastic_forecast_rate_->set(pool_controller_->forecast_rate());
+  elastic_idle_byte_seconds_->set(idle_byte_seconds());
   if (decision.prewarm > 0) elastic_prewarm(decision.prewarm);
   if (decision.drain > 0) elastic_retire_warm(decision.drain);
   // Keep ticking only while the run has work (queued sessions are live
@@ -1819,7 +1817,7 @@ void Platform::finish_session(SessionState& s) {
 }
 
 void Platform::touched(const SessionState& s) {
-  if (oracle_ != nullptr) oracle_->touch(s);
+  if (oracle_ != nullptr) oracle_->touch(session_ref(s));
 }
 
 // ---------------------------------------------------------------------

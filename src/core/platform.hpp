@@ -638,6 +638,10 @@ class Platform {
   obs::Counter* cold_boots_ = nullptr;
   obs::Gauge* warm_hit_ratio_ = nullptr;
   obs::Histogram* prewarm_lead_ms_ = nullptr;
+  // Set every elastic tick; created on the first.
+  obs::Gauge* elastic_target_ = nullptr;
+  obs::Gauge* elastic_forecast_rate_ = nullptr;
+  obs::Gauge* elastic_idle_byte_seconds_ = nullptr;
   // Provision and drain instruments, created on first use likewise.
   obs::Counter* env_provisioned_ = nullptr;
   obs::Histogram* env_provision_ms_ = nullptr;

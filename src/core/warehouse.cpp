@@ -32,6 +32,7 @@ void AppWarehouse::erase_entry(std::uint32_t slot) {
   Slot& s = slots_[slot];
   assert(s.live);
   index_.erase(s.entry.reference);
+  for (const EnvId env : s.entry.containers) unmap(env);
   s.entry = CacheEntry{};
   s.live = false;
   free_.push_back(slot);
@@ -104,8 +105,11 @@ Aid AppWarehouse::store(std::string_view reference,
 void AppWarehouse::record_execution(std::string_view reference, EnvId env) {
   CacheEntry* entry = lookup_slot(reference);
   if (entry == nullptr) return;
-  entry->containers.insert(env);
-  if (touches_ != nullptr) touches_->push_back(env);
+  // Only a new mapping can break affinity-live, so only one is a touch.
+  if (entry->containers.insert(env).second) {
+    ++mappings_[env];
+    if (touches_ != nullptr) touches_->push_back(env);
+  }
   entry->last_use_seq = ++seq_;
 }
 
@@ -120,10 +124,17 @@ std::optional<EnvId> AppWarehouse::preferred_env(
 }
 
 void AppWarehouse::forget_env(EnvId env) {
-  for (Slot& slot : slots_) {
-    if (slot.live) slot.entry.containers.erase(env);
+  if (mappings_.erase(env)) {
+    for (Slot& slot : slots_) {
+      if (slot.live) slot.entry.containers.erase(env);
+    }
   }
   if (touches_ != nullptr) touches_->push_back(env);
+}
+
+void AppWarehouse::unmap(EnvId env) {
+  std::uint32_t* count = mappings_.find(env);
+  if (count != nullptr && --*count == 0) mappings_.erase(env);
 }
 
 const CacheEntry* AppWarehouse::find(std::string_view reference) const {

@@ -69,6 +69,12 @@ class AppWarehouse {
   /// Drops every mapping to `env` (the container was destroyed).
   void forget_env(EnvId env);
 
+  /// How many cache entries map to `env` (O(1)).
+  [[nodiscard]] std::uint32_t mapping_count(EnvId env) const {
+    const std::uint32_t* count = mappings_.find(env);
+    return count != nullptr ? *count : 0;
+  }
+
   [[nodiscard]] const CacheEntry* find(std::string_view reference) const;
   [[nodiscard]] std::size_t entry_count() const { return index_.size(); }
   [[nodiscard]] std::uint64_t stored_bytes() const { return stored_; }
@@ -118,11 +124,14 @@ class AppWarehouse {
 
   CacheEntry* lookup_slot(std::string_view reference);
   void erase_entry(std::uint32_t slot);
+  /// One entry fewer maps to `env`.
+  void unmap(EnvId env);
   void evict_lru();
 
   std::deque<Slot> slots_;               ///< stable entry storage
   std::vector<std::uint32_t> free_;      ///< recycled slots (LIFO)
   sim::FlatHashMap<std::string, std::uint32_t> index_;  ///< ref → slot
+  sim::FlatHashMap<EnvId, std::uint32_t> mappings_;  ///< env → entries
   std::uint64_t capacity_;
   std::uint64_t stored_ = 0;
   Aid next_aid_ = 1;

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/oracle.hpp"
@@ -54,6 +55,33 @@ struct PlatformTestPeer {
   }
   static void touch_tenant(Platform& platform, const std::string& tenant) {
     if (platform.oracle_ != nullptr) platform.oracle_->touch_tenant(tenant);
+  }
+
+  using SessionRef = Platform::SessionRef;
+
+  /// The handle of live session `sequence` (its slot and the slot's
+  /// current generation), if it is live.
+  static std::optional<SessionRef> session_ref(Platform& platform,
+                                               std::uint64_t sequence) {
+    std::optional<SessionRef> ref;
+    platform.for_each_live([&](const Platform::SessionState& s) {
+      if (s.request.sequence == sequence) ref = platform.session_ref(s);
+    });
+    return ref;
+  }
+  /// Reports a session touch point with handle `ref`, as the platform
+  /// does when a session's state changes.
+  static void touch_session(Platform& platform, SessionRef ref) {
+    if (platform.oracle_ != nullptr) platform.oracle_->touch(ref);
+  }
+  /// The request sequence the oracle's books hold for record slot
+  /// `slot`, or nullopt when they hold no live session there.
+  static std::optional<std::uint64_t> booked_sequence(const Platform& platform,
+                                                      std::uint32_t slot) {
+    if (platform.oracle_ == nullptr) return std::nullopt;
+    const auto& books = platform.oracle_->ledger_.sessions;
+    if (slot >= books.size() || !books[slot].held) return std::nullopt;
+    return books[slot].sequence;
   }
 
   /// The record slot of live session `sequence`, or sim::kNoSlot.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -170,6 +171,44 @@ TEST(CacLifecycle, IdleByteSecondsIntegratesWarmIdleOnly) {
   EXPECT_NEAR(table.idle_byte_seconds(20 * kSecond), 6000.0, 1e-6);
 }
 
+TEST(CacLifecycle, IdleByteSecondsAddsOpenIntervalsInIdOrder) {
+  // The accessor keeps a compact array of the held records' open
+  // warm-idle intervals; erasing records (enough to compact it) must
+  // leave a sum that rounds exactly as a walk over the records in id
+  // order does: the reference below.
+  EnvTable table;
+  constexpr EnvId kRecords = 24;
+  double closed = 0;
+  std::map<EnvId, sim::SimTime> warm_since;
+  for (EnvId id = 1; id <= kRecords; ++id) {
+    admit(table, EnvKey::device(id), 0, /*memory_bytes=*/1000 + 37 * id);
+    table.transition(id, EnvState::kWarmIdle, id * 3 * kSecond / 7);
+    warm_since[id] = id * 3 * kSecond / 7;
+  }
+  // Three of every four records leave warm-idle and are erased; of the
+  // rest, every other one is leased.
+  for (EnvId id = 1; id <= kRecords; ++id) {
+    if (id % 8 == 4) continue;
+    const sim::SimTime now = 20 * kSecond + id * kSecond / 3;
+    closed += static_cast<double>(table.find(id)->memory_bytes) *
+              sim::to_seconds(now - warm_since[id]);
+    warm_since.erase(id);
+    const bool erase = id % 4 != 0;
+    table.transition(id, erase ? EnvState::kReclaimed : EnvState::kLeased,
+                     now);
+    if (erase) (void)table.erase(id);
+  }
+  ASSERT_EQ(warm_since.size(), 3u);
+  const sim::SimTime now = 40 * kSecond;
+  double walk = closed;
+  for (const EnvRecord& record : table.records()) {
+    if (record.state() != EnvState::kWarmIdle) continue;
+    walk += static_cast<double>(record.memory_bytes) *
+            sim::to_seconds(now - warm_since.at(record.id));
+  }
+  EXPECT_EQ(table.idle_byte_seconds(now), walk);
+}
+
 TEST(CacLifecycle, HookSeesUpdatedCounts) {
   // Every transition publishes the already-updated population of both
   // endpoints; the cold pseudo-state is never published.
@@ -244,6 +283,27 @@ TEST(EnvTable, DrainAndReclaimLeaveThePool) {
   table.add_to_pool(3);
   EXPECT_EQ(table.pool(), (std::set<EnvId>{1}));
   EXPECT_EQ(table.pool_bytes(), 100u);
+}
+
+TEST(EnvTable, PooledCountFollowsStateAndMembership) {
+  EnvTable table;
+  for (int i = 0; i < 3; ++i) {
+    admit(table, EnvKey::pool(static_cast<std::uint32_t>(i)), 0);
+  }
+  table.add_to_pool(1);
+  table.add_to_pool(2);
+  EXPECT_EQ(table.pooled_count(EnvState::kBooting), 2u);
+  EXPECT_EQ(table.pooled_count(EnvState::kWarmIdle), 0u);
+  table.transition(1, EnvState::kWarmIdle, kSecond);
+  table.transition(3, EnvState::kWarmIdle, kSecond);  // not pooled
+  EXPECT_EQ(table.pooled_count(EnvState::kBooting), 1u);
+  EXPECT_EQ(table.pooled_count(EnvState::kWarmIdle), 1u);
+  EXPECT_EQ(table.claim_pool(), std::optional<EnvId>(1));
+  EXPECT_EQ(table.pooled_count(EnvState::kWarmIdle), 0u);
+  table.transition(2, EnvState::kDraining, kSecond);
+  EXPECT_EQ(table.pooled_count(EnvState::kBooting), 0u);
+  EXPECT_EQ(table.pooled_count(EnvState::kDraining), 0u);
+  EXPECT_TRUE(table.pool().empty());
 }
 
 TEST(EnvTable, MetricsTrackAddsRetirementsAndFirstTouch) {

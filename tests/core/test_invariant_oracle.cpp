@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,76 @@ TEST(InvariantOracle, QuiescentSweepCatchesAMissedTouchPoint) {
   EXPECT_NE(invariants.first_violation()->detail.find("inflight-consistency"),
             std::string::npos)
       << invariants.report();
+}
+
+TEST(InvariantOracle, ReusedSlotKeepsItsNewSessionsBook) {
+  // A closed-loop crash storm: every ending submits its device's next
+  // request at the same instant, so the follow-up's record takes the slot
+  // the ending just freed.  The books are indexed by slot: the ending must
+  // leave them before the follow-up enters, and a touch still carrying
+  // the ended session's generation must not reach the follow-up's book.
+  PlatformConfig config =
+      make_config(PlatformKind::kRattrap, net::lan_wifi(), 3);
+  const auto plan =
+      sim::FaultPlan::parse("container.crash:p=0.3;net.drop:p=0.05");
+  ASSERT_TRUE(plan.has_value());
+  config.fault_plan = *plan;
+  config.max_redispatch = 12;
+  Platform platform(std::move(config));
+  sim::Simulator& simulator = platform.server().simulator();
+  Result<Session> opened = platform.open_session();
+  ASSERT_TRUE(opened.ok());
+  Session& session = *opened;
+
+  constexpr std::uint64_t kRequests = 60;
+  std::map<std::uint64_t, PlatformTestPeer::SessionRef> arrived;
+  std::uint64_t next = 0;
+  const auto submit = [&](workloads::OffloadRequest request) {
+    request.sequence = next++;
+    session.submit(request);
+    // Runs after the arrival: the record exists from then on.
+    simulator.schedule_at(request.arrival, [&, sequence = request.sequence]() {
+      if (const auto ref = PlatformTestPeer::session_ref(platform, sequence)) {
+        arrived.emplace(sequence, *ref);
+      }
+    });
+    return request.sequence;
+  };
+  std::uint64_t reused = 0;
+  platform.set_completion_observer([&](const RequestOutcome& done) {
+    if (next >= kRequests) return;
+    // Copied first: the submit below may move `done`.
+    const std::uint64_t ended = done.request.sequence;
+    workloads::OffloadRequest request = done.request;
+    request.arrival = simulator.now();
+    const std::uint64_t follow_up = submit(request);
+    simulator.schedule_at(simulator.now(), [&, ended, follow_up]() {
+      const auto was = arrived.find(ended);
+      const auto is = arrived.find(follow_up);
+      if (was == arrived.end() || is == arrived.end()) return;
+      if (was->second.slot != is->second.slot) return;
+      ++reused;
+      const std::uint32_t slot = was->second.slot;
+      EXPECT_EQ(PlatformTestPeer::booked_sequence(platform, slot), follow_up);
+      PlatformTestPeer::touch_session(platform, was->second);
+      EXPECT_EQ(PlatformTestPeer::booked_sequence(platform, slot), follow_up)
+          << "a touch with an old generation changed the books";
+    });
+  });
+  for (const auto& request : teeth_stream()) {
+    if (request.device_id < 2) (void)submit(request);
+  }
+  (void)session.close();
+  platform.set_completion_observer({});
+
+  EXPECT_EQ(next, kRequests);
+  EXPECT_GT(reused, 0u) << "no follow-up took an ended session's slot";
+  const InvariantChecker& invariants = platform.invariants();
+  EXPECT_GT(invariants.checks_run(), 0u);
+  EXPECT_TRUE(invariants.ok()) << invariants.report();
+  for (const InvariantViolation& v : invariants.violations()) {
+    EXPECT_NE(v.name, "oracle-drift") << v.detail;
+  }
 }
 
 // ------------------------------------------------------------ differential

@@ -64,6 +64,24 @@ TEST(Warehouse, ForgetEnvRemovesMappings) {
   EXPECT_FALSE(warehouse.preferred_env("ref:app-a").has_value());
 }
 
+TEST(Warehouse, MappingCountFollowsEntriesAndEvictions) {
+  AppWarehouse warehouse(2500);
+  warehouse.store("ref:a", 1000);
+  warehouse.store("ref:b", 1000);
+  warehouse.record_execution("ref:a", 3);
+  warehouse.record_execution("ref:a", 3);  // already mapped
+  warehouse.record_execution("ref:b", 3);
+  warehouse.record_execution("ref:b", 4);
+  EXPECT_EQ(warehouse.mapping_count(3), 2u);
+  EXPECT_EQ(warehouse.mapping_count(4), 1u);
+  EXPECT_EQ(warehouse.mapping_count(5), 0u);
+  warehouse.store("ref:c", 1000);  // evicts ref:a, the least recent
+  EXPECT_EQ(warehouse.mapping_count(3), 1u);
+  warehouse.forget_env(3);
+  EXPECT_EQ(warehouse.mapping_count(3), 0u);
+  EXPECT_EQ(warehouse.mapping_count(4), 1u);
+}
+
 TEST(Warehouse, RecordExecutionForUnknownReferenceIsIgnored) {
   AppWarehouse warehouse;
   warehouse.record_execution("ref:ghost", 1);
