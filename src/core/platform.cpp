@@ -704,10 +704,17 @@ const SessionConfig& Platform::stream_config(
 }
 
 const RequestOutcome* Platform::result(std::uint64_t sequence) const {
-  if (sequence >= outcomes_.size() || outcome_done_[sequence] == 0) {
+  if (sequence >= outcomes_.size() ||
+      outcome_state_[sequence] != OutcomeState::kDone) {
     return nullptr;
   }
   return &outcomes_[sequence];
+}
+
+bool Platform::sequence_free(std::uint64_t sequence) const {
+  return sequence < kLifecycleTrackBase &&
+         (sequence >= outcome_state_.size() ||
+          outcome_state_[sequence] == OutcomeState::kFree);
 }
 
 std::vector<RequestOutcome> Platform::close_stream(
@@ -719,7 +726,8 @@ std::vector<RequestOutcome> Platform::close_stream(
   std::vector<RequestOutcome> results;
   results.reserve(it->second.sequences.size());
   for (const std::uint64_t sequence : it->second.sequences) {
-    assert(sequence < outcomes_.size() && outcome_done_[sequence] != 0);
+    assert(sequence < outcomes_.size() &&
+           outcome_state_[sequence] == OutcomeState::kDone);
     results.push_back(outcomes_[sequence]);
   }
   bool any_open = false;
@@ -735,7 +743,7 @@ std::vector<RequestOutcome> Platform::close_stream(
 
 void Platform::reset_run() {
   outcomes_.clear();
-  outcome_done_.clear();
+  outcome_state_.clear();
   submitted_ = 0;
   completed_ = 0;
   release_all_sessions();
@@ -784,12 +792,14 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
          "submit on an unknown or closed session");
   Stream& stream = stream_it->second;
   const std::uint64_t sequence = request.sequence;
+  assert(sequence_free(sequence) && "sequences are unique within a run");
   stream.sequences.push_back(sequence);
   sim::Simulator& simulator = server_->simulator();
   if (outcomes_.size() <= sequence) {
     outcomes_.resize(sequence + 1);
-    outcome_done_.resize(sequence + 1, 0);
+    outcome_state_.resize(sequence + 1, OutcomeState::kFree);
   }
+  outcome_state_[sequence] = OutcomeState::kSubmitted;
   ++submitted_;
   SessionMetrics& sm = session_metrics_;
   resolve(sm.offered, metrics_, "sessions.offered").inc();
@@ -890,7 +900,9 @@ void Platform::drain_run() {
   }
   if (oracle_ != nullptr) oracle_->quiescent_sweep();
   trace_.close_open_spans(simulator.now());
-  assert(completed_ == outcomes_.size());
+  // Every submitted request ended.  Not outcomes_.size(): another open
+  // stream of the run may not have submitted its sequences yet.
+  assert(completed_ == submitted_);
 }
 
 template <auto Step, typename... Args>
@@ -1777,7 +1789,7 @@ void Platform::finish_session(SessionState& s) {
     }
   }
   const bool stranded = outcome.stranded;
-  outcome_done_[sequence] = 1;
+  outcome_state_[sequence] = OutcomeState::kDone;
 
   if (s.computing) server_->monitor().job_finished(s.klass);
   if (s.staged) server_->shared_layer().release_request_files(sequence);

@@ -287,6 +287,12 @@ class Platform {
   /// The finished outcome for `sequence` (any session), or nullptr.
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
 
+  /// Whether `sequence` may still be submitted into the current run: no
+  /// session of the run used it yet, and it is below kLifecycleTrackBase
+  /// (session trace tracks are sequence + 1).  O(1); how a front door
+  /// refuses a hostile sequence before Session::submit.
+  [[nodiscard]] bool sequence_free(std::uint64_t sequence) const;
+
   /// Observer invoked with each finished outcome (completed, rejected,
   /// stranded or executed locally) — the closed-loop feedback path.
   /// Empty uninstalls.  Stranded outcomes reach it after the event queue
@@ -623,7 +629,8 @@ class Platform {
   /// One slot per submitted sequence: the parked request from submit to
   /// arrival, then the outcome its ending fills in place.
   std::vector<RequestOutcome> outcomes_;
-  std::vector<std::uint8_t> outcome_done_;  ///< parallel to outcomes_
+  enum class OutcomeState : std::uint8_t { kFree, kSubmitted, kDone };
+  std::vector<OutcomeState> outcome_state_;  ///< parallel to outcomes_
   std::unique_ptr<elastic::PoolController> pool_controller_;
   container::LayerStore layer_store_;
   /// The booted image every CAC is cloned from.  The profile is fixed by

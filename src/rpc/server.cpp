@@ -45,7 +45,7 @@ class ServerConnection : public ChannelHandler {
       case Opcode::kSubmit: {
         const Decoded<SubmitRequest> decoded = decode_submit(data, size);
         if (!decoded.ok()) return protocol_error(channel, decoded.error);
-        return submit(decoded.value);  // one-way: no reply
+        return submit(channel, decoded.value);  // one-way: no reply
       }
       case Opcode::kResult: {
         const Decoded<std::uint64_t> decoded =
@@ -125,13 +125,19 @@ class ServerConnection : public ChannelHandler {
     return body;
   }
 
-  void submit(const SubmitRequest& body) {
+  /// A sequence the run already used, or one past the session trace
+  /// tracks, would share or blow up the platform's outcome table: it
+  /// gets a typed error frame and the connection closes.
+  void submit(Channel& channel, const SubmitRequest& body) {
+    bool accepted = false;
     {
       const std::lock_guard<std::mutex> lock(server_.platform_mutex_);
       const auto it = server_.streams_.find(body.stream_id);
       if (it == server_.streams_.end()) return;  // closed or never opened
-      it->second.session.submit(body.request);
+      accepted = server_.platform_.sequence_free(body.request.sequence);
+      if (accepted) it->second.session.submit(body.request);
     }
+    if (!accepted) return protocol_error(channel, DecodeError::kBadPayload);
     const std::lock_guard<std::mutex> lock(server_.metrics_mutex_);
     server_.submits_.inc();
   }

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -414,6 +415,46 @@ TEST(RpcLoopback, CloseThenResetDoesNotWedgeTheServer) {
   ::close(fd);  // RST, not FIN
 
   ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 1), 1u);
+  auto client = ClientTransport::connect("127.0.0.1", server.port());
+  ASSERT_NE(client, nullptr);
+  const LoadSummary summary = core::run_load_transport(*client, small_load());
+  EXPECT_EQ(summary.offered, small_load().loadgen.requests);
+  EXPECT_TRUE(core::accounting_identity(summary));
+  EXPECT_TRUE(client->ok());
+  client.reset();
+  server.stop();
+}
+
+TEST(RpcLoopback, HostileSubmitSequencesGetATypedErrorFrame) {
+  // A submit's sequence sizes and keys the platform's outcome table.
+  // One whose sequence + 1 wraps, one that would ask for terabytes, and
+  // a sequence the run already used each get a typed error frame on
+  // their own connection; the server keeps serving a fresh client.
+  Platform platform(platform_config(10));
+  Server server(platform, ServerConfig{});
+  ASSERT_TRUE(server.start());
+  const std::vector<std::vector<std::uint64_t>> hostile = {
+      {std::numeric_limits<std::uint64_t>::max()},
+      {100'000'000'000ULL},
+      {0, 0}};
+  for (const std::vector<std::uint64_t>& sequences : hostile) {
+    auto client = ClientTransport::connect("127.0.0.1", server.port());
+    ASSERT_NE(client, nullptr);
+    const auto stream = client->open_session(core::SessionConfig{});
+    ASSERT_TRUE(stream.ok());
+    for (const std::uint64_t sequence : sequences) {
+      client->submit(*stream, linpack_request(sequence));
+    }
+    EXPECT_TRUE(client->fetch_metrics().empty());
+    EXPECT_EQ(client->last_error(), DecodeError::kBadPayload);
+    EXPECT_FALSE(client->ok());
+  }
+  // Every refused connection has swept its stream, so the clean load
+  // below starts a run of its own.
+  ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 3), 3u);
+  EXPECT_EQ(rpc_counter(server, "rpc.decode_errors.bad_payload"), 3u);
+  EXPECT_EQ(rpc_counter(server, "rpc.submits"), 1u);  // the first 0 only
+
   auto client = ClientTransport::connect("127.0.0.1", server.port());
   ASSERT_NE(client, nullptr);
   const LoadSummary summary = core::run_load_transport(*client, small_load());

@@ -205,6 +205,20 @@ TEST(ExperimentsCli, CrashRecoveryValueIsStrict) {
   EXPECT_TRUE(result.contains("crash_recovery")) << result.output;
 }
 
+TEST(ExperimentsCli, ElasticTargetAboveItsCeilingRejected) {
+  // The pool is sized by the elastic clamp: a target above elastic_max
+  // fails the section instead of booting a smaller pool.
+  const std::string path = write_manifest(
+      "elastic-cap.ini",
+      "[x]\nquick = true\nelastic = static\nelastic_target = 9\n"
+      "elastic_max = 8\nrequests = 20\n");
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " +
+                  ::testing::TempDir() + "elastic-cap-out");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_TRUE(result.contains("'elastic_target'")) << result.output;
+}
+
 TEST(ExperimentsCli, BuiltinFaultSweepCoversThreePlansTimesTenSeeds) {
   const CommandResult result =
       run_command(kBin + " --list --experiment fault-sweep");

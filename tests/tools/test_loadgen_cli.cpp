@@ -198,24 +198,38 @@ TEST(LoadgenCli, FlagsAndManifestSectionRunTheSameConfig) {
   EXPECT_NE(json_value(run, "faults_fired"), "0") << run;
 }
 
+TEST(LoadgenCli, ElasticTargetAboveItsCeilingRejected) {
+  // elastic::clamp_target would boot a 64-environment pool instead.
+  const CommandResult result =
+      run_command(kBin + " --elastic static --elastic-target 65");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_TRUE(result.contains("--elastic-target")) << result.output;
+}
+
 TEST(LoadgenCli, EveryHelpKeyIsInTheExperimentsKeyReference) {
-  const CommandResult help = run_command(kBin + " --help");
-  ASSERT_EQ(help.exit_code, 0);
   const std::string reference =
       read_file(std::string(RATTRAP_SOURCE_DIR) + "/EXPERIMENTS.md");
   ASSERT_FALSE(reference.empty());
-  std::istringstream lines(help.output);
-  std::size_t keys = 0;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("  --", 0) != 0) continue;
-    std::string key = line.substr(4, line.find(' ', 4) - 4);
-    if (key == "transport" || key == "json" || key == "help") continue;
-    for (char& c : key) c = c == '-' ? '_' : c;
-    ++keys;
-    EXPECT_NE(reference.find("`" + key + "`"), std::string::npos)
-        << key << " is missing from EXPERIMENTS.md";
+  // loadgen and rattrap list the one key table, each plus its own flags.
+  for (const std::string& bin : {kBin, std::string(RATTRAP_CLI_BIN)}) {
+    const CommandResult help = run_command(bin + " --help");
+    ASSERT_EQ(help.exit_code, 0);
+    std::istringstream lines(help.output);
+    std::size_t keys = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("  --", 0) != 0) continue;
+      std::string key = line.substr(4, line.find(' ', 4) - 4);
+      if (key == "transport" || key == "json" || key == "help" ||
+          key == "csv" || key == "metrics-out" || key == "trace-out") {
+        continue;
+      }
+      for (char& c : key) c = c == '-' ? '_' : c;
+      ++keys;
+      EXPECT_NE(reference.find("`" + key + "`"), std::string::npos)
+          << key << " is missing from EXPERIMENTS.md";
+    }
+    EXPECT_EQ(keys, 49u) << help.output;
   }
-  EXPECT_EQ(keys, 49u) << help.output;
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -136,7 +135,7 @@ inline bool parse_platform(std::string_view s, core::PlatformKind& out) {
   return true;
 }
 
-/// lan | wifi | wan | 3g | 4g (rattrap keeps the paper's LAN|WAN labels).
+/// lan | wifi | wan | 3g | 4g (the links keep the paper's LAN|WAN names).
 inline bool parse_link(std::string_view s, net::LinkConfig& out) {
   if (s == "lan" || s == "wifi") out = net::lan_wifi();
   else if (s == "wan") out = net::wan_wifi();
@@ -236,7 +235,8 @@ inline std::uint64_t fingerprint64(std::string_view text) {
   return hash;
 }
 
-// One overload per destination type, so flag_value() reads any flag.
+// One overload per destination type, so the run-config table parses a
+// key straight into its field.
 inline bool parse_token(const char* t, double& out) {
   return parse_double(t, out);
 }
@@ -260,16 +260,6 @@ inline bool parse_token(const char* t, bool& out) {
 }
 inline bool parse_token(const char* t, core::elastic::PoolMode& out) {
   return t != nullptr && parse_pool_mode(t, out);
-}
-
-/// Parses the value token of `flag` into `out`.  A missing (nullptr) or
-/// malformed token prints "bad value for <flag>: <token>" and fails.
-template <typename T>
-bool flag_value(const char* flag, const char* token, T& out) {
-  if (parse_token(token, out)) return true;
-  std::fprintf(stderr, "bad value for %s: %s\n", flag,
-               token == nullptr ? "(missing)" : token);
-  return false;
 }
 
 inline bool parse_u64(const std::string& token, std::uint64_t& out) {

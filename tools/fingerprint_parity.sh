@@ -65,6 +65,10 @@ expect.accounting = identity
 expect.max.invariant_violations = 0
 EOF
 
+digest() {  # <file>: its sha256 prefix, or nothing when it is missing
+  if [[ -f $1 ]]; then sha256sum <"$1" | cut -c1-16; fi
+}
+
 # Runs the invocation set with one build from its own source root (the
 # experiments manifests name repo-relative data files) and prints
 # "<name> <fingerprint>" lines.
@@ -90,16 +94,17 @@ fingerprints() {  # <source> <build-dir> <out-dir>
   echo "experiments-elastic $("$bin/experiments" --manifest \
     "$work/elastic.ini" --jobs 2 --out "$out/elastic" |
     sed -n 's/^summary_fingerprint=//p')"
-  "$bin/rattrap" --workload ocr --count 12 --trace-out "$out/ocr.trace.json" \
-    --metrics-out "$out/ocr.metrics.json" >"$out/ocr.txt"
-  echo "rattrap-ocr-trace $(sha256sum <"$out/ocr.trace.json" | cut -c1-16)"
-  echo "rattrap-ocr-metrics $(sha256sum <"$out/ocr.metrics.json" | cut -c1-16)"
-  "$bin/rattrap" --workload linpack --count 24 --warm-pool 3 \
+  # A rattrap that rejects these keys (one built before it read the
+  # run-config table) leaves its rows empty, so they read DIFFERENT.
+  "$bin/rattrap" --kind ocr --requests 12 --trace-out "$out/ocr.trace.json" \
+    --metrics-out "$out/ocr.metrics.json" >"$out/ocr.txt" 2>&1 || true
+  echo "rattrap-ocr-trace $(digest "$out/ocr.trace.json")"
+  echo "rattrap-ocr-metrics $(digest "$out/ocr.metrics.json")"
+  "$bin/rattrap" --kind linpack --requests 24 --elastic-target 3 \
     --faults "container.crash:p=0.1" --trace-out "$out/pool.trace.json" \
-    --metrics-out "$out/pool.metrics.json" >"$out/pool.txt"
-  echo "rattrap-pool-trace $(sha256sum <"$out/pool.trace.json" | cut -c1-16)"
-  echo "rattrap-pool-metrics $(sha256sum <"$out/pool.metrics.json" |
-    cut -c1-16)"
+    --metrics-out "$out/pool.metrics.json" >"$out/pool.txt" 2>&1 || true
+  echo "rattrap-pool-trace $(digest "$out/pool.trace.json")"
+  echo "rattrap-pool-metrics $(digest "$out/pool.metrics.json")"
 }
 
 fingerprints "$work/base-src" "$work/base-build" "$work/base-out" \

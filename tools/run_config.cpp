@@ -300,6 +300,13 @@ std::optional<RunConfig> build_run_config(const RunKeys& keys, KeyStyle style,
     platform.access.violation_threshold = 0xFFFFFFFFu;
     platform.access.tenant_quota = 0;
   }
+  // The pool is sized by the elastic clamp; a target above its ceiling
+  // is an error, not a silently smaller pool.
+  if (platform.elastic.static_target > platform.elastic.max_warm) {
+    return fail(spell("elastic_target") + " must be <= " +
+                spell("elastic_max") + " (" +
+                std::to_string(platform.elastic.max_warm) + ")");
+  }
   for (std::uint32_t i = 0; i < s.storm_crashes; ++i) {
     sim::FaultRule rule;
     rule.kind = sim::FaultKind::kContainerCrash;

@@ -1,9 +1,9 @@
-// The run-config key table shared by loadgen and experiments.
+// The run-config key table shared by rattrap, loadgen and experiments.
 //
 // One run — a device fleet offloading through the Dispatcher under some
 // link, fault, pool and access-control policy — is described by one set
-// of keys.  A manifest section spells them `burst_factor = 8`; loadgen's
-// argv spells the same key `--burst-factor 8`.  Each key has one strict
+// of keys.  A manifest section spells them `burst_factor = 8`; rattrap's
+// and loadgen's argv spell the same key `--burst-factor 8`.  Each key has one strict
 // value parser (cli_util.hpp) and one destination in PlatformConfig or
 // LoadDriverConfig.  Every present key is checked, then the config is
 // built in the table's fixed order, whatever order the keys were given
@@ -27,10 +27,10 @@ struct RunConfig {
   core::LoadDriverConfig driver;
 };
 
-/// Key name → value as written (a manifest section, or loadgen's argv).
+/// Key name → value as written (a manifest section, or a tool's argv).
 using RunKeys = std::map<std::string, std::string>;
 
-/// How diagnostics name a key: loadgen's "--burst-factor" or a
+/// How diagnostics name a key: a flag's "--burst-factor" or a
 /// manifest's "'burst_factor'".
 enum class KeyStyle { kFlag, kManifest };
 
