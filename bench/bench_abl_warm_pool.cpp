@@ -39,8 +39,8 @@ PoolResult run(core::PlatformConfig config,
   }
   result.mean_prep_s /= static_cast<double>(outcomes.size());
   constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
-  result.memory_gb_s = platform.memory_time_byte_seconds() / kGiB;
-  result.idle_gb_s = platform.idle_byte_seconds() / kGiB;
+  result.memory_gb_s = platform.capacity().memory_time_byte_seconds() / kGiB;
+  result.idle_gb_s = platform.capacity().idle_byte_seconds() / kGiB;
   return result;
 }
 

@@ -111,7 +111,7 @@ ArmResult run_arm(const core::elastic::ElasticConfig& elastic,
   result.cold_boots = counter_value(platform, "elastic.cold_boots");
   result.warm_hits = counter_value(platform, "elastic.warm_hits");
   constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
-  result.idle_gb_s = platform.idle_byte_seconds() / kGiB;
+  result.idle_gb_s = platform.capacity().idle_byte_seconds() / kGiB;
   return result;
 }
 

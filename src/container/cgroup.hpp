@@ -27,9 +27,6 @@ class Cgroup {
   [[nodiscard]] std::uint64_t memory_usage() const { return memory_usage_; }
   [[nodiscard]] std::uint64_t memory_peak() const { return memory_peak_; }
 
-  void set_cpu_shares(std::uint32_t shares) { cpu_shares_ = shares; }
-  void set_memory_limit(std::uint64_t limit) { memory_limit_ = limit; }
-
   /// Charges memory; returns false (and charges nothing) past the limit.
   bool charge_memory(std::uint64_t bytes);
 

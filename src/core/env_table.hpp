@@ -246,11 +246,12 @@ class EnvTable {
   /// Attaches the invariant oracle's touch list: every id whose state or
   /// pool membership changes is appended to it.  nullptr detaches.
   void set_touches(std::vector<EnvId>* touches) { touches_ = touches; }
-
- private:
+  /// Appends `id` to the touch list: a change made outside the table.
   void touch(EnvId id) {
     if (touches_ != nullptr) touches_->push_back(id);
   }
+
+ private:
   void leave_pool(EnvId id);
   void compact_idle();
   void index_key(EnvRecord& record);

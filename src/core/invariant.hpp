@@ -33,8 +33,8 @@ class InvariantChecker {
   void begin_check() { ++checks_run_; }
 
   /// Records that invariant `name` does not hold in the current check.
-  /// The first `max_recorded()` violations are kept; the counter keeps
-  /// counting past the cap.
+  /// The first set_max_recorded() (default 64) violations are kept; the
+  /// counter keeps counting past the cap.
   void record(const std::string& name, std::string detail, sim::SimTime when);
 
   /// How many invariants the oracle evaluates (0 = not armed).
@@ -61,7 +61,6 @@ class InvariantChecker {
   [[nodiscard]] std::string report() const;
 
   void set_max_recorded(std::size_t max) { max_recorded_ = max; }
-  [[nodiscard]] std::size_t max_recorded() const { return max_recorded_; }
 
  private:
   std::vector<InvariantViolation> violations_;

@@ -124,12 +124,6 @@ struct LoadSummary {
       qos::PriorityClass klass) const {
     return by_class[qos::class_index(klass)];
   }
-
-  /// Rejects with the given reason (0 when the reason never fired).
-  [[nodiscard]] std::size_t rejected_for(RejectReason reason) const {
-    const auto it = rejects_by_reason.find(reason);
-    return it == rejects_by_reason.end() ? 0 : it->second;
-  }
 };
 
 /// Transport seam of the load driver (docs/RPC.md): the same open-loop

@@ -14,12 +14,10 @@ std::size_t slot(EnvState state) { return static_cast<std::size_t>(state); }
 
 InvariantOracle::InvariantOracle(Platform& platform)
     : checker_(platform.invariants_),
-      table_(platform.env_table_),
+      table_(platform.capacity_.table()),
       server_(*platform.server_),
       admission_(platform.admission_.get()),
-      pool_budget_(platform.pool_controller_ != nullptr
-                       ? platform.pool_controller_->config().memory_budget_bytes
-                       : 0),
+      pool_budget_(platform.capacity_.memory_budget()),
       platform_(platform) {
   using O = InvariantOracle;
   invariants_ = {
@@ -78,12 +76,12 @@ InvariantOracle::InvariantOracle(Platform& platform)
                            &O::qos_priority_burst, {}});
   }
   checker_.set_invariant_count(invariants_.size());
-  platform.env_table_.set_touches(&touched_envs_);
+  platform.capacity_.table().set_touches(&touched_envs_);
   server_.warehouse().set_touches(&touched_envs_);
 }
 
 InvariantOracle::~InvariantOracle() {
-  platform_.env_table_.set_touches(nullptr);
+  platform_.capacity_.table().set_touches(nullptr);
   server_.warehouse().set_touches(nullptr);
 }
 
@@ -415,14 +413,14 @@ void InvariantOracle::touch(Platform::SessionRef ref) {
     const SessionSeen was = book;
     book = {};
     ledger_.add(was, -1);
-    if (was.env != 0) touch_env(was.env);
+    if (was.env != 0) touched_envs_.push_back(was.env);
     return;
   }
   if (!book.held) {
     book = seen(*s, tenant_of(*s));
     ledger_.add(book, +1);
     touched_tenants_.push_back(book.tenant);
-    if (book.env != 0) touch_env(book.env);
+    if (book.env != 0) touched_envs_.push_back(book.env);
     return;
   }
   const SessionSeen now = seen(
@@ -433,8 +431,8 @@ void InvariantOracle::touch(Platform::SessionRef ref) {
   book = now;
   ledger_.update(was, now);
   if (was.env == now.env) return;
-  if (was.env != 0) touch_env(was.env);
-  if (now.env != 0) touch_env(now.env);
+  if (was.env != 0) touched_envs_.push_back(was.env);
+  if (now.env != 0) touched_envs_.push_back(now.env);
 }
 
 void InvariantOracle::touch_tenant(const std::string& tenant) {

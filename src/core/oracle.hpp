@@ -4,11 +4,11 @@
 //
 // Touch points.  The code that mutates state says what it touched: the
 // environment table and the App Warehouse append environment ids to the
-// oracle's touch list (transition, add, pool membership, record_execution,
+// oracle's touch list (transition, add, pool membership, EnvTable::touch
+// at boot end and at Monitor crash detection, record_execution,
 // forget_env); the platform reports sessions (arrival, admission, dispatch
 // bind, compute start/end, crash, redispatch, finish, stranding) by their
-// record handle, and tenants (RAC block/unblock), plus environment ids at
-// boot end and at Monitor crash detection.
+// record handle, and tenants (RAC block/unblock).
 //
 // Shadow ledgers.  The oracle keeps its own books: each live session as
 // it last saw it, in a vector indexed by the session's record slot; how
@@ -73,7 +73,6 @@ class InvariantOracle {
   /// Touch points.  A session is re-read at once, if `ref` still names
   /// it; environments and tenants are re-checked after the current event.
   void touch(Platform::SessionRef ref);
-  void touch_env(EnvId id) { touched_envs_.push_back(id); }
   void touch_tenant(const std::string& tenant);
 
   /// The post-event hook: one check over what the event touched.

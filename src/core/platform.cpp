@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "android/image_profile.hpp"
@@ -57,28 +56,6 @@ PlatformConfig make_config(PlatformKind kind, net::LinkConfig link,
 constexpr std::uint64_t kPlatformTrack = 0;
 
 namespace {
-/// The instrument in `slot`, looked up as prefix + suffix on first use.
-obs::Counter& resolve(obs::Counter*& slot, obs::MetricsRegistry& metrics,
-                      std::string_view prefix, std::string_view suffix = {}) {
-  if (slot == nullptr) {
-    std::string name(prefix);
-    name += suffix;
-    slot = &metrics.counter(name);
-  }
-  return *slot;
-}
-
-obs::Histogram& resolve(obs::Histogram*& slot, obs::MetricsRegistry& metrics,
-                        std::string_view prefix,
-                        std::string_view suffix = {}) {
-  if (slot == nullptr) {
-    std::string name(prefix);
-    name += suffix;
-    slot = &metrics.histogram(name);
-  }
-  return *slot;
-}
-
 /// Affinity-reroute backlog tolerance by class: interactive sessions give
 /// up the code-cache reroute sooner than batch, which will happily wait
 /// behind a longer queue to save the code push (docs/QOS.md).  Standard
@@ -93,6 +70,15 @@ sim::SimDuration class_backlog_threshold(qos::PriorityClass klass) {
       return sim::from_millis(1200);
   }
   return sim::from_millis(600);
+}
+
+Calibration calibration_of(const PlatformConfig& config) {
+  Calibration calibration =
+      config.calibration ? *config.calibration : default_calibration();
+  if (config.tmpfs_capacity_override > 0) {
+    calibration.tmpfs_capacity = config.tmpfs_capacity_override;
+  }
+  return calibration;
 }
 }  // namespace
 
@@ -147,12 +133,8 @@ void Platform::on_fault_fired(sim::FaultKind kind, sim::SimTime when) {
   if (s != nullptr) {
     const std::uint64_t hits = ++s->fault_hits[kind];
     const std::string key = std::string("fault.") + sim::to_string(kind);
-    if (s->span_phase != obs::kNoSpan) {
-      trace_.annotate(s->span_phase, key, hits);
-    }
-    if (s->span_session != obs::kNoSpan) {
-      trace_.annotate(s->span_session, key, hits);
-    }
+    trace_.annotate(s->span_phase, key, hits);
+    trace_.annotate(s->span_session, key, hits);
     trace_.instant(s->request.sequence + 1, name, "fault", when);
   } else {
     // No session context (e.g. a pump-delivered container crash).
@@ -163,26 +145,19 @@ void Platform::on_fault_fired(sim::FaultKind kind, sim::SimTime when) {
 // ---------------------------------------------------------------------
 
 Platform::Platform(PlatformConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
-  const auto system_layer = config_.customized_os
-                                ? android::customized_layer()
-                                : android::container_stock_layer();
-  Calibration calibration =
-      config_.calibration ? *config_.calibration : default_calibration();
-  if (config_.tmpfs_capacity_override > 0) {
-    calibration.tmpfs_capacity = config_.tmpfs_capacity_override;
-  }
-  server_ = std::make_unique<CloudServer>(calibration, system_layer);
+    : config_(std::move(config)),
+      server_(std::make_unique<CloudServer>(
+          calibration_of(config_), config_.customized_os
+                                       ? android::customized_layer()
+                                       : android::container_stock_layer())),
+      rng_(config_.seed),
+      capacity_(config_, *server_, metrics_, trace_, live_count_,
+                [this](const EnvRecord& env) { sweep_crashed(env); }) {
   link_ = std::make_unique<net::Link>(config_.link);
-  base_link_ = config_.link;
-  dispatcher_ = std::make_unique<Dispatcher>(env_table_,
+  dispatcher_ = std::make_unique<Dispatcher>(capacity_.table(),
                                              server_->warehouse(),
                                              config_.dispatcher_affinity);
   server_->install_metrics(&metrics_);
-  // Lifecycle transitions feed the envdb.* / elastic.* metrics and, when
-  // tracing is on, one state span per environment (docs/ELASTIC.md).
-  env_table_.set_metrics(&metrics_);
-  env_table_.set_trace(&trace_);
   link_->set_metrics(&metrics_);
   dispatcher_->set_metrics(&metrics_);
   // The access controller becomes a stateful defense layer (docs/RAC.md):
@@ -196,19 +171,15 @@ Platform::Platform(PlatformConfig config)
   server_->access().on_unblock(
       [this](const std::string& tenant, sim::SimTime now) {
         if (oracle_ != nullptr) oracle_->touch_tenant(tenant);
-        if (!trace_.enabled()) return;
         const obs::SpanId mark =
             trace_.instant(kPlatformTrack, "rac_unblock", "rac", now);
         trace_.annotate(mark, "tenant", tenant);
       });
   if (config_.admission.enabled) {
     admission_ = std::make_unique<AdmissionController>(
-        config_.admission, server_->monitor(), calibration.server_cores);
+        config_.admission, server_->monitor(),
+        server_->calibration().server_cores);
     admission_->set_metrics(&metrics_);
-  }
-  if (config_.elastic.mode != elastic::PoolMode::kDisabled) {
-    pool_controller_ =
-        std::make_unique<elastic::PoolController>(config_.elastic);
   }
   if (!config_.fault_plan.empty()) {
     faults_ = std::make_unique<sim::FaultInjector>(config_.fault_plan,
@@ -237,8 +208,8 @@ Platform::Platform(PlatformConfig config)
 Platform::~Platform() { release_all_sessions(); }
 
 device::RadioProfile Platform::radio_profile() const {
-  if (config_.link.name == "3G") return device::radio_3g();
-  if (config_.link.name == "4G") return device::radio_4g();
+  if (link_->name() == "3G") return device::radio_3g();
+  if (link_->name() == "4G") return device::radio_4g();
   return device::wifi_radio();
 }
 
@@ -294,317 +265,6 @@ sim::SimDuration Platform::compute_io_time(const EnvRecord& env,
                                          cal.vm_io_factor);
   }
   return native;  // container: native disk I/O
-}
-
-// ---------------------------------------------------------------------
-// Environment provisioning
-
-EnvRecord& Platform::provision_env(EnvKey binding_key, sim::SimTime now) {
-  EnvRecord& env = env_table_.add(
-      config_.container_backing ? EnvBacking::kContainer : EnvBacking::kVm,
-      binding_key, now);
-  const bool started = env.is_vm() ? provision_vm(env) : provision_cac(env);
-  if (!started) {
-    // Dead on arrival — the VM density wall of a 512 MB-per-VM resource
-    // model on a 16 GB server, a missing kernel feature, a cgroup memory
-    // limit or an injected device-namespace teardown.  Every waiting
-    // session is answered with a rejection; the last one to unbind, or
-    // this run when none waits, erases the record.
-    metrics_.counter("env.provision_failed").inc();
-    env.failed = true;
-    env.memory_bytes = 0;
-    env.cac.reset();  // hands a half-started container back
-    server_->simulator().schedule_in(0, [this, id = env.id]() {
-      if (EnvRecord* failed = env_table_.find(id)) {
-        for (auto& waiter : std::exchange(failed->waiters, {})) waiter();
-      }
-      if (EnvRecord* failed = env_table_.find(id)) prune(*failed);
-    });
-  }
-  env_table_.transition(env.id, EnvState::kBooting, now);
-  if (!started) env_table_.transition(env.id, EnvState::kReclaimed, now);
-  return env;
-}
-
-bool Platform::provision_vm(EnvRecord& env) {
-  const Calibration& cal = server_->calibration();
-  vm::VmConfig vc;
-  vc.name = "android-vm-" + std::to_string(env.id);
-  vc.vcpus = 1;
-  vc.memory = cal.vm_memory;
-  vc.disk_image = android::stock_layer()->total_bytes();
-  vc.cpu_factor = cal.vm_cpu_factor;
-  vc.io_factor = cal.vm_io_factor;
-  vm::VirtualMachine* machine = server_->hypervisor().create(vc);
-  if (machine == nullptr) return false;  // host memory exhausted
-  env.vm_id = machine->id();
-  env.disk_bytes = vc.disk_image;
-  env.memory_bytes = vc.memory;
-
-  const sim::SimTime boot_start = server_->simulator().now();
-  server_->hypervisor().boot(
-      env.vm_id, android::vm_boot_plan(android::OsProfile::kStock),
-      [this, id = env.id, boot_start](sim::SimTime booted_at) {
-        // Boot keeps roughly one guest vCPU busy end to end.
-        server_->monitor().record_cpu(boot_start, booted_at, 0.85);
-        server_->simulator().schedule_in(
-            server_->calibration().env_register_cost, [this, id]() {
-              if (EnvRecord* env = live_env(id)) env_ready(*env);
-            });
-      });
-  return true;
-}
-
-const CacTemplate& Platform::cac_template() {
-  if (cac_template_) return *cac_template_;
-  CacConfig cc;
-  cc.profile = config_.customized_os ? android::OsProfile::kCustomized
-                                     : android::OsProfile::kStock;
-  if (config_.shared_resource_layer) {
-    cc.lower_layers = {server_->shared_layer().system_layer()};
-  } else {
-    // Private full image copy per container (the W/O configuration).
-    cc.lower_layers = {config_.customized_os
-                           ? android::customized_layer()
-                           : android::container_stock_layer()};
-  }
-  cc.memory_limit = config_.customized_os
-                        ? server_->calibration().cac_opt_memory
-                        : server_->calibration().cac_plain_memory;
-  cac_template_.emplace(cc, server_->containers(), server_->driver());
-  // Pin the lower layers by content digest: deduplicated across every
-  // CAC, and held here so the shared base outlives any one container's
-  // drain (only the private top layer is reclaimed).
-  for (const auto& layer : cc.lower_layers) {
-    layer_store_.add(container::layer_digest(*layer), layer);
-  }
-  metrics_.gauge("elastic.layers.pinned_bytes")
-      .set(static_cast<double>(layer_store_.stored_bytes()));
-  return *cac_template_;
-}
-
-bool Platform::provision_cac(EnvRecord& env) {
-  const CacTemplate& tmpl = cac_template();
-  // A later CAC finds the shared layer page-cached by the first boot.
-  const bool warm = config_.shared_resource_layer && env_table_.size() > 1;
-  env.cac = std::make_unique<CloudAndroidContainer>(
-      tmpl, "cac-" + std::to_string(env.id), warm, server_->containers(),
-      server_->driver());
-  env.memory_bytes = tmpl.container->memory_limit;
-
-  const auto start_cost = env.cac->start_container(server_->kernel());
-  if (!start_cost.has_value()) return false;
-  const android::UserspaceBoot& boot = env.cac->userspace_boot();
-
-  // Per-environment disk: a private image copy without the shared layer,
-  // or just the COW delta (seeded at finish_boot) with it.
-  env.disk_bytes = config_.shared_resource_layer
-                       ? 0  // updated after finish_boot
-                       : tmpl.container->lower_layers.front()->total_bytes();
-
-  // The boot continuations bail once the environment is torn down:
-  // teardown frees the CAC.
-  sim::Simulator& simulator = server_->simulator();
-  const sim::SimTime cpu_start = simulator.now() + *start_cost;
-  auto after_io = [this, id = env.id, cpu = boot.cpu_total(), cpu_start]() {
-    if (live_env(id) == nullptr) return;
-    sim::Simulator& simulator2 = server_->simulator();
-    const sim::SimTime now = simulator2.now();
-    const sim::SimTime cpu_done = now + cpu;
-    server_->monitor().record_cpu(std::max(cpu_start, now), cpu_done, 0.9);
-    simulator2.schedule_at(cpu_done, [this, id]() {
-      EnvRecord* env = live_env(id);
-      if (env == nullptr) return;
-      env->cac->finish_boot(server_->simulator().now());
-      if (config_.shared_resource_layer) {
-        env->disk_bytes = env->cac->private_disk_bytes();
-      }
-      server_->simulator().schedule_in(
-          server_->calibration().env_register_cost, [this, id]() {
-            if (EnvRecord* env = live_env(id)) env_ready(*env);
-          });
-    });
-  };
-
-  simulator.schedule_at(cpu_start,
-                        [this, disk_read = boot.disk_read_bytes, after_io]() {
-    if (disk_read == 0) return after_io();
-    server_->disk().submit(fs::IoKind::kRead, disk_read,
-                           /*sequential=*/true, after_io);
-  });
-  return true;
-}
-
-void Platform::env_ready(EnvRecord& env) {
-  env.ready_at = server_->simulator().now();
-  env.busy_until = env.ready_at;
-  // A draining env turns ready with no transition.
-  if (oracle_ != nullptr) oracle_->touch_env(env.id);
-  resolve(env_provisioned_, metrics_, "env.provisioned").inc();
-  resolve(env_provision_ms_, metrics_, "env.provision_ms")
-      .observe(sim::to_millis(env.ready_at - env.provisioned_at));
-  server_->monitor().env_up();
-  if (pool_controller_ != nullptr) {
-    pool_controller_->observe_boot(
-        sim::to_seconds(env.ready_at - env.provisioned_at));
-  }
-  // A drain begun mid-boot already moved the record to draining.
-  const bool draining = env.state() == EnvState::kDraining;
-  if (!draining) {
-    env_table_.transition(
-        env.id, env.inflight > 0 ? EnvState::kLeased : EnvState::kWarmIdle,
-        env.ready_at);
-  }
-  // Resumes the sessions waiting for the boot; none ends, as it succeeded.
-  for (auto& waiter : std::exchange(env.waiters, {})) waiter();
-  if (draining) {
-    if (env.inflight == 0) finish_drain(env);
-    return;
-  }
-  schedule_reclaim(env);
-}
-
-void Platform::schedule_reclaim(EnvRecord& env) {
-  if (config_.env_idle_timeout <= 0) return;
-  const std::uint64_t epoch = env.jobs_served;
-  server_->simulator().schedule_in(
-      config_.env_idle_timeout, [this, id = env.id, epoch]() {
-        EnvRecord* env = live_env(id);
-        if (env == nullptr || !env->ready()) return;
-        if (env_table_.pooled(id)) return;      // waiting warm
-        if (env->jobs_served != epoch) return;  // work arrived since
-        if (env->inflight > 0) return;          // sessions in progress
-        if (env->busy_until > server_->simulator().now()) return;
-        begin_drain(*env);
-      });
-}
-
-void Platform::teardown_env(EnvRecord& env, bool crashed) {
-  assert(env.ready_at >= 0 && "only a booted env was counted up");
-  server_->monitor().env_down();
-  env_table_.transition(env.id, EnvState::kReclaimed,
-                        server_->simulator().now());
-  server_->warehouse().forget_env(env.id);
-  if (env.is_vm()) {
-    server_->hypervisor().destroy(env.vm_id);
-  } else if (env.cac && crashed) {
-    env.cac->crash(server_->kernel());
-  } else if (env.cac) {
-    env.cac->shutdown(server_->kernel());
-  }
-  env.cac.reset();
-}
-
-// ---------------------------------------------------------------------
-// Elastic capacity machinery (docs/ELASTIC.md)
-
-void Platform::begin_drain(EnvRecord& env) {
-  if (!env.leasable()) return;  // already draining or reclaimed
-  resolve(drained_, metrics_, "elastic.drained").inc();
-  // Leaves the warm pool and the key index for good: the dispatcher
-  // never routes new work here; in-flight sessions keep their binding
-  // through s->env.
-  env_table_.transition(env.id, EnvState::kDraining,
-                        server_->simulator().now());
-  if (env.ready() && env.inflight == 0) finish_drain(env);
-}
-
-void Platform::finish_drain(EnvRecord& env) {
-  if (!env.is_vm() && env.cac != nullptr) {
-    // Reclaim the private COW layer; shared lower layers stay for the
-    // environments still referencing them.
-    const std::uint64_t freed = env.cac->reclaim_private_layer();
-    if (freed > 0) {
-      resolve(reclaimed_private_bytes_, metrics_,
-              "elastic.reclaimed.private_bytes")
-          .inc(freed);
-    }
-  }
-  teardown_env(env, /*crashed=*/false);
-  prune(env);
-}
-
-void Platform::prewarm_env() {
-  env_table_.add_to_pool(
-      provision_env(EnvKey::pool(pool_seq_++), server_->simulator().now()).id);
-  metrics_.counter("elastic.prewarmed").inc();
-}
-
-std::uint64_t Platform::default_env_memory() const {
-  const Calibration& cal = server_->calibration();
-  if (!config_.container_backing) return cal.vm_memory;
-  return config_.customized_os ? cal.cac_opt_memory : cal.cac_plain_memory;
-}
-
-std::uint32_t Platform::warm_idle_count() const {
-  return static_cast<std::uint32_t>(
-      env_table_.pooled_count(EnvState::kWarmIdle));
-}
-
-std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
-  if (count == 0) return 0;
-  // Honor the memory budget against the whole pool pipeline (booting
-  // included) so a prewarm burst cannot overshoot it either.
-  const std::uint64_t budget =
-      pool_controller_ ? pool_controller_->config().memory_budget_bytes : 0;
-  const std::uint64_t mem = default_env_memory();
-  if (budget > 0 && mem > 0) {
-    const std::uint64_t committed = env_table_.pool_bytes();
-    const std::uint64_t room = budget > committed ? budget - committed : 0;
-    count = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(count, room / mem));
-  }
-  for (std::uint32_t i = 0; i < count; ++i) prewarm_env();
-  return count;
-}
-
-std::uint32_t Platform::elastic_retire_warm(std::uint32_t count) {
-  // Newest-first: the longest-warm environments (page caches hottest)
-  // survive; deterministic because env ids are allocation-ordered.
-  // Collected first: begin_drain() takes each one out of the pool.
-  std::vector<EnvId> victims;
-  const std::set<EnvId>& pool = env_table_.pool();
-  for (auto it = pool.rbegin(); it != pool.rend() && victims.size() < count;
-       ++it) {
-    if (env_table_.find(*it)->state() == EnvState::kWarmIdle) {
-      victims.push_back(*it);
-    }
-  }
-  for (const EnvId id : victims) begin_drain(*env_table_.find(id));
-  return static_cast<std::uint32_t>(victims.size());
-}
-
-void Platform::arm_elastic_tick() {
-  if (pool_controller_ == nullptr || elastic_tick_armed_) return;
-  elastic_tick_armed_ = true;
-  server_->simulator().schedule_in(
-      sim::from_seconds(pool_controller_->config().tick_s),
-      [this]() { elastic_tick(); });
-}
-
-void Platform::elastic_tick() {
-  elastic_tick_armed_ = false;
-  if (pool_controller_ == nullptr) return;
-  elastic::PoolSnapshot snapshot;
-  snapshot.memory_per_env = default_env_memory();
-  snapshot.booting = env_table_.pooled_count(EnvState::kBooting);
-  snapshot.warm = env_table_.pooled_count(EnvState::kWarmIdle);
-  const elastic::PoolDecision decision =
-      pool_controller_->tick(snapshot, pool_controller_->config().tick_s);
-  if (elastic_target_ == nullptr) {
-    elastic_target_ = &metrics_.gauge("elastic.target");
-    elastic_forecast_rate_ = &metrics_.gauge("elastic.forecast_rate");
-    elastic_idle_byte_seconds_ = &metrics_.gauge("elastic.idle_byte_seconds");
-  }
-  elastic_target_->set(static_cast<double>(decision.target));
-  elastic_forecast_rate_->set(pool_controller_->forecast_rate());
-  elastic_idle_byte_seconds_->set(idle_byte_seconds());
-  if (decision.prewarm > 0) elastic_prewarm(decision.prewarm);
-  if (decision.drain > 0) elastic_retire_warm(decision.drain);
-  // Keep ticking only while the run has work (queued sessions are live
-  // too); the next arrival re-arms, so an idle platform's event queue
-  // actually drains.
-  if (live_count_ > 0) arm_elastic_tick();
 }
 
 // ---------------------------------------------------------------------
@@ -750,39 +410,9 @@ void Platform::reset_run() {
   if (admission_ != nullptr) admission_->scheduler().clear();
   streams_.clear();
   run_active_ = true;
-  sim::Simulator& simulator = server_->simulator();
-  if (env_table_.size() == 0) {
-    const std::uint32_t initial =
-        elastic::initial_target(config_.elastic, default_env_memory());
-    for (std::uint32_t i = 0; i < initial; ++i) prewarm_env();
-  }
-  if (pool_controller_ != nullptr) arm_elastic_tick();
+  capacity_.begin_run();
   arm_mobility_pump();
-  if (faults_) {
-    // Fault pump: one-shot (at=) crash rules fire against whichever
-    // environment is live at that virtual time — preferring one with
-    // sessions in flight, so the crash actually hurts.
-    for (const sim::FaultKind kind : {sim::FaultKind::kContainerCrash,
-                                      sim::FaultKind::kContainerOom}) {
-      for (const sim::SimTime when : faults_->scheduled_times(kind)) {
-        simulator.schedule_at(when, [this, kind]() {
-          std::optional<EnvId> victim;
-          for (const EnvRecord& rec : env_table_.records()) {
-            if (!rec.ready()) continue;
-            if (!victim) victim = rec.id;
-            if (rec.inflight > 0) {
-              victim = rec.id;
-              break;
-            }
-          }
-          if (!victim) return;  // nothing alive to kill
-          faults_->record_scheduled_fire(kind,
-                                         server_->simulator().now());
-          crash_env(*env_table_.find(*victim));
-        });
-      }
-    }
-  }
+  if (faults_) capacity_.arm_crash_pump(*faults_);
 }
 
 void Platform::submit_to_stream(std::uint64_t stream_id,
@@ -802,9 +432,9 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
   outcome_state_[sequence] = OutcomeState::kSubmitted;
   ++submitted_;
   SessionMetrics& sm = session_metrics_;
-  resolve(sm.offered, metrics_, "sessions.offered").inc();
+  metrics_.resolve(sm.offered, "sessions.offered").inc();
   const qos::PriorityClass klass = stream.config.priority;
-  resolve(sm.qos_offered[qos::class_index(klass)], metrics_, "qos.offered.",
+  metrics_.resolve(sm.qos_offered[qos::class_index(klass)], "qos.offered.",
           qos::to_string(klass))
       .inc();
   // The request waits in its outcome slot; its session record is built
@@ -886,9 +516,7 @@ void Platform::drain_run() {
       metrics_
           .counter(std::string("qos.stranded.") + qos::to_string(s.klass))
           .inc();
-      if (s.span_session != obs::kNoSpan) {
-        trace_.annotate(s.span_session, "stranded", std::uint64_t{1});
-      }
+      trace_.annotate(s.span_session, "stranded", std::uint64_t{1});
       RequestOutcome& outcome = outcome_of(s);
       outcome.rejected = true;
       outcome.reject_reason = RejectReason::kStranded;
@@ -958,12 +586,7 @@ void Platform::on_arrival(SessionState& s) {
     return;
   }
   s.rac_slot = true;
-  if (pool_controller_ != nullptr) {
-    // Offloaded arrivals feed the forecaster; locally served requests
-    // (the adaptive early-return above) never need warm capacity.
-    pool_controller_->observe_arrival(s.klass);
-    arm_elastic_tick();
-  }
+  capacity_.observe_arrival(s.klass);
   link_live(s);
   touched(s);
   attempt_connect(s);
@@ -980,9 +603,7 @@ void Platform::finish_locally(SessionState& s, sim::SimDuration local) {
   outcome.offload_energy_mj = outcome.local_energy_mj;
   metrics_.counter("sessions.local").inc();
   metrics_.counter(std::string("qos.local.") + qos::to_string(s.klass)).inc();
-  if (s.span_session != obs::kNoSpan) {
-    trace_.annotate(s.span_session, "local", std::uint64_t{1});
-  }
+  trace_.annotate(s.span_session, "local", std::uint64_t{1});
   finish_session(s);
 }
 
@@ -1011,7 +632,7 @@ void Platform::attempt_connect(SessionState& s) {
   SessionScope scope(*this, s);
   // Retries reuse the one "connect" span; it ends when a handshake lands.
   if (s.span_phase == obs::kNoSpan) begin_phase(s, "connect");
-  const sim::SimDuration stall = mobility_stall(simulator.now());
+  const sim::SimDuration stall = link_->stall(simulator.now());
   if (stall > 0) {
     // Radio detached (handoff outage): the handshake cannot even start;
     // the device re-attempts the instant the new radio attaches.  A
@@ -1023,10 +644,8 @@ void Platform::attempt_connect(SessionState& s) {
     return;
   }
   ++s.connect_attempts;
-  if (s.span_phase != obs::kNoSpan) {
-    trace_.annotate(s.span_phase, "attempts",
-                    static_cast<std::uint64_t>(s.connect_attempts));
-  }
+  trace_.annotate(s.span_phase, "attempts",
+                  static_cast<std::uint64_t>(s.connect_attempts));
   const sim::SimDuration connect = s.conn->establish();
   s.phases.network_connection += connect;
   if (faults_ &&
@@ -1062,10 +681,8 @@ void Platform::on_connected(SessionState& s) {
   if (config_.code_cache) {
     platform_cost += cal.warehouse_lookup_cost;
     s.cache_hit = server_->warehouse().lookup(s.app->code_ref);
-    if (s.span_phase != obs::kNoSpan) {
-      trace_.annotate(s.span_phase, "cache_hit",
-                      static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
-    }
+    trace_.annotate(s.span_phase, "cache_hit",
+                    static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
   }
   // Request-based Access Controller: per-app analysis, once.
   if (server_->access().ensure_analyzed(s.app_id())) {
@@ -1099,9 +716,7 @@ void Platform::on_connected(SessionState& s) {
       s.queued = true;
       s.pending_lead = platform_cost;
       touched(s);
-      if (s.span_phase != obs::kNoSpan) {
-        trace_.annotate(s.span_phase, "queued", std::uint64_t{1});
-      }
+      trace_.annotate(s.span_phase, "queued", std::uint64_t{1});
       return;  // dispatched by maybe_start_queued() when a slot frees
     }
     s.admitted = true;
@@ -1128,11 +743,9 @@ void Platform::maybe_start_queued() {
     s.drr_deficit = popped->deficit_after;
     touched(s);
     SessionScope scope(*this, s);
-    if (s.span_phase != obs::kNoSpan) {
-      trace_.annotate(s.span_phase, "queue_wait_us",
-                      static_cast<std::uint64_t>(s.queue_wait));
-      trace_.annotate(s.span_phase, "deficit", s.drr_deficit);
-    }
+    trace_.annotate(s.span_phase, "queue_wait_us",
+                    static_cast<std::uint64_t>(s.queue_wait));
+    trace_.annotate(s.span_phase, "deficit", s.drr_deficit);
     dispatch(s, s.pending_lead);
   }
 }
@@ -1148,63 +761,24 @@ void Platform::dispatch(SessionState& s,
                                        s, picked != nullptr ? picked->id : 0));
 }
 
-void Platform::on_dispatched(SessionState& s,
-                             EnvId picked) {
+void Platform::on_dispatched(SessionState& s, EnvId picked) {
   SessionScope scope(*this, s);
-  // The pick (0: none) may have drained, or left the table, meanwhile.
-  EnvRecord* target = env_table_.find(picked);
-  bool claimed_pool = false;
-  bool fresh = false;
-  if (target == nullptr || !target->leasable()) {
-    const EnvKey key = Dispatcher::binding_key(s.request);
-    // A warm-pool environment (pre-booted, unclaimed) is rebound to
-    // this device instead of paying a cold start; the lowest id wins.
-    // Draining capacity left the pool the moment its drain began.
-    if (const std::optional<EnvId> claimed = env_table_.claim_pool()) {
-      target = env_table_.find(*claimed);
-      if (target->ready()) {
-        // Prewarm lead time: how far ahead of demand the controller
-        // had this environment standing warm.
-        resolve(prewarm_lead_ms_, metrics_, "elastic.prewarm.lead_ms")
-            .observe(sim::to_millis(server_->simulator().now() -
-                                    target->ready_at));
-      }
-      env_table_.rebind(*claimed, key);
-      claimed_pool = true;
-    } else {
-      // Switch the phase before provisioning so faults fired during
-      // the (synchronous) container start annotate the boot, not the
-      // dispatch decision.
-      begin_phase(s, "provision");
-      fresh = true;
-      target = &provision_env(key, server_->simulator().now());
-    }
-  }
-  EnvRecord& rec = *target;
-  if (!fresh) {
-    fresh = !rec.ready();
-    begin_phase(s, fresh ? "provision" : "reuse");
-  }
-  s.fresh_env = fresh;
-  if (s.span_phase != obs::kNoSpan) {
-    trace_.annotate(s.span_phase, "env_id",
-                    static_cast<std::uint64_t>(rec.id));
-    if (claimed_pool) {
-      trace_.annotate(s.span_phase, "warm_pool", std::uint64_t{1});
-    }
-  }
-  s.env = target;
-  ++rec.inflight;  // pins the env against idle reclamation
+  bool from_pool = false;
+  EnvRecord& env = capacity_.acquire(
+      picked, Dispatcher::binding_key(s.request),
+      [&](bool fresh, bool pooled) {
+        // Before a fresh environment starts, so faults fired during its
+        // (synchronous) start annotate the boot, not the dispatch.
+        begin_phase(s, fresh ? "provision" : "reuse");
+        s.fresh_env = fresh;
+        from_pool = pooled;
+      },
+      guarded<&Platform::on_env_ready>(s));
+  trace_.annotate(s.span_phase, "env_id", static_cast<std::uint64_t>(env.id));
+  if (from_pool) trace_.annotate(s.span_phase, "warm_pool", std::uint64_t{1});
+  s.env = &env;
   touched(s);
-  if (rec.ready() && rec.inflight == 1) {
-    env_table_.transition(rec.id, EnvState::kLeased,
-                          server_->simulator().now());
-  }
-  if (rec.ready()) {
-    on_env_ready(s);
-  } else {
-    rec.waiters.push_back(guarded<&Platform::on_env_ready>(s));
-  }
+  if (env.ready()) on_env_ready(s);
 }
 
 void Platform::on_env_ready(SessionState& s) {
@@ -1215,7 +789,7 @@ void Platform::on_env_ready(SessionState& s) {
     reject_session(s, RejectReason::kCapacity);
     return;
   }
-  const sim::SimDuration stall = mobility_stall(simulator.now());
+  const sim::SimDuration stall = link_->stall(simulator.now());
   if (stall > 0) {
     // Handoff outage cut the session between dispatch and upload: the
     // environment stays bound and the upload starts when the new radio
@@ -1230,20 +804,10 @@ void Platform::on_env_ready(SessionState& s) {
   // environment must boot vs when a warm one is rebound.
   SessionMetrics& sm = session_metrics_;
   (s.fresh_env
-       ? resolve(sm.prep_provision_ms, metrics_, "session.prep.provision_ms")
-       : resolve(sm.prep_reuse_ms, metrics_, "session.prep.reuse_ms"))
+       ? metrics_.resolve(sm.prep_provision_ms, "session.prep.provision_ms")
+       : metrics_.resolve(sm.prep_reuse_ms, "session.prep.reuse_ms"))
       .observe(sim::to_millis(s.phases.runtime_preparation));
-  if (warm_hits_ == nullptr) {
-    warm_hits_ = &metrics_.counter("elastic.warm_hits");
-    cold_boots_ = &metrics_.counter("elastic.cold_boots");
-    warm_hit_ratio_ = &metrics_.gauge("elastic.warm_hit_ratio");
-  }
-  (s.fresh_env ? cold_boots_ : warm_hits_)->inc();
-  {
-    const double hits = static_cast<double>(warm_hits_->value());
-    const double cold = static_cast<double>(cold_boots_->value());
-    warm_hit_ratio_->set(hits / std::max(1.0, hits + cold));
-  }
+  capacity_.count_start(s.fresh_env);
   begin_phase(s, "transfer");
 
   // Determine the code push. With a code cache the warehouse answer
@@ -1325,14 +889,12 @@ void Platform::on_env_ready(SessionState& s) {
   s.upload_time = upload;
   const sim::SimDuration transfer = std::max(upload, ingest);
   s.phases.data_transfer = transfer;
-  if (s.span_phase != obs::kNoSpan) {
-    trace_.annotate(s.span_phase, "push_code",
-                    static_cast<std::uint64_t>(plan.push_code ? 1 : 0));
-    trace_.annotate(s.span_phase, "bytes",
-                    static_cast<std::uint64_t>(ingest_bytes));
-    if (s.spilled_to_disk) {
-      trace_.annotate(s.span_phase, "spilled", std::uint64_t{1});
-    }
+  trace_.annotate(s.span_phase, "push_code",
+                  static_cast<std::uint64_t>(plan.push_code ? 1 : 0));
+  trace_.annotate(s.span_phase, "bytes",
+                  static_cast<std::uint64_t>(ingest_bytes));
+  if (s.spilled_to_disk) {
+    trace_.annotate(s.span_phase, "spilled", std::uint64_t{1});
   }
   simulator.schedule_in(transfer, guarded<&Platform::on_uploaded>(s));
 }
@@ -1433,7 +995,7 @@ void Platform::on_uploaded(SessionState& s) {
        ++round) {
     s.conn->upload(net::Message{net::MessageType::kControl, 48});
     s.conn->download(net::Message{net::MessageType::kControl, 48});
-    interaction += config_.link.rtt + sim::from_millis(60);
+    interaction += link_->config().rtt + sim::from_millis(60);
   }
 
   // Processor sharing: when more environments compute than the server
@@ -1464,9 +1026,8 @@ void Platform::on_uploaded(SessionState& s) {
     const bool oom_fire = faults_->should_fire(
         sim::FaultKind::kContainerOom, simulator.now());
     if (crash_fire || oom_fire) {
-      simulator.schedule_at(start + duration / 2, [this, id = env.id]() {
-        if (EnvRecord* env = live_env(id)) crash_env(*env);
-      });
+      simulator.schedule_at(start + duration / 2,
+                            [this, id = env.id]() { capacity_.crash(id); });
     }
   }
   simulator.schedule_at(done, guarded<&Platform::on_computed>(s));
@@ -1500,7 +1061,7 @@ void Platform::on_computed(SessionState& s) {
   // Handoff outage at result-delivery time: the download waits for the
   // new radio to attach (the computed result is already spooled server
   // side), then transfers at the new radio's rates.
-  const sim::SimDuration stall = mobility_stall(simulator.now());
+  const sim::SimDuration stall = link_->stall(simulator.now());
   if (stall > 0) {
     note_resumption(s);
     s.phases.data_transfer += stall;
@@ -1534,42 +1095,40 @@ void Platform::complete(SessionState& s) {
   SessionMetrics& sm = session_metrics_;
   const std::size_t klass = qos::class_index(s.klass);
   const double response_ms = sim::to_millis(outcome.response);
-  resolve(sm.completed, metrics_, "sessions.completed").inc();
-  resolve(sm.qos_completed[klass], metrics_, "qos.completed.",
+  metrics_.resolve(sm.completed, "sessions.completed").inc();
+  metrics_.resolve(sm.qos_completed[klass], "qos.completed.",
           qos::to_string(s.klass))
       .inc();
   if (outcome.deadline_missed) {
-    resolve(sm.deadline_missed, metrics_, "qos.deadline.missed").inc();
+    metrics_.resolve(sm.deadline_missed, "qos.deadline.missed").inc();
   }
   if (s.cache_hit) {
-    resolve(sm.cache_hits, metrics_, "sessions.cache_hits").inc();
+    metrics_.resolve(sm.cache_hits, "sessions.cache_hits").inc();
   }
   if (s.recovered) {
-    resolve(sm.recovered, metrics_, "sessions.recovered").inc();
+    metrics_.resolve(sm.recovered, "sessions.recovered").inc();
   }
-  resolve(sm.response_ms, metrics_, "session.response_ms")
+  metrics_.resolve(sm.response_ms, "session.response_ms")
       .observe(response_ms);
-  resolve(sm.qos_response_ms[klass], metrics_, "qos.response_ms.",
+  metrics_.resolve(sm.qos_response_ms[klass], "qos.response_ms.",
           qos::to_string(s.klass))
       .observe(response_ms);
   if (admission_ != nullptr) {
     // Goodput latency: responses of sessions that made it through
     // admission (the saturation bench's p99-of-accepted curve).
-    resolve(sm.accepted_response_ms, metrics_, "session.accepted.response_ms")
+    metrics_.resolve(sm.accepted_response_ms, "session.accepted.response_ms")
         .observe(response_ms);
   }
-  if (s.span_session != obs::kNoSpan) {
-    trace_.annotate(s.span_session, "env_id",
-                    static_cast<std::uint64_t>(s.env->id));
-    trace_.annotate(s.span_session, "cache_hit",
-                    static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
-    if (s.recovered) {
-      trace_.annotate(s.span_session, "recovered", std::uint64_t{1});
-    }
-    trace_.annotate(s.span_session, "speedup", outcome.speedup);
-    if (outcome.deadline_missed) {
-      trace_.annotate(s.span_session, "deadline_missed", std::uint64_t{1});
-    }
+  trace_.annotate(s.span_session, "env_id",
+                  static_cast<std::uint64_t>(s.env->id));
+  trace_.annotate(s.span_session, "cache_hit",
+                  static_cast<std::uint64_t>(s.cache_hit ? 1 : 0));
+  if (s.recovered) {
+    trace_.annotate(s.span_session, "recovered", std::uint64_t{1});
+  }
+  trace_.annotate(s.span_session, "speedup", outcome.speedup);
+  if (outcome.deadline_missed) {
+    trace_.annotate(s.span_session, "deadline_missed", std::uint64_t{1});
   }
   finish_session(s);
 }
@@ -1581,66 +1140,37 @@ void Platform::arm_mobility_pump() {
   if (config_.mobility.empty()) return;
   // Each run replays the plan from the base radio; a previous run's
   // handoffs must not leak into this one.
-  config_.link = base_link_;
-  link_->set_config(base_link_);
-  link_down_until_ = 0;
+  link_->reset(config_.link);
   sim::Simulator& simulator = server_->simulator();
   const sim::SimTime start = simulator.now();
   for (const HandoffEvent& event : config_.mobility) {
-    simulator.schedule_at(start + event.at,
-                          [this, event]() { apply_handoff(event); });
-  }
-}
-
-void Platform::apply_handoff(const HandoffEvent& event) {
-  sim::Simulator& simulator = server_->simulator();
-  const std::string from = config_.link.name;
-  config_.link = event.to;
-  link_->set_config(event.to);
-  metrics_.counter("mobility.handoffs").inc();
-  metrics_
-      .counter(std::string("mobility.handoff.") + from + "_to_" +
-               event.to.name)
-      .inc();
-  if (event.outage > 0) {
-    link_down_until_ =
-        std::max(link_down_until_, simulator.now() + event.outage);
-    metrics_.counter("mobility.outages").inc();
-    metrics_.histogram("mobility.outage_ms")
-        .observe(sim::to_millis(event.outage));
-  }
-  if (trace_.enabled()) {
-    trace_.instant(kPlatformTrack,
-                   ("handoff " + from + "→" + event.to.name).c_str(),
-                   "mobility", simulator.now());
+    simulator.schedule_at(start + event.at, [this, event]() {
+      const sim::SimTime now = server_->simulator().now();
+      const std::string from = link_->handoff(event.to, event.outage, now);
+      if (trace_.enabled()) {
+        trace_.instant(kPlatformTrack,
+                       ("handoff " + from + "→" + event.to.name).c_str(),
+                       "mobility", now);
+      }
+    });
   }
 }
 
 void Platform::note_resumption(SessionState& s) {
   if (s.resumed) return;  // count each session once, however often it stalls
   s.resumed = true;
-  metrics_.counter("mobility.sessions_resumed").inc();
-  if (s.span_session != obs::kNoSpan) {
-    trace_.annotate(s.span_session, "resumed", std::uint64_t{1});
-  }
+  link_->note_resumption();
+  trace_.annotate(s.span_session, "resumed", std::uint64_t{1});
 }
 
-void Platform::crash_env(EnvRecord& env) {
-  if (!env.live()) return;
-  metrics_.counter("env.crashes").inc();
-  teardown_env(env, /*crashed=*/true);
-  // Sessions bound to the dead environment: neutralize every scheduled
-  // continuation (generation bump) and give back what they held — Monitor
-  // job slots and staged one-shot files die with the container. The
-  // sessions stay *bound*: the Monitor has not discovered the crash yet,
-  // and the session-env-liveness invariant tolerates exactly that window.
+void Platform::sweep_crashed(const EnvRecord& env) {
+  // The sessions stay *bound*: the Monitor has not discovered the crash
+  // yet, and the session-env-liveness invariant tolerates that window.
   for_each_live([&](SessionState& s) {
     if (s.env != &env) return;
     ++session_slots_[s.slot].gen;
-    if (trace_.enabled()) {
-      trace_.instant(s.request.sequence + 1, "env_crash", "fault",
-                     server_->simulator().now());
-    }
+    trace_.instant(s.request.sequence + 1, "env_crash", "fault",
+                   server_->simulator().now());
     if (s.computing) {
       server_->monitor().job_finished(s.klass);
       s.computing = false;
@@ -1651,8 +1181,6 @@ void Platform::crash_env(EnvRecord& env) {
     }
     touched(s);
   });
-  server_->monitor().notify_crash(env.id);
-  prune(env);
 }
 
 void Platform::recover_env(std::uint32_t env_id) {
@@ -1660,9 +1188,10 @@ void Platform::recover_env(std::uint32_t env_id) {
   // pending). Without crash recovery the platform does nothing —
   // sessions stay bound to the dead CID and the invariant harness is
   // what notices.
-  if (oracle_ != nullptr) oracle_->touch_env(env_id);
+  EnvTable& table = capacity_.table();
+  table.touch(env_id);
   if (!config_.crash_recovery) return;
-  EnvRecord* dead = env_table_.find(env_id);
+  const EnvRecord* dead = table.find(env_id);
   if (dead == nullptr) return;  // erased: no session was bound to it
   std::vector<std::uint32_t> victims;
   for_each_live([&](const SessionState& s) {
@@ -1670,7 +1199,8 @@ void Platform::recover_env(std::uint32_t env_id) {
   });
   for (const std::uint32_t slot : victims) {
     SessionState& s = sessions_.at(slot);
-    if (dead->inflight > 0) --dead->inflight;
+    // The last release erases the record: look it up every time.
+    if (EnvRecord* env = table.find(env_id)) capacity_.release(*env);
     s.env = nullptr;
     ++session_slots_[slot].gen;
     touched(s);
@@ -1688,7 +1218,6 @@ void Platform::recover_env(std::uint32_t env_id) {
     }
     dispatch(s, server_->calibration().dispatcher_cost);
   }
-  prune(*dead);
 }
 
 void Platform::on_tenant_blocked(const std::string& tenant,
@@ -1697,11 +1226,9 @@ void Platform::on_tenant_blocked(const std::string& tenant,
   // of the offender *now*, so a blocked tenant consumes zero container
   // time past block onset (the rac-blocked-isolation invariant).
   if (oracle_ != nullptr) oracle_->touch_tenant(tenant);
-  if (trace_.enabled()) {
-    const obs::SpanId mark =
-        trace_.instant(kPlatformTrack, "rac_block", "rac", now);
-    trace_.annotate(mark, "tenant", tenant);
-  }
+  const obs::SpanId mark =
+      trace_.instant(kPlatformTrack, "rac_block", "rac", now);
+  trace_.annotate(mark, "tenant", tenant);
   // Collect first: reject_session unlinks from the live list (and frees
   // the record `tenant` may point into, so it is not read past here).
   std::vector<std::uint32_t> victims;
@@ -1711,9 +1238,7 @@ void Platform::on_tenant_blocked(const std::string& tenant,
   for (const std::uint32_t slot : victims) {
     SessionState& s = sessions_.at(slot);
     ++session_slots_[slot].gen;  // neutralize every scheduled continuation
-    if (s.span_session != obs::kNoSpan) {
-      trace_.annotate(s.span_session, "rac_swept", std::uint64_t{1});
-    }
+    trace_.annotate(s.span_session, "rac_swept", std::uint64_t{1});
     reject_session(s, RejectReason::kAccessDenied);
   }
 }
@@ -1721,12 +1246,14 @@ void Platform::on_tenant_blocked(const std::string& tenant,
 void Platform::reject_session(SessionState& s, RejectReason reason) {
   SessionScope scope(*this, s);
   SessionMetrics& sm = session_metrics_;
-  resolve(sm.rejected, metrics_, "sessions.rejected").inc();
-  resolve(sm.rejected_by_reason[static_cast<std::size_t>(reason)], metrics_,
-          "sessions.rejected.", to_string(reason))
+  metrics_.resolve(sm.rejected, "sessions.rejected").inc();
+  metrics_
+      .resolve(sm.rejected_by_reason[static_cast<std::size_t>(reason)],
+               "sessions.rejected.", to_string(reason))
       .inc();
-  resolve(sm.qos_rejected[qos::class_index(s.klass)], metrics_,
-          "qos.rejected.", qos::to_string(s.klass))
+  metrics_
+      .resolve(sm.qos_rejected[qos::class_index(s.klass)], "qos.rejected.",
+               qos::to_string(s.klass))
       .inc();
   // Typed reject reply: the device learns *why* it was turned away
   // (back-off hint) at the cost of one small downlink frame.  Sessions
@@ -1738,10 +1265,8 @@ void Platform::reject_session(SessionState& s, RejectReason reason) {
     s.conn->download(
         net::Message{net::MessageType::kReject, net::kRejectReplyBytes});
   }
-  if (s.span_session != obs::kNoSpan) {
-    trace_.annotate(s.span_session, "rejected", std::uint64_t{1});
-    trace_.annotate(s.span_session, "reject_reason", to_string(reason));
-  }
+  trace_.annotate(s.span_session, "rejected", std::uint64_t{1});
+  trace_.annotate(s.span_session, "reject_reason", to_string(reason));
   RequestOutcome& outcome = outcome_of(s);
   outcome.rejected = true;
   outcome.reject_reason = reason;
@@ -1760,7 +1285,7 @@ RequestOutcome& Platform::outcome_of(const SessionState& s) {
   outcome.response = now - s.request.arrival;
   outcome.tenant = s.tenant;
   outcome.qos_class = s.klass;
-  outcome.radio = config_.link.name;
+  outcome.radio = link_->name();
   outcome.resumed = s.resumed;
   outcome.dispatch_attempts = s.dispatch_attempts;
   outcome.connect_attempts = s.connect_attempts;
@@ -1793,21 +1318,7 @@ void Platform::finish_session(SessionState& s) {
 
   if (s.computing) server_->monitor().job_finished(s.klass);
   if (s.staged) server_->shared_layer().release_request_files(sequence);
-  if (s.env != nullptr) {
-    EnvRecord& env = *s.env;
-    if (env.inflight > 0) --env.inflight;
-    if (!env.live()) {
-      prune(env);  // the last session left a crashed or failed env
-    } else if (env.ready() && env.inflight == 0) {
-      if (env.state() == EnvState::kDraining) {
-        // Last in-flight session left a draining environment: reclaim.
-        finish_drain(env);
-      } else {
-        env_table_.transition(env.id, EnvState::kWarmIdle, now);
-        schedule_reclaim(env);
-      }
-    }
-  }
+  if (s.env != nullptr) capacity_.release(*s.env);
   ++completed_;
   unlink_live(s);
   // Return the RAC, queue and in-service slots the session held.
@@ -1830,39 +1341,6 @@ void Platform::finish_session(SessionState& s) {
 
 void Platform::touched(const SessionState& s) {
   if (oracle_ != nullptr) oracle_->touch(session_ref(s));
-}
-
-// ---------------------------------------------------------------------
-
-ProvisionStats Platform::measure_provision() {
-  assert(env_table_.size() == 0 && "measure_provision needs a fresh platform");
-  config_.env_idle_timeout = 0;  // a probe environment is never reclaimed
-  sim::Simulator& simulator = server_->simulator();
-  const EnvId id = provision_env(EnvKey::probe(), simulator.now()).id;
-  simulator.run();
-  const EnvRecord* env = env_table_.find(id);
-  if (env == nullptr) return {};  // the provision failed
-  assert(env->ready());
-
-  ProvisionStats stats;
-  stats.setup_time = env->ready_at - env->provisioned_at;
-  const Calibration& cal = server_->calibration();
-  if (env->is_vm()) {
-    stats.memory_configured = cal.vm_memory;
-    stats.memory_usage =
-        android::device_userspace_boot(android::OsProfile::kStock)
-            .boot_memory;
-  } else {
-    stats.memory_configured = config_.customized_os
-                                  ? cal.cac_opt_memory
-                                  : cal.cac_plain_memory;
-    stats.memory_usage = env->cac->boot_memory();
-  }
-  stats.disk_bytes = env->disk_bytes;
-  stats.shared_disk_bytes = config_.shared_resource_layer
-                                ? server_->shared_layer().shared_bytes()
-                                : 0;
-  return stats;
 }
 
 }  // namespace rattrap::core

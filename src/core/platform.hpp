@@ -26,12 +26,11 @@
 #include <vector>
 
 #include "android/app.hpp"
-#include "container/registry.hpp"
 #include "core/admission.hpp"
-#include "core/cac.hpp"
+#include "core/capacity.hpp"
 #include "core/dispatcher.hpp"
-#include "core/env_table.hpp"
 #include "core/elastic/pool_controller.hpp"
+#include "core/env_table.hpp"
 #include "core/invariant.hpp"
 #include "core/offload.hpp"
 #include "core/qos/qos.hpp"
@@ -174,15 +173,6 @@ struct PlatformConfig {
                                          net::LinkConfig link = net::lan_wifi(),
                                          std::uint64_t seed = 1);
 
-/// Table I row: what provisioning one runtime environment costs.
-struct ProvisionStats {
-  sim::SimDuration setup_time = 0;   ///< boot → connected to Dispatcher
-  std::uint64_t memory_configured = 0;  ///< allocation (512/128/96 MB)
-  std::uint64_t memory_usage = 0;    ///< measured resident peak
-  std::uint64_t disk_bytes = 0;      ///< per-environment disk footprint
-  std::uint64_t shared_disk_bytes = 0;  ///< amortized shared layer (once)
-};
-
 /// QoS identity of one client session (docs/QOS.md).
 struct SessionConfig {
   /// Admission tenant: the token-bucket and DRR-fairness key.  Empty =
@@ -259,6 +249,8 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
+  /// The configuration as constructed: a run's handoffs change the
+  /// link's radio (radio_profile()), never this.
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
   [[nodiscard]] CloudServer& server() { return *server_; }
 
@@ -322,19 +314,13 @@ class Platform {
 
   /// Provisions one environment on an otherwise idle platform and reports
   /// the Table I statistics.  Usable once, on a fresh Platform.
-  ProvisionStats measure_provision();
+  ProvisionStats measure_provision() { return capacity_.measure_provision(); }
 
-  /// Device-side radio profile implied by the configured link.
+  /// Device-side radio profile of the radio attached now.
   [[nodiscard]] device::RadioProfile radio_profile() const;
 
   /// The environments provisioned so far (reclaimed ones included).
-  [[nodiscard]] std::size_t env_count() const { return env_table_.size(); }
-
-  /// Integral of committed environment memory over simulated time so far
-  /// (byte·seconds) — the resource cost a warm pool pays (§III-B).
-  [[nodiscard]] double memory_time_byte_seconds() const {
-    return env_table_.memory_byte_seconds(server_->simulator().now());
-  }
+  [[nodiscard]] std::size_t env_count() const { return capacity_.table().size(); }
 
   /// The installed fault injector, or nullptr when the plan is empty.
   [[nodiscard]] sim::FaultInjector* fault_injector() {
@@ -372,29 +358,11 @@ class Platform {
   /// The environment table: the one record and lifecycle state
   /// (cold → booting → warm_idle ⇄ leased → draining → reclaimed) of
   /// every environment, until it is reclaimed and no session is bound.
-  [[nodiscard]] const EnvTable& env_table() const { return env_table_; }
+  [[nodiscard]] const EnvTable& env_table() const { return capacity_.table(); }
 
-  /// Integral of warm-idle memory over simulated time (byte·seconds) —
-  /// the idle-capacity cost the §III-B frontier charts.
-  [[nodiscard]] double idle_byte_seconds() const {
-    return env_table_.idle_byte_seconds(server_->simulator().now());
-  }
-
-  /// Warm-idle pool environments available for immediate lease.
-  [[nodiscard]] std::uint32_t warm_idle_count() const;
-
-  /// Drains up to `count` warm-idle pool environments; returns how many
-  /// drains began.  Draining capacity stops leasing and is reclaimed
-  /// once in-flight work finishes.
-  std::uint32_t elastic_retire_warm(std::uint32_t count);
-
-  /// Content-addressed store of every lower layer the platform's CACs
-  /// stack on.  Layers are pinned here by digest (deduplicated), so the
-  /// shared base survives any individual environment's drain — only the
-  /// private top layer is burned (docs/ELASTIC.md).
-  [[nodiscard]] const container::LayerStore& layer_store() const {
-    return layer_store_;
-  }
+  /// The environment half: provisioning, warm pool, drain and reclaim.
+  [[nodiscard]] Capacity& capacity() { return capacity_; }
+  [[nodiscard]] const Capacity& capacity() const { return capacity_; }
 
  private:
   friend class Session;
@@ -428,9 +396,9 @@ class Platform {
     std::string code_ref;  ///< the app's warehouse code reference
   };
 
-  /// Session-path instruments, resolved on first use (the warm_hits_
-  /// idiom below), so a run exports exactly the instruments it touched
-  /// and no update pays a name lookup.
+  /// Session-path instruments, resolved on first use (MetricsRegistry::
+  /// resolve), so a run exports exactly the instruments it touched and no
+  /// update pays a name lookup.
   struct SessionMetrics {
     obs::Counter* offered = nullptr;
     obs::Counter* completed = nullptr;
@@ -457,39 +425,6 @@ class Platform {
     std::vector<std::uint64_t> sequences;  ///< submission order
     bool open = true;
   };
-
-  EnvRecord& provision_env(EnvKey binding_key, sim::SimTime now);
-  /// Start the VM / container; false when provisioning failed.
-  bool provision_vm(EnvRecord& env);
-  bool provision_cac(EnvRecord& env);
-  /// The CAC template of this platform's OS profile, built (and its
-  /// lower layers pinned) on first use.
-  const CacTemplate& cac_template();
-  /// What an environment continuation's captured id resolves to: the
-  /// record while it is held and live, else nullptr.
-  [[nodiscard]] EnvRecord* live_env(EnvId id) {
-    EnvRecord* env = env_table_.find(id);
-    return env != nullptr && env->live() ? env : nullptr;
-  }
-  void env_ready(EnvRecord& env);
-  void schedule_reclaim(EnvRecord& env);
-  /// Stops an environment for good — shutdown, or a crash when `crashed`.
-  void teardown_env(EnvRecord& env, bool crashed);
-  /// Erases a reclaimed record no session is bound to.
-  void prune(EnvRecord& env) {
-    if (!env.live() && env.inflight == 0) env_table_.erase(env.id);
-  }
-
-  // Elastic capacity machinery (docs/ELASTIC.md).
-  void begin_drain(EnvRecord& env);
-  void finish_drain(EnvRecord& env);
-  void prewarm_env();
-  /// Boots up to `count` fresh pool environments (respects the elastic
-  /// memory budget); returns how many were actually started.
-  std::uint32_t elastic_prewarm(std::uint32_t count);
-  void elastic_tick();
-  void arm_elastic_tick();
-  [[nodiscard]] std::uint64_t default_env_memory() const;
 
   // Session-handle plumbing.
   void reset_run();
@@ -544,18 +479,14 @@ class Platform {
 
   // Mobility machinery (docs/LOADGEN.md).
   void arm_mobility_pump();
-  void apply_handoff(const HandoffEvent& event);
-  /// How long a radio operation starting now must wait for connectivity
-  /// (0 when the link is attached).
-  [[nodiscard]] sim::SimDuration mobility_stall(sim::SimTime now) const {
-    return link_down_until_ > now ? link_down_until_ - now : 0;
-  }
   /// Marks the session as interrupted-and-resumed (metrics + trace, once
   /// per session).
   void note_resumption(SessionState& s);
 
   // Fault-injection machinery.
-  void crash_env(EnvRecord& env);
+  /// Capacity::crash's session sweep: voids the continuations of the
+  /// sessions bound to `env`, returns the job slots and files it held.
+  void sweep_crashed(const EnvRecord& env);
   void recover_env(std::uint32_t env_id);
   /// Block-onset sweep (docs/RAC.md): rejects every live session of a
   /// just-blocked tenant so it consumes zero container time past this
@@ -592,7 +523,7 @@ class Platform {
                                                  std::uint64_t bytes,
                                                  std::uint32_t ops) const;
 
-  PlatformConfig config_;
+  const PlatformConfig config_;
   // Declared before the engine so components holding cached instrument
   // handles are destroyed first.
   obs::MetricsRegistry metrics_;
@@ -619,7 +550,7 @@ class Platform {
   std::size_t live_count_ = 0;
   sim::Rng rng_;
   /// After server_: a CAC hands its container back when destroyed.
-  EnvTable env_table_;
+  Capacity capacity_;
   /// Armed with a fault plan or force_invariants; destroyed before the
   /// table and warehouse it attaches its touch list to.
   std::unique_ptr<InvariantOracle> oracle_;
@@ -631,40 +562,12 @@ class Platform {
   std::vector<RequestOutcome> outcomes_;
   enum class OutcomeState : std::uint8_t { kFree, kSubmitted, kDone };
   std::vector<OutcomeState> outcome_state_;  ///< parallel to outcomes_
-  std::unique_ptr<elastic::PoolController> pool_controller_;
-  container::LayerStore layer_store_;
-  /// The booted image every CAC is cloned from.  The profile is fixed by
-  /// config_, so one template serves the platform's whole lifetime.  It
-  /// is destroyed before env_table_: a CAC's teardown does not read it.
-  std::optional<CacTemplate> cac_template_;
-  std::uint32_t pool_seq_ = 0;       ///< keys pool:<n> environments
-  bool elastic_tick_armed_ = false;
-  // elastic.* instruments touched on the session path, created on first
-  // use so a run that never touches them exports none.
-  obs::Counter* warm_hits_ = nullptr;
-  obs::Counter* cold_boots_ = nullptr;
-  obs::Gauge* warm_hit_ratio_ = nullptr;
-  obs::Histogram* prewarm_lead_ms_ = nullptr;
-  // Set every elastic tick; created on the first.
-  obs::Gauge* elastic_target_ = nullptr;
-  obs::Gauge* elastic_forecast_rate_ = nullptr;
-  obs::Gauge* elastic_idle_byte_seconds_ = nullptr;
-  // Provision and drain instruments, created on first use likewise.
-  obs::Counter* env_provisioned_ = nullptr;
-  obs::Histogram* env_provision_ms_ = nullptr;
-  obs::Counter* drained_ = nullptr;
-  obs::Counter* reclaimed_private_bytes_ = nullptr;
   SessionMetrics session_metrics_;
   std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
   std::uint64_t next_stream_id_ = 1;
   bool run_active_ = false;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
-  /// Radio the platform was constructed with; each run's mobility plan
-  /// replays from this base configuration.
-  net::LinkConfig base_link_;
-  /// Connectivity returns at this virtual time (0 = link attached).
-  sim::SimTime link_down_until_ = 0;
 
   const KindData& kind_data(workloads::Kind kind);
   const device::MobileDevice& device_for(std::uint32_t device_id);

@@ -65,7 +65,6 @@ class DrrScheduler {
   [[nodiscard]] std::uint64_t deficit(const std::string& tenant) const;
   [[nodiscard]] std::uint64_t served(const std::string& tenant) const;
   [[nodiscard]] std::size_t queued(const std::string& tenant) const;
-  [[nodiscard]] std::size_t tenant_count() const { return tenants_.size(); }
 
   /// Violation description, or nullopt while the ledger balances:
   /// granted == served + deficit + forfeited for every tenant, deficit

@@ -78,9 +78,9 @@ class QosScheduler {
                                       double fallback) const;
   [[nodiscard]] const QosConfig& config() const { return config_; }
 
-  /// Consecutive lower-class pops while a higher lane was non-empty; the
-  /// qos-priority-burst invariant bounds this by starvation_burst.
-  [[nodiscard]] std::uint32_t lower_run() const { return lower_run_; }
+  /// Longest run of consecutive lower-class pops while a higher lane was
+  /// non-empty; the qos-priority-burst invariant bounds it by
+  /// starvation_burst.
   [[nodiscard]] std::uint32_t max_lower_run() const { return max_lower_run_; }
   [[nodiscard]] std::uint64_t promotions() const { return promotions_; }
 

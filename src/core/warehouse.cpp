@@ -46,7 +46,6 @@ bool AppWarehouse::lookup(std::string_view reference) {
     // lands, so this request must re-upload its code.
     stored_ -= slots_[*slot].entry.code_bytes;
     ++evictions_;
-    ++injected_evictions_;
     if (metric_evictions_ != nullptr) {
       metric_evictions_->inc();
       metric_stored_bytes_->set(static_cast<double>(stored_));

@@ -92,11 +92,6 @@ class AppWarehouse {
   /// the container's fetch. nullptr detaches.
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
-  /// Entries evicted by injected races (subset of evictions()).
-  [[nodiscard]] std::uint64_t injected_evictions() const {
-    return injected_evictions_;
-  }
-
   /// Attaches a metrics registry: lookups count into warehouse.hits /
   /// warehouse.misses, evictions into warehouse.evictions, and
   /// warehouse.stored_bytes tracks the cache footprint. nullptr detaches.
@@ -140,7 +135,6 @@ class AppWarehouse {
   std::uint64_t miss_total_ = 0;
   std::uint64_t evictions_ = 0;
   sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t injected_evictions_ = 0;
   obs::Counter* metric_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;

@@ -38,7 +38,6 @@ void DiskModel::submit(IoKind kind, std::uint64_t bytes, bool sequential,
       faults_->should_fire(sim::FaultKind::kDiskWriteFail)) {
     // Failed write, retried by the block layer: the arm services the
     // request twice (seek + transfer) before completion.
-    ++write_retries_;
     service += service_time(bytes, /*sequential=*/false);
   }
   const sim::SimTime finish = start + service;

@@ -65,11 +65,6 @@ class DiskModel {
   /// the request is serviced twice (time penalty, no data loss).
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
-  /// Writes that needed an injected-failure retry.
-  [[nodiscard]] std::uint64_t injected_write_retries() const {
-    return write_retries_;
-  }
-
  private:
   sim::Simulator& sim_;
   DiskConfig config_;
@@ -81,7 +76,6 @@ class DiskModel {
   std::uint64_t served_ = 0;
   sim::SimDuration busy_ = 0;
   sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t write_retries_ = 0;
 };
 
 }  // namespace rattrap::fs

@@ -165,7 +165,6 @@ std::optional<sim::SimDuration> BinderDriver::transact(
       faults_->should_fire(sim::FaultKind::kBinderFail)) {
     // Target thread died mid-transaction: BR_DEAD_REPLY to the caller.
     ++state.stats.failed;
-    ++injected_failures_;
     return std::nullopt;
   }
   ++state.stats.transactions;
@@ -186,7 +185,6 @@ std::optional<sim::SimDuration> BinderDriver::transact_oneway(
   if (faults_ != nullptr &&
       faults_->should_fire(sim::FaultKind::kBinderFail)) {
     ++stats.failed;
-    ++injected_failures_;
     return std::nullopt;
   }
   std::uint64_t& queued = ctx.async_queued[to];

@@ -140,11 +140,6 @@ class BinderDriver final : public Device {
   /// stats().failed) when it fires. nullptr detaches.
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
-  /// Transactions failed by injection (subset of stats().failed totals).
-  [[nodiscard]] std::uint64_t injected_failures() const {
-    return injected_failures_;
-  }
-
  private:
   struct Context {
     BinderHandle next_handle = 1;  // 0 reserved for the service manager
@@ -186,7 +181,6 @@ class BinderDriver final : public Device {
 
   sim::FlatHashMap<DevNsId, Namespace> namespaces_;
   sim::FaultInjector* faults_ = nullptr;
-  std::uint64_t injected_failures_ = 0;
 };
 
 }  // namespace rattrap::kernel

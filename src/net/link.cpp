@@ -1,7 +1,9 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace rattrap::net {
@@ -31,6 +33,7 @@ const std::vector<LinkConfig>& all_scenarios() {
 }
 
 void Link::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
   if (metrics == nullptr) {
     up_transfers_ = up_bytes_ = down_transfers_ = down_bytes_ = nullptr;
     fault_corrupted_ = fault_delayed_ = nullptr;
@@ -42,6 +45,27 @@ void Link::set_metrics(obs::MetricsRegistry* metrics) {
   down_bytes_ = &metrics->counter("net.down.bytes");
   fault_corrupted_ = &metrics->counter("net.fault.corrupted");
   fault_delayed_ = &metrics->counter("net.fault.delayed");
+}
+
+std::string Link::handoff(const LinkConfig& to, sim::SimDuration outage,
+                          sim::SimTime now) {
+  std::string from = std::exchange(config_, to).name;
+  if (metrics_ != nullptr) {
+    metrics_->counter("mobility.handoffs").inc();
+    metrics_->counter("mobility.handoff." + from + "_to_" + to.name).inc();
+  }
+  if (outage > 0) {
+    down_until_ = std::max(down_until_, now + outage);
+    if (metrics_ != nullptr) {
+      metrics_->counter("mobility.outages").inc();
+      metrics_->histogram("mobility.outage_ms").observe(sim::to_millis(outage));
+    }
+  }
+  return from;
+}
+
+void Link::note_resumption() {
+  if (metrics_ != nullptr) metrics_->counter("mobility.sessions_resumed").inc();
 }
 
 sim::SimDuration Link::latency(sim::Rng& rng) const {
@@ -74,13 +98,11 @@ sim::SimDuration Link::transfer_time(std::uint64_t bytes, double mbps,
   if (faults_ != nullptr) {
     if (faults_->should_fire(sim::FaultKind::kNetCorrupt)) {
       // Checksum failure at the receiver: the whole transfer is resent.
-      ++corrupted_;
       if (fault_corrupted_ != nullptr) fault_corrupted_->inc();
       total += sim::from_seconds(seconds) + latency(rng);
     }
     if (faults_->should_fire(sim::FaultKind::kNetDelay)) {
       // Latency spike (bufferbloat / radio handover): one-off stall.
-      ++delayed_;
       if (fault_delayed_ != nullptr) fault_delayed_->inc();
       total += faults_->delay_of(sim::FaultKind::kNetDelay);
     }

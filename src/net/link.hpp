@@ -41,15 +41,34 @@ class Link {
  public:
   explicit Link(LinkConfig config) : config_(std::move(config)) {}
 
+  /// The radio attached now (the last handoff's, once one happened).
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
 
-  /// Swaps the radio under the live link — a device handoff (WiFi↔3G/4G
-  /// mid-session).  Transfers already in flight keep their sampled
-  /// durations; every subsequent latency/bandwidth sample uses the new
-  /// radio's parameters.  Connections hold a reference to this Link, so
-  /// the swap is visible to all of them at once.
-  void set_config(LinkConfig config) { config_ = std::move(config); }
+  /// Attaches `config` with no outage pending: how a run that replays a
+  /// handoff plan starts from its base radio.
+  void reset(LinkConfig config) {
+    config_ = std::move(config);
+    down_until_ = 0;
+  }
+
+  /// A device handoff at `now` (WiFi↔3G/4G mid-session).  Transfers
+  /// already in flight keep their sampled durations; every later sample
+  /// uses the new radio, on every Connection at once (they hold a
+  /// reference to this Link).  `outage` > 0 is a hard handover: the radio
+  /// is detached until now + outage.  Counts into mobility.*; returns the
+  /// name of the radio handed off from.
+  std::string handoff(const LinkConfig& to, sim::SimDuration outage,
+                      sim::SimTime now);
+
+  /// How long a radio operation starting at `now` waits for the radio to
+  /// attach (0 when attached).
+  [[nodiscard]] sim::SimDuration stall(sim::SimTime now) const {
+    return down_until_ > now ? down_until_ - now : 0;
+  }
+
+  /// Counts one session that stalled through an outage and resumed.
+  void note_resumption();
 
   /// Attaches a fault injector: transfers then consult it for latency
   /// spikes (kNetDelay) and corruption-forced retransmissions
@@ -57,16 +76,9 @@ class Link {
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
   /// Attaches a metrics registry: transfers count into net.up.* /
-  /// net.down.* and fault perturbations into net.fault.*
-  /// (docs/OBSERVABILITY.md). nullptr detaches.
+  /// net.down.*, fault perturbations into net.fault.* and handoffs into
+  /// mobility.* (docs/OBSERVABILITY.md). nullptr detaches.
   void set_metrics(obs::MetricsRegistry* metrics);
-
-  /// Transfers retransmitted due to injected corruption.
-  [[nodiscard]] std::uint64_t corrupted_transfers() const {
-    return corrupted_;
-  }
-  /// Transfers hit by an injected latency spike.
-  [[nodiscard]] std::uint64_t delayed_transfers() const { return delayed_; }
 
   /// One-way latency sample (jittered half-RTT).
   [[nodiscard]] sim::SimDuration latency(sim::Rng& rng) const;
@@ -88,9 +100,9 @@ class Link {
                                                double mbps,
                                                sim::Rng& rng) const;
   LinkConfig config_;
+  sim::SimTime down_until_ = 0;  ///< radio detached until (0 = attached)
   sim::FaultInjector* faults_ = nullptr;
-  mutable std::uint64_t corrupted_ = 0;
-  mutable std::uint64_t delayed_ = 0;
+  obs::MetricsRegistry* metrics_ = nullptr;  ///< mobility.*, on first use
   // Cached instrument handles (stable for the registry's lifetime);
   // transfers are const, hence mutable.
   mutable obs::Counter* up_transfers_ = nullptr;

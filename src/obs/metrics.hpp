@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rattrap::obs {
@@ -120,6 +121,23 @@ class MetricsRegistry {
                        const std::vector<double>& bounds);
   Histogram& histogram(std::string_view name) {
     return histogram(name, latency_ms_buckets());
+  }
+
+  /// The instrument in `slot`, found or created as prefix + suffix on
+  /// first use: a hot path keeps the handle and pays no name lookup.
+  template <typename Instrument>
+  Instrument& resolve(Instrument*& slot, std::string_view prefix,
+                      std::string_view suffix = {}) {
+    if (slot != nullptr) return *slot;
+    std::string name(prefix);
+    name += suffix;
+    if constexpr (std::is_same_v<Instrument, Counter>) {
+      return *(slot = &counter(name));
+    } else if constexpr (std::is_same_v<Instrument, Gauge>) {
+      return *(slot = &gauge(name));
+    } else {
+      return *(slot = &histogram(name));
+    }
   }
 
   /// Read-only lookups; nullptr when the instrument does not exist.

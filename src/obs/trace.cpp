@@ -27,8 +27,8 @@ void TraceRecorder::end(SpanId id, sim::SimTime end) {
   span->end = end < span->start ? span->start : end;
 }
 
-void TraceRecorder::annotate(SpanId id, std::string_view key,
-                             std::string_view value) {
+void TraceRecorder::put(SpanId id, std::string_view key,
+                        std::string_view value) {
   SpanRecord* span = record(id);
   if (span == nullptr) return;
   for (auto& [k, v] : span->args) {
@@ -40,7 +40,7 @@ void TraceRecorder::annotate(SpanId id, std::string_view key,
   span->args.emplace_back(std::string(key), json_quote(value));
 }
 
-void TraceRecorder::annotate(SpanId id, std::string_view key, double value) {
+void TraceRecorder::put(SpanId id, std::string_view key, double value) {
   SpanRecord* span = record(id);
   if (span == nullptr) return;
   for (auto& [k, v] : span->args) {
@@ -50,11 +50,6 @@ void TraceRecorder::annotate(SpanId id, std::string_view key, double value) {
     }
   }
   span->args.emplace_back(std::string(key), json_number(value));
-}
-
-void TraceRecorder::annotate(SpanId id, std::string_view key,
-                             std::uint64_t value) {
-  annotate(id, key, static_cast<double>(value));
 }
 
 SpanId TraceRecorder::instant(std::uint64_t track, std::string_view name,

@@ -53,10 +53,17 @@ class TraceRecorder {
   /// Closes `id` at `end`; no-op for kNoSpan or an already-closed span.
   void end(SpanId id, sim::SimTime end);
 
-  /// Attaches an arg to `id` (last write wins on duplicate keys).
-  void annotate(SpanId id, std::string_view key, std::string_view value);
-  void annotate(SpanId id, std::string_view key, double value);
-  void annotate(SpanId id, std::string_view key, std::uint64_t value);
+  /// Attaches an arg to `id` (last write wins on duplicate keys); kNoSpan
+  /// — every span of an untraced run — costs one compare and no call.
+  void annotate(SpanId id, std::string_view key, std::string_view value) {
+    if (id != kNoSpan) put(id, key, value);
+  }
+  void annotate(SpanId id, std::string_view key, double value) {
+    if (id != kNoSpan) put(id, key, value);
+  }
+  void annotate(SpanId id, std::string_view key, std::uint64_t value) {
+    if (id != kNoSpan) put(id, key, static_cast<double>(value));
+  }
 
   /// Zero-duration marker on `track` (faults, crashes, evictions).
   SpanId instant(std::uint64_t track, std::string_view name,
@@ -84,6 +91,8 @@ class TraceRecorder {
 
  private:
   SpanRecord* record(SpanId id);
+  void put(SpanId id, std::string_view key, std::string_view value);
+  void put(SpanId id, std::string_view key, double value);
 
   bool enabled_ = false;
   SpanId active_ = kNoSpan;

@@ -126,8 +126,6 @@ class EventQueue {
 
   /// Current calendar size (power of two).
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  /// Current bucket width in microseconds.
-  [[nodiscard]] SimTime bucket_width() const { return width_; }
   /// Arena high-water mark: slots ever handed out.  The churn regression
   /// test asserts this stays bounded when events are cancelled before
   /// firing (the seed heap grew monotonically instead).

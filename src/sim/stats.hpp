@@ -102,9 +102,6 @@ class TimeSeries {
   [[nodiscard]] double bucket(std::size_t i) const {
     return i < buckets_.size() ? buckets_[i] : 0.0;
   }
-  [[nodiscard]] SimTime bucket_start(std::size_t i) const {
-    return static_cast<SimTime>(i) * granularity_;
-  }
 
  private:
   SimDuration granularity_;

@@ -17,15 +17,15 @@ namespace rattrap::core {
 
 struct PlatformTestPeer {
   static EnvTable& env_table(Platform& platform) {
-    return platform.env_table_;
+    return platform.capacity_.table();
   }
   /// The record of a held environment (its resources included).
   static EnvRecord& env(Platform& platform, EnvId id) {
-    return *platform.env_table_.find(id);
+    return *env_table(platform).find(id);
   }
   /// The platform's CAC template, built on first use.
   static const CacTemplate& cac_template(Platform& platform) {
-    return platform.cac_template();
+    return platform.capacity_.cac_template();
   }
   /// Plants an early erase: reclaims `id` behind the Monitor's back and
   /// erases its record while sessions may still be bound to it.  Returns
@@ -33,25 +33,27 @@ struct PlatformTestPeer {
   /// to it read live storage, and drop it before the platform.
   static EnvTable::Records::node_type erase_env(Platform& platform,
                                                 EnvId id) {
-    platform.env_table_.transition(id, EnvState::kReclaimed,
+    env_table(platform).transition(id, EnvState::kReclaimed,
                                    platform.server().simulator().now());
-    return platform.env_table_.erase(id);
+    return env_table(platform).erase(id);
   }
   /// Boots one warm-pool environment, ignoring the memory budget.
-  static void prewarm(Platform& platform) { platform.prewarm_env(); }
+  static void prewarm(Platform& platform) {
+    platform.capacity_.prewarm_env();
+  }
   /// Starts draining one specific environment; false if the id is
   /// unknown, already draining, or retired.
   static bool drain_env(Platform& platform, EnvId id) {
-    EnvRecord* env = platform.env_table_.find(id);
+    EnvRecord* env = env_table(platform).find(id);
     if (env == nullptr || !env->leasable()) return false;
-    platform.begin_drain(*env);
+    platform.capacity_.begin_drain(*env);
     return true;
   }
 
   /// Reports a touch point the way the mutation site a plant stands in
   /// for does (a defective site still says what it changed).
   static void touch_env(Platform& platform, EnvId id) {
-    if (platform.oracle_ != nullptr) platform.oracle_->touch_env(id);
+    env_table(platform).touch(id);
   }
   static void touch_tenant(Platform& platform, const std::string& tenant) {
     if (platform.oracle_ != nullptr) platform.oracle_->touch_tenant(tenant);

@@ -209,7 +209,7 @@ TEST(CacTemplate, ManyProvisionsPinOneLayerByItsDigest) {
   Platform platform(kept_config(true));
   (void)platform.run(fleet_stream(24, 12));
   ASSERT_GE(platform.env_table().records().size(), 12u);
-  const container::LayerStore& store = platform.layer_store();
+  const container::LayerStore& store = platform.capacity().layer_store();
   EXPECT_EQ(store.layer_count(), 1u);
   const auto& shared = platform.server().shared_layer().system_layer();
   EXPECT_EQ(store.get(container::layer_digest(*shared)), shared);
@@ -261,8 +261,8 @@ TEST(CacTemplate, PlatformsKeepIndependentTemplates) {
             customized.server().shared_layer().system_layer());
   EXPECT_EQ(b.container->lower_layers.front(),
             stock.server().shared_layer().system_layer());
-  EXPECT_EQ(customized.layer_store().layer_count(), 1u);
-  EXPECT_EQ(stock.layer_store().layer_count(), 1u);
+  EXPECT_EQ(customized.capacity().layer_store().layer_count(), 1u);
+  EXPECT_EQ(stock.capacity().layer_store().layer_count(), 1u);
 }
 
 // -- Reclaim frees the CAC ---------------------------------------------

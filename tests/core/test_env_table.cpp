@@ -383,8 +383,8 @@ TEST(EnvTable, RetireWarmDrainsNewestFirst) {
   bool newest_gone = false;
   platform.server().simulator().schedule_at(
       20 * kSecond, [&platform, &drained, &after, &newest_gone]() {
-        ASSERT_EQ(platform.warm_idle_count(), 3u);
-        drained = platform.elastic_retire_warm(1);
+        ASSERT_EQ(platform.capacity().warm_idle_count(), 3u);
+        drained = platform.capacity().elastic_retire_warm(1);
         for (EnvId id = 1; id <= 2; ++id) {
           after.push_back(platform.env_table().find(id)->state());
         }

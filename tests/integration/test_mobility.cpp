@@ -153,6 +153,24 @@ TEST(Mobility, HandoffRunsAreDeterministic) {
   EXPECT_EQ(a.metrics().to_json(), b.metrics().to_json());
 }
 
+TEST(Mobility, ConfigStaysAsConstructed) {
+  // Handoffs change the link's radio, and a provision probe is exempt
+  // from reclaim without touching the idle timeout: config() keeps
+  // reporting what the caller passed.
+  const PlatformConfig input = mobility_config(
+      {{sim::from_seconds(2.0), net::cellular_3g(), sim::kSecond}});
+  Platform handed_off(input);
+  (void)run_load(handed_off, small_load(80));
+  EXPECT_EQ(handed_off.radio_profile().name, device::radio_3g().name);
+  EXPECT_EQ(handed_off.config().link.name, input.link.name);
+  EXPECT_EQ(handed_off.config().link.rtt, input.link.rtt);
+
+  Platform probed(input);
+  EXPECT_GT(probed.measure_provision().setup_time, 0);
+  EXPECT_EQ(probed.config().env_idle_timeout, input.env_idle_timeout);
+  EXPECT_EQ(probed.config().link.name, input.link.name);
+}
+
 TEST(Mobility, NoMobilityPlanKeepsSingleRadio) {
   Platform platform(mobility_config({}));
   const LoadSummary summary = run_load(platform, small_load(80));

@@ -86,7 +86,8 @@ TEST(WarmPool, PoolCostsMemoryTime) {
   b.run(stream);
   // The pool is booted at t=0 and held; on-demand envs commit later, so
   // the warm configuration accumulates more byte-seconds.
-  EXPECT_GT(b.memory_time_byte_seconds(), a.memory_time_byte_seconds());
+  EXPECT_GT(b.capacity().memory_time_byte_seconds(),
+            a.capacity().memory_time_byte_seconds());
 }
 
 TEST(WarmPool, UnusedPoolEnvsSurviveIdleReclaim) {

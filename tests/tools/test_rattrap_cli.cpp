@@ -93,5 +93,30 @@ TEST(RattrapCli, SameKeysAsLoadgenGiveTheSameMetricsFingerprint) {
             fingerprint);
 }
 
+TEST(RattrapCli, InvariantViolationsFailTheRun) {
+  // Crashes with recovery off strand sessions on dead environments; the
+  // armed oracle must turn that into a nonzero exit, as loadgen does.
+  const CommandResult result = run_command(
+      kBin + " --faults container.crash:p=0.2 --crash-recovery off"
+             " --devices 6 --requests 40 --rate 0.5 --seed 1");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_FALSE(result.contains("invariant_violations=0")) << result.output;
+  EXPECT_TRUE(result.contains("invariant_violations=")) << result.output;
+  EXPECT_TRUE(result.contains("first_violation=session-env-liveness"))
+      << result.output;
+}
+
+TEST(RattrapCli, HelpStatesRattrapLoadDefaults) {
+  const CommandResult result = run_command(kBin + " --help");
+  // Used to print loadgen's defaults (1000 devices, 1000 requests, ...).
+  ASSERT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.contains("fleet size, > 0 (default 5)")) << result.output;
+  EXPECT_TRUE(result.contains("total offered requests, > 0 (default 20)"))
+      << result.output;
+  EXPECT_TRUE(result.contains("offered req/s, open loop (default 0.125)"))
+      << result.output;
+  EXPECT_TRUE(result.contains("master seed (default 42)")) << result.output;
+}
+
 }  // namespace
 }  // namespace rattrap::clitest

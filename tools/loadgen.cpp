@@ -45,7 +45,7 @@ void usage() {
       "usage: loadgen [options]\n"
       "Run-config keys (EXPERIMENTS.md), --key-name value; an on|off key\n"
       "given bare means on:");
-  cli::print_flag_help(stdout);
+  cli::print_flag_help(stdout, core::LoadDriverConfig{});
   std::puts(
       "Loadgen only:\n"
       "  --transport T               sim | rpc: in-process sim clock, or the\n"

@@ -12,8 +12,9 @@
 //
 // Its load defaults are the paper's scale (5 devices, 20 requests at
 // 0.125 req/s, seed 42); every other default is the table's.  It prints
-// the per-request phase table (or CSV rows) and the platform snapshot.
-// Exit 0 after a run, 1 when an output file cannot be written, 2 on a
+// the per-request phase table (or CSV rows), the platform snapshot and
+// the invariant oracle's verdict.  Exit 0 after a run, 1 when an output
+// file cannot be written or the oracle recorded a violation, 2 on a
 // usage or config error.
 #include <cstdio>
 #include <string>
@@ -30,13 +31,23 @@ using namespace rattrap;
 
 namespace {
 
+/// The paper's evaluation scale: a handful of devices, one request every
+/// 8 s on average.
+core::LoadDriverConfig paper_scale() {
+  core::LoadDriverConfig load;
+  load.loadgen.devices = 5;
+  load.loadgen.requests = 20;
+  load.loadgen.rate_per_s = 0.125;
+  load.loadgen.seed = 42;
+  return load;
+}
+
 void usage() {
   std::puts(
       "usage: rattrap [options]\n"
       "Run-config keys (EXPERIMENTS.md), --key-name value; an on|off key\n"
-      "given bare means on (defaults here: --devices 5 --requests 20\n"
-      "--rate 0.125 --seed 42):");
-  cli::print_flag_help(stdout);
+      "given bare means on:");
+  cli::print_flag_help(stdout, paper_scale());
   std::puts(
       "Rattrap only:\n"
       "  --csv                       machine-readable per-request output\n"
@@ -49,17 +60,6 @@ int usage_error(const std::string& what) {
   std::fprintf(stderr, "%s\n", what.c_str());
   usage();
   return 2;
-}
-
-/// The paper's evaluation scale: a handful of devices, one request every
-/// 8 s on average.
-core::LoadDriverConfig paper_scale() {
-  core::LoadDriverConfig load;
-  load.loadgen.devices = 5;
-  load.loadgen.requests = 20;
-  load.loadgen.rate_per_s = 0.125;
-  load.loadgen.seed = 42;
-  return load;
 }
 
 bool write_file(const std::string& path, const std::string& text,
@@ -82,6 +82,18 @@ void print_csv(const core::RequestOutcome& o) {
       static_cast<unsigned long long>(o.traffic.total_up()),
       static_cast<unsigned long long>(o.traffic.total_down()),
       o.code_cache_hit ? 1 : 0, o.rejected ? 1 : 0);
+}
+
+/// The oracle's verdict the way loadgen prints it: the violation count
+/// and the first violation, if any.
+void print_invariants(std::FILE* out, const core::InvariantChecker& checker) {
+  std::fprintf(out, "invariant_violations=%llu\n",
+               static_cast<unsigned long long>(checker.total_violations()));
+  if (const core::InvariantViolation* first = checker.first_violation()) {
+    std::fprintf(out, "first_violation=%s at %lldus: %s\n",
+                 first->name.c_str(), static_cast<long long>(first->when),
+                 first->detail.c_str());
+  }
 }
 
 void print_row(const core::RequestOutcome& o) {
@@ -148,7 +160,11 @@ int main(int argc, char** argv) {
     for (std::uint64_t seq = 0; seq < summary.offered; ++seq) {
       print_csv(*platform.result(seq));
     }
-    return 0;
+    // The CSV stays machine-readable: a violation is reported on stderr.
+    if (!platform.invariants().ok()) {
+      print_invariants(stderr, platform.invariants());
+    }
+    return platform.invariants().ok() ? 0 : 1;
   }
 
   const core::PlatformConfig& config = platform.config();
@@ -170,5 +186,6 @@ int main(int argc, char** argv) {
               speedup_sum / static_cast<double>(summary.offered), failures,
               summary.rejected);
   std::printf("%s", core::to_text(core::snapshot(platform)).c_str());
-  return 0;
+  print_invariants(stdout, platform.invariants());
+  return platform.invariants().ok() ? 0 : 1;
 }

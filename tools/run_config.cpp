@@ -96,20 +96,19 @@ const Key kKeys[] = {
      }},
     {"arrival", "P", "poisson | mmpp | closed | trace (default poisson)",
      to_load<&sim::LoadGenConfig::arrival>},
-    {"devices", "N", "fleet size, > 0 (default 1000; experiments 100)",
+    {"devices", "N", "fleet size, > 0",
      [](const std::string& v, Staged& s) {
        return parse_u32(v, s.run.driver.loadgen.devices) &&
               s.run.driver.loadgen.devices > 0;
      }},
-    {"requests", "N",
-     "total offered requests, > 0 (default 1000; experiments 500)",
+    {"requests", "N", "total offered requests, > 0",
      [](const std::string& v, Staged& s) {
        std::uint64_t requests = 0;
        if (!parse_u64(v, requests) || requests == 0) return false;
        s.run.driver.loadgen.requests = requests;
        return true;
      }},
-    {"rate", "R", "offered req/s, open loop (default 100)",
+    {"rate", "R", "offered req/s, open loop",
      to_load<&sim::LoadGenConfig::rate_per_s>},
     {"burst_factor", "F", "mmpp burst-state rate multiplier (default 8)",
      to_load<&sim::LoadGenConfig::burst_factor>},
@@ -161,7 +160,7 @@ const Key kKeys[] = {
      to_driver<&core::LoadDriverConfig::kind>},
     {"task_variants", "N", "distinct task instances cycled (default 8)",
      to_driver<&core::LoadDriverConfig::task_variants>},
-    {"seed", "S", "master seed (default 1)",
+    {"seed", "S", "master seed",
      to_load<&sim::LoadGenConfig::seed>},
     {"admission", "on|off", "admission front door (default off)",
      to_admission<&core::AdmissionConfig::enabled>, Form::kSwitch},
@@ -385,10 +384,29 @@ bool read_flag(int argc, char** argv, int& i, RunKeys& keys,
   return true;
 }
 
-void print_flag_help(std::FILE* out) {
+namespace {
+/// A load key's default in the calling front end; "" for every other key,
+/// whose help states the table's default.
+std::string load_default(std::string_view key, const sim::LoadGenConfig& l) {
+  if (key == "devices") return std::to_string(l.devices);
+  if (key == "requests") return std::to_string(l.requests);
+  if (key == "seed") return std::to_string(l.seed);
+  if (key != "rate") return {};
+  char rate[32];
+  std::snprintf(rate, sizeof rate, "%g", l.rate_per_s);
+  return rate;
+}
+}  // namespace
+
+void print_flag_help(std::FILE* out, const core::LoadDriverConfig& load) {
   for (const Key& key : kKeys) {
     const std::string flag = flag_name(key.name) + " " + key.metavar;
-    std::fprintf(out, "  %-27s %s\n", flag.c_str(), key.help);
+    std::string help = key.help;
+    if (const std::string value = load_default(key.name, load.loadgen);
+        !value.empty()) {
+      help += " (default " + value + ")";
+    }
+    std::fprintf(out, "  %-27s %s\n", flag.c_str(), help.c_str());
   }
 }
 

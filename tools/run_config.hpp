@@ -50,7 +50,9 @@ enum class KeyStyle { kFlag, kManifest };
 bool read_flag(int argc, char** argv, int& i, RunKeys& keys,
                std::string& error);
 
-/// One "  --key-name V  help" line per key, in table order.
-void print_flag_help(std::FILE* out);
+/// One "  --key-name V  help" line per key, in table order; the load
+/// keys (devices, requests, rate, seed) state `load`'s values, the
+/// calling front end's defaults, as theirs.
+void print_flag_help(std::FILE* out, const core::LoadDriverConfig& load);
 
 }  // namespace rattrap::cli
