@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -35,20 +36,20 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[std::min(sorted.size() - 1, rank > 0 ? rank - 1 : 0)];
 }
 
-/// One Session per mix entry; a single default standard-class session
-/// when no mix is configured (slot 0 then serves every arrival).
-std::vector<Session> open_mix_sessions(Platform& platform,
-                                       const sim::LoadGenConfig& loadgen) {
-  const std::size_t slots = std::max<std::size_t>(1, loadgen.mix.size());
-  std::vector<Session> sessions;
-  sessions.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    Result<Session> opened =
-        platform.open_session(mix_session_config(loadgen, i));
-    assert(opened && "load-driver session configs are well-formed");
-    sessions.push_back(std::move(*opened));
+/// Mean (summed in sample order) and percentiles of one ascending
+/// response sample (ms) into `stats`; p95 where the slice keeps one.  An
+/// empty sample leaves `stats` untouched.
+template <typename Stats>
+void fill_distribution(Stats& stats, const std::vector<double>& sorted) {
+  if (sorted.empty()) return;
+  double sum = 0;
+  for (const double r : sorted) sum += r;
+  stats.mean_ms = sum / static_cast<double>(sorted.size());
+  stats.p50_ms = percentile(sorted, 0.50);
+  if constexpr (requires { stats.p95_ms; }) {
+    stats.p95_ms = percentile(sorted, 0.95);
   }
-  return sessions;
+  stats.p99_ms = percentile(sorted, 0.99);
 }
 
 /// Task-shaping side of an adversary profile: cache-thrash tenants ship
@@ -76,12 +77,33 @@ workloads::TaskSpec shape_task(workloads::TaskSpec spec,
   return spec;
 }
 
-/// The adversary profile of mix slot `slot` (kNone outside the mix).
-sim::AdversaryProfile slot_adversary(const sim::LoadGenConfig& loadgen,
-                                     std::size_t slot) {
-  return slot < loadgen.mix.size() ? loadgen.mix[slot].adversary
-                                   : sim::AdversaryProfile::kNone;
-}
+/// The one request builder: request `sequence` from `device` at `at`,
+/// its task drawn from the variant pool and shaped by mix slot `slot`'s
+/// adversary profile.  Serves the schedule, the closed-loop follow-ups
+/// and make_load_stream alike.
+class RequestBuilder {
+ public:
+  explicit RequestBuilder(const LoadDriverConfig& config)
+      : loadgen_(config.loadgen), variants_(make_variants(config)) {}
+
+  workloads::OffloadRequest operator()(std::uint64_t sequence,
+                                       std::uint32_t device, sim::SimTime at,
+                                       std::size_t slot) const {
+    workloads::OffloadRequest request;
+    request.sequence = sequence;
+    request.device_id = device;
+    request.task = shape_task(variants_[sequence % variants_.size()],
+                              slot < loadgen_.mix.size()
+                                  ? loadgen_.mix[slot].adversary
+                                  : sim::AdversaryProfile::kNone);
+    request.arrival = at;
+    return request;
+  }
+
+ private:
+  const sim::LoadGenConfig& loadgen_;
+  std::vector<workloads::TaskSpec> variants_;
+};
 
 /// One tenant's entries in a LoadSummary, resolved on its first outcome.
 struct TenantSlots {
@@ -104,6 +126,42 @@ void absorb_outcomes(std::vector<RequestOutcome>& merged,
     if (merged.size() <= sequence) merged.resize(sequence + 1);
     merged[sequence] = std::move(outcome);
   }
+}
+
+/// The one driving loop: opens one stream per mix slot into `streams`
+/// (a single default session when the mix is empty), submits `schedule`
+/// in arrival order routed by each arrival's mix slot, then closes every
+/// stream.  The first close drains the whole run, follow-ups a
+/// completion observer submits through `streams` included.  An
+/// open_session reject aborts the run (empty summary).
+LoadSummary drive_load(SessionTransport& transport,
+                       const sim::LoadGenConfig& loadgen,
+                       const RequestBuilder& build,
+                       std::vector<sim::Arrival> schedule,
+                       std::vector<std::uint64_t>& streams) {
+  const std::size_t slots = std::max<std::size_t>(1, loadgen.mix.size());
+  streams.reserve(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    Result<std::uint64_t> opened =
+        transport.open_session(mix_session_config(loadgen, i));
+    if (!opened) {
+      // Close what opened (draining nothing — no submits yet).
+      for (const std::uint64_t id : streams) transport.close(id);
+      return LoadSummary{};
+    }
+    streams.push_back(*opened);
+  }
+  for (const sim::Arrival& arrival : schedule) {
+    transport.submit(streams[arrival.mix_index],
+                     build(arrival.sequence, arrival.device_id, arrival.at,
+                           arrival.mix_index));
+  }
+  std::vector<sim::Arrival>().swap(schedule);  // not held through the drain
+  std::vector<RequestOutcome> outcomes;
+  for (const std::uint64_t id : streams) {
+    absorb_outcomes(outcomes, transport.close(id));
+  }
+  return summarize_load(outcomes);
 }
 
 }  // namespace
@@ -164,122 +222,60 @@ std::vector<workloads::OffloadRequest> make_load_stream(
     const LoadDriverConfig& config) {
   const std::vector<sim::Arrival> arrivals =
       sim::make_arrivals(config.loadgen);
-  const std::vector<workloads::TaskSpec> variants = make_variants(config);
+  const RequestBuilder build(config);
   std::vector<workloads::OffloadRequest> stream;
   stream.reserve(arrivals.size());
   for (const sim::Arrival& arrival : arrivals) {
-    workloads::OffloadRequest request;
-    request.sequence = arrival.sequence;
-    request.device_id = arrival.device_id;
-    request.task = variants[arrival.sequence % variants.size()];
-    request.arrival = arrival.at;
-    stream.push_back(request);
+    stream.push_back(build(arrival.sequence, arrival.device_id, arrival.at,
+                           arrival.mix_index));
   }
   return stream;
 }
 
 LoadSummary run_load(Platform& platform, const LoadDriverConfig& config) {
-  if (config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop) {
-    // Open loop: the schedule is materialized up front, which is exactly
-    // the transport-shaped workload — drive it through the local adapter
-    // so the sim path and the RPC path share one code path (docs/RPC.md).
-    LocalSessionTransport transport(platform);
-    return run_load_transport(transport, config);
-  }
-
-  const std::vector<workloads::TaskSpec> variants = make_variants(config);
-  std::vector<Session> sessions = open_mix_sessions(platform, config.loadgen);
-
-  // The closed-loop source must outlive the close() drain below: the
-  // completion observer captures it and keeps drawing from it until the
-  // run's event queue is empty.
-  sim::ClosedLoopSource source(config.loadgen);
-
-  // Closed loop: the seed wave is materialized; every follow-up request
+  LocalSessionTransport transport(platform);
+  const RequestBuilder build(config);
+  std::vector<sim::Arrival> schedule = sim::make_arrivals(config.loadgen);
+  std::vector<std::uint64_t> streams;
+  const bool closed_loop =
+      config.loadgen.arrival == sim::ArrivalProcess::kClosedLoop;
+  // Closed loop: the schedule is the seed wave; every follow-up request
   // is born inside the completion observer, after the issuing device's
-  // think time.  Backpressure at completion instant stretches the think
-  // draw, which is the graceful-degradation feedback path.  Devices are
-  // pinned to one mix slot (mix_for_device), so a device's tenant and
-  // class never flap mid-run.
-  platform.set_completion_observer([&platform, &source, &variants, &sessions,
-                                    &config](const RequestOutcome& done) {
-    if (source.exhausted()) return;
-    const std::uint64_t sequence = source.take();
-    const sim::SimDuration think =
-        source.think(done.request.device_id, platform.backpressure());
-    const std::uint32_t slot =
-        sim::mix_for_device(config.loadgen, done.request.device_id);
-    workloads::OffloadRequest next;
-    next.sequence = sequence;
-    next.device_id = done.request.device_id;
-    next.task = shape_task(variants[sequence % variants.size()],
-                           slot_adversary(config.loadgen, slot));
-    next.arrival = platform.server().simulator().now() + think;
-    sessions[slot].submit(next);
-  });
-  for (const sim::Arrival& arrival : sim::make_arrivals(config.loadgen)) {
-    const std::uint64_t sequence = source.take();
-    assert(sequence == arrival.sequence);
-    workloads::OffloadRequest request;
-    request.sequence = sequence;
-    request.device_id = arrival.device_id;
-    request.task = shape_task(variants[sequence % variants.size()],
-                              slot_adversary(config.loadgen, arrival.mix_index));
-    request.arrival = arrival.at;
-    sessions[arrival.mix_index].submit(request);
+  // think time, and submitted through the transport's stream of the
+  // device's pinned mix slot (mix_for_device — a device's tenant and
+  // class never flap mid-run).  Backpressure at the completion instant
+  // stretches the think draw, which is the graceful-degradation feedback
+  // path.  The source continues the sequence count after the seed wave
+  // and must outlive the drain.
+  std::optional<sim::ClosedLoopSource> source;
+  if (closed_loop) {
+    source.emplace(config.loadgen, schedule.size());
+    platform.set_completion_observer([&](const RequestOutcome& done) {
+      if (source->exhausted()) return;
+      const std::uint64_t sequence = source->take();
+      const std::uint32_t device = done.request.device_id;
+      const sim::SimDuration think =
+          source->think(device, platform.backpressure());
+      const std::uint32_t slot = sim::mix_for_device(config.loadgen, device);
+      transport.submit(
+          streams[slot],
+          build(sequence, device, platform.server().simulator().now() + think,
+                slot));
+    });
   }
-
-  // The first close() drains the whole run (the event queue is shared),
-  // so any observer-born follow-ups complete before their session closes.
-  std::vector<RequestOutcome> outcomes;
-  for (Session& session : sessions) {
-    absorb_outcomes(outcomes, session.close());
-  }
-  platform.set_completion_observer({});
-  return summarize_load(outcomes);
+  LoadSummary summary = drive_load(transport, config.loadgen, build,
+                                   std::move(schedule), streams);
+  if (closed_loop) platform.set_completion_observer({});
+  return summary;
 }
 
 LoadSummary run_load_transport(SessionTransport& transport,
                                const LoadDriverConfig& config) {
   assert(config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop &&
          "closed-loop feedback needs the in-process observer (run_load)");
-  const std::vector<workloads::TaskSpec> variants = make_variants(config);
-
-  const std::size_t slots =
-      std::max<std::size_t>(1, config.loadgen.mix.size());
   std::vector<std::uint64_t> streams;
-  streams.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    Result<std::uint64_t> opened =
-        transport.open_session(mix_session_config(config.loadgen, i));
-    if (!opened) {
-      // A rejected stream aborts the run: close what opened (draining
-      // nothing — no submits yet) and report an empty summary.
-      for (const std::uint64_t id : streams) transport.close(id);
-      return LoadSummary{};
-    }
-    streams.push_back(*opened);
-  }
-
-  // Submit the whole schedule up front, routed by the per-arrival mix
-  // draw — byte-for-byte the submission order of the pre-transport
-  // driver.
-  for (const sim::Arrival& arrival : sim::make_arrivals(config.loadgen)) {
-    workloads::OffloadRequest request;
-    request.sequence = arrival.sequence;
-    request.device_id = arrival.device_id;
-    request.task = shape_task(variants[arrival.sequence % variants.size()],
-                              slot_adversary(config.loadgen, arrival.mix_index));
-    request.arrival = arrival.at;
-    transport.submit(streams[arrival.mix_index], request);
-  }
-
-  // The first close() drains the whole run server-side.
-  std::vector<RequestOutcome> outcomes;
-  for (const std::uint64_t id : streams) {
-    absorb_outcomes(outcomes, transport.close(id));
-  }
-  return summarize_load(outcomes);
+  return drive_load(transport, config.loadgen, RequestBuilder(config),
+                    sim::make_arrivals(config.loadgen), streams);
 }
 
 LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
@@ -363,13 +359,8 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     class_responses_ms[response.klass].push_back(response.ms);
     tenant_responses_ms[response.tenant].push_back(response.ms);
   }
+  fill_distribution(summary, responses_ms);
   if (!responses_ms.empty()) {
-    double sum = 0;
-    for (const double r : responses_ms) sum += r;
-    summary.mean_ms = sum / static_cast<double>(responses_ms.size());
-    summary.p50_ms = percentile(responses_ms, 0.50);
-    summary.p95_ms = percentile(responses_ms, 0.95);
-    summary.p99_ms = percentile(responses_ms, 0.99);
     summary.mean_queue_wait_ms =
         queue_wait_ms / static_cast<double>(responses_ms.size());
   }
@@ -380,27 +371,11 @@ LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {
     radio.mean_response_ms /= n;
     radio.mean_energy_mj /= n;
   }
-  for (const qos::PriorityClass klass : qos::kAllClasses) {
-    const std::vector<double>& sorted =
-        class_responses_ms[qos::class_index(klass)];
-    if (sorted.empty()) continue;
-    ClassLoadStats& stats = summary.by_class[qos::class_index(klass)];
-    double sum = 0;
-    for (const double r : sorted) sum += r;
-    stats.mean_ms = sum / static_cast<double>(sorted.size());
-    stats.p50_ms = percentile(sorted, 0.50);
-    stats.p95_ms = percentile(sorted, 0.95);
-    stats.p99_ms = percentile(sorted, 0.99);
+  for (std::size_t i = 0; i < qos::kClassCount; ++i) {
+    fill_distribution(summary.by_class[i], class_responses_ms[i]);
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const std::vector<double>& sorted = tenant_responses_ms[i];
-    if (sorted.empty()) continue;
-    TenantLoadStats& stats = *tenants[i].stats;
-    double sum = 0;
-    for (const double r : sorted) sum += r;
-    stats.mean_ms = sum / static_cast<double>(sorted.size());
-    stats.p50_ms = percentile(sorted, 0.50);
-    stats.p99_ms = percentile(sorted, 0.99);
+    fill_distribution(*tenants[i].stats, tenant_responses_ms[i]);
   }
   return summary;
 }

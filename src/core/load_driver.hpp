@@ -1,15 +1,19 @@
 // Fleet-scale load driver: adapts the sim-layer arrival engine
 // (sim/loadgen.hpp) into offloading requests against a core::Platform.
 //
-// Every run drives the platform through the Session API: one session per
-// traffic-mix entry (or a single default standard-class session), each
-// carrying its tenant / priority class / DRR weight.  Open-loop runs
-// (Poisson / MMPP) submit the whole arrival schedule up front; closed-loop
-// runs install a completion observer that draws the device's next think
-// time — stretched by the platform's admission backpressure signal — and
-// submits the follow-up request onto the same event queue, so the feedback
-// loop is exactly as deterministic as a replayed stream (docs/LOADGEN.md,
-// docs/QOS.md).
+// Every run drives the Session API through one loop over a
+// SessionTransport: one stream per traffic-mix entry (or a single default
+// standard-class session), each carrying its tenant / priority class /
+// DRR weight; the arrival schedule is submitted up front and the first
+// close drains the run.  One request builder turns (sequence, device,
+// time, mix slot) into a request, adversary task shaping included, for
+// the schedule, the closed-loop follow-ups and make_load_stream alike.
+// Closed-loop runs submit only the seed wave up front and install a
+// completion observer that draws the device's next think time —
+// stretched by the platform's admission backpressure signal — and
+// submits the follow-up through the same transport onto the same event
+// queue, so the feedback loop is exactly as deterministic as a replayed
+// stream (docs/LOADGEN.md, docs/QOS.md).
 #pragma once
 
 #include <array>
@@ -152,8 +156,8 @@ class SessionTransport {
 };
 
 /// SessionTransport over an in-process Platform: a thin adapter around
-/// Session handles making exactly the open/submit/close call sequence
-/// the pre-transport driver made — the sim path stays byte-identical.
+/// Session handles.  submit() may be called from the platform's
+/// completion observer while close() drains (the closed loop does).
 class LocalSessionTransport final : public SessionTransport {
  public:
   explicit LocalSessionTransport(Platform& platform) : platform_(platform) {}
@@ -176,25 +180,26 @@ class LocalSessionTransport final : public SessionTransport {
 [[nodiscard]] SessionConfig mix_session_config(
     const sim::LoadGenConfig& loadgen, std::size_t slot);
 
-/// Materialized open-loop request stream for `config` (also the seed wave
-/// of a closed-loop run).  Deterministic in the config; tasks cycle
-/// through the variant pool.
+/// Materialized request stream for `config`: exactly the requests the
+/// driver submits up front (the whole open-loop schedule, or the seed
+/// wave of a closed-loop run), adversary task shaping included.
+/// Deterministic in the config; tasks cycle through the variant pool.
 [[nodiscard]] std::vector<workloads::OffloadRequest> make_load_stream(
     const LoadDriverConfig& config);
 
 /// Drives `platform` with the configured load to completion and reduces
-/// the outcomes.  Opens one Session per traffic-mix entry (or a single
-/// default session when the mix is empty) so every request carries its
-/// tenant / class / weight through admission.  Dispatches on
-/// config.loadgen.arrival: open-loop models submit a materialized
-/// schedule; kClosedLoop closes the loop through a completion observer
-/// (installed for the duration of the call).
+/// the outcomes, through a LocalSessionTransport and the same loop as
+/// run_load_transport: one stream per traffic-mix entry (or a single
+/// default session when the mix is empty), so every request carries its
+/// tenant / class / weight through admission.  kClosedLoop only adds a
+/// completion observer (installed for the duration of the call) that
+/// submits each follow-up through the transport.
 LoadSummary run_load(Platform& platform, const LoadDriverConfig& config);
 
 /// Open-loop load over any transport: opens one stream per mix entry,
 /// submits the materialized schedule in arrival order, closes every
 /// stream and reduces the merged outcomes.  Closed-loop arrivals need
-/// the in-process completion observer and are not expressible over a
+/// the in-process completion observer, which cannot cross a remote
 /// transport — run_load() handles those.  An open_session reject aborts
 /// the run (empty summary).
 LoadSummary run_load_transport(SessionTransport& transport,

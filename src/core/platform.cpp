@@ -373,6 +373,7 @@ const RequestOutcome* Platform::result(std::uint64_t sequence) const {
 
 bool Platform::sequence_free(std::uint64_t sequence) const {
   return sequence < kLifecycleTrackBase &&
+         sequence < submitted_ + kMaxSequenceLead &&
          (sequence >= outcome_state_.size() ||
           outcome_state_[sequence] == OutcomeState::kFree);
 }
@@ -691,15 +692,12 @@ void Platform::on_connected(SessionState& s) {
     platform_cost += cal.access_check_cost;
   }
 
-  // Request-based Access Controller front gate: requests of blocked
-  // tenants never reach an environment (§IV-E).  Belt and braces after
-  // the arrival gate — the tenant may have crossed the threshold while
-  // this session's handshake was in flight.
-  if (server_->access().allow_open(s.tenant, simulator.now()) !=
-      AccessDeny::kNone) {
-    reject_session(s, RejectReason::kAccessDenied);
-    return;
-  }
+  // Requests of blocked tenants never reach an environment (§IV-E): the
+  // arrival gate refused the tenant if it was blocked then, and a block
+  // that started during the handshake swept this live session
+  // (on_tenant_blocked) and voided this continuation.
+  assert(!server_->access().blocked_at(s.tenant, simulator.now()) &&
+         "on_tenant_blocked sweeps a blocked tenant's live sessions");
 
   // Admission front door (docs/LOADGEN.md, docs/QOS.md): per-tenant
   // token bucket, per-class utilization shedding, then a dispatch slot

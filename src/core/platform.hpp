@@ -279,10 +279,17 @@ class Platform {
   /// The finished outcome for `sequence` (any session), or nullptr.
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
 
+  /// How far past the number of requests submitted so far in the run a
+  /// fresh sequence may reach.  The outcome table holds one slot per
+  /// sequence up to the highest submitted, so this bounds what one
+  /// submit can make it allocate.
+  static constexpr std::uint64_t kMaxSequenceLead = 1 << 16;
+
   /// Whether `sequence` may still be submitted into the current run: no
-  /// session of the run used it yet, and it is below kLifecycleTrackBase
-  /// (session trace tracks are sequence + 1).  O(1); how a front door
-  /// refuses a hostile sequence before Session::submit.
+  /// session of the run used it yet, it is below kLifecycleTrackBase
+  /// (session trace tracks are sequence + 1), and it leads the requests
+  /// submitted so far by at most kMaxSequenceLead.  O(1); how a front
+  /// door refuses a hostile sequence before Session::submit.
   [[nodiscard]] bool sequence_free(std::uint64_t sequence) const;
 
   /// Observer invoked with each finished outcome (completed, rejected,

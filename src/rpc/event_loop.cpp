@@ -60,7 +60,6 @@ void EventLoop::stop() {
 
 void EventLoop::post(Task task) {
   if (in_loop_thread()) {
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
     task();
     return;
   }
@@ -105,10 +104,7 @@ void EventLoop::run_pending() {
     const std::lock_guard<std::mutex> lock(mutex_);
     tasks.swap(pending_);
   }
-  for (Task& task : tasks) {
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    task();
-  }
+  for (Task& task : tasks) task();
 }
 
 EventLoopGroup::EventLoopGroup(std::size_t threads) {

@@ -57,11 +57,8 @@ class EventLoop {
     return std::this_thread::get_id() == thread_id_;
   }
 
-  /// Number of post() tasks executed.  Incremented on the loop thread,
-  /// readable from any thread (relaxed — observability, not ordering).
-  [[nodiscard]] std::uint64_t tasks_run() const {
-    return tasks_run_.load(std::memory_order_relaxed);
-  }
+  /// Number of wake-fd drains.  Incremented on the loop thread, readable
+  /// from any thread (relaxed — observability, not ordering).
   [[nodiscard]] std::uint64_t wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }
@@ -82,9 +79,8 @@ class EventLoop {
   /// its own) mid-dispatch cannot free the closure it is running in.
   std::map<int, std::shared_ptr<FdHandler>> handlers_;
 
-  /// Stat counters bumped on the loop thread, read from test/monitoring
-  /// threads — atomics so the cross-thread reads are race-free.
-  std::atomic<std::uint64_t> tasks_run_{0};
+  /// Stat counter bumped on the loop thread, read from test/monitoring
+  /// threads — atomic so the cross-thread reads are race-free.
   std::atomic<std::uint64_t> wakeups_{0};
 };
 

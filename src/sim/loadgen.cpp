@@ -146,53 +146,29 @@ std::uint32_t pick_mix(const LoadGenConfig& config, Rng& rng) {
   return static_cast<std::uint32_t>(config.mix.size() - 1);
 }
 
-std::vector<Arrival> poisson_arrivals(const LoadGenConfig& config) {
-  std::vector<Arrival> arrivals;
-  arrivals.reserve(config.requests);
-  Rng gaps = Rng(config.seed).fork("loadgen-gaps");
-  Rng devices = Rng(config.seed).fork("loadgen-devices");
-  Rng mixes = Rng(config.seed).fork("loadgen-mix");
-  const double base_rate = config.rate_per_s > 0 ? config.rate_per_s : 1.0;
-  SimTime clock = 0;
-  for (std::size_t i = 0; i < config.requests; ++i) {
-    for (;;) {
-      const double rate = base_rate * profile_multiplier(config, clock);
-      const SimTime candidate =
-          clock + from_seconds(gaps.exponential(1.0 / rate));
-      const SimTime boundary = next_profile_boundary(config, clock);
-      if (candidate < boundary) {
-        clock = candidate;
-        break;
-      }
-      // The profile stepped before this gap elapsed: restart the gap
-      // from the boundary at the new rate (exact, by memorylessness).
-      clock = boundary;
-    }
-    Arrival arrival;
-    arrival.sequence = i;
-    arrival.device_id = static_cast<std::uint32_t>(
-        devices.uniform_int(0, static_cast<std::int64_t>(config.devices) - 1));
-    arrival.at = clock;
-    arrival.mix_index = pick_mix(config, mixes);
-    arrivals.push_back(arrival);
-  }
-  return arrivals;
-}
-
+/// The one open-loop generator.  kMmpp is a 2-state Markov-modulated
+/// Poisson process (calm rate / burst_factor × calm rate); kPoisson is
+/// the same loop unmodulated — one state that never flips, so it never
+/// draws from "loadgen-states".  Each process keeps its own rate floor.
 std::vector<Arrival> mmpp_arrivals(const LoadGenConfig& config) {
+  const bool modulated = config.arrival == ArrivalProcess::kMmpp;
   std::vector<Arrival> arrivals;
   arrivals.reserve(config.requests);
   Rng gaps = Rng(config.seed).fork("loadgen-gaps");
   Rng devices = Rng(config.seed).fork("loadgen-devices");
   Rng states = Rng(config.seed).fork("loadgen-states");
   Rng mixes = Rng(config.seed).fork("loadgen-mix");
-  const double calm_rate = std::max(config.rate_per_s, 1e-9);
+  const double calm_rate =
+      modulated ? std::max(config.rate_per_s, 1e-9)
+                : (config.rate_per_s > 0 ? config.rate_per_s : 1.0);
   const double burst_rate = calm_rate * std::max(config.burst_factor, 1.0);
   bool bursting = false;
   SimTime clock = 0;
   // Next modulating-state flip; holding times are exponential per state.
   SimTime flip_at =
-      from_seconds(states.exponential(std::max(config.mean_calm_s, 1e-9)));
+      modulated ? from_seconds(states.exponential(
+                      std::max(config.mean_calm_s, 1e-9)))
+                : std::numeric_limits<SimTime>::max();
   for (std::size_t i = 0; i < config.requests; ++i) {
     for (;;) {
       const double rate = (bursting ? burst_rate : calm_rate) *
@@ -211,7 +187,7 @@ std::vector<Arrival> mmpp_arrivals(const LoadGenConfig& config) {
       // at the new rate (memorylessness makes the restart exact, not an
       // approximation).
       clock = boundary;
-      if (boundary == flip_at) {
+      if (modulated && boundary == flip_at) {
         bursting = !bursting;
         const double hold_s =
             bursting ? config.mean_burst_s : config.mean_calm_s;
@@ -315,7 +291,6 @@ std::vector<Arrival> make_arrivals(const LoadGenConfig& config) {
   assert(config.devices > 0);
   switch (config.arrival) {
     case ArrivalProcess::kPoisson:
-      return poisson_arrivals(config);
     case ArrivalProcess::kMmpp:
       return mmpp_arrivals(config);
     case ArrivalProcess::kClosedLoop:
@@ -333,9 +308,11 @@ std::size_t planned_requests(const LoadGenConfig& config) {
                                config.trace.size() * repeats);
 }
 
-ClosedLoopSource::ClosedLoopSource(const LoadGenConfig& config)
+ClosedLoopSource::ClosedLoopSource(const LoadGenConfig& config,
+                                   std::uint64_t issued)
     : config_(config),
       master_(Rng(config.seed).fork("loadgen-think")),
+      issued_(issued),
       budget_(config.requests) {}
 
 SimDuration ClosedLoopSource::think(std::uint32_t device,

@@ -8,6 +8,7 @@
 //
 //   kPoisson    — open-loop superposed Poisson arrivals at an aggregate
 //                 offered rate; devices drawn uniformly from the fleet.
+//                 Generated as an unmodulated kMmpp (no state flips).
 //   kMmpp       — bursty arrivals from a 2-state Markov-modulated Poisson
 //                 process (calm rate / burst_factor × calm rate), the
 //                 classic model for flash crowds.
@@ -211,7 +212,10 @@ struct Arrival {
 /// another device's schedule.
 class ClosedLoopSource {
  public:
-  explicit ClosedLoopSource(const LoadGenConfig& config);
+  /// `issued` requests already count against the budget — the seed wave
+  /// make_arrivals yields — so the first take() continues after them.
+  explicit ClosedLoopSource(const LoadGenConfig& config,
+                            std::uint64_t issued = 0);
 
   /// Think period before `device` issues its next request, given the
   /// platform backpressure signal in [0, 1] at completion time.

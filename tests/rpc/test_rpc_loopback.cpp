@@ -427,15 +427,18 @@ TEST(RpcLoopback, CloseThenResetDoesNotWedgeTheServer) {
 
 TEST(RpcLoopback, HostileSubmitSequencesGetATypedErrorFrame) {
   // A submit's sequence sizes and keys the platform's outcome table.
-  // One whose sequence + 1 wraps, one that would ask for terabytes, and
-  // a sequence the run already used each get a typed error frame on
-  // their own connection; the server keeps serving a fresh client.
+  // One whose sequence + 1 wraps, one that would ask for terabytes, a
+  // fresh one just below the trace-track base that would still ask for
+  // hundreds of gigabytes, and a sequence the run already used each get
+  // a typed error frame on their own connection; the server keeps
+  // serving a fresh client.
   Platform platform(platform_config(10));
   Server server(platform, ServerConfig{});
   ASSERT_TRUE(server.start());
   const std::vector<std::vector<std::uint64_t>> hostile = {
       {std::numeric_limits<std::uint64_t>::max()},
       {100'000'000'000ULL},
+      {999'999'999ULL},
       {0, 0}};
   for (const std::vector<std::uint64_t>& sequences : hostile) {
     auto client = ClientTransport::connect("127.0.0.1", server.port());
@@ -451,8 +454,8 @@ TEST(RpcLoopback, HostileSubmitSequencesGetATypedErrorFrame) {
   }
   // Every refused connection has swept its stream, so the clean load
   // below starts a run of its own.
-  ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 3), 3u);
-  EXPECT_EQ(rpc_counter(server, "rpc.decode_errors.bad_payload"), 3u);
+  ASSERT_EQ(wait_for_counter(server, "rpc.conn.closed", 4), 4u);
+  EXPECT_EQ(rpc_counter(server, "rpc.decode_errors.bad_payload"), 4u);
   EXPECT_EQ(rpc_counter(server, "rpc.submits"), 1u);  // the first 0 only
 
   auto client = ClientTransport::connect("127.0.0.1", server.port());
