@@ -118,9 +118,22 @@ struct CompletedResponse {
   std::uint8_t klass = 0;    ///< qos::class_index
 };
 
-/// Merges per-session outcome vectors back into sequence order.
+/// Merges per-session outcome vectors back into sequence order.  A part
+/// that already is the dense sequence order (a one-stream run's) becomes
+/// the merge when nothing was merged yet: its buffer changes hands, so
+/// the run's outcomes are never held twice.
 void absorb_outcomes(std::vector<RequestOutcome>& merged,
                      std::vector<RequestOutcome> part) {
+  const auto dense = [&part] {
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      if (part[i].request.sequence != i) return false;
+    }
+    return true;
+  };
+  if (merged.empty() && dense()) {
+    merged = std::move(part);
+    return;
+  }
   for (RequestOutcome& outcome : part) {
     const std::size_t sequence = outcome.request.sequence;
     if (merged.size() <= sequence) merged.resize(sequence + 1);
@@ -131,14 +144,17 @@ void absorb_outcomes(std::vector<RequestOutcome>& merged,
 /// The one driving loop: opens one stream per mix slot into `streams`
 /// (a single default session when the mix is empty), submits `schedule`
 /// in arrival order routed by each arrival's mix slot, then closes every
-/// stream.  The first close drains the whole run, follow-ups a
+/// stream and merges what the closes return into `outcomes`, indexed by
+/// sequence.  The first close drains the whole run, follow-ups a
 /// completion observer submits through `streams` included.  An
-/// open_session reject aborts the run (empty summary).
+/// open_session reject aborts the run (empty summary, no outcomes).
 LoadSummary drive_load(SessionTransport& transport,
                        const sim::LoadGenConfig& loadgen,
                        const RequestBuilder& build,
                        std::vector<sim::Arrival> schedule,
-                       std::vector<std::uint64_t>& streams) {
+                       std::vector<std::uint64_t>& streams,
+                       std::vector<RequestOutcome>& outcomes) {
+  outcomes.clear();
   const std::size_t slots = std::max<std::size_t>(1, loadgen.mix.size());
   streams.reserve(slots);
   for (std::size_t i = 0; i < slots; ++i) {
@@ -157,7 +173,6 @@ LoadSummary drive_load(SessionTransport& transport,
                            arrival.mix_index));
   }
   std::vector<sim::Arrival>().swap(schedule);  // not held through the drain
-  std::vector<RequestOutcome> outcomes;
   for (const std::uint64_t id : streams) {
     absorb_outcomes(outcomes, transport.close(id));
   }
@@ -213,7 +228,7 @@ std::vector<RequestOutcome> LocalSessionTransport::close(std::uint64_t id) {
   const auto it = sessions_.find(id);
   assert(it != sessions_.end() && "close on an unopened local stream");
   if (it == sessions_.end()) return {};
-  std::vector<RequestOutcome> outcomes = it->second.close();
+  std::vector<RequestOutcome> outcomes = it->second.take();
   sessions_.erase(it);
   return outcomes;
 }
@@ -233,6 +248,12 @@ std::vector<workloads::OffloadRequest> make_load_stream(
 }
 
 LoadSummary run_load(Platform& platform, const LoadDriverConfig& config) {
+  std::vector<RequestOutcome> outcomes;
+  return run_load(platform, config, outcomes);
+}
+
+LoadSummary run_load(Platform& platform, const LoadDriverConfig& config,
+                     std::vector<RequestOutcome>& outcomes) {
   LocalSessionTransport transport(platform);
   const RequestBuilder build(config);
   std::vector<sim::Arrival> schedule = sim::make_arrivals(config.loadgen);
@@ -264,7 +285,7 @@ LoadSummary run_load(Platform& platform, const LoadDriverConfig& config) {
     });
   }
   LoadSummary summary = drive_load(transport, config.loadgen, build,
-                                   std::move(schedule), streams);
+                                   std::move(schedule), streams, outcomes);
   if (closed_loop) platform.set_completion_observer({});
   return summary;
 }
@@ -274,8 +295,9 @@ LoadSummary run_load_transport(SessionTransport& transport,
   assert(config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop &&
          "closed-loop feedback needs the in-process observer (run_load)");
   std::vector<std::uint64_t> streams;
+  std::vector<RequestOutcome> outcomes;
   return drive_load(transport, config.loadgen, RequestBuilder(config),
-                    sim::make_arrivals(config.loadgen), streams);
+                    sim::make_arrivals(config.loadgen), streams, outcomes);
 }
 
 LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {

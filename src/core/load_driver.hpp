@@ -158,6 +158,8 @@ class SessionTransport {
 /// SessionTransport over an in-process Platform: a thin adapter around
 /// Session handles.  submit() may be called from the platform's
 /// completion observer while close() drains (the closed loop does).
+/// close() is Session::take(): the outcomes change hands uncopied, and
+/// Platform::result() answers nullptr for the closed stream's sequences.
 class LocalSessionTransport final : public SessionTransport {
  public:
   explicit LocalSessionTransport(Platform& platform) : platform_(platform) {}
@@ -195,6 +197,11 @@ class LocalSessionTransport final : public SessionTransport {
 /// completion observer (installed for the duration of the call) that
 /// submits each follow-up through the transport.
 LoadSummary run_load(Platform& platform, const LoadDriverConfig& config);
+
+/// run_load that also hands back the run's outcomes, indexed by sequence
+/// (the closes leave none behind in the platform).
+LoadSummary run_load(Platform& platform, const LoadDriverConfig& config,
+                     std::vector<RequestOutcome>& outcomes);
 
 /// Open-loop load over any transport: opens one stream per mix entry,
 /// submits the materialized schedule in arrival order, closes every

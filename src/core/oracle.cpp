@@ -386,7 +386,7 @@ std::uint32_t InvariantOracle::tenant_of(const Platform::SessionState& s) {
   // A session's tenant is its stream's, or its app id when the stream
   // names none, so the stream and the kind decide it.
   const std::uint64_t key =
-      s.stream_id << 8 | static_cast<std::uint64_t>(s.kind);
+      s.stream->id << 8 | static_cast<std::uint64_t>(s.kind);
   if (const std::uint32_t* tenant = stream_tenants_.find(key)) return *tenant;
   return stream_tenants_.insert_or_assign(key, tenant_index(s.tenant));
 }

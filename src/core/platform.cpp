@@ -275,8 +275,7 @@ std::vector<RequestOutcome> Platform::run(
   Result<Session> session = open_session();
   assert(session.ok() && "the default session config is always valid");
   for (const auto& request : stream) session->submit(request);
-  (void)session->close();
-  return outcomes_;
+  return session->close();
 }
 
 // -- Session handles (docs/QOS.md) ------------------------------------
@@ -289,7 +288,7 @@ Session::Session(Session&& other) noexcept
 
 Session& Session::operator=(Session&& other) noexcept {
   if (this != &other) {
-    if (platform_ != nullptr) platform_->close_stream(id_);
+    if (platform_ != nullptr) platform_->end_stream(id_);
     platform_ = other.platform_;
     id_ = other.id_;
     other.platform_ = nullptr;
@@ -299,7 +298,7 @@ Session& Session::operator=(Session&& other) noexcept {
 }
 
 Session::~Session() {
-  if (platform_ != nullptr) platform_->close_stream(id_);
+  if (platform_ != nullptr) platform_->end_stream(id_);
 }
 
 void Session::submit(const workloads::OffloadRequest& request) {
@@ -314,14 +313,25 @@ const RequestOutcome* Session::result(std::uint64_t sequence) const {
 
 std::vector<RequestOutcome> Session::close() {
   assert(platform_ != nullptr && "close on a closed Session");
-  // The handle stays live through the drain: close_stream() runs the
+  // The handle stays live through the drain: end_stream() runs the
   // shared event queue dry, and a completion observer may legitimately
   // submit follow-ups into this very session while that happens
   // (closed-loop load does exactly this).  Only once the drain finishes
   // does the handle detach.
-  std::vector<RequestOutcome> results = platform_->close_stream(id_);
+  const Platform::Stream* stream = platform_->end_stream(id_);
   platform_ = nullptr;
-  return results;
+  return stream != nullptr ? stream->outcomes : std::vector<RequestOutcome>{};
+}
+
+std::vector<RequestOutcome> Session::take() {
+  assert(platform_ != nullptr && "take on a closed Session");
+  Platform::Stream* stream = platform_->end_stream(id_);
+  platform_ = nullptr;
+  if (stream == nullptr) return {};
+  // The buffer itself changes hands; an element-wise move would build a
+  // second one.
+  stream->taken = true;
+  return std::exchange(stream->outcomes, {});
 }
 
 const SessionConfig& Session::config() const {
@@ -347,6 +357,7 @@ Result<Session> Platform::open_session(SessionConfig config) {
   if (!run_active_) reset_run();
   const std::uint64_t id = next_stream_id_++;
   Stream stream;
+  stream.id = id;
   stream.config = std::move(config);
   if (admission_ != nullptr && stream.config.tenant_weight != 1) {
     admission_->set_tenant_weight(stream.config.tenant,
@@ -364,47 +375,37 @@ const SessionConfig& Platform::stream_config(
 }
 
 const RequestOutcome* Platform::result(std::uint64_t sequence) const {
-  if (sequence >= outcomes_.size() ||
-      outcome_state_[sequence] != OutcomeState::kDone) {
-    return nullptr;
-  }
-  return &outcomes_[sequence];
+  if (sequence >= outcome_index_.size()) return nullptr;
+  const OutcomeRef& ref = outcome_index_[sequence];
+  if (!ref.done || ref.stream->taken) return nullptr;
+  return &ref.stream->outcomes[ref.position];
 }
 
 bool Platform::sequence_free(std::uint64_t sequence) const {
   return sequence < kLifecycleTrackBase &&
          sequence < submitted_ + kMaxSequenceLead &&
-         (sequence >= outcome_state_.size() ||
-          outcome_state_[sequence] == OutcomeState::kFree);
+         (sequence >= outcome_index_.size() ||
+          outcome_index_[sequence].stream == nullptr);
 }
 
-std::vector<RequestOutcome> Platform::close_stream(
-    std::uint64_t stream_id) {
+Platform::Stream* Platform::end_stream(std::uint64_t stream_id) {
   const auto it = streams_.find(stream_id);
-  if (it == streams_.end() || !it->second.open) return {};
+  if (it == streams_.end() || !it->second.open) return nullptr;
   drain_run();
   it->second.open = false;
-  std::vector<RequestOutcome> results;
-  results.reserve(it->second.sequences.size());
-  for (const std::uint64_t sequence : it->second.sequences) {
-    assert(sequence < outcomes_.size() &&
-           outcome_state_[sequence] == OutcomeState::kDone);
-    results.push_back(outcomes_[sequence]);
-  }
   bool any_open = false;
   for (const auto& [id, stream] : streams_) {
     (void)id;
     if (stream.open) any_open = true;
   }
   if (!any_open) run_active_ = false;
-  return results;
+  return &it->second;
 }
 
 // ---------------------------------------------------------------------
 
 void Platform::reset_run() {
-  outcomes_.clear();
-  outcome_state_.clear();
+  outcome_index_.clear();
   submitted_ = 0;
   completed_ = 0;
   release_all_sessions();
@@ -424,13 +425,10 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
   Stream& stream = stream_it->second;
   const std::uint64_t sequence = request.sequence;
   assert(sequence_free(sequence) && "sequences are unique within a run");
-  stream.sequences.push_back(sequence);
   sim::Simulator& simulator = server_->simulator();
-  if (outcomes_.size() <= sequence) {
-    outcomes_.resize(sequence + 1);
-    outcome_state_.resize(sequence + 1, OutcomeState::kFree);
-  }
-  outcome_state_[sequence] = OutcomeState::kSubmitted;
+  if (outcome_index_.size() <= sequence) outcome_index_.resize(sequence + 1);
+  const auto position = static_cast<std::uint32_t>(stream.outcomes.size());
+  outcome_index_[sequence] = OutcomeRef{&stream, position, false};
   ++submitted_;
   SessionMetrics& sm = session_metrics_;
   metrics_.resolve(sm.offered, "sessions.offered").inc();
@@ -441,30 +439,32 @@ void Platform::submit_to_stream(std::uint64_t stream_id,
   // The request waits in its outcome slot; its session record is built
   // when it arrives, so the records live only while sessions are in
   // flight, however far ahead the schedule was submitted.
-  outcomes_[sequence].request = request;
-  simulator.schedule_at(
-      std::max(request.arrival, simulator.now()),
-      [this, stream_id, sequence]() {
-        on_arrival(make_session(stream_id, sequence));
-      });
+  stream.outcomes.emplace_back().request = request;
+  simulator.schedule_at(std::max(request.arrival, simulator.now()),
+                        [this, stream = &stream, position]() {
+                          on_arrival(make_session(*stream, position));
+                        });
 }
 
-Platform::SessionState& Platform::make_session(std::uint64_t stream_id,
-                                               std::uint64_t sequence) {
-  const SessionConfig& config = stream_config(stream_id);
+Platform::SessionState& Platform::make_session(Stream& stream,
+                                               std::uint32_t position) {
+  const SessionConfig& config = stream.config;
   const auto [session, slot] = sessions_.create();
   if (slot == session_slots_.size()) session_slots_.emplace_back();
   session_slots_[slot].held = true;
   session->slot = slot;
-  // Copied out of outcomes_ before the arrival runs: a synchronous reject
-  // reaches the completion observer, whose submits may resize outcomes_.
-  session->request = outcomes_[sequence].request;
+  // Copied out of the slot before the arrival runs: a synchronous reject
+  // reaches the completion observer, whose submits may grow the stream's
+  // outcomes.
+  session->request = stream.outcomes[position].request;
+  const std::uint64_t sequence = session->request.sequence;
   session->kind = session->request.task.kind;
   session->app = &kind_data(session->kind);
   // The QoS identity rides on the session the request was submitted
   // through; an empty tenant falls back to per-app tenancy (the legacy
   // token-bucket key).
-  session->stream_id = stream_id;
+  session->stream = &stream;
+  session->position = position;
   session->klass = config.priority;
   session->deadline = config.deadline;
   session->tenant = config.tenant.empty() ? session->app_id() : config.tenant;
@@ -529,8 +529,8 @@ void Platform::drain_run() {
   }
   if (oracle_ != nullptr) oracle_->quiescent_sweep();
   trace_.close_open_spans(simulator.now());
-  // Every submitted request ended.  Not outcomes_.size(): another open
-  // stream of the run may not have submitted its sequences yet.
+  // Every submitted request ended.  Not outcome_index_.size(): another
+  // open stream of the run may not have submitted its sequences yet.
   assert(completed_ == submitted_);
 }
 
@@ -554,11 +554,9 @@ void Platform::on_arrival(SessionState& s) {
                     static_cast<std::uint64_t>(s.request.device_id));
     trace_.annotate(s.span_session, "class", qos::to_string(s.klass));
     trace_.annotate(s.span_session, "tenant", s.tenant);
-    if (const auto it = streams_.find(s.stream_id); it != streams_.end()) {
-      trace_.annotate(
-          s.span_session, "tenant_weight",
-          static_cast<std::uint64_t>(it->second.config.tenant_weight));
-    }
+    trace_.annotate(
+        s.span_session, "tenant_weight",
+        static_cast<std::uint64_t>(s.stream->config.tenant_weight));
   }
   if (config_.adaptive_offloading) {
     DecisionState& history = decisions_[s.app_id()];
@@ -925,12 +923,9 @@ void Platform::on_uploaded(SessionState& s) {
   // A probe that crosses the threshold ends this session in the sweep,
   // which frees its record: re-resolve it after every probe.
   const SessionRef self = session_ref(s);
-  if (const auto stream_it = streams_.find(s.stream_id);
-      stream_it != streams_.end()) {
-    for (const Operation op : stream_it->second.config.probe_ops) {
-      access.check(s.app_id(), s.tenant, op, simulator.now());
-      if (find_session(self) == nullptr) return;  // self-evicted
-    }
+  for (const Operation op : s.stream->config.probe_ops) {
+    access.check(s.app_id(), s.tenant, op, simulator.now());
+    if (find_session(self) == nullptr) return;  // self-evicted
   }
 
   // ClassLoader: first load per environment pays dex verification.
@@ -1275,9 +1270,8 @@ void Platform::reject_session(SessionState& s, RejectReason reason) {
 
 RequestOutcome& Platform::outcome_of(const SessionState& s) {
   const sim::SimTime now = server_->simulator().now();
-  assert(s.request.sequence < outcomes_.size());
   // The slot still holds only the request submit parked there.
-  RequestOutcome& outcome = outcomes_[s.request.sequence];
+  RequestOutcome& outcome = s.stream->outcomes[s.position];
   outcome.phases = s.phases;
   outcome.completed_at = now;
   outcome.response = now - s.request.arrival;
@@ -1293,7 +1287,9 @@ RequestOutcome& Platform::outcome_of(const SessionState& s) {
 void Platform::finish_session(SessionState& s) {
   const sim::SimTime now = server_->simulator().now();
   const std::uint64_t sequence = s.request.sequence;
-  const RequestOutcome& outcome = outcomes_[sequence];
+  Stream& stream = *s.stream;
+  const std::uint32_t position = s.position;
+  const RequestOutcome& outcome = stream.outcomes[position];
   end_phase(s);
   if (s.span_session != obs::kNoSpan) trace_.end(s.span_session, now);
   if (config_.adaptive_offloading && !outcome.rejected) {
@@ -1312,7 +1308,6 @@ void Platform::finish_session(SessionState& s) {
     }
   }
   const bool stranded = outcome.stranded;
-  outcome_state_[sequence] = OutcomeState::kDone;
 
   if (s.computing) server_->monitor().job_finished(s.klass);
   if (s.staged) server_->shared_layer().release_request_files(sequence);
@@ -1334,7 +1329,14 @@ void Platform::finish_session(SessionState& s) {
   // every other live one: queued work it frees is stranded in the same
   // sweep, so none starts here.
   if (!stranded) maybe_start_queued();
-  if (completion_observer_) completion_observer_(outcomes_[sequence]);
+  if (completion_observer_) {
+    // Moved out for the call: a submit from the observer may grow the
+    // stream's outcomes, which would move the slot under its reference.
+    RequestOutcome done = std::move(stream.outcomes[position]);
+    completion_observer_(done);
+    stream.outcomes[position] = std::move(done);
+  }
+  outcome_index_[sequence].done = true;
 }
 
 void Platform::touched(const SessionState& s) {

@@ -205,8 +205,9 @@ class InvariantOracle;
 /// Move-only handle for one client's request stream on a Platform.
 /// Obtained from Platform::open_session(); submit() schedules requests
 /// under this session's QoS identity, result() reads finished outcomes,
-/// close() drains the run and returns this session's outcomes.  The
-/// handle does not own the run: closing one session leaves others open.
+/// close() drains the run and returns a copy of this session's outcomes,
+/// take() drains it and hands them over.  The handle does not own the
+/// run: closing one session leaves others open.
 class Session {
  public:
   Session() = default;
@@ -221,13 +222,21 @@ class Session {
   /// Sequences must stay dense and unique across *all* sessions of a run.
   void submit(const workloads::OffloadRequest& request);
 
-  /// The finished outcome for `sequence`, or nullptr while in flight.
+  /// The finished outcome for `sequence`, or nullptr while in flight or
+  /// once taken (Platform::result).
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
 
   /// Drains the event queue and returns the outcomes of every request
-  /// submitted through *this* session, in submission order.  The handle
-  /// is closed afterwards; submit() on it is invalid.
+  /// submitted through *this* session, in submission order.  They stay
+  /// readable through result().  The handle is closed afterwards;
+  /// submit() on it is invalid.
   std::vector<RequestOutcome> close();
+
+  /// close() without the copy: drains the event queue and moves this
+  /// session's outcome buffer out whole, in submission order.  The
+  /// platform keeps no outcome of the session: result() answers nullptr
+  /// for its sequences, which stay used for the rest of the run.
+  std::vector<RequestOutcome> take();
 
   [[nodiscard]] bool open() const { return platform_ != nullptr; }
   [[nodiscard]] const SessionConfig& config() const;
@@ -254,9 +263,10 @@ class Platform {
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
   [[nodiscard]] CloudServer& server() { return *server_; }
 
-  /// Replays a request stream to completion; outcomes are indexed by
-  /// request sequence.  Tasks are actually executed (real kernels) to
-  /// obtain their work units.
+  /// Replays a request stream to completion through one default session
+  /// and returns its close(): the outcomes in submission order (indexed
+  /// by sequence when the stream numbers its requests 0..n-1).  Tasks
+  /// are actually executed (real kernels) to obtain their work units.
   std::vector<RequestOutcome> run(
       const std::vector<workloads::OffloadRequest>& stream);
 
@@ -276,11 +286,12 @@ class Platform {
   /// a named tenant.
   Result<Session> open_session(SessionConfig config = {});
 
-  /// The finished outcome for `sequence` (any session), or nullptr.
+  /// The finished outcome for `sequence` (any session), or nullptr while
+  /// it is in flight, unused, or handed over by Session::take().
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
 
   /// How far past the number of requests submitted so far in the run a
-  /// fresh sequence may reach.  The outcome table holds one slot per
+  /// fresh sequence may reach.  The sequence index holds one entry per
   /// sequence up to the highest submitted, so this bounds what one
   /// submit can make it allocate.
   static constexpr std::uint64_t kMaxSequenceLead = 1 << 16;
@@ -293,7 +304,9 @@ class Platform {
   [[nodiscard]] bool sequence_free(std::uint64_t sequence) const;
 
   /// Observer invoked with each finished outcome (completed, rejected,
-  /// stranded or executed locally) — the closed-loop feedback path.
+  /// stranded or executed locally) — the closed-loop feedback path.  The
+  /// outcome stays put for the whole call, across whatever the observer
+  /// submits; result() answers nullptr for it until the call returns.
   /// Empty uninstalls.  Stranded outcomes reach it after the event queue
   /// has drained; the drain runs the queue again for any follow-up the
   /// observer submits, so a device whose session stranded still issues
@@ -426,11 +439,23 @@ class Platform {
     std::optional<net::Connection::Metrics> net;
   };
 
-  /// One open Session handle's server-side record.
+  /// One Session handle's server-side record, kept until the next run.
   struct Stream {
+    std::uint64_t id = 0;  ///< the handle's id
     SessionConfig config;
-    std::vector<std::uint64_t> sequences;  ///< submission order
+    /// One slot per request submitted through the handle, in submission
+    /// order: the parked request from submit to arrival, then the
+    /// outcome its ending fills in place.  Session::take() moves the
+    /// buffer out whole.
+    std::vector<RequestOutcome> outcomes;
     bool open = true;
+    bool taken = false;  ///< `outcomes` was handed over
+  };
+  /// Where one sequence's outcome lives: its stream and its slot there.
+  struct OutcomeRef {
+    Stream* stream = nullptr;  ///< nullptr: the sequence is unused
+    std::uint32_t position = 0;
+    bool done = false;  ///< the session ended and its outcome is final
   };
 
   // Session-handle plumbing.
@@ -438,13 +463,15 @@ class Platform {
   void drain_run();
   void submit_to_stream(std::uint64_t stream_id,
                         const workloads::OffloadRequest& request);
-  std::vector<RequestOutcome> close_stream(std::uint64_t stream_id);
+  /// Drains the run and closes stream `stream_id`; nullptr when it is
+  /// unknown (an earlier run's) or already closed.
+  Stream* end_stream(std::uint64_t stream_id);
   [[nodiscard]] const SessionConfig& stream_config(
       std::uint64_t stream_id) const;
-  /// Builds the record of the session whose request waits in
-  /// outcomes_[sequence], under the QoS identity of `stream_id`: called
-  /// when the request arrives, so only in-flight sessions hold one.
-  SessionState& make_session(std::uint64_t stream_id, std::uint64_t sequence);
+  /// Builds the record of the session whose request waits in slot
+  /// `position` of `stream`, under the stream's QoS identity: called when
+  /// the request arrives, so only in-flight sessions hold one.
+  SessionState& make_session(Stream& stream, std::uint32_t position);
   /// The handle of `s`, and what a handle resolves to: the record while
   /// its generation holds, else nullptr.  Defined in platform_state.hpp.
   [[nodiscard]] SessionRef session_ref(const SessionState& s) const;
@@ -501,7 +528,7 @@ class Platform {
   void on_tenant_blocked(const std::string& tenant, sim::SimTime now);
   void reject_session(SessionState& s, RejectReason reason);
   /// Fills the outcome fields every ending fills the same way into the
-  /// session's slot, outcomes_[sequence], and returns the slot; each
+  /// session's slot of its stream's outcomes and returns the slot; each
   /// path sets the rest in place.  Valid until the next submit.
   RequestOutcome& outcome_of(const SessionState& s);
   /// The one ending of every session — completed, rejected, stranded or
@@ -538,7 +565,7 @@ class Platform {
   SessionRef active_session_;  ///< set while a handler runs
   /// One record per in-flight session, owned here alone (docs/PERF.md
   /// "Arenas"): built when its request arrives, released when it ends;
-  /// a submitted request waits in its outcomes_ slot until then.
+  /// a submitted request waits in its stream's outcome slot until then.
   sim::SlabArena<SessionState, 256> sessions_;
   std::vector<SessionSlot> session_slots_;  ///< parallel to sessions_
   std::unique_ptr<CloudServer> server_;
@@ -564,13 +591,13 @@ class Platform {
   /// Per-kind app data, resolved on a kind's first arrival.
   std::array<std::optional<KindData>, workloads::kKindCount> kinds_;
   std::vector<device::MobileDevice> devices_;
-  /// One slot per submitted sequence: the parked request from submit to
-  /// arrival, then the outcome its ending fills in place.
-  std::vector<RequestOutcome> outcomes_;
-  enum class OutcomeState : std::uint8_t { kFree, kSubmitted, kDone };
-  std::vector<OutcomeState> outcome_state_;  ///< parallel to outcomes_
   SessionMetrics session_metrics_;
-  std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
+  /// By Session handle id.  Map nodes stay put, so session records and
+  /// outcome_index_ point at them until reset_run.
+  std::map<std::uint64_t, Stream> streams_;
+  /// By sequence: the stream slot holding its outcome (result() and
+  /// sequence_free read it; Stream::outcomes holds the outcomes).
+  std::vector<OutcomeRef> outcome_index_;
   std::uint64_t next_stream_id_ = 1;
   bool run_active_ = false;
   std::size_t submitted_ = 0;

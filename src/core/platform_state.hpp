@@ -49,7 +49,8 @@ struct Platform::SessionState {
   sim::SimDuration pending_lead = 0;  ///< dispatch lead cost when popped
 
   // QoS identity, inherited from the owning Session (docs/QOS.md).
-  std::uint64_t stream_id = 0;
+  Stream* stream = nullptr;     ///< its outcome lives in stream->outcomes
+  std::uint32_t position = 0;   ///< at this index
   std::string tenant;       ///< resolved: stream tenant, or app id
   qos::PriorityClass klass = qos::PriorityClass::kStandard;
   sim::SimDuration deadline = 0;

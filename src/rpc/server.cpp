@@ -126,7 +126,7 @@ class ServerConnection : public ChannelHandler {
   }
 
   /// A sequence the run already used, or one past the session trace
-  /// tracks, would share or blow up the platform's outcome table: it
+  /// tracks, would share or blow up the platform's outcome index: it
   /// gets a typed error frame and the connection closes.
   void submit(Channel& channel, const SubmitRequest& body) {
     bool accepted = false;

@@ -102,6 +102,17 @@ struct PlatformTestPeer {
     return platform.sessions_.capacity() / 256;
   }
 
+  /// Outcome slots the platform's streams hold allocated (their buffers'
+  /// capacity): 0 once every stream's outcomes were taken.
+  static std::size_t outcome_slots(const Platform& platform) {
+    std::size_t slots = 0;
+    for (const auto& [id, stream] : platform.streams_) {
+      (void)id;
+      slots += stream.outcomes.capacity();
+    }
+    return slots;
+  }
+
   /// Runs the oracle's full sweep after every event as well, recording
   /// into `into` (which must outlive the run); false when no oracle is
   /// armed.

@@ -3,8 +3,10 @@
 // arrives, so the record arena holds the sessions in flight, not the
 // schedule submitted ahead of them; an arrival whose synchronous reject
 // feeds follow-ups back through the completion observer still accounts
-// for every sequence exactly once; and a step queued by a session that
-// ended never acts on the session that reuses its record slot.
+// for every sequence exactly once; the outcome the completion observer
+// reads stays put while the observer submits into its stream; and a step
+// queued by a session that ended never acts on the session that reuses
+// its record slot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,6 +129,52 @@ TEST(SessionResidency, ObserverSubmitsDuringDeniedArrival) {
     EXPECT_EQ(seen[sequence], 1) << "sequence " << sequence;
   }
   EXPECT_EQ(platform.live_session_count(), 0u);
+}
+
+TEST(SessionResidency, ObservedOutcomeOutlivesTheObserversSubmits) {
+  // Each completion submits two follow-ups into the very stream whose
+  // outcome the observer holds, so the stream's outcome buffer grows
+  // (and moves) in the middle of the call; the outcome must not move
+  // with it.
+  constexpr std::uint64_t kTotal = 400;
+  Platform platform(make_config(PlatformKind::kRattrap));
+  SessionConfig identity;
+  identity.tenant = "loop";
+  Result<Session> opened = platform.open_session(identity);
+  ASSERT_TRUE(opened.ok());
+  Session session = std::move(*opened);
+
+  const workloads::TaskSpec task = linpack_task();
+  std::uint64_t next = 2;
+  std::size_t checked = 0;
+  platform.set_completion_observer([&](const RequestOutcome& done) {
+    const std::uint64_t sequence = done.request.sequence;
+    const std::uint32_t device = done.request.device_id;
+    const sim::SimTime at = platform.server().simulator().now();
+    for (int i = 0; i < 2 && next < kTotal; ++i, ++next) {
+      session.submit(request_at(next, static_cast<std::uint32_t>(next % 5),
+                                at + sim::kSecond, task));
+    }
+    EXPECT_EQ(done.request.sequence, sequence);
+    EXPECT_EQ(done.request.device_id, device);
+    EXPECT_EQ(done.tenant, "loop");
+    EXPECT_EQ(platform.result(sequence), nullptr)
+        << "readable before the observer returned";
+    ++checked;
+  });
+  session.submit(request_at(0, 0, 0, task));
+  session.submit(request_at(1, 1, 0, task));
+  const std::vector<RequestOutcome> outcomes = session.close();
+  platform.set_completion_observer({});
+
+  ASSERT_EQ(outcomes.size(), kTotal);
+  EXPECT_EQ(checked, kTotal);
+  for (std::uint64_t sequence = 0; sequence < kTotal; ++sequence) {
+    const RequestOutcome* recorded = platform.result(sequence);
+    ASSERT_NE(recorded, nullptr) << sequence;
+    EXPECT_EQ(recorded->request.sequence, sequence);
+    EXPECT_EQ(recorded->tenant, "loop");
+  }
 }
 
 TEST(SessionResidency, StaleContinuationSkipsTheSlotsNextSession) {

@@ -44,6 +44,17 @@ TEST(LoadgenCli, MalformedNumericValueRejected) {
   EXPECT_TRUE(result.contains("--rate")) << result.output;
 }
 
+TEST(LoadgenCli, NonPositiveRateRejected) {
+  // Left to run, mmpp at rate 0 never draws an arrival and Poisson
+  // silently floors a negative rate at 1/s.
+  for (const char* rate : {"0", "-1", "-0.5"}) {
+    const CommandResult result =
+        run_command(kBin + " --devices 5 --requests 20 --rate " + rate);
+    EXPECT_EQ(result.exit_code, 2) << rate;
+    EXPECT_TRUE(result.contains("bad value for --rate")) << result.output;
+  }
+}
+
 TEST(LoadgenCli, TrailingGarbageInNumericRejected) {
   // atoi-style prefix parsing would read "10x" as 10; the strict parser
   // must reject the whole token.

@@ -5,9 +5,9 @@
 # the loadgen sim / rpc / QoS lines, a closed-loop loadgen line (the only
 # one that drives the completion observer), `experiments --quick`, a small
 # elastic static|predictive crash-storm manifest, and traced rattrap
-# runs (plain, and warm pool under container crashes).  Prints one line
-# per invocation with both fingerprints.  A refactor that claims "no
-# behaviour change" must exit 0 here.
+# runs (plain, and warm pool under container crashes: trace, metrics
+# and printed table).  Prints one line per invocation with both
+# fingerprints.  A "no behaviour change" refactor must exit 0 here.
 #
 #   tools/fingerprint_parity.sh <base-ref> [work-dir]
 #
@@ -100,11 +100,13 @@ fingerprints() {  # <source> <build-dir> <out-dir>
     --metrics-out "$out/ocr.metrics.json" >"$out/ocr.txt" 2>&1 || true
   echo "rattrap-ocr-trace $(digest "$out/ocr.trace.json")"
   echo "rattrap-ocr-metrics $(digest "$out/ocr.metrics.json")"
+  echo "rattrap-ocr-stdout $(digest "$out/ocr.txt")"
   "$bin/rattrap" --kind linpack --requests 24 --elastic-target 3 \
     --faults "container.crash:p=0.1" --trace-out "$out/pool.trace.json" \
     --metrics-out "$out/pool.metrics.json" >"$out/pool.txt" 2>&1 || true
   echo "rattrap-pool-trace $(digest "$out/pool.trace.json")"
   echo "rattrap-pool-metrics $(digest "$out/pool.metrics.json")"
+  echo "rattrap-pool-stdout $(digest "$out/pool.txt")"
 }
 
 fingerprints "$work/base-src" "$work/base-build" "$work/base-out" \

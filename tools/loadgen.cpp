@@ -21,6 +21,8 @@
 // transport's fingerprint exactly (docs/RPC.md).  Exit 0 on a clean
 // run, 1 when the oracle recorded a violation or the transport failed,
 // 2 on a usage or config error.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -201,5 +203,11 @@ int main(int argc, char** argv) {
   std::printf("metrics_schema=%d\n", obs::kMetricsSchemaVersion);
   std::printf("metrics_fingerprint=%016llx\n",
               static_cast<unsigned long long>(cli::fingerprint64(metrics_json)));
+  // Wall-clock plane, outside every fingerprint: the process's resident
+  // high-water mark (ru_maxrss is in KiB on Linux).
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf("peak_rss_mb=%.1f\n",
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
   return invariants.ok() ? 0 : 1;
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/load_driver.hpp"
 #include "core/platform.hpp"
@@ -144,22 +145,22 @@ int main(int argc, char** argv) {
   const core::LoadDriverConfig& driver = run->driver;
   core::Platform platform(std::move(run->platform));
   if (!trace_out.empty()) platform.trace().enable();
-  const core::LoadSummary summary = core::run_load(platform, driver);
+  std::vector<core::RequestOutcome> outcomes;
+  const core::LoadSummary summary =
+      core::run_load(platform, driver, outcomes);
   if (!write_file(metrics_out, platform.metrics().to_json(), "metrics") ||
       !write_file(trace_out, platform.trace().to_chrome_json(), "trace")) {
     return 1;
   }
 
-  // Outcomes stay readable by sequence after the run's close; the load
-  // driver numbers its requests 0..offered-1.
+  // The load driver numbers its requests 0..offered-1 and hands their
+  // outcomes back in that order.
   if (csv) {
     std::puts(
         "seq,device,arrival_ms,conn_ms,prep_ms,xfer_ms,comp_ms,"
         "response_ms,local_ms,speedup,up_bytes,down_bytes,cache_hit,"
         "rejected");
-    for (std::uint64_t seq = 0; seq < summary.offered; ++seq) {
-      print_csv(*platform.result(seq));
-    }
+    for (const core::RequestOutcome& o : outcomes) print_csv(o);
     // The CSV stays machine-readable: a violation is reported on stderr.
     if (!platform.invariants().ok()) {
       print_invariants(stderr, platform.invariants());
@@ -176,8 +177,7 @@ int main(int argc, char** argv) {
               "xfer", "comp", "response", "speedup");
   double speedup_sum = 0;
   std::size_t failures = 0;
-  for (std::uint64_t seq = 0; seq < summary.offered; ++seq) {
-    const core::RequestOutcome& o = *platform.result(seq);
+  for (const core::RequestOutcome& o : outcomes) {
     print_row(o);
     speedup_sum += o.speedup;
     if (o.offloading_failure()) ++failures;

@@ -109,7 +109,12 @@ const Key kKeys[] = {
        return true;
      }},
     {"rate", "R", "offered req/s, open loop",
-     to_load<&sim::LoadGenConfig::rate_per_s>},
+     [](const std::string& v, Staged& s) {
+       // > 0: at rate 0 mmpp never reaches its first arrival, and
+       // Poisson would floor a negative rate at 1/s.
+       double& rate = s.run.driver.loadgen.rate_per_s;
+       return parse_double(v, rate) && rate > 0;
+     }},
     {"burst_factor", "F", "mmpp burst-state rate multiplier (default 8)",
      to_load<&sim::LoadGenConfig::burst_factor>},
     {"mean_burst_s", "S", "mmpp mean burst-state holding time (default 2)",
